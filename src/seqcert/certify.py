@@ -36,6 +36,7 @@ from .funcs import (
     ScalarKind,
     Scale,
     SeparableSeries,
+    SharedTailEvaluator,
     Sum,
     _expect_fields,
     _form_from_json,
@@ -513,6 +514,8 @@ def check_psc_numeric(
     tol: float,
 ) -> Certificate:
     """Sampled pseudo-semicontinuity: max over deep truncations vs f(x)."""
+    # every anchored truncation carries the anchor's tail
+    at_truncation = SharedTailEvaluator(f, x_star.tail)
     checked = 0
     for x in probes:
         ok_member, _ = set_membership(s, x)
@@ -527,7 +530,7 @@ def check_psc_numeric(
             continue
         for k in range(max(1, depth // 2), depth + 1):
             z = anchored_truncation(x_star, x, k)
-            fz = evaluate(f, z)
+            fz = at_truncation(z)
             if fz.value - fz.error_bound > fx.value + fx.error_bound + tol:
                 return Certificate(
                     Verdict.FAILS,

@@ -16,6 +16,7 @@ that reason).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import time
@@ -112,12 +113,28 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """The checked validator for a shipped schema, built on first use."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(obj, name: str) -> None:
+    """jsonschema.validate against a shipped schema, with its validator
+    built once per process; raises the same best-match error."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(obj))
+    if error is not None:
+        raise error
+
+
 def scenario_from_json(obj: dict) -> Scenario:
     """Validate against the shipped schema, then build through the strict
     constructors (which re-reject anything structurally off)."""
-    schema = load_schema("scenario.schema.json")
     try:
-        jsonschema.validate(obj, schema)
+        _validate(obj, "scenario.schema.json")
     except jsonschema.ValidationError as exc:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ScenarioError(f"scenario invalid at {where}: {exc.message}") from exc
@@ -650,10 +667,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = _sanitize(reports[0].to_json())
         else:
             payload = {"reports": [_sanitize(r.to_json()) for r in reports]}
-        schema = load_schema("report.schema.json")
         to_check = payload["reports"] if isinstance(payload, dict) and "reports" in payload else [payload]
         for item in to_check:
-            jsonschema.validate(item, schema)
+            _validate(item, "report.schema.json")
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)

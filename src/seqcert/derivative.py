@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import (
     DomainLimited,
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .funcs import (
     Constant,
-    DirStatus,
     FunctionExpr,
     LimsupSeminorm,
     LinearFunctional,
@@ -114,11 +113,40 @@ def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: fl
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
-def _quotient(f: FunctionExpr, x: Point, h: Point, support: Optional[list[int]], t: float) -> float:
-    if support is not None:
-        return _delta_finite(f, x, h, support, t) / t
-    sv = delta_along(f, x, h, t, tol=abs(t) * 1e-13)
-    return sv.value / t
+def _zero_line(t: float) -> float:
+    return 0.0
+
+
+def _basis_line(
+    f: FunctionExpr, x: Point, n: int, hn: float = 1.0
+) -> Callable[[float], float]:
+    """t -> f(x + t*hn*e_n) - f(x), bit for bit what _delta_finite returns
+    along the single-coordinate direction hn*e_n.
+
+    The per-index constants (w_n, x_n, the piece's a_n, b_n, c_n, p_n) and
+    every scale factor are resolved once here; the returned line runs the
+    same float operations as _delta_finite in the same order, including
+    the int 0 that starts each of its sums, so signed zeros agree too.
+    """
+    if isinstance(f, (Constant, LimsupSeminorm)):
+        return _zero_line
+    if isinstance(f, LinearFunctional):
+        slope = 0 + f.p.coordinate(n) * hn
+        return lambda t: t * slope
+    if isinstance(f, SeparableSeries):
+        w = f.weight.value_at(n)
+        piece = f.inner.line(n, x.coordinate(n))
+        return lambda t: 0 + w * piece(t * hn)
+    if isinstance(f, Scale):
+        if not f.lam:
+            return _zero_line
+        lam = f.lam
+        inner = _basis_line(f.inner, x, n, hn)
+        return lambda t: lam * inner(t)
+    if isinstance(f, Sum):
+        parts = [_basis_line(g, x, n, hn) for g in f.terms]
+        return lambda t: sum([g(t) for g in parts])
+    raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
 class _Side:
@@ -135,16 +163,14 @@ class _Side:
 
 
 def _scan_side(
-    f: FunctionExpr,
-    x: Point,
-    h: Point,
-    support: Optional[list[int]],
+    delta: Callable[[float], float],
+    exact: bool,
     t0: float,
     sign: int,
     opts: DerivOptions,
     fx_mag: float,
 ) -> _Side:
-    """Evaluate quotients at t = sign * t0 * 2^-j with early stopping.
+    """Evaluate quotients delta(t) / t at t = sign * t0 * 2^-j with early stopping.
 
     Right side (sign=+1): quotients must be nonincreasing up to noise;
     left side (sign=-1): nondecreasing.  Violations beyond 10x the noise
@@ -156,11 +182,13 @@ def _scan_side(
     side = _Side()
     qs: list[float] = []
     prev: Optional[float] = None
+    start = sign * t0
+    noise = opts.noise_scale * _EPS * (fx_mag + 1.0)
     for j in range(opts.steps + 1):
-        t = sign * t0 * 2.0**-j
-        nf = opts.noise_scale * _EPS * (fx_mag + 1.0) / abs(t)
+        t = start * 2.0**-j
+        nf = noise / abs(t)
         try:
-            q = _quotient(f, x, h, support, t)
+            q = delta(t) / t
         except DomainViolation:
             # Convex domains are intervals along a line: larger |t| failing
             # says nothing about smaller |t|, so keep shrinking.
@@ -174,7 +202,7 @@ def _scan_side(
                     f"difference quotients moved the wrong way at t={t:.3e} "
                     f"(drift {drift:.3e} vs noise floor {nf:.3e})"
                 )
-            if support is None and abs(q - prev) <= nf:
+            if not exact and abs(q - prev) <= nf:
                 qs.append(q)
                 prev = q
                 break
@@ -202,8 +230,21 @@ def _extrapolate(qs: list[float], sign: int) -> float:
     return qs[-1] - g1 * rho / (1.0 - rho)
 
 
+def _base_magnitude(f: FunctionExpr, x: Point) -> float:
+    """|f(x)|, which scales the quotient noise floor; f(x) must be finite."""
+    fx = evaluate(f, x)
+    if not math.isfinite(fx.value):
+        raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
+    return abs(fx.value)
+
+
 def dir_deriv(
-    f: FunctionExpr, x: Point, h: Point, opts: DerivOptions = DerivOptions()
+    f: FunctionExpr,
+    x: Point,
+    h: Point,
+    opts: DerivOptions = DerivOptions(),
+    *,
+    fx_mag: Optional[float] = None,
 ) -> DirDerivResult:
     """Directional derivative of f at x along h, with an existence verdict.
 
@@ -212,33 +253,32 @@ def dir_deriv(
     quotients on both sides.  A side whose every probe leaves the domain is
     reported at its extended-real limit (+inf on the right would mean the
     right side is infeasible; in this grammar only -inf arises, from sqrt
-    boundaries); the verdict is then "does not exist".
+    boundaries); the verdict is then "does not exist".  ``fx_mag`` is |f(x)|
+    when the caller has already evaluated it, as dir_deriv_profile does once
+    for all its directions.
     """
     n = _is_basis(h)
     if n is not None and opts.prefer_analytic:
         dv = analytic_dir_deriv(f, x, n)
-        if dv.status is not DirStatus.UNAVAILABLE:
-            left = -math.inf if dv.left is None else dv.left
-            right = math.inf if dv.right is None else dv.right
-            exists = (
-                math.isfinite(left)
-                and math.isfinite(right)
-                and abs(right - left) <= opts.tol_match
-            )
-            return DirDerivResult(
-                right=right,
-                left=left,
-                exists=exists,
-                value=dv.value if exists else None,
-                noise_floor=0.0,
-                quotients_log=(),
-                method="analytic",
-            )
+        left = -math.inf if dv.left is None else dv.left
+        right = math.inf if dv.right is None else dv.right
+        exists = (
+            math.isfinite(left)
+            and math.isfinite(right)
+            and abs(right - left) <= opts.tol_match
+        )
+        return DirDerivResult(
+            right=right,
+            left=left,
+            exists=exists,
+            value=dv.value if exists else None,
+            noise_floor=0.0,
+            quotients_log=(),
+            method="analytic",
+        )
 
-    fx = evaluate(f, x)
-    if not math.isfinite(fx.value):
-        raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
-    fx_mag = abs(fx.value)
+    if fx_mag is None:
+        fx_mag = _base_magnitude(f, x)
 
     support = _support(h)
     if opts.t0 is not None:
@@ -247,8 +287,17 @@ def dir_deriv(
         t0 = 1e-2 * max(1.0, abs(x.coordinate(support[0])))
     else:
         t0 = 1e-2
-    right = _scan_side(f, x, h, support, t0, +1, opts, fx_mag)
-    left = _scan_side(f, x, h, support, t0, -1, opts, fx_mag)
+    if support is None:
+        def delta(t: float) -> float:
+            return delta_along(f, x, h, t, tol=abs(t) * 1e-13).value
+    elif len(support) == 1:
+        delta = _basis_line(f, x, support[0], h.coordinate(support[0]))
+    else:
+        def delta(t: float) -> float:
+            return _delta_finite(f, x, h, support, t)
+    exact = support is not None
+    right = _scan_side(delta, exact, t0, +1, opts, fx_mag)
+    left = _scan_side(delta, exact, t0, -1, opts, fx_mag)
     if not right.alive and not left.alive:
         raise DomainLimited("no feasible step on either side of 0")
 
@@ -262,7 +311,7 @@ def dir_deriv(
     value = None
     if exists:
         value = 0.5 * (right.report + left.report)
-    if support is not None:
+    if exact:
         # Exact finite differences: only rounding of the quotient itself.
         worst = max(abs(r_bound) if right.alive else 0.0,
                     abs(l_bound) if left.alive else 0.0)
@@ -287,13 +336,20 @@ def dir_deriv(
 def dir_deriv_profile(
     f: FunctionExpr, x: Point, direction_count: int, opts: DerivOptions = DerivOptions()
 ) -> list[DirDerivResult]:
-    """dir_deriv along e_1 .. e_N; errors are re-raised tagged by index."""
+    """dir_deriv along e_1 .. e_N; errors are re-raised tagged by index.
+
+    Numeric scans share one evaluation of f(x), made before direction 1 and
+    tagged as its error when it fails; closed forms need none.
+    """
     if direction_count < 1:
         raise ValueError("direction count must be >= 1")
     out = []
+    fx_mag = None
     for n in range(1, direction_count + 1):
         try:
-            out.append(dir_deriv(f, x, basis_vector(n), opts))
+            if fx_mag is None and not opts.prefer_analytic:
+                fx_mag = _base_magnitude(f, x)
+            out.append(dir_deriv(f, x, basis_vector(n), opts, fx_mag=fx_mag))
         except (DomainViolation, DomainLimited, NonConvexBehavior) as exc:
             raise type(exc)(f"direction {n}: {exc}") from exc
     return out

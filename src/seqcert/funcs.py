@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     DomainViolation,
@@ -32,6 +32,7 @@ from .seqspace import (
     TailRule,
     _tail_atom_from_json,
     certified_series,
+    certified_tail,
     dual_from_json,
     dual_to_json,
     limsup_abs,
@@ -163,30 +164,55 @@ class ScalarConvex:
 
     def delta(self, n: int, t0: float, dt: float) -> float:
         """u(t0 + dt) - u(t0), in a cancellation-free arrangement."""
-        if dt == 0.0:
-            return 0.0
-        if self.kind is ScalarKind.ABS:
-            if t0 >= 0.0 and t0 + dt >= 0.0:
-                return dt
-            if t0 <= 0.0 and t0 + dt <= 0.0:
-                return -dt
-            return abs(t0 + dt) - abs(t0)
-        if self.kind is ScalarKind.SQUARE:
-            return dt * (2.0 * t0 + dt)
-        if self.kind is ScalarKind.AFFINE_QUAD:
-            return self.a.value_at(n) * dt * (2.0 * t0 + dt) + self.b.value_at(n) * dt
-        if self.kind is ScalarKind.LINEAR:
-            return self.b.value_at(n) * dt
-        t1 = t0 + dt
-        if t0 < 0.0 or t1 < 0.0:
-            raise DomainViolation(f"sqrt piece needs t >= 0 along the segment at index {n}")
+        return self.line(n, t0)(dt)
+
+    def line(self, n: int, t0: float) -> Callable[[float], float]:
+        """dt -> u_n(t0 + dt) - u_n(t0), with u_n's parameters resolved once.
+
+        Along a line only dt changes, so the per-index coefficients and the
+        anchor terms (2*t0, sqrt(t0)) are computed here and each call runs
+        just the cancellation-free difference.
+        """
+        kind = self.kind
+        if kind is ScalarKind.ABS:
+            def d(dt: float) -> float:
+                if dt == 0.0:
+                    return 0.0
+                if t0 >= 0.0 and t0 + dt >= 0.0:
+                    return dt
+                if t0 <= 0.0 and t0 + dt <= 0.0:
+                    return -dt
+                return abs(t0 + dt) - abs(t0)
+            return d
+        two_t0 = 2.0 * t0
+        if kind is ScalarKind.SQUARE:
+            return lambda dt: 0.0 if dt == 0.0 else dt * (two_t0 + dt)
+        if kind is ScalarKind.AFFINE_QUAD:
+            a = self.a.value_at(n)
+            b = self.b.value_at(n)
+            return lambda dt: 0.0 if dt == 0.0 else a * dt * (two_t0 + dt) + b * dt
+        if kind is ScalarKind.LINEAR:
+            b = self.b.value_at(n)
+            return lambda dt: 0.0 if dt == 0.0 else b * dt
         c = self.c.value_at(n)
-        if c == 0.0:
-            return 0.0
-        root_sum = math.sqrt(t1) + math.sqrt(t0)
-        if root_sum == 0.0:
-            return 0.0
-        return -c * dt / root_sum
+        # a negative t0 raises below before its root would be used
+        root0 = 0.0 if t0 < 0.0 else math.sqrt(t0)
+
+        def d(dt: float) -> float:
+            if dt == 0.0:
+                return 0.0
+            t1 = t0 + dt
+            if t0 < 0.0 or t1 < 0.0:
+                raise DomainViolation(
+                    f"sqrt piece needs t >= 0 along the segment at index {n}"
+                )
+            if c == 0.0:
+                return 0.0
+            root_sum = math.sqrt(t1) + root0
+            if root_sum == 0.0:
+                return 0.0
+            return -c * dt / root_sum
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +316,21 @@ def subtract_linear(f: FunctionExpr, p: DualPoint) -> FunctionExpr:
 # ---------------------------------------------------------------------------
 
 
-def _separable_domain_rank(f: SeparableSeries, x: Point) -> int:
-    """Domain screening for sqrt pieces; returns the rank from which the
-    tail's sign is settled (tail start otherwise)."""
+def _screen_sqrt_prefix(f: SeparableSeries, x: Point) -> None:
+    """Domain screening of the explicit prefix for sqrt pieces."""
+    if f.inner.kind is not ScalarKind.NEG_SQRT:
+        return
+    for n in range(1, x.tail_start):
+        if x.coordinate(n) < 0.0:
+            raise DomainViolation(f"coordinate {n} is negative under a sqrt piece")
+
+
+def _tail_domain_rank(f: SeparableSeries, x: Point) -> int:
+    """Domain screening of the tail for sqrt pieces; returns the rank from
+    which the tail's sign is settled (tail start otherwise)."""
     start = x.tail_start
     if f.inner.kind is not ScalarKind.NEG_SQRT:
         return start
-    for n in range(1, start):
-        if x.coordinate(n) < 0.0:
-            raise DomainViolation(f"coordinate {n} is negative under a sqrt piece")
     seq = x.tail_symseq()
     if not seq.terms:
         return start
@@ -312,6 +344,11 @@ def _separable_domain_rank(f: SeparableSeries, x: Point) -> int:
         if seq.value_at(n) < 0.0:
             raise DomainViolation(f"coordinate {n} is negative under a sqrt piece")
     return max(start, rank)
+
+
+def _separable_domain_rank(f: SeparableSeries, x: Point) -> int:
+    _screen_sqrt_prefix(f, x)
+    return _tail_domain_rank(f, x)
 
 
 def _separable_tail_forms(
@@ -350,17 +387,19 @@ def _separable_tail_forms(
     return None, start, _abs_seq(w) * _abs_seq(cc) * _sqrt_majorant(xx)
 
 
-def _evaluate_separable(f: SeparableSeries, x: Point, tol: float) -> SeriesValue:
-    rank = _separable_domain_rank(f, x)
+def _separable_tail_plan(f: SeparableSeries, x: Point, tol: float):
+    """The part of f(x) that depends on x only through its tail.
 
-    def term_at(n: int) -> float:
-        return f.weight.value_at(n) * f.inner.value(n, x.coordinate(n))
-
+    Returns a finished SeriesValue when the series diverges to +inf, else
+    the certified tail's completion (seqspace.certified_tail), which still
+    needs the point's explicit terms.
+    """
+    rank = _tail_domain_rank(f, x)
     exact, valid_from, major = _separable_tail_forms(f, x, rank)
     if exact is not None:
         label = classify(exact)
         if label == SUMMABLE:
-            return certified_series(term_at, valid_from, tol, tail=exact)
+            return certified_tail(valid_from, tol, tail=exact)
         if label == DIVERGENT:
             try:
                 sgn, _ = exact.eventual_sign(valid_from)
@@ -375,12 +414,26 @@ def _evaluate_separable(f: SeparableSeries, x: Point, tol: float) -> SeriesValue
     if major is not None:
         label = classify(major)
         if label == SUMMABLE:
-            return certified_series(term_at, valid_from, tol, majorant=major)
+            return certified_tail(valid_from, tol, majorant=major)
         # A divergent majorant of nonnegative-term series still means +inf
         # only when the terms themselves are certifiably bounded below; we
         # have no such bound here, so refuse.
         raise NoMajorant(f"series majorant is {label}")
     raise NoMajorant("series terms have no certifiable closed form")
+
+
+def _evaluate_separable(
+    f: SeparableSeries, x: Point, tol: float, shared: Optional[SharedTailEvaluator]
+) -> SeriesValue:
+    _screen_sqrt_prefix(f, x)
+    if shared is None:
+        plan = _separable_tail_plan(f, x, tol)
+    else:
+        plan = shared.tail_plan(f, x, tol)
+    if isinstance(plan, SeriesValue):
+        return plan
+    weight, inner = f.weight, f.inner
+    return plan(lambda n: weight.value_at(n) * inner.value(n, x.coordinate(n)))
 
 
 def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
@@ -390,6 +443,46 @@ def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> Seri
     coordinate under a sqrt piece, or a series with no proper extended
     value), and NonConvergentPairing for unpairable linear functionals.
     """
+    return _evaluate(f, x, tol, None)
+
+
+class SharedTailEvaluator:
+    """evaluate(f, .) over points that all carry one tail.
+
+    The anchored truncations x* + P^k(x - x*) of any probes agree beyond
+    their prefixes, so each separable leaf's tail closed form, its
+    classification and its tail sum depend only on the leaf and the tail
+    start.  They are computed once per (leaf visit index, tail start) and
+    reused; the head sums and the sqrt-domain screening of each prefix
+    still run per point.  Evaluation visits the leaves in the same order at
+    every point, since f and the tolerance are fixed, so the visit index
+    names a leaf together with its share of the tolerance.
+    """
+
+    def __init__(self, f: FunctionExpr, tail: tuple[TailRule, ...]):
+        self.f = f
+        self.tail = tail
+        self._plans: dict[tuple[int, int], object] = {}
+        self._visit = 0
+
+    def __call__(self, x: Point) -> SeriesValue:
+        if x.tail != self.tail:
+            raise ValueError("point does not carry the shared tail")
+        self._visit = 0
+        return _evaluate(self.f, x, DEFAULT_SERIES_TOL, self)
+
+    def tail_plan(self, leaf: SeparableSeries, x: Point, tol: float):
+        key = (self._visit, x.tail_start)
+        self._visit += 1
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _separable_tail_plan(leaf, x, tol)
+        return plan
+
+
+def _evaluate(
+    f: FunctionExpr, x: Point, tol: float, shared: Optional[SharedTailEvaluator]
+) -> SeriesValue:
     if isinstance(f, Constant):
         return SeriesValue(f.c, 0.0, 0)
     if isinstance(f, LimsupSeminorm):
@@ -397,11 +490,11 @@ def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> Seri
     if isinstance(f, LinearFunctional):
         return pair(f.p, x, tol)
     if isinstance(f, SeparableSeries):
-        return _evaluate_separable(f, x, tol)
+        return _evaluate_separable(f, x, tol, shared)
     if isinstance(f, Scale):
         if f.lam == 0.0:
             return SeriesValue(0.0, 0.0, 0)
-        sub = evaluate(f.inner, x, tol / max(f.lam, 1.0))
+        sub = _evaluate(f.inner, x, tol / max(f.lam, 1.0), shared)
         if math.isinf(sub.value):
             return SeriesValue(math.inf, 0.0, sub.terms_used)
         return SeriesValue(f.lam * sub.value, f.lam * sub.error_bound, sub.terms_used)
@@ -412,7 +505,7 @@ def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> Seri
         total, err, used = 0.0, 0.0, 0
         hit_inf = False
         for g in f.terms:
-            sv = evaluate(g, x, budget)
+            sv = _evaluate(g, x, budget, shared)
             used += sv.terms_used
             if math.isinf(sv.value):
                 hit_inf = True
@@ -433,7 +526,6 @@ def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> Seri
 class DirStatus(str, Enum):
     EXISTS = "exists"
     NOT_DIFFERENTIABLE = "not_differentiable"
-    UNAVAILABLE = "unavailable"
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,18 @@ minimum is a certified upper bound for the full problem, nonincreasing in
 k.  The minimizer is found by cyclic coordinate descent with an exact
 line search: the one-coordinate restriction of the objective is evaluated
 through exact finite differences (no series truncation), so the search is
-immune to cancellation noise and independent of the certificate pipeline
-it cross-checks.
+immune to cancellation noise and independent of the closed-form
+derivatives the certificates it cross-checks are decided from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
 
 from .certify import SetDescriptor, coordinate_interval, set_membership
-from .derivative import DerivOptions, dir_deriv
+from .derivative import _basis_line
 from .errors import (
     DomainViolation,
     InfeasiblePoint,
@@ -26,8 +26,8 @@ from .errors import (
     PartialNotDifferentiable,
     Unbounded,
 )
-from .funcs import DirStatus, FunctionExpr, analytic_dir_deriv, delta_along_basis, evaluate
-from .seqspace import Point, SeriesValue, basis_vector
+from .funcs import DirStatus, FunctionExpr, analytic_dir_deriv, evaluate
+from .seqspace import Point, SeriesValue
 
 
 @dataclass(frozen=True)
@@ -71,33 +71,24 @@ def build_reduced(
 
 
 def grad_reduced(prob: ReducedProblem, y) -> list[float]:
-    """Gradient of the reduced objective, from per-coordinate derivatives.
-
-    Raises PartialNotDifferentiable at a kink coordinate; falls back to the
-    monotone-quotient scan when no closed form applies.
-    """
+    """Gradient of the reduced objective, from closed-form per-coordinate
+    derivatives; raises PartialNotDifferentiable at a kink coordinate."""
     x = prob.embed(y)
     out = []
     for i in range(1, prob.k + 1):
         dv = analytic_dir_deriv(prob.f, x, i)
-        if dv.status is DirStatus.EXISTS:
-            out.append(dv.value)
-            continue
-        if dv.status is DirStatus.NOT_DIFFERENTIABLE:
+        if dv.status is not DirStatus.EXISTS:
             raise PartialNotDifferentiable(i)
-        res = dir_deriv(prob.f, x, basis_vector(i), DerivOptions())
-        if not res.exists:
-            raise PartialNotDifferentiable(i)
-        out.append(res.value)
+        out.append(dv.value)
     return out
 
 
-def _phi(prob: ReducedProblem, x: Point, i: int, t: float) -> float:
-    """Exact f(x + t e_i) - f(x); +inf outside the domain."""
+def _phi(line: Callable[[float], float], t: float) -> float:
+    """Exact f(x + t e_i) - f(x) along a basis line; +inf outside the domain."""
     if t == 0.0:
         return 0.0
     try:
-        return delta_along_basis(prob.f, x, i, t)
+        return line(t)
     except DomainViolation:
         return math.inf
 
@@ -116,11 +107,12 @@ def _line_minimize(
     search cap the ulp of the endpoints exceeds any absolute tolerance, so
     an absolute test would never trigger.
     """
+    line = _basis_line(prob.f, x, i)
     while hi - lo > tol * (1.0 + max(abs(lo), abs(hi))):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        v1 = _phi(prob, x, i, m1)
-        v2 = _phi(prob, x, i, m2)
+        v1 = _phi(line, m1)
+        v2 = _phi(line, m2)
         if math.isinf(v1) and math.isinf(v2):
             if m1 >= 0.0:
                 hi = m1
@@ -133,7 +125,7 @@ def _line_minimize(
         else:
             lo = m1
     t = 0.5 * (lo + hi)
-    v = _phi(prob, x, i, t)
+    v = _phi(line, t)
     if math.isinf(v):
         return 0.0, 0.0
     return t, v

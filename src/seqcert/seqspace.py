@@ -477,15 +477,35 @@ def certified_series(
     case the explicit region is extended until the majorant's remainder
     fits inside tol.  With neither, no certificate is possible.
     """
+    return certified_tail(tail_start, tol, tail=tail, majorant=majorant)(term_at)
+
+
+def certified_tail(
+    tail_start: int,
+    tol: float = DEFAULT_SERIES_TOL,
+    *,
+    tail: SymSeq | None = None,
+    majorant: SymSeq | None = None,
+) -> Callable[[Callable[[int], float]], SeriesValue]:
+    """The term-independent half of :func:`certified_series`.
+
+    Certifies everything beyond the explicit region and returns the step
+    that sums the explicit terms and combines the two, so series that share
+    a tail but differ in their head certify the tail once.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if tail is not None:
         if classify(tail) != SUMMABLE:
             raise NoMajorant(f"series tail is {classify(tail)}")
         tval, terr, used = tail_sum(tail, tail_start, tol / 2)
-        head = sum(term_at(n) for n in range(1, tail_start))
-        err = terr + (abs(head) + abs(tval)) * (tail_start + 1) * _ULP
-        return SeriesValue(head + tval, err, tail_start - 1 + used)
+
+        def with_head(term_at: Callable[[int], float]) -> SeriesValue:
+            head = sum(term_at(n) for n in range(1, tail_start))
+            err = terr + (abs(head) + abs(tval)) * (tail_start + 1) * _ULP
+            return SeriesValue(head + tval, err, tail_start - 1 + used)
+
+        return with_head
     if majorant is not None:
         if classify(majorant) != SUMMABLE:
             raise NoMajorant(f"series majorant is {classify(majorant)}")
@@ -497,9 +517,13 @@ def certified_series(
             k = max(2 * k, 16)
             if k > 1 << 26:
                 raise NoMajorant("majorant decays too slowly to certify")
-        head = sum(term_at(n) for n in range(1, k + 1))
-        err = (mval + merr) + abs(head) * (k + 1) * _ULP
-        return SeriesValue(head, err, k)
+
+        def with_head(term_at: Callable[[int], float]) -> SeriesValue:
+            head = sum(term_at(n) for n in range(1, k + 1))
+            err = (mval + merr) + abs(head) * (k + 1) * _ULP
+            return SeriesValue(head, err, k)
+
+        return with_head
     raise NoMajorant("no closed-form tail or majorant supplied")
 
 

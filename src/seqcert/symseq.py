@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, Optional, Union
 
 Number = Union[Fraction, float]
 
@@ -60,22 +61,37 @@ class SymTerm:
     ratio: Number
     npow: Fraction
 
-    def value_at(self, n: int) -> float:
+    @cached_property
+    def _floats(self) -> Optional[tuple[float, float, float, float]]:
+        """(coef, ratio, log|ratio|, -npow) as floats; None when coef is 0.
+
+        Taken once per term on first use, not at construction, so a
+        Fraction beyond the float range still raises only where a value is
+        needed.
+        """
         if self.coef == 0:
-            return 0.0
+            return None
         r = float(self.ratio)
+        log_r = math.log(abs(r)) if r != 0.0 else 0.0
+        return float(self.coef), r, log_r, -float(self.npow)
+
+    def value_at(self, n: int) -> float:
+        floats = self._floats
+        if floats is None:
+            return 0.0
+        coef, r, log_r, neg_s = floats
         # r**n with r possibly negative and n large: compute via magnitude.
         if r == 0.0:
             power = 1.0 if n == 0 else 0.0
         else:
-            logmag = n * math.log(abs(r))
+            logmag = n * log_r
             if logmag < -745.0:
                 power = 0.0
             else:
                 power = math.exp(logmag)
             if r < 0 and n % 2 == 1:
                 power = -power
-        return float(self.coef) * power * float(n) ** (-float(self.npow))
+        return coef * power * float(n) ** neg_s
 
     @property
     def is_exact(self) -> bool:
@@ -169,7 +185,7 @@ class SymSeq:
         rc, ec = exact_sqrt(t.coef)
         rr, er = exact_sqrt(t.ratio)
         return SymSeq(
-            (SymTerm(rc if ec else rc, rr if er else rr, t.npow / 2),),
+            (SymTerm(rc, rr, t.npow / 2),),
             exact=self.exact and ec and er,
         )
 
@@ -353,9 +369,8 @@ def tail_sum(seq: SymSeq, start: int, tol: float) -> tuple[float, float, int]:
     err = 0.0
     used = 0
     for t in live:
-        c = float(t.coef)
-        r = float(t.ratio)
-        s = float(t.npow)
+        c, r, _, neg_s = t._floats
+        s = -neg_s
         if abs(r) < 1.0:
             k = max(start - 1, _geometric_tail_start(c, r, -s, budget))
             part = sum(t.value_at(n) for n in range(start, k + 1))

@@ -1,0 +1,172 @@
+"""The hoisted scan kernels reproduce the per-step code bit for bit.
+
+Floats are compared through struct.pack("<d", v), so signed zeros and NaN
+payloads count as differences.  Instances come from the library's seeded
+samplers plus sqrt objectives built by hand (the samplers exclude sqrt
+pieces), at feasible and infeasible points.
+"""
+
+import dataclasses
+import random
+import struct
+
+import pytest
+
+from seqcert import reduce
+from seqcert.certify import (
+    CertifyOptions,
+    SetDescriptor,
+    anchored_truncation,
+    default_psc_probes,
+)
+from seqcert.derivative import (
+    DerivOptions,
+    _basis_line,
+    _delta_finite,
+    dir_deriv,
+    dir_deriv_profile,
+)
+from seqcert.funcs import (
+    LinearFunctional,
+    ScalarConvex,
+    SeparableSeries,
+    SharedTailEvaluator,
+    Sum,
+    delta_along_basis,
+    evaluate,
+)
+from seqcert.reduce import OracleOptions, build_reduced, minimize_reduced
+from seqcert.sampling import random_function, random_point
+from seqcert.seqspace import DualPoint, Point, SpaceDescriptor, TailRule, basis_vector
+
+NUMERIC = DerivOptions(prefer_analytic=False)
+SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
+
+
+def bits(v):
+    """Floats as their IEEE bytes, recursively through tuples, lists and
+    dataclass results."""
+    if isinstance(v, float):
+        return struct.pack("<d", v)
+    if dataclasses.is_dataclass(v):
+        return bits(dataclasses.astuple(v))
+    if isinstance(v, (tuple, list)):
+        return tuple(bits(u) for u in v)
+    return v
+
+
+def outcome(fn):
+    try:
+        return ("value", bits(fn()))
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def sqrt_objective(beta):
+    return Sum((
+        SeparableSeries(TailRule.const(1.0), ScalarConvex.linear(1.0)),
+        SeparableSeries(TailRule.geometric(1.0, beta), ScalarConvex.neg_sqrt(2.0)),
+    ))
+
+
+def instances():
+    for seed in range(40):
+        rng = random.Random(seed)
+        space = rng.choice(SPACES)()
+        yield random_function(rng, space), random_point(rng, space=space)
+    for seed in range(8):
+        rng = random.Random(1000 + seed)
+        f = sqrt_objective(rng.uniform(0.2, 0.6))
+        yield f, random_point(rng, positive=seed % 2 == 0)
+    # negative-zero coefficients, where only the int 0 starting each sum
+    # decides the sign of a zero difference
+    x = Point([0.5, -1.0], (TailRule.geometric(1.0, 0.5),))
+    yield LinearFunctional(DualPoint([-0.0, 2.0, -0.0])), x
+    yield SeparableSeries(TailRule.geometric(-0.0, 0.5), ScalarConvex.square()), x
+
+
+def quotient_ladder(x, n, hn, opts=NUMERIC):
+    t0 = 1e-2 * max(1.0, abs(x.coordinate(n)))
+    return [sign * t0 * 2.0**-j for sign in (1, -1) for j in range(opts.steps + 1)]
+
+
+def test_basis_line_matches_delta_finite_on_the_quotient_ladder():
+    compared = 0
+    for f, x in instances():
+        for n in range(1, 7):
+            for hn in (1.0, -2.5):
+                h = Point([0.0] * (n - 1) + [hn])
+                line = _basis_line(f, x, n, hn)
+                for t in quotient_ladder(x, n, hn):
+                    got = outcome(lambda: line(t))
+                    want = outcome(lambda: _delta_finite(f, x, h, [n], t))
+                    assert got == want, (f, x, n, hn, t)
+                    compared += 1
+    assert compared > 30_000
+
+
+def test_profile_matches_direction_by_direction_scans():
+    raised = 0
+    for f, x in instances():
+        try:
+            profile = dir_deriv_profile(f, x, 8, NUMERIC)
+        except Exception as exc:
+            # The profile must fail where the first failing direction does,
+            # with that direction's message tagged by its index.
+            raised += 1
+            for n in range(1, 9):
+                single = outcome(lambda: dir_deriv(f, x, basis_vector(n), NUMERIC))
+                if single[0] == "raise":
+                    assert (type(exc).__name__, str(exc)) == (
+                        single[1], f"direction {n}: {single[2]}"
+                    )
+                    break
+            else:
+                pytest.fail(f"profile raised {exc!r} but no direction does")
+            continue
+        for n, res in enumerate(profile, start=1):
+            single = dir_deriv(f, x, basis_vector(n), NUMERIC)
+            assert bits(res) == bits(single)
+    assert raised > 0  # the infeasible sqrt points exercise the error path
+
+
+def test_shared_tail_evaluation_matches_evaluate_on_truncations():
+    opts = CertifyOptions(probe_count=4)
+    for f, x_star in instances():
+        at_truncation = SharedTailEvaluator(f, x_star.tail)
+        for probe in default_psc_probes(x_star, opts):
+            for k in (1, 3, 8, 16):
+                z = anchored_truncation(x_star, probe, k)
+                got = outcome(lambda: at_truncation(z))
+                want = outcome(lambda: evaluate(f, z))
+                assert got == want
+
+
+def test_shared_tail_evaluation_rejects_a_foreign_tail():
+    f = sqrt_objective(0.5)
+    at_truncation = SharedTailEvaluator(f, (TailRule.geometric(1.0, 0.25),))
+    with pytest.raises(ValueError):
+        at_truncation(Point([1.0], (TailRule.geometric(1.0, 0.5),)))
+
+
+def test_oracle_matches_a_descent_driven_by_delta_along_basis(monkeypatch):
+    opts = OracleOptions(max_sweeps=200)
+    problems = []
+    for f, x in instances():
+        for k in (2, 5):
+            try:
+                problems.append(build_reduced(f, SetDescriptor.whole_space(), x, k))
+            except Exception:
+                continue
+    for beta in (0.3, 0.5):
+        anchor = Point([0.3, 0.05, 0.2], (TailRule.geometric(1.0, beta * beta),))
+        problems.append(
+            build_reduced(sqrt_objective(beta), SetDescriptor.positive_cone_ell1(), anchor, 3)
+        )
+    got = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
+    monkeypatch.setattr(
+        reduce, "_basis_line", lambda f, x, n: lambda t: delta_along_basis(f, x, n, t)
+    )
+    want = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
+    assert got == want
+    assert sum(g[0] == "value" for g in got) > 20

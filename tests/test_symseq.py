@@ -159,3 +159,14 @@ def test_inexact_sqrt_clears_the_exact_flag():
     root = seq.sqrt()
     assert not root.exact
     assert not (root + SymSeq.zero()).exact
+
+
+def test_term_beyond_float_range_builds_and_raises_only_when_valued():
+    # float images are taken on first use, so an out-of-range exact
+    # coefficient still builds, merges and classifies as before
+    big = SymTerm(Fraction(10) ** 400, Fraction(1, 2), Fraction(0))
+    seq = SymSeq((big,))
+    assert classify(seq) == SUMMABLE
+    with pytest.raises(OverflowError):
+        big.value_at(3)
+    assert SymTerm(Fraction(0), Fraction(10) ** 400, Fraction(0)).value_at(3) == 0.0
