@@ -858,12 +858,6 @@ def certify_min(
             reason="pseudo-semicontinuity not established and no better probe found",
             evidence=evidence,
         )
-    if stat == "fails":
-        # Unreachable given qualification HOLDS above, kept for clarity.
-        return Certificate(
-            Verdict.FAILS, stat_grade, reason="stationarity fails", witness=stat_witness,
-            evidence=evidence,
-        )
     grade = qual.grade.combine(psc.grade).combine(stat_grade)
     return Certificate(Verdict.HOLDS, grade, evidence=evidence)
 

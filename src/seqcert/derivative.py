@@ -30,7 +30,7 @@ from .funcs import (
     SeparableSeries,
     Sum,
     analytic_dir_deriv,
-    delta_along,
+    delta_line,
     evaluate,
 )
 from .seqspace import Point, basis_vector
@@ -288,8 +288,10 @@ def dir_deriv(
     else:
         t0 = 1e-2
     if support is None:
+        line = delta_line(f, x, h)
+
         def delta(t: float) -> float:
-            return delta_along(f, x, h, t, tol=abs(t) * 1e-13).value
+            return line(t, abs(t) * 1e-13).value
     elif len(support) == 1:
         delta = _basis_line(f, x, support[0], h.coordinate(support[0]))
     else:

@@ -37,7 +37,9 @@ from .seqspace import (
     dual_to_json,
     limsup_abs,
     pair,
+    pairing,
     point_axpy,
+    tail_limit,
 )
 from .symseq import DIVERGENT, SUMMABLE, SymSeq, SymTerm, classify
 
@@ -643,14 +645,6 @@ def delta_along_basis(f: FunctionExpr, x: Point, n: int, t: float) -> float:
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
-def _limsup_const_coeff(x: Point) -> float:
-    c = 0.0
-    for a in x.tail:
-        if a.kind is TailKind.CONST:
-            c += a.c
-    return c
-
-
 def delta_along(
     f: FunctionExpr, x: Point, h: Point, t: float, tol: float = DEFAULT_SERIES_TOL
 ) -> SeriesValue:
@@ -660,62 +654,160 @@ def delta_along(
     error bound does not inherit the catastrophic cancellation of
     subtracting two full series evaluations.
     """
+    return delta_line(f, x, h)(t, tol)
+
+
+_NO_DELTA = SeriesValue(0.0, 0.0, 0)
+
+
+def _no_delta(t: float, tol: float) -> SeriesValue:
+    return _NO_DELTA
+
+
+def delta_line(
+    f: FunctionExpr, x: Point, h: Point
+) -> Callable[[float, float], SeriesValue]:
+    """(t, tol) -> delta_along(f, x, h, t, tol), with the direction's
+    constants resolved once.
+
+    Along a line only t and the tolerance change.  The limsup coefficients,
+    the pairing's tail product and head sum, the scale factors, and each
+    separable leaf's majorant factors, tail start and per-index tables are
+    computed here, and every call runs the float operations, exact
+    products and certified sums that delta_along would, in the same order.
+    A call raises what that step would raise: domain errors stay per step,
+    so a quotient scan can still skip the steps that leave the domain;
+    only an unknown expression node is rejected when the line is built.
+    """
     if isinstance(f, Constant):
-        return SeriesValue(0.0, 0.0, 0)
+        return _no_delta
     if isinstance(f, LimsupSeminorm):
-        cx = _limsup_const_coeff(x)
-        ch = _limsup_const_coeff(h)
-        return SeriesValue(abs(cx + t * ch) - abs(cx), 0.0, 0)
+        cx = tail_limit(x)
+        ch = tail_limit(h)
+        base = abs(cx)
+        return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
     if isinstance(f, LinearFunctional):
-        sv = pair(f.p, h, tol / max(abs(t), 1.0))
-        return SeriesValue(t * sv.value, abs(t) * sv.error_bound, sv.terms_used)
+        paired = pairing(f.p, h)
+
+        def linear(t: float, tol: float) -> SeriesValue:
+            sv = paired(tol / max(abs(t), 1.0))
+            return SeriesValue(t * sv.value, abs(t) * sv.error_bound, sv.terms_used)
+
+        return linear
     if isinstance(f, Scale):
         if f.lam == 0.0:
-            return SeriesValue(0.0, 0.0, 0)
-        sv = delta_along(f.inner, x, h, t, tol / max(f.lam, 1.0))
-        return SeriesValue(f.lam * sv.value, f.lam * sv.error_bound, sv.terms_used)
+            return _no_delta
+        lam = f.lam
+        share = max(lam, 1.0)
+        inner = delta_line(f.inner, x, h)
+
+        def scaled(t: float, tol: float) -> SeriesValue:
+            sv = inner(t, tol / share)
+            return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
+
+        return scaled
     if isinstance(f, Sum):
         if not f.terms:
-            return SeriesValue(0.0, 0.0, 0)
-        budget = tol / len(f.terms)
-        total, err, used = 0.0, 0.0, 0
-        for g in f.terms:
-            sv = delta_along(g, x, h, t, budget)
-            total += sv.value
-            err += sv.error_bound
-            used += sv.terms_used
-        return SeriesValue(total, err, used)
-    if not isinstance(f, SeparableSeries):
-        raise TypeError(f"unknown function expression {type(f).__name__}")
+            return _no_delta
+        parts = [delta_line(g, x, h) for g in f.terms]
+        count = len(parts)
 
-    xt = point_axpy(x, t, h)
-    rank = max(_separable_domain_rank(f, x), _separable_domain_rank(f, xt))
+        def summed(t: float, tol: float) -> SeriesValue:
+            budget = tol / count
+            total, err, used = 0.0, 0.0, 0
+            for part in parts:
+                sv = part(t, budget)
+                total += sv.value
+                err += sv.error_bound
+                used += sv.terms_used
+            return SeriesValue(total, err, used)
 
-    def term_at(n: int) -> float:
-        return f.weight.value_at(n) * f.inner.delta(n, x.coordinate(n), t * h.coordinate(n))
+        return summed
+    if isinstance(f, SeparableSeries):
+        return _separable_delta_line(f, x, h)
+    raise TypeError(f"unknown function expression {type(f).__name__}")
 
-    w_abs = _abs_seq(f.weight.to_symseq())
-    h_abs = _abs_seq(h.tail_symseq()).scaled(abs(t))
+
+#: Indices whose per-index constants a delta line keeps.  Directions with
+#: geometric tails need a few hundred at the quotient scan's tolerances;
+#: beyond the bound each term is resolved afresh.
+_TABLE_LIMIT = 4096
+
+
+def _separable_delta_line(
+    f: SeparableSeries, x: Point, h: Point
+) -> Callable[[float, float], SeriesValue]:
+    weight, inner = f.weight, f.inner
+    kind = inner.kind
+    w_abs = _abs_seq(weight.to_symseq())
+    h_unit = _abs_seq(h.tail_symseq())
     x_abs = _abs_seq(x.tail_symseq())
-    kind = f.inner.kind
+    # The majorant of the step's difference terms, given |h tail| * |t|;
+    # t-free factors and products are formed once, the rest keeps the
+    # per-step grouping.
     if kind is ScalarKind.ABS:
-        major = w_abs * h_abs
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return w_abs * h_abs
     elif kind is ScalarKind.LINEAR:
-        major = w_abs * _abs_seq(f.inner.b.to_symseq()) * h_abs
+        wb = w_abs * _abs_seq(inner.b.to_symseq())
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return wb * h_abs
     elif kind is ScalarKind.SQUARE:
-        major = w_abs * h_abs * (x_abs.scaled(2) + h_abs)
+        x2 = x_abs.scaled(2)
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return w_abs * h_abs * (x2 + h_abs)
     elif kind is ScalarKind.AFFINE_QUAD:
-        a_abs = _abs_seq(f.inner.a.to_symseq())
-        b_abs = _abs_seq(f.inner.b.to_symseq())
-        major = w_abs * (a_abs * h_abs * (x_abs.scaled(2) + h_abs) + b_abs * h_abs)
+        x2 = x_abs.scaled(2)
+        a_abs = _abs_seq(inner.a.to_symseq())
+        b_abs = _abs_seq(inner.b.to_symseq())
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return w_abs * (a_abs * h_abs * (x2 + h_abs) + b_abs * h_abs)
     else:
         # |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative domain
-        c_abs = _abs_seq(f.inner.c.to_symseq())
-        major = w_abs * c_abs * _sqrt_majorant(h_abs)
-    start = max(rank, h.tail_start, x.tail_start)
-    if classify(major) != SUMMABLE:
-        raise NoMajorant("difference terms have no summable majorant")
-    return certified_series(term_at, start, tol, majorant=major)
+        wc = w_abs * _abs_seq(inner.c.to_symseq())
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return wc * _sqrt_majorant(h_abs)
+
+    # Outside sqrt pieces the domain rank of x + t h is its tail start,
+    # max(x.tail_start, h.tail_start), whatever t is.
+    start = max(x.tail_start, h.tail_start)
+    sqrt_piece = kind is ScalarKind.NEG_SQRT
+    x_rank: Optional[int] = None
+    # (w_n, h_n, the piece's line at x_n) for n = 1, 2, ... as far as the
+    # explicit regions of the steps so far have reached, up to a bound that
+    # caps the memory of slowly converging majorants (entry 0 unused)
+    table: list = [None]
+
+    def step(t: float, tol: float) -> SeriesValue:
+        nonlocal x_rank
+        first = start
+        if sqrt_piece:
+            xt = point_axpy(x, t, h)
+            if x_rank is None:
+                # raises afresh at every step while x is outside the domain
+                x_rank = _separable_domain_rank(f, x)
+            first = max(x_rank, _separable_domain_rank(f, xt), start)
+        major = majorant(h_unit.scaled(abs(t)))
+        if classify(major) != SUMMABLE:
+            raise NoMajorant("difference terms have no summable majorant")
+
+        def term_at(n: int) -> float:
+            if n < len(table):
+                w_n, h_n, piece = table[n]
+            else:
+                entry = (weight.value_at(n), h.coordinate(n), inner.line(n, x.coordinate(n)))
+                w_n, h_n, piece = entry
+                if n == len(table) and n <= _TABLE_LIMIT:
+                    table.append(entry)
+            return w_n * piece(t * h_n)
+
+        return certified_series(term_at, first, tol, majorant=major)
+
+    return step
 
 
 # ---------------------------------------------------------------------------

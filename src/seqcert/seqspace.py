@@ -8,7 +8,6 @@ are immutable values and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
@@ -259,11 +258,6 @@ class SeriesValue:
 # ---------------------------------------------------------------------------
 
 
-def coordinate(x: Point, n: int) -> float:
-    """Coordinate functional: the n-th coordinate of x (1-based)."""
-    return x.coordinate(n)
-
-
 def basis_vector(n: int) -> Point:
     """The n-th coordinate basis vector (0, ..., 0, 1, 0, ...)."""
     if n < 1:
@@ -408,8 +402,8 @@ def sup_abs(x: Point, upto: int = 0) -> float:
     return best
 
 
-def limsup_abs(x: Point) -> float:
-    """limsup |x_n|: the magnitude of the constant tail component.
+def tail_limit(x: Point) -> float:
+    """lim x_n, with its sign.
 
     Geometric and harmonic components vanish at infinity, so the limit of
     the tail exists and equals the summed constant coefficients.
@@ -418,11 +412,16 @@ def limsup_abs(x: Point) -> float:
     for a in x.tail:
         if a.kind is TailKind.CONST:
             c += a.c
-    return abs(c)
+    return c
+
+
+def limsup_abs(x: Point) -> float:
+    """limsup |x_n|: the magnitude of the tail's limit."""
+    return abs(tail_limit(x))
 
 
 # ---------------------------------------------------------------------------
-# Pairings, metric, certified series
+# Pairings and certified series
 # ---------------------------------------------------------------------------
 
 
@@ -433,32 +432,31 @@ def pair(p: DualPoint, x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue
     absolutely convergent series (for example two constant tails over the
     space of all sequences).
     """
+    return pairing(p, x)(tol)
+
+
+def pairing(p: DualPoint, x: Point) -> Callable[[float], SeriesValue]:
+    """The tolerance-independent half of :func:`pair`.
+
+    The tail product and the explicit head sum are formed once; the
+    returned step certifies the tail sum at a given tolerance and combines
+    the two, so pairings of one p and x at many tolerances share the rest.
+    """
     k0 = max(len(p.prefix), len(x.prefix))
     prod = p.tail_symseq() * x.tail_symseq()
-    try:
-        tval, terr, used = tail_sum(prod, k0 + 1, tol / 2)
-    except ValueError as exc:
-        raise NonConvergentPairing(
-            f"pairing series not certified absolutely convergent ({exc})"
-        ) from exc
     head = sum(p.coordinate(n) * x.coordinate(n) for n in range(1, k0 + 1))
-    err = terr + (abs(head) + abs(tval)) * (k0 + 2) * _ULP
-    return SeriesValue(head + tval, err, k0 + used)
 
+    def at_tol(tol: float) -> SeriesValue:
+        try:
+            tval, terr, used = tail_sum(prod, k0 + 1, tol / 2)
+        except ValueError as exc:
+            raise NonConvergentPairing(
+                f"pairing series not certified absolutely convergent ({exc})"
+            ) from exc
+        err = terr + (abs(head) + abs(tval)) * (k0 + 2) * _ULP
+        return SeriesValue(head + tval, err, k0 + used)
 
-def metric_rn(x: Point, y: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
-    """Frechet-style metric on the space of all sequences.
-
-    d(x, y) = sum over n of 2^-n * |x_n - y_n| / (1 + |x_n - y_n|); each term
-    is below 2^-n, so the tail beyond K is bounded by 2^-K.
-    """
-    k = max(len(x.prefix), len(y.prefix), int(-math.log2(max(tol, 1e-300))) + 3)
-    total = 0.0
-    for n in range(1, k + 1):
-        d = abs(x.coordinate(n) - y.coordinate(n))
-        total += 2.0 ** (-n) * d / (1.0 + d)
-    tail = 2.0 ** (-k)
-    return SeriesValue(total + tail / 2, tail / 2 + total * k * _ULP, k)
+    return at_tol
 
 
 def certified_series(

@@ -113,7 +113,10 @@ class SymSeq:
         for t in terms:
             if not t.is_exact:
                 all_exact = False
-            key = (float(t.ratio), float(t.npow))
+            # Exact values as integer ratios: equal ratios and powers merge
+            # whether held as Fractions or floats, unequal ones never do,
+            # however close their doubles (and the key hashes cheaply).
+            key = (t.ratio.as_integer_ratio(), t.npow.as_integer_ratio())
             if key in merged:
                 old = merged[key]
                 coef = old.coef + t.coef

@@ -32,11 +32,13 @@ from seqcert.funcs import (
     SeparableSeries,
     SharedTailEvaluator,
     Sum,
+    delta_along,
     delta_along_basis,
+    delta_line,
     evaluate,
 )
 from seqcert.reduce import OracleOptions, build_reduced, minimize_reduced
-from seqcert.sampling import random_function, random_point
+from seqcert.sampling import random_direction, random_function, random_point
 from seqcert.seqspace import DualPoint, Point, SpaceDescriptor, TailRule, basis_vector
 
 NUMERIC = DerivOptions(prefer_analytic=False)
@@ -103,6 +105,30 @@ def test_basis_line_matches_delta_finite_on_the_quotient_ladder():
                     assert got == want, (f, x, n, hn, t)
                     compared += 1
     assert compared > 30_000
+
+
+def test_delta_line_matches_fresh_delta_along_on_the_quotient_ladder():
+    # One line per direction serves both sides of the ladder, so its
+    # per-index tables and cached domain rank carry over between steps.
+    cases = [
+        # the right side leaves the sqrt domain at the larger steps only
+        (sqrt_objective(0.5), Point([0.001, 0.3], (TailRule.geometric(1.0, 0.25),)),
+         Point([-1.0], (TailRule.geometric(0.5, 0.5),))),
+    ]
+    for i, (f, x) in enumerate(instances()):
+        h = random_direction(random.Random(3000 + i), summable=True)
+        cases.append((f, x, h))
+    compared = raised = 0
+    for f, x, h in cases:
+        line = delta_line(f, x, h)
+        for t in [sign * 1e-2 * 2.0**-j for sign in (1, -1) for j in range(41)]:
+            tol = abs(t) * 1e-13
+            got = outcome(lambda: line(t, tol))
+            want = outcome(lambda: delta_along(f, x, h, t, tol))
+            assert got == want, (f, x, h, t)
+            compared += 1
+            raised += got[0] == "raise"
+    assert compared > 4000 and 100 < raised < compared / 2
 
 
 def test_profile_matches_direction_by_direction_scans():

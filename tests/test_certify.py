@@ -314,6 +314,21 @@ def test_gradient_is_the_subgradient_at_smooth_points():
     assert cert.grade.render() == "analytic_all_n"
 
 
+def test_rounded_ratio_products_do_not_earn_the_exact_grade():
+    # r3 is the double nearest r1*r2: at x* = 0.5 r2^n the basis derivatives
+    # (r1 r2)^n - r3^n are tiny but not exactly zero for any n, so the
+    # stationarity can hold only at the sampled grade
+    r1, r2 = 0.207491395289921, 0.7779469895497861
+    r3 = r1 * r2
+    quad = SeparableSeries(TailRule.geometric(1.0, r1), ScalarConvex.square())
+    f = Sum((quad, LinearFunctional(DualPoint((), TailRule.geometric(-1.0, r3)))))
+    x_star = Point((), TailRule.geometric(0.5, r2))
+    cert = certify_min(f, SetDescriptor.whole_space(), x_star, OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.numeric(OPTS.coords))
+    sub = subgradient_test(quad, x_star, DualPoint((), TailRule.geometric(1.0, r3)), OPTS)
+    assert (sub.verdict, sub.grade) == (Verdict.HOLDS, Grade.numeric(OPTS.coords))
+
+
 def test_wrong_dual_fails_with_index_witness():
     f = quad_series()
     x = Point([], (TailRule.const(1.0),))

@@ -1,0 +1,126 @@
+"""Series-backed difference quotients and gateaux certificates, pinned by sha256.
+
+The digests were recorded from the code as it stood before delta_along
+resolved its per-direction constants once per line (funcs.delta_line); that
+change reproduced them unchanged.  A later change that moves any of these
+bytes must say why and re-record them.
+
+The ladders are the steps dir_deriv takes along a direction with a tail
+(t = +-1e-2 * 2^-j, j = 0..40, tolerance |t| * 1e-13), on the grammar_fuzz
+instances (seeds 0-33) and on hand-built sqrt objectives, whose domain
+errors are part of what is pinned.  They were recorded with one
+delta_along call per step and are replayed, as dir_deriv runs them,
+through one delta_line per direction (tests/test_bit_identity.py checks
+the two against each other).  The certificates are gateaux_detect's on
+the same instances, evidence included.
+
+Float sums differ in their last bits between CPython minor versions, so the
+pins hold for the interpreter they were recorded with, CPython 3.11.
+"""
+
+import hashlib
+import json
+import random
+import struct
+import sys
+
+import pytest
+
+from seqcert.certify import CertifyOptions, gateaux_detect
+from seqcert.funcs import (
+    Constant,
+    LimsupSeminorm,
+    LinearFunctional,
+    Scale,
+    ScalarConvex,
+    SeparableSeries,
+    Sum,
+    delta_line,
+)
+from seqcert.sampling import random_direction, random_function, random_point
+from seqcert.seqspace import DualPoint, Point, SpaceDescriptor, TailRule
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digests recorded under CPython 3.11"
+)
+
+LADDER_DIGEST = "d68c8662cc1bf34a24b5eac0cedb535905853efec34b0ddc18bcde654408bd1b"
+GATEAUX_DIGEST = "ee09c3270598f2779d921c23da111f6979e4495acef59c908ede36ee80621ebb"
+
+SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
+FUZZ_SEEDS = range(34)
+
+
+def fuzz_instance(seed):
+    """The grammar_fuzz benchmark's instance for this seed: space, f, x."""
+    rng = random.Random(seed)
+    space = rng.choice(SPACES)()
+    return space, random_function(rng, space), random_point(rng, space=space)
+
+
+def sqrt_objective(beta):
+    return Sum((
+        SeparableSeries(TailRule.const(1.0), ScalarConvex.linear(1.0)),
+        SeparableSeries(TailRule.geometric(1.0, beta), ScalarConvex.neg_sqrt(2.0)),
+    ))
+
+
+def ladder_cases():
+    for seed in FUZZ_SEEDS:
+        _, f, x = fuzz_instance(seed)
+        rng = random.Random(10_000 + seed)
+        for _ in range(3):
+            yield f, x, random_direction(rng, summable=True)
+    for seed in range(8):
+        rng = random.Random(2000 + seed)
+        f = sqrt_objective(rng.uniform(0.2, 0.6))
+        x = random_point(rng, positive=seed % 2 == 0)
+        for _ in range(2):
+            yield f, x, random_direction(rng, summable=True)
+    # the other leaves, along a direction whose tail moves the limsup
+    f = Sum((
+        LimsupSeminorm(),
+        Scale(0.5, LimsupSeminorm()),
+        Scale(0.0, LimsupSeminorm()),
+        Constant(1.0),
+        LinearFunctional(DualPoint([1.0, -2.0, 0.5])),
+    ))
+    x = Point([0.5], (TailRule.const(-0.75), TailRule.geometric(1.0, 0.5)))
+    yield f, x, Point([1.0, -0.5], (TailRule.const(0.25),))
+
+
+def ladder(t0=1e-2, steps=40):
+    return [sign * t0 * 2.0**-j for sign in (1, -1) for j in range(steps + 1)]
+
+
+def step_record(line, t):
+    try:
+        sv = line(t, abs(t) * 1e-13)
+    except Exception as exc:  # the exception itself is part of the record
+        return (type(exc).__name__, str(exc))
+    return (struct.pack("<d", sv.value).hex(), struct.pack("<d", sv.error_bound).hex(),
+            sv.terms_used)
+
+
+def test_delta_along_ladders_are_pinned():
+    h = hashlib.sha256()
+    for f, x, d in ladder_cases():
+        line = delta_line(f, x, d)
+        for t in ladder():
+            h.update(repr(step_record(line, t)).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == LADDER_DIGEST
+
+
+def test_gateaux_certificates_are_pinned():
+    h = hashlib.sha256()
+    for seed in FUZZ_SEEDS:
+        space, f, x = fuzz_instance(seed)
+        try:
+            cert, _ = gateaux_detect(f, space, x, CertifyOptions())
+            record = json.dumps(cert.to_json(), sort_keys=True)
+        except Exception as exc:
+            record = repr((type(exc).__name__, str(exc)))
+        h.update(record.encode())
+        h.update(b"\n")
+    assert h.hexdigest() == GATEAUX_DIGEST

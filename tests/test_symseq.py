@@ -170,3 +170,17 @@ def test_term_beyond_float_range_builds_and_raises_only_when_valued():
     with pytest.raises(OverflowError):
         big.value_at(3)
     assert SymTerm(Fraction(0), Fraction(10) ** 400, Fraction(0)).value_at(3) == 0.0
+
+
+def test_ratios_that_round_to_one_double_do_not_merge():
+    # r3 is the double nearest the exact product r1*r2, so a float-keyed
+    # merge would cancel the difference below to an "exact" zero
+    r1, r2 = 0.207491395289921, 0.7779469895497861
+    r3 = r1 * r2
+    assert Fraction(r1) * Fraction(r2) != Fraction(r3)
+    assert float(Fraction(r1) * Fraction(r2)) == r3
+    diff = SymSeq.geometric(1.0, r1) * SymSeq.geometric(1.0, r2) - SymSeq.geometric(1.0, r3)
+    assert diff.exact and len(diff.terms) == 2 and not diff.is_zero
+    # equal values merge whether a ratio is a float or a Fraction
+    same = SymSeq((SymTerm(Fraction(1), 0.5, Fraction(0)),)) + SymSeq.geometric(2.0, 0.5)
+    assert len(same.terms) == 1 and same.terms[0].coef == 3
