@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .derivative import DerivOptions, dir_deriv, dir_deriv_profile
 from .errors import (
@@ -642,6 +642,16 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
     return _SymProfile("numeric")
 
 
+def _partials(f: FunctionExpr, x_star: Point) -> Callable[[int], Optional[float]]:
+    """n -> f'(x*; e_n) from the closed forms, None where it does not exist."""
+
+    def at(n: int) -> Optional[float]:
+        dv = analytic_dir_deriv(f, x_star, n)
+        return dv.value if dv.status is DirStatus.EXISTS else None
+
+    return at
+
+
 def _analytic_profile(
     f: FunctionExpr, x_star: Point, n_max: int
 ) -> tuple[list[Optional[float]], Optional[int]]:
@@ -649,17 +659,68 @@ def _analytic_profile(
 
     Returns (values, first_kink_index); values hold None past a kink.
     """
-    values: list[Optional[float]] = []
-    kink = None
-    for n in range(1, n_max + 1):
-        dv = analytic_dir_deriv(f, x_star, n)
-        if dv.status is DirStatus.EXISTS:
-            values.append(dv.value)
-        else:
-            values.append(None)
-            if kink is None:
-                kink = n
+    at = _partials(f, x_star)
+    values = [at(n) for n in range(1, n_max + 1)]
+    kink = next((n for n, v in enumerate(values, start=1) if v is None), None)
     return values, kink
+
+
+def _extend_head(
+    head: Sequence[float], stop: int, partial: Callable[[int], Optional[float]]
+) -> tuple[list[float], Optional[int]]:
+    """``head`` (the values at n = 1..len(head)) extended by partial(n)
+    through n = stop - 1, with the first index where partial(n) is None."""
+    head = list(head)
+    for n in range(len(head) + 1, stop):
+        v = partial(n)
+        if v is None:
+            return head, n
+        head.append(v)
+    return head, None
+
+
+def _zero_for_every_n(
+    head: Sequence[float], tail: Optional[SymSeq], valid_from: int, tol: float
+) -> tuple[str, Optional[int], Optional[float]]:
+    """Is the residual profile r_n zero for every n?
+
+    ``head`` holds r_1, r_2, ... as computed, through at least
+    n = valid_from - 1; ``tail`` is the closed form of r_n for
+    n >= valid_from, or None when there is none.  Callers extend the head
+    through valid_from - 1 (_extend_head) before asking, so a missing
+    derivative anywhere below valid_from is decided before any violation.
+    The rule, in this order:
+
+    1. ("exact", None, None) when the tail is exactly zero and every head
+       value below valid_from is == 0.0: r_n = 0 for every n.
+    2. ("head", n, r_n) for the first head index with |r_n| > tol.
+    3. ("tail", n, r_n) for the first n in rank..rank+4095 with
+       |r_n| > tol, where tail.eventual_sign(valid_from) certifies a
+       nonzero sign from rank on; a tail whose eventual sign is 0 or
+       cannot be certified is not scanned.
+    4. ("none", None, None): no violation was found.
+    """
+    if (
+        tail is not None
+        and tail.is_zero
+        and tail.exact
+        and all(v == 0.0 for v in head[: valid_from - 1])
+    ):
+        return "exact", None, None
+    for n, v in enumerate(head, start=1):
+        if abs(v) > tol:
+            return "head", n, v
+    if tail is not None and not tail.is_zero:
+        try:
+            sgn, rank = tail.eventual_sign(valid_from)
+        except ValueError:
+            sgn = 0
+        if sgn != 0:
+            for n in range(rank, rank + 4096):
+                v = tail.value_at(n)
+                if abs(v) > tol:
+                    return "tail", n, v
+    return "none", None, None
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +734,12 @@ def _stationarity(
     """Decide f'(x*; e_n) = 0 for all n.
 
     Returns (outcome, grade, witness, evidence) with outcome in
-    {"holds", "fails", "kink", "unresolved"}.  The evidence table carries
-    both the closed-form values and an independent numeric scan whose
-    verdict-bearing entries are monotone quotient bounds.
+    {"holds", "fails", "kink", "unresolved"}.  With a closed form the
+    profile goes through _zero_for_every_n: "holds" at analytic grade for an
+    exact zero, "fails" with the first index whose derivative exceeds the
+    tolerance.  The evidence table carries both the closed-form values and
+    an independent numeric scan whose verdict-bearing entries are monotone
+    quotient bounds.
     """
     sym = _deriv_symbolic(f, x_star)
     values, kink = _analytic_profile(f, x_star, opts.coords)
@@ -695,47 +759,20 @@ def _stationarity(
         )
     evidence = {"derivatives": table, "symbolic": sym.status}
 
+    head = values
+    if sym.status == "ok" and kink is None:
+        head, kink = _extend_head(values, sym.valid_from, _partials(f, x_star))
     if sym.status == "kink" or kink is not None:
         at = kink if kink is not None else sym.kink_at
         return "kink", Grade.numeric(opts.coords), {"n": at}, evidence
 
     if sym.status == "ok":
-        # Exact zero: closed-form tail vanishes identically and every head
-        # index below its validity rank is exactly zero.
-        head = list(values)
-        for n in range(opts.coords + 1, sym.valid_from):
-            dv = analytic_dir_deriv(f, x_star, n)
-            if dv.status is not DirStatus.EXISTS:
-                return "kink", Grade.numeric(opts.coords), {"n": n}, evidence
-            head.append(dv.value)
-        head_zero = all(v == 0.0 for v in head[: sym.valid_from - 1])
-        if sym.tail.is_zero and sym.tail.exact and head_zero:
+        where, n, v = _zero_for_every_n(head, sym.tail, sym.valid_from, opts.tol)
+        if where == "exact":
             return "holds", Grade.analytic(), None, evidence
-        # Locate a concrete violation beyond tolerance, if any.
-        for i, v in enumerate(head, start=1):
-            if v is not None and abs(v) > opts.tol:
-                return (
-                    "fails",
-                    Grade.numeric(opts.coords),
-                    {"n": i, "derivative": v},
-                    evidence,
-                )
-        if not sym.tail.is_zero:
-            try:
-                sgn, rank = sym.tail.eventual_sign(sym.valid_from)
-            except ValueError:
-                sgn, rank = 0, sym.valid_from
-            if sgn != 0:
-                for n in range(rank, rank + 4096):
-                    v = sym.tail.value_at(n)
-                    if abs(v) > opts.tol:
-                        return (
-                            "fails",
-                            Grade.numeric(opts.coords),
-                            {"n": n, "derivative": v},
-                            evidence,
-                        )
-        return "holds", Grade.numeric(opts.coords), None, evidence
+        if where == "none":
+            return "holds", Grade.numeric(opts.coords), None, evidence
+        return "fails", Grade.numeric(opts.coords), {"n": n, "derivative": v}, evidence
 
     # No closed form: decide from the monotone quotient bounds alone.
     # The derivative lies in [left, right], so a bound clear of zero is a
@@ -883,6 +920,10 @@ def subgradient_test(
         )
     sym = _deriv_symbolic(f, x_star)
     values, kink = _analytic_profile(f, x_star, opts.coords)
+    head, tail, start = values, None, 1
+    if sym.status == "ok" and kink is None:
+        tail, start = sym.tail - p.tail_symseq(), max(sym.valid_from, p.tail_start)
+        head, kink = _extend_head(values, start, _partials(f, x_star))
     if kink is not None or sym.status == "kink":
         at = kink if kink is not None else sym.kink_at
         return Certificate(
@@ -895,65 +936,24 @@ def subgradient_test(
         for i, v in enumerate(values, start=1)
     ]
     evidence = {"matches": table, "psc": psc.to_json()}
-    for i, v in enumerate(values, start=1):
-        if v is None:
-            continue
-        if abs(v - p.coordinate(i)) > opts.tol:
-            return Certificate(
-                Verdict.FAILS,
-                Grade.numeric(opts.coords),
-                reason="derivative and dual coordinate disagree",
-                witness={"n": i, "derivative": v, "dual": p.coordinate(i)},
-                evidence=evidence,
-            )
-    if sym.status == "ok":
-        diff = sym.tail - p.tail_symseq()
-        start = max(sym.valid_from, p.tail_start)
-        head = list(values)
-        for n in range(opts.coords + 1, start):
-            dv = analytic_dir_deriv(f, x_star, n)
-            if dv.status is not DirStatus.EXISTS:
-                return Certificate(
-                    Verdict.INCONCLUSIVE,
-                    Grade.numeric(opts.coords),
-                    reason=f"directional derivative does not exist at n={n}",
-                )
-            if abs(dv.value - p.coordinate(n)) > opts.tol:
-                return Certificate(
-                    Verdict.FAILS,
-                    Grade.numeric(opts.coords),
-                    reason="derivative and dual coordinate disagree",
-                    witness={"n": n, "derivative": dv.value, "dual": p.coordinate(n)},
-                    evidence=evidence,
-                )
-            head.append(dv.value)
-        exact_head = all(
-            head[i - 1] is not None and head[i - 1] == p.coordinate(i)
-            for i in range(1, start)
-        )
-        if diff.is_zero and diff.exact and exact_head:
-            return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
-        if not diff.is_zero:
-            try:
-                sgn, rank = diff.eventual_sign(start)
-            except ValueError:
-                sgn, rank = 0, start
-            if sgn != 0:
-                for n in range(rank, rank + 4096):
-                    v = diff.value_at(n)
-                    if abs(v) > opts.tol:
-                        return Certificate(
-                            Verdict.FAILS,
-                            Grade.numeric(opts.coords),
-                            reason="derivative and dual coordinate disagree in the tail",
-                            witness={
-                                "n": n,
-                                "derivative": sym.tail.value_at(n),
-                                "dual": p.coordinate(n),
-                            },
-                            evidence=evidence,
-                        )
-    return Certificate(Verdict.HOLDS, Grade.numeric(opts.coords), evidence=evidence)
+    residual = [v - p.coordinate(n) for n, v in enumerate(head, start=1)]
+    where, n, _ = _zero_for_every_n(residual, tail, start, opts.tol)
+    if where == "exact":
+        return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
+    if where == "none":
+        return Certificate(Verdict.HOLDS, Grade.numeric(opts.coords), evidence=evidence)
+    in_tail = where == "tail"
+    return Certificate(
+        Verdict.FAILS,
+        Grade.numeric(opts.coords),
+        reason="derivative and dual coordinate disagree" + (" in the tail" if in_tail else ""),
+        witness={
+            "n": n,
+            "derivative": sym.tail.value_at(n) if in_tail else head[n - 1],
+            "dual": p.coordinate(n),
+        },
+        evidence=evidence,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1004,10 +1004,6 @@ class GateauxDerivative:
         head = sum(self.coefficient(n) * h.coordinate(n) for n in range(1, k0 + 1))
         err = terr + (abs(head) + abs(tval)) * (k0 + 2) * 2.2e-16
         return SeriesValue(head + tval, err, k0 + used)
-
-
-def _contains_limsup(f: FunctionExpr) -> bool:
-    return _limsup_weight(f) != 0.0
 
 
 def gateaux_detect(
@@ -1066,7 +1062,7 @@ def gateaux_detect(
             None,
         )
 
-    if _contains_limsup(f):
+    if _limsup_weight(f) != 0.0:
         return (
             Certificate(
                 Verdict.INCONCLUSIVE,
@@ -1076,47 +1072,30 @@ def gateaux_detect(
             None,
         )
 
-    values, kink = _analytic_profile(f, x_star, opts.coords)
-    if kink is not None:
-        dv = analytic_dir_deriv(f, x_star, kink)
+    def missing(n: int) -> tuple[Certificate, None]:
+        dv = analytic_dir_deriv(f, x_star, n)
         return (
             Certificate(
                 Verdict.FAILS,
                 Grade.analytic(),
                 reason="directional derivative missing along a basis direction",
-                witness={"n": kink, "left": dv.left, "right": dv.right},
-            ),
-            None,
-        )
-    sym = _deriv_symbolic(f, x_star)
-    if sym.status == "kink":
-        dv = analytic_dir_deriv(f, x_star, sym.kink_at)
-        return (
-            Certificate(
-                Verdict.FAILS,
-                Grade.analytic(),
-                reason="directional derivative missing along a basis direction",
-                witness={"n": sym.kink_at, "left": dv.left, "right": dv.right},
+                witness={"n": n, "left": dv.left, "right": dv.right},
             ),
             None,
         )
 
+    values, kink = _analytic_profile(f, x_star, opts.coords)
+    if kink is not None:
+        return missing(kink)
+    sym = _deriv_symbolic(f, x_star)
+    if sym.status == "kink":
+        return missing(sym.kink_at)
+
     if sym.status == "ok":
-        known = list(values[: sym.valid_from - 1])
-        for n in range(opts.coords + 1, sym.valid_from):
-            dv = analytic_dir_deriv(f, x_star, n)
-            if dv.status is not DirStatus.EXISTS:
-                return (
-                    Certificate(
-                        Verdict.FAILS,
-                        Grade.analytic(),
-                        reason="directional derivative missing along a basis direction",
-                        witness={"n": n, "left": dv.left, "right": dv.right},
-                    ),
-                    None,
-                )
-            known.append(dv.value)
-        deriv = GateauxDerivative(known=tuple(known), tail=sym.tail)
+        head, kink = _extend_head(values, sym.valid_from, _partials(f, x_star))
+        if kink is not None:
+            return missing(kink)
+        deriv = GateauxDerivative(known=tuple(head[: sym.valid_from - 1]), tail=sym.tail)
         grade = Grade.analytic()
     else:
         deriv = GateauxDerivative(known=tuple(values), tail=None)
@@ -1320,20 +1299,17 @@ def series_differentiate(
                     ),
                     (),
                 )
-        values = []
-        for n in range(1, n_max + 1):
-            dv = analytic_dir_deriv(f_equiv, x_star, n)
-            if dv.status is not DirStatus.EXISTS:
-                return (
-                    Certificate(
-                        Verdict.FAILS,
-                        Grade.numeric(n_max),
-                        reason="term derivative missing at the anchor",
-                        witness={"n": n},
-                    ),
-                    (),
-                )
-            values.append(dv.value)
+        values, kink = _analytic_profile(f_equiv, x_star, n_max)
+        if kink is not None:
+            return (
+                Certificate(
+                    Verdict.FAILS,
+                    Grade.numeric(n_max),
+                    reason="term derivative missing at the anchor",
+                    witness={"n": kink},
+                ),
+                (),
+            )
         cert = Certificate(
             Verdict.HOLDS,
             Grade.analytic(),
@@ -1458,14 +1434,15 @@ def kkt_certify(
     """
     if len(lam) != len(inequalities) or len(nu) != len(equalities):
         raise ValueError("multiplier counts must match constraint counts")
+    evidence: dict = {}
+
+    def inconclusive(reason: str, grade: Optional[Grade] = None, witness=None) -> Certificate:
+        grade = grade or Grade.numeric(opts.coords)
+        return Certificate(Verdict.INCONCLUSIVE, grade, reason, witness, evidence)
 
     ok_member, wit = set_membership(s, x_star)
     if ok_member is None:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
-            reason="anchor membership could not be certified from the tail forms",
-        )
+        return inconclusive("anchor membership could not be certified from the tail forms")
     if not ok_member:
         raise InfeasiblePoint(f"anchor outside the base set (coordinate {wit})")
     g_vals = []
@@ -1480,50 +1457,31 @@ def kkt_certify(
         h_vals.append(hv.value)
         if abs(hv.value) - hv.error_bound > opts.tol:
             raise InfeasiblePoint(f"equality {j} is violated: h(x*) = {hv.value:.6g}")
-
-    evidence: dict = {"g_values": g_vals, "h_values": h_vals}
+    evidence.update(g_values=g_vals, h_values=h_vals)
 
     for j, l in enumerate(lam):
         if l < 0.0:
-            return Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(opts.coords),
-                reason=f"multiplier {j} is negative; hypothesis not satisfied",
-                evidence=evidence,
-            )
+            return inconclusive(f"multiplier {j} is negative; hypothesis not satisfied")
 
     qual = check_qualification(s, x_star, opts.coords)
     evidence["qualification"] = qual.to_json()
     if qual.verdict is not Verdict.HOLDS:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            qual.grade,
-            reason="qualification not established",
-            evidence=evidence,
-        )
+        return inconclusive("qualification not established", qual.grade)
     for name, fn in [("objective", f)] + [
         (f"inequality_{j}", g) for j, g in enumerate(inequalities)
     ] + [(f"equality_{j}", h) for j, h in enumerate(equalities)]:
         psc = check_psc(fn, s, x_star, depth=opts.psc_depth, tol=opts.tol)
         if psc.verdict is not Verdict.HOLDS:
             evidence["psc_failure"] = {name: psc.to_json()}
-            return Certificate(
-                Verdict.INCONCLUSIVE,
-                psc.grade,
-                reason=f"pseudo-semicontinuity not established for {name}",
-                evidence=evidence,
-            )
+            return inconclusive(f"pseudo-semicontinuity not established for {name}", psc.grade)
 
     slack = [l * gv for l, gv in zip(lam, g_vals)]
     evidence["complementary_slackness"] = slack
     for j, sv in enumerate(slack):
         if abs(sv) > opts.tol:
-            return Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(opts.coords),
-                reason=f"complementary slackness fails for inequality {j}",
+            return inconclusive(
+                f"complementary slackness fails for inequality {j}",
                 witness={"j": j, "lambda_times_g": sv},
-                evidence=evidence,
             )
 
     # Stationarity of the Lagrangian derivative, coordinate by coordinate.
@@ -1531,76 +1489,53 @@ def kkt_certify(
     parts.extend((l, g) for l, g in zip(lam, inequalities))
     parts.extend((v, h) for v, h in zip(nu, equalities))
 
-    analytic_ok = True
-    combined_tail = SymSeq.zero()
+    tail: Optional[SymSeq] = SymSeq.zero()
     valid_from = 1
     for coeff, fn in parts:
         sym = _deriv_symbolic(fn, x_star)
         if sym.status == "kink":
-            return Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(opts.coords),
-                reason=f"directional derivative missing at n={sym.kink_at}",
-                evidence=evidence,
-            )
+            return inconclusive(f"directional derivative missing at n={sym.kink_at}")
         if sym.status != "ok":
-            analytic_ok = False
+            tail, valid_from = None, 1
             break
-        combined_tail = combined_tail + sym.tail.scaled(coeff)
+        tail = tail + sym.tail.scaled(coeff)
         valid_from = max(valid_from, sym.valid_from)
 
-    table = []
+    partials = [(coeff, _partials(fn, x_star)) for coeff, fn in parts]
+
+    def lagrangian(n: int) -> Optional[float]:
+        acc = 0.0
+        for coeff, at in partials:
+            v = at(n)
+            if v is None:
+                return None
+            acc += coeff * v
+        return acc
+
+    head, missing = _extend_head((), max(opts.coords + 1, valid_from), lagrangian)
+    if missing is not None:
+        return inconclusive(f"directional derivative missing at n={missing}")
+    evidence["stationarity"] = [
+        {"n": n, "lagrangian_derivative": v}
+        for n, v in enumerate(head[: min(opts.coords, 16)], start=1)
+    ]
     worst = 0.0
     worst_n = None
-    for n in range(1, opts.coords + 1):
-        acc = 0.0
-        missing = None
-        for coeff, fn in parts:
-            dv = analytic_dir_deriv(fn, x_star, n)
-            if dv.status is not DirStatus.EXISTS:
-                missing = n
-                break
-            acc += coeff * dv.value
-        if missing is not None:
-            return Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(opts.coords),
-                reason=f"directional derivative missing at n={missing}",
-                evidence=evidence,
-            )
-        table.append({"n": n, "lagrangian_derivative": acc})
-        if abs(acc) > worst:
-            worst, worst_n = abs(acc), n
-    evidence["stationarity"] = table[:16]
-
+    for n, v in enumerate(head[: opts.coords], start=1):
+        if abs(v) > worst:
+            worst, worst_n = abs(v), n
     if worst > opts.tol:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
-            reason=f"stationarity fails at n={worst_n}; sufficiency cannot conclude",
+        return inconclusive(
+            f"stationarity fails at n={worst_n}; sufficiency cannot conclude",
             witness={"n": worst_n, "lagrangian_derivative": worst},
-            evidence=evidence,
         )
 
-    head_exact = valid_from - 1 <= opts.coords and all(
-        row["lagrangian_derivative"] == 0.0 for row in table[: valid_from - 1]
-    )
-    if analytic_ok and combined_tail.is_zero and combined_tail.exact and head_exact:
+    where, n, v = _zero_for_every_n(head, tail, valid_from, opts.tol)
+    if where == "exact":
         return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
-    if analytic_ok and not combined_tail.is_zero:
-        try:
-            sgn, rank = combined_tail.eventual_sign(valid_from)
-        except ValueError:
-            sgn, rank = 0, valid_from
-        if sgn != 0:
-            for n in range(rank, rank + 4096):
-                v = combined_tail.value_at(n)
-                if abs(v) > opts.tol:
-                    return Certificate(
-                        Verdict.INCONCLUSIVE,
-                        Grade.numeric(opts.coords),
-                        reason=f"stationarity fails at n={n}; sufficiency cannot conclude",
-                        witness={"n": n, "lagrangian_derivative": v},
-                        evidence=evidence,
-                    )
-    return Certificate(Verdict.HOLDS, Grade.numeric(opts.coords), evidence=evidence)
+    if where == "none":
+        return Certificate(Verdict.HOLDS, Grade.numeric(opts.coords), evidence=evidence)
+    return inconclusive(
+        f"stationarity fails at n={n}; sufficiency cannot conclude",
+        witness={"n": n, "lagrangian_derivative": v},
+    )

@@ -39,6 +39,7 @@ from .seqspace import (
     pair,
     pairing,
     point_axpy,
+    point_scale,
     tail_limit,
 )
 from .symseq import DIVERGENT, SUMMABLE, SymSeq, SymTerm, classify
@@ -300,17 +301,9 @@ def scale(lam: float, f: FunctionExpr) -> FunctionExpr:
     return Scale(float(lam), f)
 
 
-def _dual_neg(p: DualPoint) -> DualPoint:
-    tail = tuple(
-        TailRule(a.kind, c=-a.c, r=a.r) if a.kind is not TailKind.ZERO else a
-        for a in p.tail
-    )
-    return DualPoint(tuple(-v for v in p.prefix), tail)
-
-
 def subtract_linear(f: FunctionExpr, p: DualPoint) -> FunctionExpr:
     """The convex function x -> f(x) - <p, x>."""
-    return combine_sum([f, LinearFunctional(_dual_neg(p))])
+    return combine_sum([f, LinearFunctional(point_scale(-1.0, p))])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ are immutable values and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -166,45 +166,9 @@ class Point:
         return f"Point(prefix={list(self.prefix)!r}, tail={tails})"
 
 
-@dataclass(frozen=True)
-class DualPoint:
-    """A dual element in the same prefix-plus-tail representation.
-
-    Pairings against points are certified series; combinations whose
-    convergence the tail rules cannot guarantee are rejected rather than
-    summed hopefully.
-    """
-
-    prefix: tuple[float, ...] = ()
-    tail: tuple[TailRule, ...] = ()
-
-    def __init__(self, prefix: Sequence[float] = (), tail=()):
-        object.__setattr__(self, "prefix", tuple(float(v) for v in prefix))
-        object.__setattr__(self, "tail", _coerce_tail(tail))
-
-    @staticmethod
-    def zero() -> DualPoint:
-        return DualPoint((), ())
-
-    @property
-    def tail_start(self) -> int:
-        return len(self.prefix) + 1
-
-    def coordinate(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"coordinate index must be >= 1, got {n}")
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return sum(a.value_at(n) for a in self.tail)
-
-    def tail_symseq(self) -> SymSeq:
-        out = SymSeq.zero()
-        for a in self.tail:
-            out = out + a.to_symseq()
-        return out
-
-    def is_finitely_supported(self) -> bool:
-        return not self.tail
+# Dual elements share the prefix-plus-tail representation; pairings against
+# points are certified series.  The name stays for signatures and callers.
+DualPoint = Point
 
 
 class SpaceKind(str, Enum):
@@ -265,11 +229,7 @@ def basis_vector(n: int) -> Point:
     return Point((0.0,) * (n - 1) + (1.0,), ())
 
 
-def dual_basis_vector(n: int) -> DualPoint:
-    """The n-th coordinate functional as a dual element."""
-    if n < 1:
-        raise ValueError(f"basis index must be >= 1, got {n}")
-    return DualPoint((0.0,) * (n - 1) + (1.0,), ())
+dual_basis_vector = basis_vector
 
 
 def project(x: Point, k: int, anchor: Point = Point((), ())) -> Point:
@@ -592,13 +552,8 @@ def point_from_json(obj: dict) -> Point:
     return Point([float(v) for v in prefix], _tail_from_json(obj.get("tail", {"kind": "zero"})))
 
 
-def dual_to_json(p: DualPoint) -> dict:
-    return {"prefix": list(p.prefix), "tail": _tail_to_json(p.tail)}
-
-
-def dual_from_json(obj: dict) -> DualPoint:
-    pt = point_from_json(obj)
-    return DualPoint(pt.prefix, pt.tail)
+dual_to_json = point_to_json
+dual_from_json = point_from_json
 
 
 def space_to_json(s: SpaceDescriptor) -> dict:

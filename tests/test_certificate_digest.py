@@ -1,0 +1,66 @@
+"""Subgradient and certify_min certificates on the fuzz instances, pinned by sha256.
+
+The digest was recorded from the code as it stood before stationarity,
+the subgradient test and KKT went through one shared "zero for every n"
+decision, and that change reproduced it unchanged.  A later change that
+moves any of these bytes must say why and re-record it.
+
+The instances are the grammar_fuzz benchmark's (space, f, x*, p) for seeds
+0-59; seed 54's closed-form derivative profile is valid only from n = 192,
+past the 64 sampled coordinates, so the head extension is pinned too.  Each
+record is the certificate's canonical JSON, evidence included, or the type
+and message of the exception the call raised.
+
+Float sums differ in their last bits between CPython minor versions, so the
+pin holds for the interpreter it was recorded with, CPython 3.11.
+"""
+
+import hashlib
+import json
+import random
+import sys
+
+import pytest
+
+from seqcert.certify import CertifyOptions, SetDescriptor, certify_min, subgradient_test
+from seqcert.sampling import random_dual, random_function, random_point
+from seqcert.seqspace import SpaceDescriptor
+
+pytestmark = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11), reason="digest recorded under CPython 3.11"
+)
+
+CERTIFICATE_DIGEST = "288959fed55e1bdcbf92823cd7109e00352799eb93875eb7691d85d0af6f4e75"
+
+SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
+FUZZ_SEEDS = range(60)
+
+
+def fuzz_instance(seed):
+    """The grammar_fuzz benchmark's instance for this seed: space, f, x, p."""
+    rng = random.Random(seed)
+    space = rng.choice(SPACES)()
+    f = random_function(rng, space)
+    x = random_point(rng, space=space)
+    return space, f, x, random_dual(rng)
+
+
+def record(call):
+    try:
+        return json.dumps(call().to_json(), sort_keys=True)
+    except Exception as exc:  # the exception itself is part of the record
+        return repr((type(exc).__name__, str(exc)))
+
+
+def test_subgradient_and_certify_min_certificates_are_pinned():
+    opts = CertifyOptions()
+    h = hashlib.sha256()
+    for seed in FUZZ_SEEDS:
+        _, f, x, p = fuzz_instance(seed)
+        for call in (
+            lambda: subgradient_test(f, x, p, opts),
+            lambda: certify_min(f, SetDescriptor.whole_space(), x, opts),
+        ):
+            h.update(record(call).encode())
+            h.update(b"\n")
+    assert h.hexdigest() == CERTIFICATE_DIGEST

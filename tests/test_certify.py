@@ -3,11 +3,13 @@ truncations, minimality, subgradients, differentiability detection,
 term-wise series differentiation, and KKT."""
 
 import math
+import random
 
 import pytest
 
 from seqcert.certify import (
     CertifyOptions,
+    _deriv_symbolic,
     DiagonalFamily,
     Grade,
     ScaledFamily,
@@ -39,6 +41,7 @@ from seqcert.funcs import (
     evaluate,
 )
 from seqcert.reduce import build_reduced, minimize_reduced
+from seqcert.sampling import random_dual, random_function, random_point
 from seqcert.seqspace import (
     DualPoint,
     Point,
@@ -366,6 +369,20 @@ def test_subgradient_inconclusive_at_kink():
     assert cert.verdict is Verdict.INCONCLUSIVE
 
 
+def test_missing_derivative_below_valid_from_is_decided_before_a_violation():
+    # the closed form holds from n = 7, past the 4 sampled coordinates; the
+    # derivative at n = 1 disagrees with p, but the one at n = 6 is missing
+    f = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.abs_())
+    x_star = Point([1.0] * 5 + [0.0], (TailRule.const(1.0),))
+    opts = CertifyOptions(coords=4)
+    cert = subgradient_test(f, x_star, DualPoint([5.0]), opts)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.reason == "directional derivative does not exist at n=6"
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], opts)
+    assert kkt.verdict is Verdict.INCONCLUSIVE
+    assert kkt.reason == "directional derivative missing at n=6"
+
+
 def test_subgradient_inconclusive_without_psc():
     f = Sum((LimsupSeminorm(), quad_series()))
     ones = Point([], (TailRule.const(1.0),))
@@ -596,3 +613,73 @@ def test_kkt_oracle_cross_check_on_constraint_truncations():
         prob = build_reduced(f, box, x_star, k)
         _, value, _ = minimize_reduced(prob)
         assert value.value == pytest.approx(BETA, abs=1e-6)
+
+
+# closed forms valid only past the sampled coordinates ------------------------------
+
+
+def fuzz_instance(seed):
+    """The grammar_fuzz benchmark's instance for this seed: space, f, x, p."""
+    rng = random.Random(seed)
+    space = rng.choice((SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf))()
+    f = random_function(rng, space)
+    x = random_point(rng, space=space)
+    return space, f, x, random_dual(rng)
+
+
+def test_fuzz_instance_with_a_late_closed_form():
+    space, f, x_star, p = fuzz_instance(54)
+    assert _deriv_symbolic(f, x_star).valid_from == 192 > OPTS.coords + 1
+    cert, deriv = gateaux_detect(f, space, x_star, OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+    assert len(deriv.known) == 191
+    sub = subgradient_test(f, x_star, p, OPTS)
+    assert (sub.verdict, sub.grade) == (Verdict.FAILS, Grade.numeric(OPTS.coords))
+    assert sub.witness["n"] == 1
+    best = certify_min(f, SetDescriptor.whole_space(), x_star, OPTS)
+    assert best.verdict is Verdict.FAILS
+    assert best.reason == "a feasible probe point has a smaller value"
+
+
+def geometric_quadratic():
+    return SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square())
+
+
+def test_kkt_grades_a_late_closed_form_like_certify_min():
+    # f'(x*; e_n) = 0 for every n, but the closed form holds only from n = 7
+    f, x_star = geometric_quadratic(), Point([0.0] * 6)
+    opts = CertifyOptions(coords=4)
+    assert _deriv_symbolic(f, x_star).valid_from == 7
+    best = certify_min(f, SetDescriptor.whole_space(), x_star, opts)
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], opts)
+    assert best.grade.render() == kkt.grade.render() == "analytic_all_n"
+    assert best.verdict is kkt.verdict is Verdict.HOLDS
+
+
+def test_violation_between_the_sampled_coordinates_and_the_closed_form():
+    # f'(x*; e_6) = 2 * 0.5^6 != 0 lies between coords and the closed form
+    f, x_star = geometric_quadratic(), Point([0.0] * 5 + [1.0])
+    opts = CertifyOptions(coords=4)
+    sub = subgradient_test(f, x_star, DualPoint.zero(), opts)
+    assert sub.verdict is Verdict.FAILS
+    assert sub.witness == {"n": 6, "derivative": 0.03125, "dual": 0.0}
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], opts)
+    assert kkt.verdict is Verdict.INCONCLUSIVE
+    assert kkt.witness == {"n": 6, "lagrangian_derivative": 0.03125}
+
+
+def test_violation_found_only_by_the_tail_scan():
+    # p_n = 2e-7 (1 - 0.99^n) stays within the tolerance up to n = 68, so
+    # no sampled index shows it; the eventual-sign scan of the closed form
+    # finds the first n with |p_n| > 1e-7
+    p = DualPoint([], (TailRule.const(2e-7), TailRule.geometric(-2e-7, 0.99)))
+    f = LinearFunctional(p)
+    zero = Point.zero()
+    sub = subgradient_test(Constant(0.0), zero, p, OPTS)
+    assert sub.reason == "derivative and dual coordinate disagree in the tail"
+    assert sub.witness["n"] == 128
+    best = certify_min(f, SetDescriptor.whole_space(), zero, OPTS)
+    assert (best.verdict, best.witness["n"]) == (Verdict.FAILS, 128)
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), zero, [], [], OPTS)
+    assert kkt.verdict is Verdict.INCONCLUSIVE
+    assert kkt.witness == {"n": 128, "lagrangian_derivative": p.coordinate(128)}

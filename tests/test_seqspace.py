@@ -11,6 +11,7 @@ from seqcert.seqspace import (
     SpaceDescriptor,
     TailRule,
     basis_vector,
+    dual_basis_vector,
     dual_from_json,
     dual_to_json,
     ell1_norm,
@@ -222,6 +223,15 @@ def test_dual_json_round_trip():
     q = dual_from_json(dual_to_json(p))
     assert list(q.prefix) == list(p.prefix)
     assert q.tail == p.tail
+
+
+def test_dual_points_are_points():
+    assert DualPoint is Point
+    assert DualPoint([1.0], (TailRule.const(2.0),)) == Point([1.0], (TailRule.const(2.0),))
+    assert dual_to_json is point_to_json and dual_from_json is point_from_json
+    assert dual_basis_vector(3) == basis_vector(3)
+    with pytest.raises(ValueError):
+        dual_basis_vector(0)
 
 
 def test_space_json_round_trip():
