@@ -149,10 +149,6 @@ def _coords_vs_zero(x: Point, strict: bool) -> tuple[Optional[bool], Optional[in
     return True, None
 
 
-def _diff_vs_zero(x: Point, bound: Point, strict: bool) -> tuple[Optional[bool], Optional[int]]:
-    return _coords_vs_zero(point_sub(x, bound), strict)
-
-
 def _bounded_index(s: SetDescriptor, n: int) -> bool:
     return s.bound_count is None or n <= s.bound_count
 
@@ -173,33 +169,49 @@ def coordinate_interval(s: SetDescriptor, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _rectangle_position(
+    s: SetDescriptor, x: Point, strict: bool
+) -> tuple[Optional[bool], Optional[int], Optional[str]]:
+    """Is x in the set (strict False), or strictly inside every face that
+    bounds it (strict True)?
+
+    Returns (ok, n, face), tri-state like _coords_vs_zero: (True, None,
+    None) when certified, (False, n, face) with a witness coordinate n,
+    (None, None, face) when a tail comparison could not be certified either
+    way.  face names the box bound compared, "lower" or "upper", and is
+    None for the cone and for a box with bound_count.
+    """
+    if s.kind is SetKind.WHOLE_SPACE:
+        return True, None, None
+    if s.kind is SetKind.POSITIVE_CONE_ELL1:
+        if not in_ell1(x):
+            return False, 0, None
+        return (*_coords_vs_zero(x, strict), None)
+    if s.bound_count is not None:
+        for n in range(1, s.bound_count + 1):
+            lo, hi = coordinate_interval(s, n)
+            v = x.coordinate(n)
+            if not (lo < v < hi if strict else lo <= v <= hi):
+                return False, n, None
+        return True, None, None
+    for bound, face in ((s.lower, "lower"), (s.upper, "upper")):
+        if bound is None:
+            continue
+        diff = point_sub(x, bound) if face == "lower" else point_sub(bound, x)
+        ok, n = _coords_vs_zero(diff, strict)
+        if ok is not True:
+            return ok, n, face
+    return True, None, None
+
+
 def set_membership(s: SetDescriptor, x: Point) -> tuple[Optional[bool], Optional[int]]:
     """Membership with a witness coordinate on failure.
 
     Tri-state like _coords_vs_zero: None means the tail comparison could
     not be certified in either direction.
     """
-    if s.kind is SetKind.WHOLE_SPACE:
-        return True, None
-    if s.kind is SetKind.POSITIVE_CONE_ELL1:
-        if not in_ell1(x):
-            return False, 0
-        return _coords_vs_zero(x, strict=False)
-    if s.bound_count is not None:
-        for n in range(1, s.bound_count + 1):
-            lo, hi = coordinate_interval(s, n)
-            if not (lo <= x.coordinate(n) <= hi):
-                return False, n
-        return True, None
-    if s.lower is not None:
-        ok, n = _diff_vs_zero(x, s.lower, strict=False)
-        if ok is not True:
-            return ok, n
-    if s.upper is not None:
-        ok, n = _diff_vs_zero(s.upper, x, strict=False)
-        if ok is not True:
-            return ok, n
-    return True, None
+    ok, n, _ = _rectangle_position(s, x, strict=False)
+    return ok, n
 
 
 def set_to_json(s: SetDescriptor) -> dict:
@@ -344,71 +356,37 @@ def check_qualification(s: SetDescriptor, x_star: Point, n_max: int = 64) -> Cer
             reason="anchor is not in the set",
             witness={"condition": "membership", "k": wit},
         )
-    if s.kind is SetKind.WHOLE_SPACE:
+    ok, wit, face = _rectangle_position(s, x_star, strict=True)
+    if ok is None:
         return Certificate(
-            Verdict.HOLDS,
-            Grade.analytic(),
-            evidence={"interior": "whole space", "stability": "trivial"},
+            Verdict.INCONCLUSIVE,
+            Grade.numeric(n_max),
+            reason="interior condition could not be certified from the tail forms",
         )
-    if s.kind is SetKind.POSITIVE_CONE_ELL1:
-        ok, wit = _coords_vs_zero(x_star, strict=True)
-        if ok is None:
-            return Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(n_max),
-                reason="interior condition could not be certified from the tail forms",
-            )
-        if not ok:
-            return Certificate(
-                Verdict.FAILS,
-                Grade.analytic(),
-                reason="a truncation touches the cone boundary",
-                witness={"condition": "interior", "k": wit},
-            )
+    if not ok:
+        if s.kind is SetKind.POSITIVE_CONE_ELL1:
+            reason = "a truncation touches the cone boundary"
+        elif face is None:
+            reason = "anchor touches a box face"
+        else:
+            reason = f"anchor touches the {face} box face"
         return Certificate(
-            Verdict.HOLDS,
+            Verdict.FAILS,
             Grade.analytic(),
-            evidence={
-                "interior": "all coordinates strictly positive",
-                "stability": "coordinate rectangle",
-            },
+            reason=reason,
+            witness={"condition": "interior", "k": wit},
         )
-    # Box: strict inequalities against both bounds wherever they apply.
-    if s.bound_count is not None:
-        for n in range(1, s.bound_count + 1):
-            lo, hi = coordinate_interval(s, n)
-            v = x_star.coordinate(n)
-            if not (lo < v < hi):
-                return Certificate(
-                    Verdict.FAILS,
-                    Grade.analytic(),
-                    reason="anchor touches a box face",
-                    witness={"condition": "interior", "k": n},
-                )
-    else:
-        for bound, label in ((s.lower, "lower"), (s.upper, "upper")):
-            if bound is None:
-                continue
-            diff = point_sub(x_star, bound) if label == "lower" else point_sub(bound, x_star)
-            ok, wit = _coords_vs_zero(diff, strict=True)
-            if ok is None:
-                return Certificate(
-                    Verdict.INCONCLUSIVE,
-                    Grade.numeric(n_max),
-                    reason="interior condition could not be certified from the tail forms",
-                )
-            if not ok:
-                return Certificate(
-                    Verdict.FAILS,
-                    Grade.analytic(),
-                    reason=f"anchor touches the {label} box face",
-                    witness={"condition": "interior", "k": wit},
-                )
+    interior, stability = _INTERIOR_EVIDENCE[s.kind]
     return Certificate(
-        Verdict.HOLDS,
-        Grade.analytic(),
-        evidence={"interior": "strictly inside all faces", "stability": "coordinate rectangle"},
+        Verdict.HOLDS, Grade.analytic(), evidence={"interior": interior, "stability": stability}
     )
+
+
+_INTERIOR_EVIDENCE = {
+    SetKind.WHOLE_SPACE: ("whole space", "trivial"),
+    SetKind.POSITIVE_CONE_ELL1: ("all coordinates strictly positive", "coordinate rectangle"),
+    SetKind.BOX: ("strictly inside all faces", "coordinate rectangle"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1196,68 +1174,55 @@ def family_from_json(obj: dict) -> SeriesFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _interval_differentiable(
-    f: FunctionExpr, x: Point, n: int, a: float
-) -> tuple[bool, Optional[str]]:
-    """Is t -> f(x + t e_n) differentiable for every |t| < a, each term of f?"""
-    if isinstance(f, (Constant, LimsupSeminorm, LinearFunctional)):
-        return True, None
-    if isinstance(f, Scale):
-        return _interval_differentiable(f.inner, x, n, a) if f.lam else (True, None)
-    if isinstance(f, Sum):
-        for g in f.terms:
-            ok, why = _interval_differentiable(g, x, n, a)
-            if not ok:
-                return ok, why
-        return True, None
-    if isinstance(f, SeparableSeries):
-        if f.weight.value_at(n) == 0.0:
-            return True, None
-        v = x.coordinate(n)
-        kind = f.inner.kind
-        if kind is ScalarKind.ABS:
-            if abs(v) >= a:
-                return True, None
-            return False, f"kink of |.| inside the interval at n={n}"
-        if kind is ScalarKind.NEG_SQRT:
-            if f.inner.c.value_at(n) == 0.0 or v - a >= 0.0:
-                return True, None
-            return False, f"sqrt boundary inside the interval at n={n}"
-        return True, None
-    raise TypeError(f"unknown function expression {type(f).__name__}")
+def _interval_slope(f: FunctionExpr, x: Point, n: int, a: float) -> tuple[float, Optional[str]]:
+    """(bound, why) for t -> f(x + t e_n) on |t| < a, term by term.
 
-
-def _scalar_deriv_bound(u: ScalarConvex, n: int, center: float, a: float) -> float:
-    """sup of |u'| over the open interval (center-a, center+a) in its domain."""
-    if u.kind is ScalarKind.ABS:
-        return 1.0
-    if u.kind is ScalarKind.SQUARE:
-        return 2.0 * (abs(center) + a)
-    if u.kind is ScalarKind.AFFINE_QUAD:
-        return 2.0 * abs(u.a.value_at(n)) * (abs(center) + a) + abs(u.b.value_at(n))
-    if u.kind is ScalarKind.LINEAR:
-        return abs(u.b.value_at(n))
-    c = abs(u.c.value_at(n))
-    if c == 0.0:
-        return 0.0
-    lo = center - a
-    if lo <= 0.0:
-        return math.inf
-    return c / (2.0 * math.sqrt(lo))
-
-
-def _expr_deriv_bound(f: FunctionExpr, x: Point, n: int, a: float) -> float:
+    why is None when every term of f is differentiable on the interval, and
+    otherwise names the first term's kink or sqrt boundary inside it.
+    bound sums, over all terms, the sup of |derivative| on the interval
+    within the domain; it is +inf where a sqrt term's boundary touches the
+    interval.
+    """
     if isinstance(f, (Constant, LimsupSeminorm)):
-        return 0.0
+        return 0.0, None
     if isinstance(f, LinearFunctional):
-        return abs(f.p.coordinate(n))
+        return abs(f.p.coordinate(n)), None
     if isinstance(f, Scale):
-        return f.lam * _expr_deriv_bound(f.inner, x, n, a) if f.lam else 0.0
+        if not f.lam:
+            return 0.0, None
+        bound, why = _interval_slope(f.inner, x, n, a)
+        return f.lam * bound, why
     if isinstance(f, Sum):
-        return sum(_expr_deriv_bound(g, x, n, a) for g in f.terms)
+        total, first_why = 0, None
+        for g in f.terms:
+            bound, why = _interval_slope(g, x, n, a)
+            total += bound
+            first_why = first_why or why
+        return total, first_why
     if isinstance(f, SeparableSeries):
-        w = abs(f.weight.value_at(n))
-        return w * _scalar_deriv_bound(f.inner, n, x.coordinate(n), a) if w else 0.0
+        w = f.weight.value_at(n)
+        if w == 0.0:
+            return 0.0, None
+        u, v, why = f.inner, x.coordinate(n), None
+        if u.kind is ScalarKind.ABS:
+            slope = 1.0
+            if not abs(v) >= a:
+                why = f"kink of |.| inside the interval at n={n}"
+        elif u.kind is ScalarKind.SQUARE:
+            slope = 2.0 * (abs(v) + a)
+        elif u.kind is ScalarKind.AFFINE_QUAD:
+            slope = 2.0 * abs(u.a.value_at(n)) * (abs(v) + a) + abs(u.b.value_at(n))
+        elif u.kind is ScalarKind.LINEAR:
+            slope = abs(u.b.value_at(n))
+        else:
+            c, lo = abs(u.c.value_at(n)), v - a
+            if c == 0.0:
+                slope = 0.0
+            else:
+                slope = math.inf if lo <= 0.0 else c / (2.0 * math.sqrt(lo))
+                if not lo >= 0.0:
+                    why = f"sqrt boundary inside the interval at n={n}"
+        return abs(w) * slope, why
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
@@ -1288,8 +1253,8 @@ def series_differentiate(
         # immediate and only condition (i) needs work.
         f_equiv = SeparableSeries(family.weight, family.inner)
         for n, a in enumerate(radii_vals, start=1):
-            ok, why = _interval_differentiable(f_equiv, x_star, n, a)
-            if not ok:
+            _, why = _interval_slope(f_equiv, x_star, n, a)
+            if why is not None:
                 return (
                     Certificate(
                         Verdict.FAILS,
@@ -1346,15 +1311,15 @@ def series_differentiate(
                 tuple(0.0 for _ in base_values),
             )
         for n, a in enumerate(radii_vals, start=1):
-            ok, why = _interval_differentiable(family.base, x_star, n, a)
-            if not ok:
+            bound, why = _interval_slope(family.base, x_star, n, a)
+            if why is not None:
                 return (
                     Certificate(
                         Verdict.FAILS, Grade.numeric(n_max), reason=why, witness={"n": n}
                     ),
                     (),
                 )
-            if not math.isfinite(_expr_deriv_bound(family.base, x_star, n, a)):
+            if not math.isfinite(bound):
                 raise NoMajorant(
                     f"no finite derivative envelope on the interval at n={n}"
                 )
@@ -1374,8 +1339,8 @@ def series_differentiate(
     terms = list(family)
     for n, a in enumerate(radii_vals, start=1):
         for idx, g in enumerate(terms):
-            ok, why = _interval_differentiable(g, x_star, n, a)
-            if not ok:
+            _, why = _interval_slope(g, x_star, n, a)
+            if why is not None:
                 return (
                     Certificate(
                         Verdict.FAILS,

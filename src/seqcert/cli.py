@@ -146,10 +146,8 @@ def scenario_from_json(obj: dict) -> Scenario:
     )
     if needs_function and "function" not in obj:
         raise ScenarioError(f"task {task} requires a function")
-    if task != "qualification" and "x_star" not in obj:
+    if "x_star" not in obj:
         raise ScenarioError(f"task {task} requires x_star")
-    if task == "qualification" and "x_star" not in obj:
-        raise ScenarioError("task qualification requires x_star")
     if task == "subgradient" and "dual" not in obj:
         raise ScenarioError("task subgradient requires a dual point")
     if task == "series_diff" and "family" not in obj:
@@ -164,7 +162,7 @@ def scenario_from_json(obj: dict) -> Scenario:
             task=task,
             space=space_from_json(obj["space"]),
             function=function_from_json(obj["function"]) if "function" in obj else None,
-            x_star=point_from_json(obj["x_star"]) if "x_star" in obj else None,
+            x_star=point_from_json(obj["x_star"]),
             feasible_set=(
                 set_from_json(obj["set"]) if "set" in obj else SetDescriptor.whole_space()
             ),
@@ -598,16 +596,17 @@ def _opts_from_args(args, parameters: dict) -> CertifyOptions:
             return parameters[key]
         return fallback
 
+    lib, lib_deriv = CertifyOptions(), DerivOptions()
     deriv = DerivOptions(
         t0=args.deriv_t0,
-        steps=args.deriv_steps if args.deriv_steps is not None else 40,
-        tol_match=args.deriv_tol if args.deriv_tol is not None else 1e-7,
+        steps=lib_deriv.steps if args.deriv_steps is None else args.deriv_steps,
+        tol_match=lib_deriv.tol_match if args.deriv_tol is None else args.deriv_tol,
     )
     return CertifyOptions(
-        coords=int(pick(args.coords, "coords", 64)),
-        tol=float(pick(args.tol, "tol", 1e-7)),
-        psc_depth=int(pick(args.psc_depth, "psc_depth", 32)),
-        seed=int(pick(args.seed, "seed", 42)),
+        coords=int(pick(args.coords, "coords", lib.coords)),
+        tol=float(pick(args.tol, "tol", lib.tol)),
+        psc_depth=int(pick(args.psc_depth, "psc_depth", lib.psc_depth)),
+        seed=int(pick(args.seed, "seed", lib.seed)),
         deriv=deriv,
     )
 

@@ -21,21 +21,13 @@ from .errors import (
     DomainViolation,
     NonConvexBehavior,
 )
-from .funcs import (
-    Constant,
-    FunctionExpr,
-    LimsupSeminorm,
-    LinearFunctional,
-    Scale,
-    SeparableSeries,
-    Sum,
-    analytic_dir_deriv,
-    delta_line,
-    evaluate,
-)
+from .funcs import FunctionExpr, _finite_line, analytic_dir_deriv, delta_line, evaluate
 from .seqspace import Point, basis_vector
 
 _EPS = 2.220446049250313e-16
+#: Quotient movement below _NOISE_SCALE * eps * (|f(x)| + 1) / t counts as
+#: numeric noise.
+_NOISE_SCALE = 16.0
 
 
 @dataclass(frozen=True)
@@ -44,16 +36,14 @@ class DerivOptions:
 
     t0 = None picks 1e-2 * max(1, |x_n|) for single-coordinate directions
     and 1e-2 otherwise; steps is the number of halvings; tol_match decides
-    left-right agreement; noise_scale * eps * (|f(x)|+1) / t is the scale
-    below which quotient movement is considered numeric noise.  Setting
-    prefer_analytic False forces the quotient scan even along basis
-    directions (used for independent cross-checks of the closed forms).
+    left-right agreement.  Setting prefer_analytic False forces the
+    quotient scan even along basis directions (used for independent
+    cross-checks of the closed forms).
     """
 
     t0: Optional[float] = None
     steps: int = 40
     tol_match: float = 1e-7
-    noise_scale: float = 16.0
     prefer_analytic: bool = True
 
 
@@ -91,64 +81,6 @@ def _is_basis(h: Point) -> Optional[int]:
     return None
 
 
-def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: float) -> float:
-    """f(x + t h) - f(x) for finitely supported h: an exact finite sum.
-
-    Only the touched coordinates contribute for every leaf of the grammar
-    (a finite perturbation never moves a limsup).
-    """
-    if isinstance(f, (Constant, LimsupSeminorm)):
-        return 0.0
-    if isinstance(f, LinearFunctional):
-        return t * sum(f.p.coordinate(n) * h.coordinate(n) for n in support)
-    if isinstance(f, SeparableSeries):
-        return sum(
-            f.weight.value_at(n) * f.inner.delta(n, x.coordinate(n), t * h.coordinate(n))
-            for n in support
-        )
-    if isinstance(f, Scale):
-        return f.lam * _delta_finite(f.inner, x, h, support, t) if f.lam else 0.0
-    if isinstance(f, Sum):
-        return sum(_delta_finite(g, x, h, support, t) for g in f.terms)
-    raise TypeError(f"unknown function expression {type(f).__name__}")
-
-
-def _zero_line(t: float) -> float:
-    return 0.0
-
-
-def _basis_line(
-    f: FunctionExpr, x: Point, n: int, hn: float = 1.0
-) -> Callable[[float], float]:
-    """t -> f(x + t*hn*e_n) - f(x), bit for bit what _delta_finite returns
-    along the single-coordinate direction hn*e_n.
-
-    The per-index constants (w_n, x_n, the piece's a_n, b_n, c_n, p_n) and
-    every scale factor are resolved once here; the returned line runs the
-    same float operations as _delta_finite in the same order, including
-    the int 0 that starts each of its sums, so signed zeros agree too.
-    """
-    if isinstance(f, (Constant, LimsupSeminorm)):
-        return _zero_line
-    if isinstance(f, LinearFunctional):
-        slope = 0 + f.p.coordinate(n) * hn
-        return lambda t: t * slope
-    if isinstance(f, SeparableSeries):
-        w = f.weight.value_at(n)
-        piece = f.inner.line(n, x.coordinate(n))
-        return lambda t: 0 + w * piece(t * hn)
-    if isinstance(f, Scale):
-        if not f.lam:
-            return _zero_line
-        lam = f.lam
-        inner = _basis_line(f.inner, x, n, hn)
-        return lambda t: lam * inner(t)
-    if isinstance(f, Sum):
-        parts = [_basis_line(g, x, n, hn) for g in f.terms]
-        return lambda t: sum([g(t) for g in parts])
-    raise TypeError(f"unknown function expression {type(f).__name__}")
-
-
 class _Side:
     """Monotone quotient scan on one side of 0."""
 
@@ -183,7 +115,7 @@ def _scan_side(
     qs: list[float] = []
     prev: Optional[float] = None
     start = sign * t0
-    noise = opts.noise_scale * _EPS * (fx_mag + 1.0)
+    noise = _NOISE_SCALE * _EPS * (fx_mag + 1.0)
     for j in range(opts.steps + 1):
         t = start * 2.0**-j
         nf = noise / abs(t)
@@ -292,11 +224,8 @@ def dir_deriv(
 
         def delta(t: float) -> float:
             return line(t, abs(t) * 1e-13).value
-    elif len(support) == 1:
-        delta = _basis_line(f, x, support[0], h.coordinate(support[0]))
     else:
-        def delta(t: float) -> float:
-            return _delta_finite(f, x, h, support, t)
+        delta = _finite_line(f, x, tuple((n, h.coordinate(n)) for n in support))
     exact = support is not None
     right = _scan_side(delta, exact, t0, +1, opts, fx_mag)
     left = _scan_side(delta, exact, t0, -1, opts, fx_mag)
@@ -317,13 +246,13 @@ def dir_deriv(
         # Exact finite differences: only rounding of the quotient itself.
         worst = max(abs(r_bound) if right.alive else 0.0,
                     abs(l_bound) if left.alive else 0.0)
-        nf = opts.noise_scale * _EPS * (1.0 + worst)
+        nf = _NOISE_SCALE * _EPS * (1.0 + worst)
     else:
         # Series-backed quotients: error scales like 1/t at the smallest
         # step actually accepted.
         ts = [abs(t) for side in (right, left) for (t, _) in side.log]
         smallest_t = min(ts) if ts else t0 * 2.0 ** -(opts.steps)
-        nf = opts.noise_scale * _EPS * (fx_mag + 1.0) / smallest_t
+        nf = _NOISE_SCALE * _EPS * (fx_mag + 1.0) / smallest_t
     return DirDerivResult(
         right=r_bound,
         left=l_bound,

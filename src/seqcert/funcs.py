@@ -165,10 +165,6 @@ class ScalarConvex:
         d = -c / (2.0 * math.sqrt(t))
         return d, d
 
-    def delta(self, n: int, t0: float, dt: float) -> float:
-        """u(t0 + dt) - u(t0), in a cancellation-free arrangement."""
-        return self.line(n, t0)(dt)
-
     def line(self, n: int, t0: float) -> Callable[[float], float]:
         """dt -> u_n(t0 + dt) - u_n(t0), with u_n's parameters resolved once.
 
@@ -625,16 +621,51 @@ def delta_along_basis(f: FunctionExpr, x: Point, n: int, t: float) -> float:
     cancellation-free arrangement.  This is what makes numeric difference
     quotients trustworthy at machine scale.
     """
+    return _finite_line(f, x, ((n, 1.0),))(t)
+
+
+def _zero_line(t: float) -> float:
+    return 0.0
+
+
+def _finite_line(
+    f: FunctionExpr, x: Point, steps: tuple[tuple[int, float], ...]
+) -> Callable[[float], float]:
+    """t -> f(x + t*h) - f(x) for the finitely supported h whose nonzero
+    coordinates are the (n, h_n) of steps: an exact finite sum.
+
+    Only the touched coordinates contribute for every leaf of the grammar
+    (a finite perturbation never moves a limsup).  The per-index constants
+    (w_n, x_n, the piece's a_n, b_n, c_n, p_n) and every scale factor are
+    resolved once here.  Each call runs the float operations of the
+    per-step sum in the same order, including the int 0 that starts every
+    sum over the support or the terms, so signed zeros come out the same
+    whatever the support's size.
+    """
     if isinstance(f, (Constant, LimsupSeminorm)):
-        return 0.0
+        return _zero_line
     if isinstance(f, LinearFunctional):
-        return f.p.coordinate(n) * t
+        slope = sum(f.p.coordinate(n) * hn for n, hn in steps)
+        return lambda t: t * slope
     if isinstance(f, SeparableSeries):
-        return f.weight.value_at(n) * f.inner.delta(n, x.coordinate(n), t)
+        pieces = [
+            (f.weight.value_at(n), hn, f.inner.line(n, x.coordinate(n))) for n, hn in steps
+        ]
+        if len(pieces) == 1:
+            # one coordinate: no per-call generator, as the oracle's line
+            # searches call this hundreds of thousands of times
+            ((w, hn, piece),) = pieces
+            return lambda t: 0 + w * piece(t * hn)
+        return lambda t: sum(w * piece(t * hn) for w, hn, piece in pieces)
     if isinstance(f, Scale):
-        return f.lam * delta_along_basis(f.inner, x, n, t) if f.lam else 0.0
+        if not f.lam:
+            return _zero_line
+        lam = f.lam
+        inner = _finite_line(f.inner, x, steps)
+        return lambda t: lam * inner(t)
     if isinstance(f, Sum):
-        return sum(delta_along_basis(g, x, n, t) for g in f.terms)
+        parts = [_finite_line(g, x, steps) for g in f.terms]
+        return lambda t: sum([g(t) for g in parts])
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 

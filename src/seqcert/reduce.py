@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .certify import SetDescriptor, coordinate_interval, set_membership
-from .derivative import _basis_line
 from .errors import (
     DomainViolation,
     InfeasiblePoint,
@@ -26,16 +25,21 @@ from .errors import (
     PartialNotDifferentiable,
     Unbounded,
 )
-from .funcs import DirStatus, FunctionExpr, analytic_dir_deriv, evaluate
+from .funcs import DirStatus, FunctionExpr, _finite_line, analytic_dir_deriv, evaluate
 from .seqspace import Point, SeriesValue
+
+
+#: Relative stopping width of the line search and relative decrease below
+#: which a sweep counts as converged.
+_LINE_TOL = 1e-12
+_SWEEP_TOL = 1e-12
+#: Search cap on each coordinate; a descent still running at it is unbounded.
+_BOUND = 1e6
 
 
 @dataclass(frozen=True)
 class OracleOptions:
     max_sweeps: int = 10_000
-    sweep_tol: float = 1e-12
-    line_tol: float = 1e-12
-    bound: float = 1e6
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,7 @@ def _phi(line: Callable[[float], float], t: float) -> float:
 
 
 def _line_minimize(
-    prob: ReducedProblem, x: Point, i: int, lo: float, hi: float, tol: float
+    prob: ReducedProblem, x: Point, i: int, lo: float, hi: float
 ) -> tuple[float, float]:
     """Ternary search for the convex one-coordinate restriction on [lo, hi].
 
@@ -107,8 +111,8 @@ def _line_minimize(
     search cap the ulp of the endpoints exceeds any absolute tolerance, so
     an absolute test would never trigger.
     """
-    line = _basis_line(prob.f, x, i)
-    while hi - lo > tol * (1.0 + max(abs(lo), abs(hi))):
+    line = _finite_line(prob.f, x, ((i, 1.0),))
+    while hi - lo > _LINE_TOL * (1.0 + max(abs(lo), abs(hi))):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         v1 = _phi(line, m1)
@@ -145,7 +149,7 @@ def minimize_reduced(
     if math.isinf(feasible_start.value):
         raise DomainViolation("objective is infinite at the starting point")
 
-    b = opts.bound
+    b = _BOUND
     sweeps = 0
     while sweeps < opts.max_sweeps:
         sweeps += 1
@@ -157,10 +161,10 @@ def minimize_reduced(
             hi = min(hi_set - y[i - 1], b)
             if hi <= lo:
                 continue
-            t, v = _line_minimize(prob, x, i, lo, hi, opts.line_tol)
+            t, v = _line_minimize(prob, x, i, lo, hi)
             if v < 0.0:
                 # margin matched to the line search's relative stopping width
-                cap_margin = 4 * opts.line_tol * (1.0 + b)
+                cap_margin = 4 * _LINE_TOL * (1.0 + b)
                 at_cap = (
                     (lo == -b and t <= lo + cap_margin)
                     or (hi == b and t >= hi - cap_margin)
@@ -173,7 +177,7 @@ def minimize_reduced(
                 decrease += -v
             if abs(y[i - 1]) > b:
                 raise Unbounded(f"coordinate {i} left the search box")
-        if decrease <= opts.sweep_tol * (1.0 + abs(feasible_start.value)):
+        if decrease <= _SWEEP_TOL * (1.0 + abs(feasible_start.value)):
             final = evaluate(prob.f, prob.embed(y))
             return y, final, sweeps
     raise MaxSweeps(f"no convergence within {opts.max_sweeps} sweeps")

@@ -19,21 +19,19 @@ from seqcert.certify import (
     anchored_truncation,
     default_psc_probes,
 )
-from seqcert.derivative import (
-    DerivOptions,
-    _basis_line,
-    _delta_finite,
-    dir_deriv,
-    dir_deriv_profile,
-)
+from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
 from seqcert.funcs import (
+    Constant,
+    FunctionExpr,
+    LimsupSeminorm,
     LinearFunctional,
     ScalarConvex,
+    Scale,
     SeparableSeries,
     SharedTailEvaluator,
     Sum,
+    _finite_line,
     delta_along,
-    delta_along_basis,
     delta_line,
     evaluate,
 )
@@ -87,24 +85,66 @@ def instances():
     yield SeparableSeries(TailRule.geometric(-0.0, 0.5), ScalarConvex.square()), x
 
 
-def quotient_ladder(x, n, hn, opts=NUMERIC):
-    t0 = 1e-2 * max(1.0, abs(x.coordinate(n)))
+# The per-step sum that funcs._finite_line replaced, kept as its reference.
+def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: float) -> float:
+    """f(x + t h) - f(x) for finitely supported h: an exact finite sum.
+
+    Only the touched coordinates contribute for every leaf of the grammar
+    (a finite perturbation never moves a limsup).
+    """
+    if isinstance(f, (Constant, LimsupSeminorm)):
+        return 0.0
+    if isinstance(f, LinearFunctional):
+        return t * sum(f.p.coordinate(n) * h.coordinate(n) for n in support)
+    if isinstance(f, SeparableSeries):
+        return sum(
+            f.weight.value_at(n) * f.inner.line(n, x.coordinate(n))(t * h.coordinate(n))
+            for n in support
+        )
+    if isinstance(f, Scale):
+        return f.lam * _delta_finite(f.inner, x, h, support, t) if f.lam else 0.0
+    if isinstance(f, Sum):
+        return sum(_delta_finite(g, x, h, support, t) for g in f.terms)
+    raise TypeError(f"unknown function expression {type(f).__name__}")
+
+
+def reference_line(f, x, steps):
+    """The reference difference along the direction steps describes, as a
+    line like _finite_line's."""
+    coords = dict(steps)
+    h = Point([coords.get(n, 0.0) for n in range(1, max(coords) + 1)])
+    support = [n for n, _ in steps]
+    return lambda t: _delta_finite(f, x, h, support, t)
+
+
+def quotient_ladder(x, steps, opts=NUMERIC):
+    """dir_deriv's steps along the direction: t0 scales with |x_n| for a
+    single coordinate n."""
+    t0 = 1e-2 * max(1.0, abs(x.coordinate(steps[0][0]))) if len(steps) == 1 else 1e-2
     return [sign * t0 * 2.0**-j for sign in (1, -1) for j in range(opts.steps + 1)]
 
 
-def test_basis_line_matches_delta_finite_on_the_quotient_ladder():
+def supports():
+    for n in range(1, 7):
+        for hn in (1.0, -2.5):
+            yield ((n, hn),)
+    yield ((1, 1.0), (3, -2.5))
+    yield ((4, -1e-3), (5, 7.0))
+    yield ((2, 0.5), (3, -1.0), (6, 3.0))
+
+
+def test_finite_line_matches_delta_finite_on_the_quotient_ladder():
     compared = 0
     for f, x in instances():
-        for n in range(1, 7):
-            for hn in (1.0, -2.5):
-                h = Point([0.0] * (n - 1) + [hn])
-                line = _basis_line(f, x, n, hn)
-                for t in quotient_ladder(x, n, hn):
-                    got = outcome(lambda: line(t))
-                    want = outcome(lambda: _delta_finite(f, x, h, [n], t))
-                    assert got == want, (f, x, n, hn, t)
-                    compared += 1
-    assert compared > 30_000
+        for steps in supports():
+            line = _finite_line(f, x, steps)
+            want_line = reference_line(f, x, steps)
+            for t in quotient_ladder(x, steps):
+                got = outcome(lambda: line(t))
+                want = outcome(lambda: want_line(t))
+                assert got == want, (f, x, steps, t)
+                compared += 1
+    assert compared > 40_000
 
 
 def test_delta_line_matches_fresh_delta_along_on_the_quotient_ladder():
@@ -175,7 +215,7 @@ def test_shared_tail_evaluation_rejects_a_foreign_tail():
         at_truncation(Point([1.0], (TailRule.geometric(1.0, 0.5),)))
 
 
-def test_oracle_matches_a_descent_driven_by_delta_along_basis(monkeypatch):
+def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
     opts = OracleOptions(max_sweeps=200)
     problems = []
     for f, x in instances():
@@ -190,9 +230,7 @@ def test_oracle_matches_a_descent_driven_by_delta_along_basis(monkeypatch):
             build_reduced(sqrt_objective(beta), SetDescriptor.positive_cone_ell1(), anchor, 3)
         )
     got = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
-    monkeypatch.setattr(
-        reduce, "_basis_line", lambda f, x, n: lambda t: delta_along_basis(f, x, n, t)
-    )
+    monkeypatch.setattr(reduce, "_finite_line", reference_line)
     want = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
     assert got == want
     assert sum(g[0] == "value" for g in got) > 20

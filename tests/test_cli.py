@@ -9,7 +9,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from seqcert.cli import BUILTINS, list_builtins
+from seqcert.certify import CertifyOptions
+from seqcert.cli import BUILTINS, _build_parser, _opts_from_args, list_builtins, scenario_from_json
+from seqcert.errors import ScenarioError
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 REPORT_SCHEMA = json.loads((PKG_ROOT / "docs" / "report.schema.json").read_text())
@@ -130,6 +132,17 @@ def test_wrong_type_diagnostic_names_the_location(tmp_path):
     proc = run_cli(str(f))
     assert proc.returncode == 2
     assert "space" in proc.stdout
+
+
+@pytest.mark.parametrize("task", ["qualification", "gateaux"])
+def test_missing_anchor_is_named_for_every_task(task):
+    raw = {"name": "a", "task": task, "space": {"kind": "rn"}, "function": {"kind": "limsup"}}
+    with pytest.raises(ScenarioError, match=f"^task {task} requires x_star$"):
+        scenario_from_json(raw)
+
+
+def test_unset_flags_fall_back_to_the_library_defaults():
+    assert _opts_from_args(_build_parser().parse_args(["example3"]), {}) == CertifyOptions()
 
 
 def test_batch_reports_keep_order(tmp_path):
