@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .derivative import DerivOptions, dir_deriv, dir_deriv_profile
 from .errors import (
+    DomainLimited,
     DomainViolation,
     InfeasiblePoint,
     NoMajorant,
@@ -29,6 +30,7 @@ from .errors import (
 from .funcs import (
     Constant,
     DirStatus,
+    DirValue,
     FunctionExpr,
     LimsupSeminorm,
     LinearFunctional,
@@ -545,12 +547,13 @@ class _SymProfile:
     kink_at: Optional[int] = None
 
 
-def _form_first_nonzero(form: TailRule, start: int) -> Optional[int]:
-    if form.kind is TailKind.ZERO or form.c == 0.0:
-        return None
-    if form.kind is TailKind.GEOMETRIC and form.r == 0.0:
-        return None
-    return start
+def _form_is_zero(form: TailRule) -> bool:
+    """Is the form 0 at every n >= 1?  (geometric(c, 0) is: c * 0**n.)"""
+    return (
+        form.kind is TailKind.ZERO
+        or form.c == 0.0
+        or (form.kind is TailKind.GEOMETRIC and form.r == 0.0)
+    )
 
 
 def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
@@ -559,15 +562,18 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
     if isinstance(f, LinearFunctional):
         return _SymProfile("ok", f.p.tail_start, f.p.tail_symseq())
     if isinstance(f, Scale):
+        if not f.lam:
+            # A zero factor flattens every kink of the inner expression.
+            return _SymProfile("ok", 1, SymSeq.zero())
         sub = _deriv_symbolic(f.inner, x)
         if sub.status != "ok":
             return sub
         return _SymProfile("ok", sub.valid_from, sub.tail.scaled(f.lam))
     if isinstance(f, Sum):
         parts = [_deriv_symbolic(g, x) for g in f.terms]
-        for p in parts:
-            if p.status == "kink":
-                return p
+        kinks = [p.kink_at for p in parts if p.status == "kink"]
+        if kinks:
+            return _SymProfile("kink", kink_at=min(kinks))
         if any(p.status == "numeric" for p in parts):
             return _SymProfile("numeric")
         total = SymSeq.zero()
@@ -590,13 +596,10 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
     if kind is ScalarKind.LINEAR:
         return _SymProfile("ok", start, w * f.inner.b.to_symseq())
     if kind is ScalarKind.ABS:
-        if not w.terms:
+        if _form_is_zero(f.weight):
             return _SymProfile("ok", start, SymSeq.zero())
         if not xx.terms:
-            n0 = _form_first_nonzero(f.weight, start)
-            if n0 is None:
-                return _SymProfile("ok", start, SymSeq.zero())
-            return _SymProfile("kink", kink_at=n0)
+            return _SymProfile("kink", kink_at=start)
         try:
             sgn, rank = xx.eventual_sign(start)
         except ValueError:
@@ -607,54 +610,72 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
             if xx.value_at(n) == 0.0 and f.weight.value_at(n) != 0.0:
                 return _SymProfile("kink", kink_at=n)
         return _SymProfile("ok", rank, w.scaled(sgn))
-    # NEG_SQRT
-    cc = f.inner.c.to_symseq()
-    if not cc.terms or not w.terms:
+    # NEG_SQRT: at a zero tail only a leaf whose weight and c are both
+    # nonzero has no derivative; either one zero makes the leaf constant.
+    if _form_is_zero(f.weight) or _form_is_zero(f.inner.c):
         return _SymProfile("ok", start, SymSeq.zero())
     if not xx.terms:
-        n0 = _form_first_nonzero(f.weight, start)
-        return _SymProfile("kink", kink_at=n0 if n0 is not None else start)
+        return _SymProfile("kink", kink_at=start)
     if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
         inv_root = xx.sqrt().reciprocal()
-        return _SymProfile("ok", start, (w * cc * inv_root).scaled(-0.5))
+        return _SymProfile("ok", start, (w * f.inner.c.to_symseq() * inv_root).scaled(-0.5))
     return _SymProfile("numeric")
 
 
-def _partials(f: FunctionExpr, x_star: Point) -> Callable[[int], Optional[float]]:
-    """n -> f'(x*; e_n) from the closed forms, None where it does not exist."""
+@dataclass(frozen=True)
+class _BasisProfile:
+    """n -> f'(x*; e_n) over every n; see _basis_profile."""
 
-    def at(n: int) -> Optional[float]:
-        dv = analytic_dir_deriv(f, x_star, n)
-        return dv.value if dv.status is DirStatus.EXISTS else None
+    values: list[Optional[float]]
+    head: list[float]
+    rule: str
+    tail: Optional[SymSeq]
+    valid_from: int
+    missing: Optional[int]
+    kink: Optional[DirValue]
 
-    return at
 
+def _basis_profile(
+    f: FunctionExpr, x_star: Point, coords: int, tail_from: int = 1
+) -> _BasisProfile:
+    """The one place that decides which basis partials f'(x*; e_n) exist.
 
-def _analytic_profile(
-    f: FunctionExpr, x_star: Point, n_max: int
-) -> tuple[list[Optional[float]], Optional[int]]:
-    """Values of f'(x*; e_n) for n <= n_max via closed forms.
+    The per-index walk (analytic_dir_deriv) gives ``values``, f'(x*; e_n)
+    for n <= coords with None where it does not exist, and ``head``, the
+    same values extended up to where the closed form (_deriv_symbolic)
+    starts: through valid_from - 1 when the form holds (valid_from is at
+    least ``tail_from``), through its kink index - 1 when it has a kink.
+    ``rule`` is the form's status and ``tail`` the form (None unless "ok").
 
-    Returns (values, first_kink_index); values hold None past a kink.
+    ``missing`` is the smallest n at which the partial does not exist: the
+    first per-index failure, else the form's kink; ``kink`` holds its
+    one-sided derivatives and ``head`` stops before it.  None means the
+    partial exists at every n the head covers, and at every n from
+    valid_from on when ``tail`` is set.
     """
-    at = _partials(f, x_star)
-    values = [at(n) for n in range(1, n_max + 1)]
-    kink = next((n for n, v in enumerate(values, start=1) if v is None), None)
-    return values, kink
-
-
-def _extend_head(
-    head: Sequence[float], stop: int, partial: Callable[[int], Optional[float]]
-) -> tuple[list[float], Optional[int]]:
-    """``head`` (the values at n = 1..len(head)) extended by partial(n)
-    through n = stop - 1, with the first index where partial(n) is None."""
-    head = list(head)
-    for n in range(len(head) + 1, stop):
-        v = partial(n)
-        if v is None:
-            return head, n
-        head.append(v)
-    return head, None
+    form = _deriv_symbolic(f, x_star)
+    valid_from = max(form.valid_from, tail_from)
+    stop = valid_from if form.status == "ok" else (form.kink_at or 1)
+    dvs = [analytic_dir_deriv(f, x_star, n) for n in range(1, coords + 1)]
+    missing = next(
+        (n for n, dv in enumerate(dvs, start=1) if dv.status is not DirStatus.EXISTS), None
+    )
+    while missing is None and len(dvs) + 1 < stop:
+        dvs.append(analytic_dir_deriv(f, x_star, len(dvs) + 1))
+        if dvs[-1].status is not DirStatus.EXISTS:
+            missing = len(dvs)
+    if missing is None and form.status == "kink":
+        missing = form.kink_at
+        dvs.append(analytic_dir_deriv(f, x_star, missing))
+    return _BasisProfile(
+        values=[dv.value for dv in dvs[:coords]],
+        head=[dv.value for dv in dvs[: missing - 1 if missing else None]],
+        rule=form.status,
+        tail=form.tail,
+        valid_from=valid_from,
+        missing=missing,
+        kink=dvs[missing - 1] if missing else None,
+    )
 
 
 def _zero_for_every_n(
@@ -664,8 +685,8 @@ def _zero_for_every_n(
 
     ``head`` holds r_1, r_2, ... as computed, through at least
     n = valid_from - 1; ``tail`` is the closed form of r_n for
-    n >= valid_from, or None when there is none.  Callers extend the head
-    through valid_from - 1 (_extend_head) before asking, so a missing
+    n >= valid_from, or None when there is none.  The head comes from
+    _basis_profile, which runs it through valid_from - 1, so a missing
     derivative anywhere below valid_from is decided before any violation.
     The rule, in this order:
 
@@ -719,13 +740,12 @@ def _stationarity(
     an independent numeric scan whose verdict-bearing entries are monotone
     quotient bounds.
     """
-    sym = _deriv_symbolic(f, x_star)
-    values, kink = _analytic_profile(f, x_star, opts.coords)
+    prof = _basis_profile(f, x_star, opts.coords)
     numeric = dir_deriv_profile(
         f, x_star, opts.coords, replace(opts.deriv, prefer_analytic=False)
     )
     table = []
-    for i, (av, nres) in enumerate(zip(values, numeric), start=1):
+    for i, (av, nres) in enumerate(zip(prof.values, numeric), start=1):
         table.append(
             {
                 "n": i,
@@ -735,17 +755,12 @@ def _stationarity(
                 "right": nres.right,
             }
         )
-    evidence = {"derivatives": table, "symbolic": sym.status}
+    evidence = {"derivatives": table, "symbolic": prof.rule}
+    if prof.missing is not None:
+        return "kink", Grade.numeric(opts.coords), {"n": prof.missing}, evidence
 
-    head = values
-    if sym.status == "ok" and kink is None:
-        head, kink = _extend_head(values, sym.valid_from, _partials(f, x_star))
-    if sym.status == "kink" or kink is not None:
-        at = kink if kink is not None else sym.kink_at
-        return "kink", Grade.numeric(opts.coords), {"n": at}, evidence
-
-    if sym.status == "ok":
-        where, n, v = _zero_for_every_n(head, sym.tail, sym.valid_from, opts.tol)
+    if prof.tail is not None:
+        where, n, v = _zero_for_every_n(prof.head, prof.tail, prof.valid_from, opts.tol)
         if where == "exact":
             return "holds", Grade.analytic(), None, evidence
         if where == "none":
@@ -896,26 +911,21 @@ def subgradient_test(
             reason="pseudo-semicontinuity not established",
             evidence={"psc": psc.to_json()},
         )
-    sym = _deriv_symbolic(f, x_star)
-    values, kink = _analytic_profile(f, x_star, opts.coords)
-    head, tail, start = values, None, 1
-    if sym.status == "ok" and kink is None:
-        tail, start = sym.tail - p.tail_symseq(), max(sym.valid_from, p.tail_start)
-        head, kink = _extend_head(values, start, _partials(f, x_star))
-    if kink is not None or sym.status == "kink":
-        at = kink if kink is not None else sym.kink_at
+    prof = _basis_profile(f, x_star, opts.coords, p.tail_start)
+    if prof.missing is not None:
         return Certificate(
             Verdict.INCONCLUSIVE,
             Grade.numeric(opts.coords),
-            reason=f"directional derivative does not exist at n={at}",
+            reason=f"directional derivative does not exist at n={prof.missing}",
         )
     table = [
         {"n": i, "derivative": v, "dual": p.coordinate(i)}
-        for i, v in enumerate(values, start=1)
+        for i, v in enumerate(prof.values, start=1)
     ]
     evidence = {"matches": table, "psc": psc.to_json()}
-    residual = [v - p.coordinate(n) for n, v in enumerate(head, start=1)]
-    where, n, _ = _zero_for_every_n(residual, tail, start, opts.tol)
+    residual = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
+    tail = None if prof.tail is None else prof.tail - p.tail_symseq()
+    where, n, _ = _zero_for_every_n(residual, tail, prof.valid_from, opts.tol)
     if where == "exact":
         return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
     if where == "none":
@@ -927,7 +937,7 @@ def subgradient_test(
         reason="derivative and dual coordinate disagree" + (" in the tail" if in_tail else ""),
         witness={
             "n": n,
-            "derivative": sym.tail.value_at(n) if in_tail else head[n - 1],
+            "derivative": prof.tail.value_at(n) if in_tail else prof.head[n - 1],
             "dual": p.coordinate(n),
         },
         evidence=evidence,
@@ -996,87 +1006,64 @@ def gateaux_detect(
     On a topological-basis space, existence of every basis directional
     derivative settles the question and the derivative is assembled from
     those coefficients (then validated against direct directional
-    derivatives on sample directions).  Without a topological basis the
+    derivatives on sample directions; a sample with no feasible step on
+    either side gives INCONCLUSIVE).  Without a topological basis the
     basis directions prove nothing positive: the verdict is INCONCLUSIVE
     unless some supplied direction exhibits left != right, which is FAILS.
     """
     deriv_opts = opts.deriv
+
+    def no_derivative(
+        verdict: Verdict, grade: Grade, reason: str, witness=None, evidence=None
+    ) -> tuple[Certificate, None]:
+        return Certificate(verdict, grade, reason, witness, evidence or {}), None
+
     if not space.basis_is_topological:
-        _, kink = _analytic_profile(f, x_star, min(opts.coords, 16))
+        kink = _basis_profile(f, x_star, min(opts.coords, 16)).missing
         for h in witness_directions:
             res = dir_deriv(f, x_star, h, deriv_opts)
             if not res.exists:
-                return (
-                    Certificate(
-                        Verdict.FAILS,
-                        Grade.numeric(opts.coords),
-                        reason="a direction with unequal one-sided derivatives",
-                        witness={
-                            "direction": point_to_json(h),
-                            "left": res.left,
-                            "right": res.right,
-                        },
-                        evidence={"basis_kink": kink},
-                    ),
-                    None,
+                return no_derivative(
+                    Verdict.FAILS,
+                    Grade.numeric(opts.coords),
+                    "a direction with unequal one-sided derivatives",
+                    {"direction": point_to_json(h), "left": res.left, "right": res.right},
+                    {"basis_kink": kink},
                 )
         if kink is not None:
-            return (
-                Certificate(
-                    Verdict.FAILS,
-                    Grade.analytic(),
-                    reason="a basis directional derivative is missing",
-                    witness={"n": kink},
-                ),
-                None,
+            return no_derivative(
+                Verdict.FAILS,
+                Grade.analytic(),
+                "a basis directional derivative is missing",
+                {"n": kink},
             )
-        return (
-            Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(opts.coords),
-                reason="basis is not topological; existence along basis directions is not sufficient",
-                evidence={"basis_derivatives_exist": True},
-            ),
-            None,
+        return no_derivative(
+            Verdict.INCONCLUSIVE,
+            Grade.numeric(opts.coords),
+            "basis is not topological; existence along basis directions is not sufficient",
+            evidence={"basis_derivatives_exist": True},
         )
 
     if _limsup_weight(f) != 0.0:
-        return (
-            Certificate(
-                Verdict.INCONCLUSIVE,
-                Grade.numeric(opts.coords),
-                reason="expression has a limsup part, which is not continuous on this space",
-            ),
-            None,
+        return no_derivative(
+            Verdict.INCONCLUSIVE,
+            Grade.numeric(opts.coords),
+            "expression has a limsup part, which is not continuous on this space",
         )
 
-    def missing(n: int) -> tuple[Certificate, None]:
-        dv = analytic_dir_deriv(f, x_star, n)
-        return (
-            Certificate(
-                Verdict.FAILS,
-                Grade.analytic(),
-                reason="directional derivative missing along a basis direction",
-                witness={"n": n, "left": dv.left, "right": dv.right},
-            ),
-            None,
+    prof = _basis_profile(f, x_star, opts.coords)
+    if prof.missing is not None:
+        return no_derivative(
+            Verdict.FAILS,
+            Grade.analytic(),
+            "directional derivative missing along a basis direction",
+            {"n": prof.missing, "left": prof.kink.left, "right": prof.kink.right},
         )
-
-    values, kink = _analytic_profile(f, x_star, opts.coords)
-    if kink is not None:
-        return missing(kink)
-    sym = _deriv_symbolic(f, x_star)
-    if sym.status == "kink":
-        return missing(sym.kink_at)
-
-    if sym.status == "ok":
-        head, kink = _extend_head(values, sym.valid_from, _partials(f, x_star))
-        if kink is not None:
-            return missing(kink)
-        deriv = GateauxDerivative(known=tuple(head[: sym.valid_from - 1]), tail=sym.tail)
+    if prof.tail is not None:
+        deriv = GateauxDerivative(known=tuple(prof.head[: prof.valid_from - 1]), tail=prof.tail)
         grade = Grade.analytic()
     else:
-        deriv = GateauxDerivative(known=tuple(values), tail=None)
+        deriv = GateauxDerivative(known=tuple(prof.values), tail=None)
         grade = Grade.numeric(opts.coords)
 
     # Validate the assembly against direct directional derivatives.
@@ -1091,19 +1078,23 @@ def gateaux_detect(
             direct = dir_deriv(f, x_star, h, deriv_opts)
         except (NonConvergentPairing, NoMajorant, DomainViolation):
             continue
+        except DomainLimited:
+            return no_derivative(
+                Verdict.INCONCLUSIVE,
+                grade,
+                "a validation direction has no feasible step on either side of x*",
+                {"direction": point_to_json(h)},
+            )
         if not direct.exists:
             continue
         gap = abs(applied.value - direct.value)
         samples.append({"gap": gap})
         if gap > max(opts.tol, 1e-6):
-            return (
-                Certificate(
-                    Verdict.INCONCLUSIVE,
-                    grade,
-                    reason="assembled derivative disagrees with a direct directional derivative",
-                    evidence={"validation_gap": gap},
-                ),
-                None,
+            return no_derivative(
+                Verdict.INCONCLUSIVE,
+                grade,
+                "assembled derivative disagrees with a direct directional derivative",
+                evidence={"validation_gap": gap},
             )
     cert = Certificate(
         Verdict.HOLDS,
@@ -1247,6 +1238,9 @@ def series_differentiate(
     if any(a <= 0.0 for a in radii_vals):
         raise ValueError("interval radii must be positive")
 
+    def fails(reason: str, witness: dict) -> tuple[Certificate, tuple[float, ...]]:
+        return Certificate(Verdict.FAILS, Grade.numeric(n_max), reason, witness), ()
+
     if isinstance(family, DiagonalFamily):
         # Term k moves only coordinate k: along e_n just one term is live,
         # so pointwise and uniform convergence of the derivative series are
@@ -1255,26 +1249,10 @@ def series_differentiate(
         for n, a in enumerate(radii_vals, start=1):
             _, why = _interval_slope(f_equiv, x_star, n, a)
             if why is not None:
-                return (
-                    Certificate(
-                        Verdict.FAILS,
-                        Grade.numeric(n_max),
-                        reason=why,
-                        witness={"n": n},
-                    ),
-                    (),
-                )
-        values, kink = _analytic_profile(f_equiv, x_star, n_max)
-        if kink is not None:
-            return (
-                Certificate(
-                    Verdict.FAILS,
-                    Grade.numeric(n_max),
-                    reason="term derivative missing at the anchor",
-                    witness={"n": kink},
-                ),
-                (),
-            )
+                return fails(why, {"n": n})
+        values = _basis_profile(f_equiv, x_star, n_max).values
+        if None in values:
+            return fails("term derivative missing at the anchor", {"n": values.index(None) + 1})
         cert = Certificate(
             Verdict.HOLDS,
             Grade.analytic(),
@@ -1285,16 +1263,10 @@ def series_differentiate(
         return cert, tuple(values)
 
     if isinstance(family, ScaledFamily):
-        base_values, kink = _analytic_profile(family.base, x_star, n_max)
-        if kink is not None:
-            return (
-                Certificate(
-                    Verdict.FAILS,
-                    Grade.numeric(n_max),
-                    reason="base derivative missing at the anchor",
-                    witness={"n": kink},
-                ),
-                (),
+        base_values = _basis_profile(family.base, x_star, n_max).values
+        if None in base_values:
+            return fails(
+                "base derivative missing at the anchor", {"n": base_values.index(None) + 1}
             )
         coeff_seq = family.coeffs.to_symseq()
         if classify(coeff_seq) != SUMMABLE:
@@ -1313,12 +1285,7 @@ def series_differentiate(
         for n, a in enumerate(radii_vals, start=1):
             bound, why = _interval_slope(family.base, x_star, n, a)
             if why is not None:
-                return (
-                    Certificate(
-                        Verdict.FAILS, Grade.numeric(n_max), reason=why, witness={"n": n}
-                    ),
-                    (),
-                )
+                return fails(why, {"n": n})
             if not math.isfinite(bound):
                 raise NoMajorant(
                     f"no finite derivative envelope on the interval at n={n}"
@@ -1341,30 +1308,14 @@ def series_differentiate(
         for idx, g in enumerate(terms):
             _, why = _interval_slope(g, x_star, n, a)
             if why is not None:
-                return (
-                    Certificate(
-                        Verdict.FAILS,
-                        Grade.numeric(n_max),
-                        reason=why,
-                        witness={"term": idx, "n": n},
-                    ),
-                    (),
-                )
+                return fails(why, {"term": idx, "n": n})
     values = []
     for n in range(1, n_max + 1):
         acc = 0.0
         for idx, g in enumerate(terms):
             dv = analytic_dir_deriv(g, x_star, n)
             if dv.status is not DirStatus.EXISTS:
-                return (
-                    Certificate(
-                        Verdict.FAILS,
-                        Grade.numeric(n_max),
-                        reason="term derivative missing at the anchor",
-                        witness={"term": idx, "n": n},
-                    ),
-                    (),
-                )
+                return fails("term derivative missing at the anchor", {"term": idx, "n": n})
             acc += dv.value
         values.append(acc)
     cert = Certificate(
@@ -1454,32 +1405,19 @@ def kkt_certify(
     parts.extend((l, g) for l, g in zip(lam, inequalities))
     parts.extend((v, h) for v, h in zip(nu, equalities))
 
-    tail: Optional[SymSeq] = SymSeq.zero()
-    valid_from = 1
-    for coeff, fn in parts:
-        sym = _deriv_symbolic(fn, x_star)
-        if sym.status == "kink":
-            return inconclusive(f"directional derivative missing at n={sym.kink_at}")
-        if sym.status != "ok":
-            tail, valid_from = None, 1
-            break
-        tail = tail + sym.tail.scaled(coeff)
-        valid_from = max(valid_from, sym.valid_from)
-
-    partials = [(coeff, _partials(fn, x_star)) for coeff, fn in parts]
-
-    def lagrangian(n: int) -> Optional[float]:
-        acc = 0.0
-        for coeff, at in partials:
-            v = at(n)
-            if v is None:
-                return None
-            acc += coeff * v
-        return acc
-
-    head, missing = _extend_head((), max(opts.coords + 1, valid_from), lagrangian)
+    # Every part's head runs to where the last part's closed form starts.
+    valid_from = max(_deriv_symbolic(fn, x_star).valid_from for _, fn in parts)
+    profiles = [(c, _basis_profile(fn, x_star, opts.coords, valid_from)) for c, fn in parts]
+    missing = min((p.missing for _, p in profiles if p.missing is not None), default=None)
     if missing is not None:
         return inconclusive(f"directional derivative missing at n={missing}")
+    tail: Optional[SymSeq] = SymSeq.zero()
+    for coeff, p in profiles:
+        tail = None if tail is None or p.tail is None else tail + p.tail.scaled(coeff)
+    head = [
+        sum(coeff * p.head[i] for coeff, p in profiles)
+        for i in range(min(len(p.head) for _, p in profiles))
+    ]
     evidence["stationarity"] = [
         {"n": n, "lagrangian_derivative": v}
         for n, v in enumerate(head[: min(opts.coords, 16)], start=1)

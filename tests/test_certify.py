@@ -33,11 +33,14 @@ from seqcert.certify import (
 from seqcert.errors import InfeasiblePoint, NoMajorant, NonConvergentPairing
 from seqcert.funcs import (
     Constant,
+    DirStatus,
     LimsupSeminorm,
     LinearFunctional,
     ScalarConvex,
+    Scale,
     SeparableSeries,
     Sum,
+    analytic_dir_deriv,
     evaluate,
 )
 from seqcert.reduce import build_reduced, minimize_reduced
@@ -683,3 +686,101 @@ def test_violation_found_only_by_the_tail_scan():
     kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), zero, [], [], OPTS)
     assert kkt.verdict is Verdict.INCONCLUSIVE
     assert kkt.witness == {"n": 128, "lagrangian_derivative": p.coordinate(128)}
+
+
+# one basis profile: the smallest missing index, closed form and walk agree ------------
+
+
+def half_abs():
+    return SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+
+
+def test_missing_partial_below_the_closed_form_kink_is_named_first():
+    # the closed form kinks at n = 10 (zero tail), but e_6 already has no
+    # derivative, past the 4 sampled coordinates
+    x_star = Point([1.0] * 5 + [0.0] + [1.0] * 3, ())
+    opts = CertifyOptions(coords=4)
+    cert, _ = gateaux_detect(half_abs(), SpaceDescriptor.ell1(), x_star, opts)
+    assert cert.verdict is Verdict.FAILS
+    assert cert.witness == {"n": 6, "left": -0.015625, "right": 0.015625}
+    cert, _ = gateaux_detect(half_abs(), SpaceDescriptor.ellinf(), x_star, opts)
+    assert (cert.verdict, cert.witness) == (Verdict.FAILS, {"n": 6})
+    sub = subgradient_test(half_abs(), x_star, DualPoint.zero(), opts)
+    assert sub.reason == "directional derivative does not exist at n=6"
+    kkt = kkt_certify(half_abs(), [], [], SetDescriptor.whole_space(), x_star, [], [], opts)
+    assert kkt.reason == "directional derivative missing at n=6"
+
+
+def zero_scaled_kink():
+    # 0 * sum 0.5^n |x_n| + sum 0.5^n x_n^2: the zero factor flattens the kink
+    return Sum((Scale(0.0, half_abs()), geometric_quadratic()))
+
+
+def test_zero_scale_hides_the_inner_kink_from_every_certifier():
+    f, zero = zero_scaled_kink(), Point.zero()
+    best = certify_min(f, SetDescriptor.whole_space(), zero, OPTS)
+    sub = subgradient_test(f, zero, DualPoint.zero(), OPTS)
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), zero, [], [], OPTS)
+    for cert in (best, sub, kkt):
+        assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+
+
+# (weight, c) pairs of a sqrt leaf with one form zero from n = 1 on
+VANISHING_SQRT_FORMS = (
+    (TailRule.geometric(1.0, 0.0), TailRule.const(2.0)),
+    (TailRule.geometric(1.0, 0.5), TailRule.geometric(1.0, 0.0)),
+)
+
+
+@pytest.mark.parametrize("weight, c", VANISHING_SQRT_FORMS)
+def test_sqrt_leaf_that_vanishes_from_the_tail_start_has_every_partial(weight, c):
+    # geometric(c, 0) is 0 at every n >= 1, so the leaf is flat along every
+    # e_n even where the anchor's tail is zero
+    f, x_star = SeparableSeries(weight, ScalarConvex.neg_sqrt(c)), Point([1.0, 2.0], ())
+    best = certify_min(f, SetDescriptor.whole_space(), x_star, OPTS)
+    sub = subgradient_test(f, x_star, DualPoint.zero(), OPTS)
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], OPTS)
+    for cert in (best, sub, kkt):
+        assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+    # off the positive cone no step is feasible: a refusal, not an exception
+    cert, deriv = gateaux_detect(f, SpaceDescriptor.ell1(), x_star, OPTS)
+    assert cert.verdict is Verdict.INCONCLUSIVE and deriv is None
+
+
+def test_validation_direction_without_a_feasible_step_is_inconclusive():
+    # sum 0.5^n (-2 sqrt(x_n)) at x* = (0.25^n): every partial exists, but
+    # the domain has empty interior in l1
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.neg_sqrt(2.0))
+    x_star = Point([], (TailRule.geometric(1.0, 0.25),))
+    cert, deriv = gateaux_detect(f, SpaceDescriptor.ell1(), x_star, OPTS)
+    assert cert.verdict is Verdict.INCONCLUSIVE and deriv is None
+    assert cert.reason == "a validation direction has no feasible step on either side of x*"
+    assert set(cert.witness) == {"direction"}
+
+
+def closed_form_cases():
+    for seed in range(300):
+        _, f, x_star, _ = fuzz_instance(seed)
+        yield f, x_star
+    yield zero_scaled_kink(), Point.zero()
+    yield half_abs(), Point([1.0] * 5 + [0.0] + [1.0] * 3, ())
+    for weight, c in VANISHING_SQRT_FORMS:
+        yield SeparableSeries(weight, ScalarConvex.neg_sqrt(c)), Point([1.0, 2.0], ())
+
+
+def test_closed_form_agrees_with_the_per_index_walk():
+    # _basis_profile trusts the closed form's kink index and tail values
+    for f, x_star in closed_form_cases():
+        form = _deriv_symbolic(f, x_star)
+        if form.status == "kink":
+            # the form speaks for n >= the anchor's tail start only
+            exists = [
+                analytic_dir_deriv(f, x_star, n).status is DirStatus.EXISTS
+                for n in range(x_star.tail_start, form.kink_at + 1)
+            ]
+            assert exists.index(False) + x_star.tail_start == form.kink_at, (f, x_star)
+        elif form.status == "ok":
+            for n in range(form.valid_from, form.valid_from + 64):
+                dv = analytic_dir_deriv(f, x_star, n)
+                assert dv.status is DirStatus.EXISTS, (f, x_star, n)
+                assert math.isclose(form.tail.value_at(n), dv.value, rel_tol=1e-9), (f, x_star, n)

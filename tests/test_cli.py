@@ -10,7 +10,14 @@ import jsonschema
 import pytest
 
 from seqcert.certify import CertifyOptions
-from seqcert.cli import BUILTINS, _build_parser, _opts_from_args, list_builtins, scenario_from_json
+from seqcert.cli import (
+    BUILTINS,
+    _build_parser,
+    _opts_from_args,
+    list_builtins,
+    run_scenario,
+    scenario_from_json,
+)
 from seqcert.errors import ScenarioError
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
@@ -237,3 +244,22 @@ def test_nonfinite_values_serialize_as_strings(tmp_path):
     text = json.dumps(report)
     assert "Infinity" not in text and "NaN" not in text
     jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_zero_scaled_kink_scenario_is_differentiable():
+    # 0 * sum 0.5^n |x_n| + sum 0.5^n x_n^2 at x* = 0: the zero factor
+    # flattens the kink, so every basis partial exists
+    weight = {"kind": "geometric", "c": 1.0, "r": 0.5}
+    raw = {
+        "name": "zero_scale",
+        "task": "gateaux",
+        "space": {"kind": "ell1"},
+        "function": {"kind": "sum", "terms": [
+            {"kind": "scale", "lam": 0.0,
+             "inner": {"kind": "separable", "weight": weight, "inner": {"kind": "abs"}}},
+            {"kind": "separable", "weight": weight, "inner": {"kind": "square"}},
+        ]},
+        "x_star": {"prefix": [], "tail": {"kind": "zero"}},
+    }
+    report = run_scenario(scenario_from_json(raw), CertifyOptions())
+    assert (report.verdict, report.grade) == ("holds", "analytic_all_n")
