@@ -358,13 +358,9 @@ def check_qualification(s: SetDescriptor, x_star: Point, n_max: int = 64) -> Cer
             reason="anchor is not in the set",
             witness={"condition": "membership", "k": wit},
         )
+    # A strict tail comparison is uncertifiable only where the non-strict
+    # membership comparison above already was.
     ok, wit, face = _rectangle_position(s, x_star, strict=True)
-    if ok is None:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(n_max),
-            reason="interior condition could not be certified from the tail forms",
-        )
     if not ok:
         if s.kind is SetKind.POSITIVE_CONE_ELL1:
             reason = "a truncation touches the cone boundary"
@@ -428,7 +424,6 @@ def check_psc(
     x_star: Point,
     probes: Optional[Sequence[Point]] = None,
     depth: int = 32,
-    tol: float = 1e-7,
 ) -> Certificate:
     """Does limsup_k f(x* + P^k(x - x*)) <= f(x) hold for all x?
 
@@ -436,29 +431,22 @@ def check_psc(
     truncations to its value (absolutely convergent tails), so the whole
     expression is pseudo-semicontinuous exactly when its limsup parts are,
     which happens iff the anchor's limsup vanishes or those parts have
-    weight zero.  Supplied probes are re-checked numerically at depths up
-    to ``depth`` as confirming evidence; a probe counterexample overrides.
+    weight zero.  The rule alone decides.  Supplied probes are evaluated
+    at truncation depths up to ``depth`` as evidence only
+    (check_psc_numeric): finitely many truncations cannot bound a limsup.
     """
     lam = _limsup_weight(f)
     p_star = limsup_abs(x_star)
     if lam == 0.0 or p_star == 0.0:
-        confirm = None
+        evidence = {
+            "rule": "series and linear parts converge along anchored truncations",
+            "limsup_weight": lam,
+            "limsup_at_anchor": p_star,
+            "probes_checked": 0,
+        }
         if probes:
-            confirm = check_psc_numeric(f, s, x_star, probes, depth, tol)
-            if confirm.verdict is Verdict.FAILS:
-                return confirm
-        return Certificate(
-            Verdict.HOLDS,
-            Grade.analytic(),
-            evidence={
-                "rule": "series and linear parts converge along anchored truncations",
-                "limsup_weight": lam,
-                "limsup_at_anchor": p_star,
-                "probes_checked": (
-                    confirm.evidence.get("probes_checked") if confirm else 0
-                ),
-            },
-        )
+            evidence.update(check_psc_numeric(f, s, x_star, probes, depth))
+        return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
     # The zero point is always a counterexample in this regime.
     zero = Point((), ())
     ks = sorted({max(1, depth // 2), depth})
@@ -491,12 +479,19 @@ def check_psc_numeric(
     x_star: Point,
     probes: Sequence[Point],
     depth: int,
-    tol: float,
-) -> Certificate:
-    """Sampled pseudo-semicontinuity: max over deep truncations vs f(x)."""
+) -> dict:
+    """Truncation evidence for pseudo-semicontinuity, never a verdict.
+
+    For every certified member x of the set with a finite f(x), evaluates
+    f(z_k) - f(x) at the anchored truncations z_k, k = depth/2 .. depth.
+    Returns the number of such probes and the largest excess (None when no
+    truncation could be evaluated).  A positive excess is no counterexample:
+    f(z_k) may converge to f(x) from above.
+    """
     # every anchored truncation carries the anchor's tail
     at_truncation = SharedTailEvaluator(f, x_star.tail)
     checked = 0
+    excesses = []
     for x in probes:
         ok_member, _ = set_membership(s, x)
         if ok_member is not True:
@@ -509,23 +504,12 @@ def check_psc_numeric(
         if math.isinf(fx.value):
             continue
         for k in range(max(1, depth // 2), depth + 1):
-            z = anchored_truncation(x_star, x, k)
-            fz = at_truncation(z)
-            if fz.value - fz.error_bound > fx.value + fx.error_bound + tol:
-                return Certificate(
-                    Verdict.FAILS,
-                    Grade.numeric(depth),
-                    reason="a truncation exceeds the probe value",
-                    witness={
-                        "probe": point_to_json(x),
-                        "k": k,
-                        "f_at_truncation": fz.value,
-                        "f_at_probe": fx.value,
-                    },
-                )
-    return Certificate(
-        Verdict.HOLDS, Grade.numeric(depth), evidence={"probes_checked": checked}
-    )
+            try:
+                fz = at_truncation(anchored_truncation(x_star, x, k))
+            except (DomainViolation, NonConvergentPairing, NoMajorant):
+                continue
+            excesses.append(fz.value - fx.value)
+    return {"probes_checked": checked, "max_truncation_excess": max(excesses, default=None)}
 
 
 # ---------------------------------------------------------------------------
@@ -736,26 +720,21 @@ def _stationarity(
     {"holds", "fails", "kink", "unresolved"}.  With a closed form the
     profile goes through _zero_for_every_n: "holds" at analytic grade for an
     exact zero, "fails" with the first index whose derivative exceeds the
-    tolerance.  The evidence table carries both the closed-form values and
-    an independent numeric scan whose verdict-bearing entries are monotone
-    quotient bounds.
+    tolerance.  Only without one does the numeric scan run, and then its
+    monotone quotient bounds decide; the evidence table carries the
+    closed-form values and, where the scan ran, its values and bounds.
     """
     prof = _basis_profile(f, x_star, opts.coords)
-    numeric = dir_deriv_profile(
-        f, x_star, opts.coords, replace(opts.deriv, prefer_analytic=False)
-    )
-    table = []
-    for i, (av, nres) in enumerate(zip(prof.values, numeric), start=1):
-        table.append(
-            {
-                "n": i,
-                "analytic": av,
-                "numeric": nres.value if nres.exists else None,
-                "left": nres.left,
-                "right": nres.right,
-            }
-        )
+    decided = prof.missing is not None or prof.tail is not None
+    table = [{"n": i, "analytic": av} for i, av in enumerate(prof.values, start=1)]
     evidence = {"derivatives": table, "symbolic": prof.rule}
+    numeric = []
+    if not decided:
+        numeric = dir_deriv_profile(
+            f, x_star, opts.coords, replace(opts.deriv, prefer_analytic=False)
+        )
+    for row, nres in zip(table, numeric):
+        row.update(numeric=nres.value if nres.exists else None, left=nres.left, right=nres.right)
     if prof.missing is not None:
         return "kink", Grade.numeric(opts.coords), {"n": prof.missing}, evidence
 
@@ -809,10 +788,14 @@ def certify_min(
     qual = check_qualification(s, x_star, opts.coords)
     all_probes = list(probes) if probes is not None else []
     all_probes.extend(default_psc_probes(x_star, opts))
-    psc = check_psc(f, s, x_star, all_probes, opts.psc_depth, opts.tol)
+    psc = check_psc(f, s, x_star, depth=opts.psc_depth)
     stat, stat_grade, stat_witness, stat_evidence = _stationarity(f, x_star, opts)
 
     f_star = evaluate(f, x_star)
+    if not math.isfinite(f_star.value):
+        # the quotient scan needs a base value; reject the anchor even when
+        # the closed form decides and the scan does not run
+        raise DomainViolation("f(x*) is not finite; directional derivatives need a base value")
     probe_log = []
     found_probe = None
     for x in all_probes:
@@ -903,7 +886,7 @@ def subgradient_test(
     Reduces to f'(x*; e_n) = p_n for every n, under pseudo-semicontinuity
     of f with respect to x* (whole-space setting).
     """
-    psc = check_psc(f, SetDescriptor.whole_space(), x_star, depth=opts.psc_depth, tol=opts.tol)
+    psc = check_psc(f, SetDescriptor.whole_space(), x_star, depth=opts.psc_depth)
     if psc.verdict is not Verdict.HOLDS:
         return Certificate(
             Verdict.INCONCLUSIVE,
@@ -1250,9 +1233,9 @@ def series_differentiate(
             _, why = _interval_slope(f_equiv, x_star, n, a)
             if why is not None:
                 return fails(why, {"n": n})
-        values = _basis_profile(f_equiv, x_star, n_max).values
-        if None in values:
-            return fails("term derivative missing at the anchor", {"n": values.index(None) + 1})
+        prof = _basis_profile(f_equiv, x_star, n_max)
+        if prof.missing is not None:
+            return fails("term derivative missing at the anchor", {"n": prof.missing})
         cert = Certificate(
             Verdict.HOLDS,
             Grade.analytic(),
@@ -1260,14 +1243,13 @@ def series_differentiate(
                 "rule": "one live term per direction; tail of the derivative series is identically zero",
             },
         )
-        return cert, tuple(values)
+        return cert, tuple(prof.values)
 
     if isinstance(family, ScaledFamily):
-        base_values = _basis_profile(family.base, x_star, n_max).values
-        if None in base_values:
-            return fails(
-                "base derivative missing at the anchor", {"n": base_values.index(None) + 1}
-            )
+        base = _basis_profile(family.base, x_star, n_max)
+        if base.missing is not None:
+            return fails("base derivative missing at the anchor", {"n": base.missing})
+        base_values = base.values
         coeff_seq = family.coeffs.to_symseq()
         if classify(coeff_seq) != SUMMABLE:
             if any(v != 0.0 for v in base_values):
@@ -1386,7 +1368,7 @@ def kkt_certify(
     for name, fn in [("objective", f)] + [
         (f"inequality_{j}", g) for j, g in enumerate(inequalities)
     ] + [(f"equality_{j}", h) for j, h in enumerate(equalities)]:
-        psc = check_psc(fn, s, x_star, depth=opts.psc_depth, tol=opts.tol)
+        psc = check_psc(fn, s, x_star, depth=opts.psc_depth)
         if psc.verdict is not Verdict.HOLDS:
             evidence["psc_failure"] = {name: psc.to_json()}
             return inconclusive(f"pseudo-semicontinuity not established for {name}", psc.grade)

@@ -376,8 +376,11 @@ def _certify_table(cert: Certificate) -> list[dict]:
     rows = []
     stat = cert.evidence.get("stationarity", {})
     for row in stat.get("derivatives", []):
-        value = row["analytic"] if row["analytic"] is not None else row["numeric"]
-        method = "analytic" if row["analytic"] is not None else "numeric"
+        # the numeric column exists only where the quotient scan ran
+        if row["analytic"] is None and "numeric" in row:
+            value, method = row["numeric"], "numeric"
+        else:
+            value, method = row["analytic"], "analytic"
         rows.append({"n": row["n"], "value": value, "method": method})
     return rows
 
@@ -468,7 +471,7 @@ def run_scenario(
     elif scn.task == "psc":
         cert = check_psc(
             scn.function, scn.feasible_set, scn.x_star,
-            probes=scn.probes or None, depth=opts.psc_depth, tol=opts.tol,
+            probes=scn.probes or None, depth=opts.psc_depth,
         )
     elif scn.task == "qualification":
         cert = check_qualification(scn.feasible_set, scn.x_star, opts.coords)

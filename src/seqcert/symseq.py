@@ -205,7 +205,7 @@ class SymSeq:
     # -- queries -----------------------------------------------------------
 
     def value_at(self, n: int) -> float:
-        return sum(t.value_at(n) for t in self.terms)
+        return sum((t.value_at(n) for t in self.terms), 0.0)
 
     @property
     def is_zero(self) -> bool:

@@ -19,6 +19,7 @@ from seqcert.certify import (
     certify_min,
     check_psc,
     check_qualification,
+    default_psc_probes,
     coordinate_interval,
     family_from_json,
     family_to_json,
@@ -30,7 +31,7 @@ from seqcert.certify import (
     set_to_json,
     subgradient_test,
 )
-from seqcert.errors import InfeasiblePoint, NoMajorant, NonConvergentPairing
+from seqcert.errors import DomainViolation, InfeasiblePoint, NoMajorant, NonConvergentPairing
 from seqcert.funcs import (
     Constant,
     DirStatus,
@@ -393,6 +394,16 @@ def test_subgradient_inconclusive_without_psc():
     assert cert.verdict is Verdict.INCONCLUSIVE
 
 
+def test_tail_witness_of_a_zero_derivative_is_a_float():
+    # f' = 0 everywhere; p_n = 2e-7 (1 - 0.99^n) exceeds the tolerance far out
+    p = DualPoint([], (TailRule.const(2e-7), TailRule.geometric(-2e-7, 0.99)))
+    cert = subgradient_test(Constant(0.0), Point.zero(), p, OPTS)
+    assert cert.verdict is Verdict.FAILS
+    assert cert.reason == "derivative and dual coordinate disagree in the tail"
+    assert type(cert.witness["derivative"]) is float
+    assert cert.witness["derivative"] == 0.0
+
+
 # gateaux ------------------------------------------------------------------------
 
 
@@ -491,6 +502,15 @@ def test_diagonal_family_kink_fails():
     fam = DiagonalFamily(TailRule.geometric(1.0, BETA), ScalarConvex.abs_())
     cert, _ = series_differentiate(fam, Point.zero(), opts=OPTS)
     assert cert.verdict is Verdict.FAILS
+
+
+def test_diagonal_family_kink_past_the_sampled_coordinates_fails():
+    # the first four terms are smooth at x*; the term at n = 9 has its kink
+    # there, where x* turns zero
+    fam = DiagonalFamily(TailRule.geometric(1.0, BETA), ScalarConvex.abs_())
+    cert, _ = series_differentiate(fam, Point([1.0] * 8), opts=CertifyOptions(coords=4))
+    assert cert.verdict is Verdict.FAILS
+    assert cert.witness == {"n": 9}
 
 
 def test_scaled_family_without_majorant_raises():
@@ -784,3 +804,48 @@ def test_closed_form_agrees_with_the_per_index_walk():
                 dv = analytic_dir_deriv(f, x_star, n)
                 assert dv.status is DirStatus.EXISTS, (f, x_star, n)
                 assert math.isclose(form.tail.value_at(n), dv.value, rel_tol=1e-9), (f, x_star, n)
+
+
+# evidence-only numeric passes ------------------------------------------------------
+
+
+def test_psc_truncations_are_evidence_only():
+    # seed 1: f(z_k) - f(x) is 4.9e-3 at k = 16 and tends to 0 as k grows, so
+    # the limsup is f(x) and the excess at finite depths is no counterexample
+    _, f, x, _ = fuzz_instance(1)
+    cert = check_psc(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS))
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+    assert cert.evidence["probes_checked"] == 13
+    assert cert.evidence["max_truncation_excess"] > OPTS.tol
+
+
+def test_psc_truncations_outside_the_domain_are_skipped():
+    # seed 107: every truncation of every probe makes a series diverge
+    _, f, x, _ = fuzz_instance(107)
+    cert = check_psc(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS))
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+    assert cert.evidence["max_truncation_excess"] is None
+
+
+def test_closed_form_decides_without_the_numeric_passes():
+    f, x = example3_objective(), example3_anchor()
+    cert = certify_min(f, SetDescriptor.whole_space(), x, OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+    assert set(cert.evidence["stationarity"]["derivatives"][0]) == {"n", "analytic"}
+    assert cert.evidence["psc"]["evidence"]["probes_checked"] == 0
+
+
+def test_anchor_without_a_finite_value_is_rejected():
+    # seed 17: f(x*) = inf, and the closed form alone would decide stationarity
+    _, f, x, _ = fuzz_instance(17)
+    with pytest.raises(DomainViolation, match="f\\(x\\*\\) is not finite"):
+        certify_min(f, SetDescriptor.whole_space(), x, OPTS)
+
+
+def test_quotient_scan_still_decides_without_a_closed_form():
+    # a neg_sqrt leaf at a tail with two terms has no closed-form profile
+    f = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.neg_sqrt(1.0))
+    x = Point([], (TailRule.geometric(1.0, 0.25), TailRule.geometric(1.0, 0.5)))
+    cert = certify_min(f, SetDescriptor.whole_space(), x, OPTS)
+    assert cert.evidence["stationarity"]["symbolic"] == "numeric"
+    assert "numeric" in cert.evidence["stationarity"]["derivatives"][0]
