@@ -15,11 +15,11 @@ carry a machine-checkable witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .derivative import DerivOptions, dir_deriv, dir_deriv_profile
+from .derivative import DerivOptions, dir_deriv
 from .errors import (
     DomainLimited,
     DomainViolation,
@@ -522,7 +522,8 @@ class _SymProfile:
     """Closed form of n -> f'(x*; e_n), valid for n >= valid_from.
 
     status: "ok" (tail holds the form), "kink" (derivative missing at
-    kink_at), or "numeric" (no closed form; fall back to sampling).
+    kink_at), or "numeric" (no closed form; only the per-index head of
+    _basis_profile is known).
     """
 
     status: str
@@ -711,63 +712,26 @@ def _zero_for_every_n(
 # ---------------------------------------------------------------------------
 
 
-def _stationarity(
-    f: FunctionExpr, x_star: Point, opts: CertifyOptions
-) -> tuple[str, Grade, Optional[dict], dict]:
-    """Decide f'(x*; e_n) = 0 for all n.
+def _basis_residual(
+    f: FunctionExpr, x_star: Point, p: Point, opts: CertifyOptions
+) -> tuple[_BasisProfile, str, Optional[int], Optional[float], Grade]:
+    """Is f'(x*; e_n) - p_n zero for every n?
 
-    Returns (outcome, grade, witness, evidence) with outcome in
-    {"holds", "fails", "kink", "unresolved"}.  With a closed form the
-    profile goes through _zero_for_every_n: "holds" at analytic grade for an
-    exact zero, "fails" with the first index whose derivative exceeds the
-    tolerance.  Only without one does the numeric scan run, and then its
-    monotone quotient bounds decide; the evidence table carries the
-    closed-form values and, where the scan ran, its values and bounds.
+    The one decision behind subgradient_test (p the dual) and certify_min's
+    stationarity (p the zero point).  Returns (profile, answer, n, r_n,
+    grade): answer "kink" with n the first index whose partial does not
+    exist, else _zero_for_every_n's answer on the residual's head and
+    closed form.  Only "exact" is graded analytic; without a closed form the
+    head alone, the first opts.coords indices, decides.
     """
-    prof = _basis_profile(f, x_star, opts.coords)
-    decided = prof.missing is not None or prof.tail is not None
-    table = [{"n": i, "analytic": av} for i, av in enumerate(prof.values, start=1)]
-    evidence = {"derivatives": table, "symbolic": prof.rule}
-    numeric = []
-    if not decided:
-        numeric = dir_deriv_profile(
-            f, x_star, opts.coords, replace(opts.deriv, prefer_analytic=False)
-        )
-    for row, nres in zip(table, numeric):
-        row.update(numeric=nres.value if nres.exists else None, left=nres.left, right=nres.right)
+    prof = _basis_profile(f, x_star, opts.coords, p.tail_start)
     if prof.missing is not None:
-        return "kink", Grade.numeric(opts.coords), {"n": prof.missing}, evidence
-
-    if prof.tail is not None:
-        where, n, v = _zero_for_every_n(prof.head, prof.tail, prof.valid_from, opts.tol)
-        if where == "exact":
-            return "holds", Grade.analytic(), None, evidence
-        if where == "none":
-            return "holds", Grade.numeric(opts.coords), None, evidence
-        return "fails", Grade.numeric(opts.coords), {"n": n, "derivative": v}, evidence
-
-    # No closed form: decide from the monotone quotient bounds alone.
-    # The derivative lies in [left, right], so a bound clear of zero is a
-    # sound nonzero claim and an interval inside [-tol, tol] a sound zero.
-    for i, nres in enumerate(numeric, start=1):
-        if not nres.exists:
-            return "kink", Grade.numeric(opts.coords), {"n": i}, evidence
-        if nres.left > opts.tol or nres.right < -opts.tol:
-            side = nres.left if nres.left > opts.tol else nres.right
-            return (
-                "fails",
-                Grade.numeric(opts.coords),
-                {"n": i, "derivative_bound": side},
-                evidence,
-            )
-        if max(abs(nres.left), abs(nres.right)) > opts.tol:
-            return (
-                "unresolved",
-                Grade.numeric(opts.coords),
-                {"n": i, "bounds": [nres.left, nres.right]},
-                evidence,
-            )
-    return "holds", Grade.numeric(opts.coords), None, evidence
+        return prof, "kink", prof.missing, None, Grade.numeric(opts.coords)
+    head = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
+    tail = None if prof.tail is None else prof.tail - p.tail_symseq()
+    where, n, r = _zero_for_every_n(head, tail, prof.valid_from, opts.tol)
+    grade = Grade.analytic() if where == "exact" else Grade.numeric(opts.coords)
+    return prof, where, n, r, grade
 
 
 def certify_min(
@@ -781,20 +745,27 @@ def certify_min(
 
     Pipeline: qualification, pseudo-semicontinuity, stationarity of all
     basis directional derivatives, plus a probe sweep for counterexamples.
-    HOLDS needs all three hypotheses; a probe that beats the anchor, or a
-    nonzero derivative under established qualification, gives FAILS with a
-    witness; anything else that blocks the decision gives INCONCLUSIVE.
+    Stationarity is the subgradient test at p = 0 (_basis_residual): the
+    closed form decides every n where there is one, the sampled head where
+    there is none.  HOLDS needs all three hypotheses; a probe that beats
+    the anchor, or a nonzero derivative under established qualification,
+    gives FAILS with a witness; anything else that blocks the decision
+    gives INCONCLUSIVE.
     """
     qual = check_qualification(s, x_star, opts.coords)
     all_probes = list(probes) if probes is not None else []
     all_probes.extend(default_psc_probes(x_star, opts))
     psc = check_psc(f, s, x_star, depth=opts.psc_depth)
-    stat, stat_grade, stat_witness, stat_evidence = _stationarity(f, x_star, opts)
+    prof, stat, stat_n, stat_r, stat_grade = _basis_residual(f, x_star, Point.zero(), opts)
+    stat_evidence = {
+        "derivatives": [{"n": i, "analytic": v} for i, v in enumerate(prof.values, start=1)],
+        "symbolic": prof.rule,
+    }
 
     f_star = evaluate(f, x_star)
     if not math.isfinite(f_star.value):
-        # the quotient scan needs a base value; reject the anchor even when
-        # the closed form decides and the scan does not run
+        # the probe margin needs a finite f(x*); returning a certificate
+        # here instead of raising is ROADMAP item 4
         raise DomainViolation("f(x*) is not finite; directional derivatives need a base value")
     probe_log = []
     found_probe = None
@@ -835,26 +806,19 @@ def certify_min(
             witness=found_probe,
             evidence=evidence,
         )
-    if stat == "fails" and qual.verdict is Verdict.HOLDS:
+    if stat in ("head", "tail") and qual.verdict is Verdict.HOLDS:
         return Certificate(
             Verdict.FAILS,
             stat_grade,
             reason="a basis directional derivative is nonzero",
-            witness=stat_witness,
+            witness={"n": stat_n, "derivative": stat_r},
             evidence=evidence,
         )
     if stat == "kink":
         return Certificate(
             Verdict.INCONCLUSIVE,
             stat_grade,
-            reason=f"directional derivative does not exist at n={stat_witness['n']}",
-            evidence=evidence,
-        )
-    if stat == "unresolved":
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            stat_grade,
-            reason="a derivative bound straddles the tolerance",
+            reason=f"directional derivative does not exist at n={stat_n}",
             evidence=evidence,
         )
     if qual.verdict is not Verdict.HOLDS:
@@ -883,8 +847,8 @@ def subgradient_test(
 ) -> Certificate:
     """Is p a subgradient of f at x*?
 
-    Reduces to f'(x*; e_n) = p_n for every n, under pseudo-semicontinuity
-    of f with respect to x* (whole-space setting).
+    Reduces to f'(x*; e_n) = p_n for every n (_basis_residual), under
+    pseudo-semicontinuity of f with respect to x* (whole-space setting).
     """
     psc = check_psc(f, SetDescriptor.whole_space(), x_star, depth=opts.psc_depth)
     if psc.verdict is not Verdict.HOLDS:
@@ -894,29 +858,24 @@ def subgradient_test(
             reason="pseudo-semicontinuity not established",
             evidence={"psc": psc.to_json()},
         )
-    prof = _basis_profile(f, x_star, opts.coords, p.tail_start)
-    if prof.missing is not None:
+    prof, where, n, _, grade = _basis_residual(f, x_star, p, opts)
+    if where == "kink":
         return Certificate(
             Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
-            reason=f"directional derivative does not exist at n={prof.missing}",
+            grade,
+            reason=f"directional derivative does not exist at n={n}",
         )
     table = [
         {"n": i, "derivative": v, "dual": p.coordinate(i)}
         for i, v in enumerate(prof.values, start=1)
     ]
     evidence = {"matches": table, "psc": psc.to_json()}
-    residual = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
-    tail = None if prof.tail is None else prof.tail - p.tail_symseq()
-    where, n, _ = _zero_for_every_n(residual, tail, prof.valid_from, opts.tol)
-    if where == "exact":
-        return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
-    if where == "none":
-        return Certificate(Verdict.HOLDS, Grade.numeric(opts.coords), evidence=evidence)
+    if where in ("exact", "none"):
+        return Certificate(Verdict.HOLDS, grade, evidence=evidence)
     in_tail = where == "tail"
     return Certificate(
         Verdict.FAILS,
-        Grade.numeric(opts.coords),
+        grade,
         reason="derivative and dual coordinate disagree" + (" in the tail" if in_tail else ""),
         witness={
             "n": n,

@@ -373,16 +373,11 @@ def _sanitize(obj):
 
 
 def _certify_table(cert: Certificate) -> list[dict]:
-    rows = []
     stat = cert.evidence.get("stationarity", {})
-    for row in stat.get("derivatives", []):
-        # the numeric column exists only where the quotient scan ran
-        if row["analytic"] is None and "numeric" in row:
-            value, method = row["numeric"], "numeric"
-        else:
-            value, method = row["analytic"], "analytic"
-        rows.append({"n": row["n"], "value": value, "method": method})
-    return rows
+    return [
+        {"n": row["n"], "value": row["analytic"], "method": "analytic"}
+        for row in stat.get("derivatives", [])
+    ]
 
 
 def _run_oracle(
@@ -563,6 +558,24 @@ def render_human(report: Report) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _at_least(kind: type, low: float, strict: bool = False):
+    """An argparse type= for a finite number >= low (> low when strict),
+    so an out-of-range flag is a usage error (exit 2) like a malformed one."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
+        if not math.isfinite(value) or not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be a number {'>' if strict else '>='} {low:g}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="seqcert",
@@ -575,18 +588,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--list", action="store_true", help="list builtin scenarios and exit")
     p.add_argument("--json", metavar="PATH", help="write the JSON report to this path")
-    p.add_argument("--seed", type=int, default=None, help="seed for random probes (default 42)")
-    p.add_argument("--tol", type=float, default=None, help="decision tolerance (default 1e-7)")
-    p.add_argument("--coords", type=int, default=None, help="basis directions to check (default 64)")
-    p.add_argument("--psc-depth", type=int, default=None, help="truncation depth for psc probing")
+    # the bounds of the scenario schema's "parameters"
+    positive, nonneg, count = _at_least(float, 0, strict=True), _at_least(int, 0), _at_least(int, 1)
+    p.add_argument("--seed", type=nonneg, default=None, help="seed for random probes (default 42)")
+    p.add_argument("--tol", type=positive, default=None, help="decision tolerance (default 1e-7)")
+    p.add_argument("--coords", type=count, default=None, help="basis directions to check (default 64)")
+    p.add_argument("--psc-depth", type=count, default=None, help="truncation depth for psc probing")
     p.add_argument(
         "--oracle-k",
         metavar="LIST",
         help="comma-separated reduction dimensions to cross-check, e.g. 1,2,4,8",
     )
-    p.add_argument("--deriv-t0", type=float, default=None, help="initial quotient step")
-    p.add_argument("--deriv-steps", type=int, default=None, help="quotient halvings per side")
-    p.add_argument("--deriv-tol", type=float, default=None, help="one-sided match tolerance")
+    p.add_argument("--deriv-t0", type=positive, default=None, help="initial quotient step")
+    p.add_argument("--deriv-steps", type=nonneg, default=None, help="quotient halvings per side")
+    p.add_argument("--deriv-tol", type=positive, default=None, help="one-sided match tolerance")
     return p
 
 

@@ -37,8 +37,8 @@ class DerivOptions:
     t0 = None picks 1e-2 * max(1, |x_n|) for single-coordinate directions
     and 1e-2 otherwise; steps is the number of halvings; tol_match decides
     left-right agreement.  Setting prefer_analytic False forces the
-    quotient scan even along basis directions (used for independent
-    cross-checks of the closed forms).
+    quotient scan even along basis directions; no certifier does, and it
+    stays as the tests' independent numeric reference for the closed forms.
     """
 
     t0: Optional[float] = None

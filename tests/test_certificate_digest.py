@@ -14,6 +14,13 @@ checked psc probes; and the two anchors whose f(x*) is not finite raise
 certify_min's own DomainViolation message instead of the quotient scan's.
 No top-level verdict, grade, reason or witness moved.
 
+It was re-recorded again when certify_min's stationarity became the
+subgradient test at the zero dual and lost its quotient-scan fallback for
+profiles without a closed form.  Only seeds 25 and 43 reach that case
+here: their stationarity rows lost the scan's numeric, left and right
+columns.  Both scan and closed-form head say "fails at n = 1", and a probe
+decides both certificates, so no verdict, grade, reason or witness moved.
+
 The instances are the grammar_fuzz benchmark's (space, f, x*, p) for seeds
 0-59; seed 54's closed-form derivative profile is valid only from n = 192,
 past the 64 sampled coordinates, so the head extension is pinned too.  Each
@@ -31,15 +38,23 @@ import sys
 
 import pytest
 
-from seqcert.certify import CertifyOptions, SetDescriptor, certify_min, subgradient_test
+from seqcert import certify
+from seqcert.certify import (
+    CertifyOptions,
+    Grade,
+    SetDescriptor,
+    Verdict,
+    certify_min,
+    subgradient_test,
+)
 from seqcert.sampling import random_dual, random_function, random_point
-from seqcert.seqspace import SpaceDescriptor
+from seqcert.seqspace import DualPoint, SpaceDescriptor
 
 pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="digest recorded under CPython 3.11"
 )
 
-CERTIFICATE_DIGEST = "d3b428fb22eeaf0a85a06a8e9cd10a057704457cc4de5ee453e1f09e4efa6157"
+CERTIFICATE_DIGEST = "24cebdeb20f8309d9cbc5d6be26ab0d4a9a61db2661f6fcbf4af4f1ebb9a99d8"
 
 SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
 FUZZ_SEEDS = range(60)
@@ -61,7 +76,26 @@ def record(call):
         return repr((type(exc).__name__, str(exc)))
 
 
-def test_subgradient_and_certify_min_certificates_are_pinned():
+def residual_answer(cert):
+    """(answer, n) of a subgradient certificate in _basis_residual's terms;
+    None when psc failed and the residual was not examined."""
+    if cert.verdict is Verdict.FAILS:
+        return ("tail" if cert.reason.endswith("in the tail") else "head"), cert.witness["n"]
+    if cert.verdict is Verdict.HOLDS:
+        return ("exact" if cert.grade == Grade.analytic() else "none"), None
+    prefix = "directional derivative does not exist at n="
+    return ("kink", int(cert.reason[len(prefix):])) if cert.reason.startswith(prefix) else None
+
+
+def test_subgradient_and_certify_min_certificates_are_pinned(monkeypatch):
+    residual, answers = certify._basis_residual, []
+
+    def spy(*args):
+        out = residual(*args)
+        answers.append(out[1:3])
+        return out
+
+    monkeypatch.setattr(certify, "_basis_residual", spy)
     opts = CertifyOptions()
     h = hashlib.sha256()
     for seed in FUZZ_SEEDS:
@@ -70,6 +104,13 @@ def test_subgradient_and_certify_min_certificates_are_pinned():
             lambda: subgradient_test(f, x, p, opts),
             lambda: certify_min(f, SetDescriptor.whole_space(), x, opts),
         ):
+            answers.clear()
             h.update(record(call).encode())
             h.update(b"\n")
+        # certify_min's stationarity is the subgradient test at the zero dual
+        (stationarity,) = answers
+        assert residual_answer(subgradient_test(f, x, DualPoint.zero(), opts)) in (
+            None,
+            stationarity,
+        ), seed
     assert h.hexdigest() == CERTIFICATE_DIGEST

@@ -9,6 +9,7 @@ import pytest
 
 from seqcert.certify import (
     CertifyOptions,
+    _basis_residual,
     _deriv_symbolic,
     DiagonalFamily,
     Grade,
@@ -842,10 +843,24 @@ def test_anchor_without_a_finite_value_is_rejected():
         certify_min(f, SetDescriptor.whole_space(), x, OPTS)
 
 
-def test_quotient_scan_still_decides_without_a_closed_form():
-    # a neg_sqrt leaf at a tail with two terms has no closed-form profile
+def test_closed_form_head_decides_without_a_tail_form():
+    # a neg_sqrt leaf at a tail with two terms has no closed-form profile:
+    # the per-index head decides, and no quotient scan adds columns
     f = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.neg_sqrt(1.0))
     x = Point([], (TailRule.geometric(1.0, 0.25), TailRule.geometric(1.0, 0.5)))
     cert = certify_min(f, SetDescriptor.whole_space(), x, OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.FAILS, Grade.numeric(OPTS.coords))
     assert cert.evidence["stationarity"]["symbolic"] == "numeric"
-    assert "numeric" in cert.evidence["stationarity"]["derivatives"][0]
+    for row in cert.evidence["stationarity"]["derivatives"]:
+        assert set(row) == {"n", "analytic"}
+
+
+def test_stationarity_without_a_tail_form_is_decided_by_the_head():
+    # 0.5^n |x_n| at x_n = 0.5^n + 0.5 (-0.5)^n > 0: the alternating term
+    # leaves no certified eventual sign, so there is no tail form, and
+    # f'(x*; e_1) = 0.5 is the first nonzero residual
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+    x = Point([], (TailRule.geometric(1.0, 0.5), TailRule.geometric(0.5, -0.5)))
+    prof, where, n, r, grade = _basis_residual(f, x, Point.zero(), OPTS)
+    assert (prof.rule, prof.tail) == ("numeric", None)
+    assert (where, n, r, grade) == ("head", 1, 0.5, Grade.numeric(OPTS.coords))

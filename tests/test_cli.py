@@ -15,6 +15,7 @@ from seqcert.cli import (
     _build_parser,
     _opts_from_args,
     list_builtins,
+    main,
     run_scenario,
     scenario_from_json,
 )
@@ -150,6 +151,29 @@ def test_missing_anchor_is_named_for_every_task(task):
 
 def test_unset_flags_fall_back_to_the_library_defaults():
     assert _opts_from_args(_build_parser().parse_args(["example3"]), {}) == CertifyOptions()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--tol", "-1"),
+        ("--tol", "0"),
+        ("--tol", "nan"),
+        ("--coords", "-3"),
+        ("--coords", "0"),
+        ("--psc-depth", "0"),
+        ("--seed", "-1"),
+        ("--deriv-t0", "0"),
+        ("--deriv-tol", "-0.5"),
+        ("--deriv-steps", "-1"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(flag, value, capsys):
+    # the scenario schema's parameter bounds hold for the flags too
+    with pytest.raises(SystemExit) as exc:
+        main(["example3", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a number" in capsys.readouterr().err
 
 
 def test_batch_reports_keep_order(tmp_path):
