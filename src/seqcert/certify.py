@@ -28,6 +28,7 @@ from .errors import (
     NonConvergentPairing,
 )
 from .funcs import (
+    BasisPartials,
     Constant,
     DirStatus,
     DirValue,
@@ -43,7 +44,7 @@ from .funcs import (
     _expect_fields,
     _form_from_json,
     _form_to_json,
-    analytic_dir_deriv,
+    basis_partials,
     evaluate,
     function_from_json,
     function_to_json,
@@ -56,7 +57,6 @@ from .seqspace import (
     Point,
     SeriesValue,
     SpaceDescriptor,
-    TailKind,
     TailRule,
     in_ell1,
     limsup_abs,
@@ -518,96 +518,6 @@ def check_psc_numeric(
 
 
 @dataclass(frozen=True)
-class _SymProfile:
-    """Closed form of n -> f'(x*; e_n), valid for n >= valid_from.
-
-    status: "ok" (tail holds the form), "kink" (derivative missing at
-    kink_at), or "numeric" (no closed form; only the per-index head of
-    _basis_profile is known).
-    """
-
-    status: str
-    valid_from: int = 1
-    tail: Optional[SymSeq] = None
-    kink_at: Optional[int] = None
-
-
-def _form_is_zero(form: TailRule) -> bool:
-    """Is the form 0 at every n >= 1?  (geometric(c, 0) is: c * 0**n.)"""
-    return (
-        form.kind is TailKind.ZERO
-        or form.c == 0.0
-        or (form.kind is TailKind.GEOMETRIC and form.r == 0.0)
-    )
-
-
-def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
-    if isinstance(f, (Constant, LimsupSeminorm)):
-        return _SymProfile("ok", 1, SymSeq.zero())
-    if isinstance(f, LinearFunctional):
-        return _SymProfile("ok", f.p.tail_start, f.p.tail_symseq())
-    if isinstance(f, Scale):
-        if not f.lam:
-            # A zero factor flattens every kink of the inner expression.
-            return _SymProfile("ok", 1, SymSeq.zero())
-        sub = _deriv_symbolic(f.inner, x)
-        if sub.status != "ok":
-            return sub
-        return _SymProfile("ok", sub.valid_from, sub.tail.scaled(f.lam))
-    if isinstance(f, Sum):
-        parts = [_deriv_symbolic(g, x) for g in f.terms]
-        kinks = [p.kink_at for p in parts if p.status == "kink"]
-        if kinks:
-            return _SymProfile("kink", kink_at=min(kinks))
-        if any(p.status == "numeric" for p in parts):
-            return _SymProfile("numeric")
-        total = SymSeq.zero()
-        for p in parts:
-            total = total + p.tail
-        return _SymProfile("ok", max((p.valid_from for p in parts), default=1), total)
-    if not isinstance(f, SeparableSeries):
-        return _SymProfile("numeric")
-
-    start = x.tail_start
-    w = f.weight.to_symseq()
-    xx = x.tail_symseq()
-    kind = f.inner.kind
-    if kind is ScalarKind.SQUARE:
-        return _SymProfile("ok", start, w * xx.scaled(2))
-    if kind is ScalarKind.AFFINE_QUAD:
-        aa = f.inner.a.to_symseq()
-        bb = f.inner.b.to_symseq()
-        return _SymProfile("ok", start, w * (aa * xx.scaled(2) + bb))
-    if kind is ScalarKind.LINEAR:
-        return _SymProfile("ok", start, w * f.inner.b.to_symseq())
-    if kind is ScalarKind.ABS:
-        if _form_is_zero(f.weight):
-            return _SymProfile("ok", start, SymSeq.zero())
-        if not xx.terms:
-            return _SymProfile("kink", kink_at=start)
-        try:
-            sgn, rank = xx.eventual_sign(start)
-        except ValueError:
-            return _SymProfile("numeric")
-        if sgn == 0:
-            return _SymProfile("kink", kink_at=start)
-        for n in range(start, rank):
-            if xx.value_at(n) == 0.0 and f.weight.value_at(n) != 0.0:
-                return _SymProfile("kink", kink_at=n)
-        return _SymProfile("ok", rank, w.scaled(sgn))
-    # NEG_SQRT: at a zero tail only a leaf whose weight and c are both
-    # nonzero has no derivative; either one zero makes the leaf constant.
-    if _form_is_zero(f.weight) or _form_is_zero(f.inner.c):
-        return _SymProfile("ok", start, SymSeq.zero())
-    if not xx.terms:
-        return _SymProfile("kink", kink_at=start)
-    if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
-        inv_root = xx.sqrt().reciprocal()
-        return _SymProfile("ok", start, (w * f.inner.c.to_symseq() * inv_root).scaled(-0.5))
-    return _SymProfile("numeric")
-
-
-@dataclass(frozen=True)
 class _BasisProfile:
     """n -> f'(x*; e_n) over every n; see _basis_profile."""
 
@@ -620,17 +530,15 @@ class _BasisProfile:
     kink: Optional[DirValue]
 
 
-def _basis_profile(
-    f: FunctionExpr, x_star: Point, coords: int, tail_from: int = 1
-) -> _BasisProfile:
+def _basis_profile(partials: BasisPartials, coords: int, tail_from: int = 1) -> _BasisProfile:
     """The one place that decides which basis partials f'(x*; e_n) exist.
 
-    The per-index walk (analytic_dir_deriv) gives ``values``, f'(x*; e_n)
-    for n <= coords with None where it does not exist, and ``head``, the
-    same values extended up to where the closed form (_deriv_symbolic)
-    starts: through valid_from - 1 when the form holds (valid_from is at
-    least ``tail_from``), through its kink index - 1 when it has a kink.
-    ``rule`` is the form's status and ``tail`` the form (None unless "ok").
+    From funcs.basis_partials(f, x*): ``values`` holds f'(x*; e_n) for
+    n <= coords, None where it does not exist, and ``head`` the same values
+    extended up to where the closed form starts: through valid_from - 1
+    when the form holds (valid_from is at least ``tail_from``), through its
+    kink index - 1 when it has a kink.  ``rule`` is the form's status and
+    ``tail`` the form (None unless "ok").
 
     ``missing`` is the smallest n at which the partial does not exist: the
     first per-index failure, else the form's kink; ``kink`` holds its
@@ -638,20 +546,20 @@ def _basis_profile(
     partial exists at every n the head covers, and at every n from
     valid_from on when ``tail`` is set.
     """
-    form = _deriv_symbolic(f, x_star)
+    form = partials.form
     valid_from = max(form.valid_from, tail_from)
     stop = valid_from if form.status == "ok" else (form.kink_at or 1)
-    dvs = [analytic_dir_deriv(f, x_star, n) for n in range(1, coords + 1)]
+    dvs = [partials.at(n) for n in range(1, coords + 1)]
     missing = next(
         (n for n, dv in enumerate(dvs, start=1) if dv.status is not DirStatus.EXISTS), None
     )
     while missing is None and len(dvs) + 1 < stop:
-        dvs.append(analytic_dir_deriv(f, x_star, len(dvs) + 1))
+        dvs.append(partials.at(len(dvs) + 1))
         if dvs[-1].status is not DirStatus.EXISTS:
             missing = len(dvs)
     if missing is None and form.status == "kink":
         missing = form.kink_at
-        dvs.append(analytic_dir_deriv(f, x_star, missing))
+        dvs.append(partials.at(missing))
     return _BasisProfile(
         values=[dv.value for dv in dvs[:coords]],
         head=[dv.value for dv in dvs[: missing - 1 if missing else None]],
@@ -724,7 +632,7 @@ def _basis_residual(
     closed form.  Only "exact" is graded analytic; without a closed form the
     head alone, the first opts.coords indices, decides.
     """
-    prof = _basis_profile(f, x_star, opts.coords, p.tail_start)
+    prof = _basis_profile(basis_partials(f, x_star), opts.coords, p.tail_start)
     if prof.missing is not None:
         return prof, "kink", prof.missing, None, Grade.numeric(opts.coords)
     head = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
@@ -764,9 +672,8 @@ def certify_min(
 
     f_star = evaluate(f, x_star)
     if not math.isfinite(f_star.value):
-        # the probe margin needs a finite f(x*); returning a certificate
-        # here instead of raising is ROADMAP item 4
-        raise DomainViolation("f(x*) is not finite; directional derivatives need a base value")
+        # every probe is compared against f(x*), so it must be finite
+        raise DomainViolation("f(x*) is not finite; probe values have nothing to compare against")
     probe_log = []
     found_probe = None
     for x in all_probes:
@@ -961,7 +868,7 @@ def gateaux_detect(
         return Certificate(verdict, grade, reason, witness, evidence or {}), None
 
     if not space.basis_is_topological:
-        kink = _basis_profile(f, x_star, min(opts.coords, 16)).missing
+        kink = _basis_profile(basis_partials(f, x_star), min(opts.coords, 16)).missing
         for h in witness_directions:
             res = dir_deriv(f, x_star, h, deriv_opts)
             if not res.exists:
@@ -993,7 +900,7 @@ def gateaux_detect(
             "expression has a limsup part, which is not continuous on this space",
         )
 
-    prof = _basis_profile(f, x_star, opts.coords)
+    prof = _basis_profile(basis_partials(f, x_star), opts.coords)
     if prof.missing is not None:
         return no_derivative(
             Verdict.FAILS,
@@ -1192,7 +1099,7 @@ def series_differentiate(
             _, why = _interval_slope(f_equiv, x_star, n, a)
             if why is not None:
                 return fails(why, {"n": n})
-        prof = _basis_profile(f_equiv, x_star, n_max)
+        prof = _basis_profile(basis_partials(f_equiv, x_star), n_max)
         if prof.missing is not None:
             return fails("term derivative missing at the anchor", {"n": prof.missing})
         cert = Certificate(
@@ -1205,7 +1112,7 @@ def series_differentiate(
         return cert, tuple(prof.values)
 
     if isinstance(family, ScaledFamily):
-        base = _basis_profile(family.base, x_star, n_max)
+        base = _basis_profile(basis_partials(family.base, x_star), n_max)
         if base.missing is not None:
             return fails("base derivative missing at the anchor", {"n": base.missing})
         base_values = base.values
@@ -1250,11 +1157,12 @@ def series_differentiate(
             _, why = _interval_slope(g, x_star, n, a)
             if why is not None:
                 return fails(why, {"term": idx, "n": n})
+    partials = [basis_partials(g, x_star) for g in terms]
     values = []
     for n in range(1, n_max + 1):
         acc = 0.0
-        for idx, g in enumerate(terms):
-            dv = analytic_dir_deriv(g, x_star, n)
+        for idx, bp in enumerate(partials):
+            dv = bp.at(n)
             if dv.status is not DirStatus.EXISTS:
                 return fails("term derivative missing at the anchor", {"term": idx, "n": n})
             acc += dv.value
@@ -1347,8 +1255,9 @@ def kkt_certify(
     parts.extend((v, h) for v, h in zip(nu, equalities))
 
     # Every part's head runs to where the last part's closed form starts.
-    valid_from = max(_deriv_symbolic(fn, x_star).valid_from for _, fn in parts)
-    profiles = [(c, _basis_profile(fn, x_star, opts.coords, valid_from)) for c, fn in parts]
+    partials = [(c, basis_partials(fn, x_star)) for c, fn in parts]
+    valid_from = max(bp.form.valid_from for _, bp in partials)
+    profiles = [(c, _basis_profile(bp, opts.coords, valid_from)) for c, bp in partials]
     missing = min((p.missing for _, p in profiles if p.missing is not None), default=None)
     if missing is not None:
         return inconclusive(f"directional derivative missing at n={missing}")

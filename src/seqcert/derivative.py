@@ -162,21 +162,11 @@ def _extrapolate(qs: list[float], sign: int) -> float:
     return qs[-1] - g1 * rho / (1.0 - rho)
 
 
-def _base_magnitude(f: FunctionExpr, x: Point) -> float:
-    """|f(x)|, which scales the quotient noise floor; f(x) must be finite."""
-    fx = evaluate(f, x)
-    if not math.isfinite(fx.value):
-        raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
-    return abs(fx.value)
-
-
 def dir_deriv(
     f: FunctionExpr,
     x: Point,
     h: Point,
     opts: DerivOptions = DerivOptions(),
-    *,
-    fx_mag: Optional[float] = None,
 ) -> DirDerivResult:
     """Directional derivative of f at x along h, with an existence verdict.
 
@@ -185,9 +175,7 @@ def dir_deriv(
     quotients on both sides.  A side whose every probe leaves the domain is
     reported at its extended-real limit (+inf on the right would mean the
     right side is infeasible; in this grammar only -inf arises, from sqrt
-    boundaries); the verdict is then "does not exist".  ``fx_mag`` is |f(x)|
-    when the caller has already evaluated it, as dir_deriv_profile does once
-    for all its directions.
+    boundaries); the verdict is then "does not exist".
     """
     n = _is_basis(h)
     if n is not None and opts.prefer_analytic:
@@ -209,8 +197,11 @@ def dir_deriv(
             method="analytic",
         )
 
-    if fx_mag is None:
-        fx_mag = _base_magnitude(f, x)
+    # |f(x)| scales the quotient noise floor
+    fx = evaluate(f, x)
+    if not math.isfinite(fx.value):
+        raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
+    fx_mag = abs(fx.value)
 
     support = _support(h)
     if opts.t0 is not None:
@@ -267,20 +258,13 @@ def dir_deriv(
 def dir_deriv_profile(
     f: FunctionExpr, x: Point, direction_count: int, opts: DerivOptions = DerivOptions()
 ) -> list[DirDerivResult]:
-    """dir_deriv along e_1 .. e_N; errors are re-raised tagged by index.
-
-    Numeric scans share one evaluation of f(x), made before direction 1 and
-    tagged as its error when it fails; closed forms need none.
-    """
+    """dir_deriv along e_1 .. e_N; errors are re-raised tagged by index."""
     if direction_count < 1:
         raise ValueError("direction count must be >= 1")
     out = []
-    fx_mag = None
     for n in range(1, direction_count + 1):
         try:
-            if fx_mag is None and not opts.prefer_analytic:
-                fx_mag = _base_magnitude(f, x)
-            out.append(dir_deriv(f, x, basis_vector(n), opts, fx_mag=fx_mag))
+            out.append(dir_deriv(f, x, basis_vector(n), opts))
         except (DomainViolation, DomainLimited, NonConvexBehavior) as exc:
             raise type(exc)(f"direction {n}: {exc}") from exc
     return out

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -30,6 +31,7 @@ from .seqspace import (
     SeriesValue,
     TailKind,
     TailRule,
+    _canonical_tail,
     _tail_atom_from_json,
     certified_series,
     certified_tail,
@@ -42,7 +44,7 @@ from .seqspace import (
     point_scale,
     tail_limit,
 )
-from .symseq import DIVERGENT, SUMMABLE, SymSeq, SymTerm, classify
+from .symseq import DIVERGENT, SUMMABLE, SymSeq, classify
 
 
 def _as_form(v) -> TailRule:
@@ -62,17 +64,11 @@ def _form_nonneg(form: TailRule) -> bool:
     return form.c == 0.0 or (form.c >= 0.0 and form.r >= 0.0)
 
 
-def _abs_seq(seq: SymSeq) -> SymSeq:
-    terms = [SymTerm(abs(t.coef), abs(t.ratio), t.npow) for t in seq.terms]
-    return SymSeq(tuple(terms), exact=seq.exact)
-
-
 def _sqrt_majorant(seq: SymSeq) -> SymSeq:
     """A closed form dominating sqrt(|seq(n)|), via sqrt(a+b) <= sqrt a + sqrt b."""
     out = SymSeq.zero()
     for t in seq.terms:
-        atom = SymSeq((SymTerm(abs(t.coef), abs(t.ratio), t.npow),), exact=seq.exact)
-        out = out + atom.sqrt()
+        out = out + SymSeq((t,), exact=seq.exact).abs_terms().sqrt()
     return out
 
 
@@ -137,33 +133,6 @@ class ScalarConvex:
         if t < 0.0:
             raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
         return -self.c.value_at(n) * math.sqrt(t)
-
-    def one_sided(self, n: int, t: float) -> tuple[Optional[float], Optional[float]]:
-        """(left, right) derivatives at t; None marks a side outside the domain."""
-        if self.kind is ScalarKind.ABS:
-            if t > 0.0:
-                return 1.0, 1.0
-            if t < 0.0:
-                return -1.0, -1.0
-            return -1.0, 1.0
-        if self.kind is ScalarKind.SQUARE:
-            return 2.0 * t, 2.0 * t
-        if self.kind is ScalarKind.AFFINE_QUAD:
-            d = 2.0 * self.a.value_at(n) * t + self.b.value_at(n)
-            return d, d
-        if self.kind is ScalarKind.LINEAR:
-            d = self.b.value_at(n)
-            return d, d
-        c = self.c.value_at(n)
-        if t < 0.0:
-            raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
-        if c == 0.0:
-            return 0.0, 0.0
-        if t == 0.0:
-            # right derivative of -c*sqrt at the boundary is -infinity
-            return None, -math.inf
-        d = -c / (2.0 * math.sqrt(t))
-        return d, d
 
     def line(self, n: int, t0: float) -> Callable[[float], float]:
         """dt -> u_n(t0 + dt) - u_n(t0), with u_n's parameters resolved once.
@@ -363,11 +332,11 @@ def _separable_tail_forms(
         return w * (aa * xx * xx + bb * xx), start, None
     if kind is ScalarKind.ABS:
         if len(xx.terms) <= 1:
-            return w * _abs_seq(xx), start, None
+            return w * xx.abs_terms(), start, None
         try:
             sgn, rank = xx.eventual_sign(start)
         except ValueError:
-            return None, start, _abs_seq(w) * _abs_seq(xx)
+            return None, start, w.abs_terms() * xx.abs_terms()
         return w.scaled(sgn) * xx, max(start, rank), None
     # NEG_SQRT: exact only for a single positive atom, else a sqrt majorant
     cc = f.inner.c.to_symseq()
@@ -375,7 +344,7 @@ def _separable_tail_forms(
         return SymSeq.zero(), start, None
     if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
         return (w * cc * xx.sqrt()).scaled(-1), start, None
-    return None, start, _abs_seq(w) * _abs_seq(cc) * _sqrt_majorant(xx)
+    return None, start, w.abs_terms() * cc.abs_terms() * _sqrt_majorant(xx)
 
 
 def _separable_tail_plan(f: SeparableSeries, x: Point, tol: float):
@@ -542,70 +511,200 @@ class DirValue:
         return DirValue(DirStatus.NOT_DIFFERENTIABLE, left=left, right=right)
 
 
-def _one_sided_basis(
-    f: FunctionExpr, x: Point, n: int
-) -> tuple[Optional[float], Optional[float]]:
-    """Closed-form (left, right) derivatives of t -> f(x + t e_n) at 0."""
-    if isinstance(f, Constant):
-        return 0.0, 0.0
-    if isinstance(f, LimsupSeminorm):
-        # A one-coordinate change never moves a limsup.
-        return 0.0, 0.0
+@dataclass(frozen=True)
+class PartialsForm:
+    """Closed form of n -> f'(x; e_n) for every n >= valid_from.
+
+    status "ok": ``tail`` is the form; "kink": the partial is missing at
+    ``kink_at``; "numeric": no closed form, only the per-index values.
+    """
+
+    status: str
+    valid_from: int = 1
+    tail: Optional[SymSeq] = None
+    kink_at: Optional[int] = None
+
+
+class BasisPartials:
+    """The partials of f at x along the basis directions, from one walk.
+
+    ``sides(n)`` is the closed-form (left, right) derivative pair of
+    t -> f(x + t e_n) at 0, None marking a side outside the domain, and
+    ``at(n)`` classifies it.  ``form`` is built on first use, so per-index
+    callers never pay for the closed form.
+    """
+
+    def __init__(self, sides: Callable[[int], tuple], form: Callable[[], PartialsForm]):
+        self.sides = sides
+        self._form = form
+
+    @cached_property
+    def form(self) -> PartialsForm:
+        return self._form()
+
+    def at(self, n: int) -> DirValue:
+        left, right = self.sides(n)
+        if left is None or right is None or math.isinf(left) or math.isinf(right):
+            return DirValue.kink(left, right)
+        return DirValue.exists(right) if left == right else DirValue.kink(left, right)
+
+
+def _flat() -> BasisPartials:
+    """Partials that are 0 at every index."""
+    return BasisPartials(lambda n: (0.0, 0.0), lambda: PartialsForm("ok", 1, SymSeq.zero()))
+
+
+def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
+    """The one walk behind every basis partial f'(x; e_n).
+
+    Each node's sides combine its children's at the same index; one-sided
+    derivatives of the whole expression are kept apart, so a kink in one
+    summand is reported only when the sum genuinely has one.
+    """
+    if isinstance(f, (Constant, LimsupSeminorm)):
+        # A one-coordinate change never moves a constant or a limsup.
+        return _flat()
     if isinstance(f, LinearFunctional):
-        v = f.p.coordinate(n)
-        return v, v
+        p = f.p
+
+        def linear(n: int) -> tuple:
+            v = p.coordinate(n)
+            return v, v
+
+        return BasisPartials(linear, lambda: PartialsForm("ok", p.tail_start, p.tail_symseq()))
     if isinstance(f, SeparableSeries):
-        w = f.weight.value_at(n)
-        left, right = f.inner.one_sided(n, x.coordinate(n))
+        return _separable_partials(f, x)
+    if isinstance(f, Scale):
+        if f.lam == 0.0:
+            # A zero factor flattens every kink of the inner expression.
+            return _flat()
+        lam, inner = f.lam, basis_partials(f.inner, x)
+
+        def scaled(n: int) -> tuple:
+            left, right = inner.sides(n)
+            return (
+                None if left is None else lam * left,
+                None if right is None else lam * right,
+            )
+
+        def scaled_form() -> PartialsForm:
+            sub = inner.form
+            if sub.status != "ok":
+                return sub
+            return PartialsForm("ok", sub.valid_from, sub.tail.scaled(lam))
+
+        return BasisPartials(scaled, scaled_form)
+    if isinstance(f, Sum):
+        parts = [basis_partials(g, x) for g in f.terms]
+
+        def summed(n: int) -> tuple:
+            lsum, rsum = 0.0, 0.0
+            for part in parts:
+                left, right = part.sides(n)
+                if left is None:
+                    lsum = None
+                elif lsum is not None:
+                    lsum += left
+                if right is None:
+                    rsum = None
+                elif rsum is not None:
+                    rsum += right
+            return lsum, rsum
+
+        def summed_form() -> PartialsForm:
+            forms = [part.form for part in parts]
+            kinks = [p.kink_at for p in forms if p.status == "kink"]
+            if kinks:
+                return PartialsForm("kink", kink_at=min(kinks))
+            if any(p.status == "numeric" for p in forms):
+                return PartialsForm("numeric")
+            total = SymSeq.zero()
+            for p in forms:
+                total = total + p.tail
+            return PartialsForm("ok", max((p.valid_from for p in forms), default=1), total)
+
+        return BasisPartials(summed, summed_form)
+    raise TypeError(f"unknown function expression {type(f).__name__}")
+
+
+def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
+    weight, u = f.weight, f.inner
+    kind = u.kind
+
+    def sides(n: int) -> tuple:
+        w = weight.value_at(n)
+        t = x.coordinate(n)
+        if kind is ScalarKind.ABS:
+            left, right = (1.0, 1.0) if t > 0.0 else (-1.0, -1.0) if t < 0.0 else (-1.0, 1.0)
+        elif kind is ScalarKind.SQUARE:
+            left = right = 2.0 * t
+        elif kind is ScalarKind.AFFINE_QUAD:
+            left = right = 2.0 * u.a.value_at(n) * t + u.b.value_at(n)
+        elif kind is ScalarKind.LINEAR:
+            left = right = u.b.value_at(n)
+        else:
+            c = u.c.value_at(n)
+            if t < 0.0:
+                raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
+            if c == 0.0:
+                left = right = 0.0
+            elif t == 0.0:
+                # right derivative of -c*sqrt at the boundary is -infinity
+                left, right = None, -math.inf
+            else:
+                left = right = -c / (2.0 * math.sqrt(t))
         # Nonnegative weights preserve the side order; zero kills both sides.
         if w == 0.0:
             return 0.0, 0.0
         lw = None if left is None else w * left
         rw = None if right is None else w * right
-        if w < 0.0:
-            lw, rw = rw, lw
-        return lw, rw
-    if isinstance(f, Scale):
-        if f.lam == 0.0:
-            return 0.0, 0.0
-        left, right = _one_sided_basis(f.inner, x, n)
-        return (
-            None if left is None else f.lam * left,
-            None if right is None else f.lam * right,
-        )
-    if isinstance(f, Sum):
-        lsum, rsum = 0.0, 0.0
-        for g in f.terms:
-            left, right = _one_sided_basis(g, x, n)
-            if left is None:
-                lsum = None
-            elif lsum is not None:
-                lsum += left
-            if right is None:
-                rsum = None
-            elif rsum is not None:
-                rsum += right
-        return lsum, rsum
-    raise TypeError(f"unknown function expression {type(f).__name__}")
+        return (rw, lw) if w < 0.0 else (lw, rw)
+
+    def form() -> PartialsForm:
+        start = x.tail_start
+        w = weight.to_symseq()
+        xx = x.tail_symseq()
+        if kind is ScalarKind.SQUARE:
+            return PartialsForm("ok", start, w * xx.scaled(2))
+        if kind is ScalarKind.AFFINE_QUAD:
+            aa = u.a.to_symseq()
+            bb = u.b.to_symseq()
+            return PartialsForm("ok", start, w * (aa * xx.scaled(2) + bb))
+        if kind is ScalarKind.LINEAR:
+            return PartialsForm("ok", start, w * u.b.to_symseq())
+        # |.| and sqrt: a weight, or a sqrt coefficient, that vanishes at
+        # every index (canonicalizing drops it) makes the leaf constant;
+        # otherwise a zero tail is a kink.
+        if not _canonical_tail((weight,)) or (
+            kind is ScalarKind.NEG_SQRT and not _canonical_tail((u.c,))
+        ):
+            return PartialsForm("ok", start, SymSeq.zero())
+        if not xx.terms:
+            return PartialsForm("kink", kink_at=start)
+        if kind is ScalarKind.NEG_SQRT:
+            if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
+                inv_root = xx.sqrt().reciprocal()
+                return PartialsForm("ok", start, (w * u.c.to_symseq() * inv_root).scaled(-0.5))
+            return PartialsForm("numeric")
+        try:
+            sgn, rank = xx.eventual_sign(start)
+        except ValueError:
+            return PartialsForm("numeric")
+        if sgn == 0:
+            return PartialsForm("kink", kink_at=start)
+        for n in range(start, rank):
+            if xx.value_at(n) == 0.0 and weight.value_at(n) != 0.0:
+                return PartialsForm("kink", kink_at=n)
+        return PartialsForm("ok", rank, w.scaled(sgn))
+
+    return BasisPartials(sides, form)
 
 
 def analytic_dir_deriv(f: FunctionExpr, x: Point, n: int) -> DirValue:
-    """Closed-form derivative of f at x along the n-th basis direction.
-
-    One-sided derivatives of the whole expression are computed separately
-    and compared, so a kink in one summand is reported only when the sum
-    genuinely has one.
-    """
+    """Closed-form derivative of f at x along the n-th basis direction."""
     if n < 1:
         raise ValueError(f"basis index must be >= 1, got {n}")
-    left, right = _one_sided_basis(f, x, n)
-    if left is None or right is None:
-        return DirValue.kink(left, right)
-    if math.isinf(left) or math.isinf(right):
-        return DirValue.kink(left, right)
-    if left == right:
-        return DirValue.exists(right)
-    return DirValue.kink(left, right)
+    return basis_partials(f, x).at(n)
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +862,9 @@ def _separable_delta_line(
 ) -> Callable[[float, float], SeriesValue]:
     weight, inner = f.weight, f.inner
     kind = inner.kind
-    w_abs = _abs_seq(weight.to_symseq())
-    h_unit = _abs_seq(h.tail_symseq())
-    x_abs = _abs_seq(x.tail_symseq())
+    w_abs = weight.to_symseq().abs_terms()
+    h_unit = h.tail_symseq().abs_terms()
+    x_abs = x.tail_symseq().abs_terms()
     # The majorant of the step's difference terms, given |h tail| * |t|;
     # t-free factors and products are formed once, the rest keeps the
     # per-step grouping.
@@ -773,7 +872,7 @@ def _separable_delta_line(
         def majorant(h_abs: SymSeq) -> SymSeq:
             return w_abs * h_abs
     elif kind is ScalarKind.LINEAR:
-        wb = w_abs * _abs_seq(inner.b.to_symseq())
+        wb = w_abs * inner.b.to_symseq().abs_terms()
 
         def majorant(h_abs: SymSeq) -> SymSeq:
             return wb * h_abs
@@ -784,14 +883,14 @@ def _separable_delta_line(
             return w_abs * h_abs * (x2 + h_abs)
     elif kind is ScalarKind.AFFINE_QUAD:
         x2 = x_abs.scaled(2)
-        a_abs = _abs_seq(inner.a.to_symseq())
-        b_abs = _abs_seq(inner.b.to_symseq())
+        a_abs = inner.a.to_symseq().abs_terms()
+        b_abs = inner.b.to_symseq().abs_terms()
 
         def majorant(h_abs: SymSeq) -> SymSeq:
             return w_abs * (a_abs * h_abs * (x2 + h_abs) + b_abs * h_abs)
     else:
         # |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative domain
-        wc = w_abs * _abs_seq(inner.c.to_symseq())
+        wc = w_abs * inner.c.to_symseq().abs_terms()
 
         def majorant(h_abs: SymSeq) -> SymSeq:
             return wc * _sqrt_majorant(h_abs)

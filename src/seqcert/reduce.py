@@ -25,7 +25,7 @@ from .errors import (
     PartialNotDifferentiable,
     Unbounded,
 )
-from .funcs import DirStatus, FunctionExpr, _finite_line, analytic_dir_deriv, evaluate
+from .funcs import DirStatus, FunctionExpr, _finite_line, basis_partials, evaluate
 from .seqspace import Point, SeriesValue
 
 
@@ -77,10 +77,10 @@ def build_reduced(
 def grad_reduced(prob: ReducedProblem, y) -> list[float]:
     """Gradient of the reduced objective, from closed-form per-coordinate
     derivatives; raises PartialNotDifferentiable at a kink coordinate."""
-    x = prob.embed(y)
+    partials = basis_partials(prob.f, prob.embed(y))
     out = []
     for i in range(1, prob.k + 1):
-        dv = analytic_dir_deriv(prob.f, x, i)
+        dv = partials.at(i)
         if dv.status is not DirStatus.EXISTS:
             raise PartialNotDifferentiable(i)
         out.append(dv.value)

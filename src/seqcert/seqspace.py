@@ -315,18 +315,11 @@ def in_space(x: Point, space: SpaceDescriptor) -> bool:
     return True
 
 
-def _abs_majorant(seq: SymSeq) -> SymSeq:
-    terms = [
-        type(t)(abs(t.coef), abs(t.ratio), t.npow) for t in seq.terms if t.coef != 0
-    ]
-    return SymSeq(tuple(terms), exact=seq.exact)
-
-
 def ell1_norm(x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
     """Certified sum of |coordinates|; rejects points outside ell1."""
     if not in_ell1(x):
         raise DomainViolation("point is not absolutely summable")
-    major = _abs_majorant(x.tail_symseq())
+    major = x.tail_symseq().abs_terms()
     k = len(x.prefix)
     # Grow the explicit region until the majorant tail drops below budget.
     while True:

@@ -178,6 +178,13 @@ class SymSeq:
                 out.append(SymTerm(a.coef * b.coef, a.ratio * b.ratio, a.npow + b.npow))
         return SymSeq(tuple(out), exact=self.exact and other.exact)
 
+    def abs_terms(self) -> SymSeq:
+        """Term-wise absolute value, |c| |rho|**n n**(-s): a majorant of |seq(n)|."""
+        return SymSeq(
+            tuple(SymTerm(abs(t.coef), abs(t.ratio), t.npow) for t in self.terms),
+            exact=self.exact,
+        )
+
     def sqrt(self) -> SymSeq:
         """Square root of a single-term, eventually positive sequence."""
         if len(self.terms) != 1:

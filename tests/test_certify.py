@@ -10,7 +10,6 @@ import pytest
 from seqcert.certify import (
     CertifyOptions,
     _basis_residual,
-    _deriv_symbolic,
     DiagonalFamily,
     Grade,
     ScaledFamily,
@@ -42,7 +41,7 @@ from seqcert.funcs import (
     Scale,
     SeparableSeries,
     Sum,
-    analytic_dir_deriv,
+    basis_partials,
     evaluate,
 )
 from seqcert.reduce import build_reduced, minimize_reduced
@@ -653,7 +652,7 @@ def fuzz_instance(seed):
 
 def test_fuzz_instance_with_a_late_closed_form():
     space, f, x_star, p = fuzz_instance(54)
-    assert _deriv_symbolic(f, x_star).valid_from == 192 > OPTS.coords + 1
+    assert basis_partials(f, x_star).form.valid_from == 192 > OPTS.coords + 1
     cert, deriv = gateaux_detect(f, space, x_star, OPTS)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
     assert len(deriv.known) == 191
@@ -673,7 +672,7 @@ def test_kkt_grades_a_late_closed_form_like_certify_min():
     # f'(x*; e_n) = 0 for every n, but the closed form holds only from n = 7
     f, x_star = geometric_quadratic(), Point([0.0] * 6)
     opts = CertifyOptions(coords=4)
-    assert _deriv_symbolic(f, x_star).valid_from == 7
+    assert basis_partials(f, x_star).form.valid_from == 7
     best = certify_min(f, SetDescriptor.whole_space(), x_star, opts)
     kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], opts)
     assert best.grade.render() == kkt.grade.render() == "analytic_all_n"
@@ -792,17 +791,18 @@ def closed_form_cases():
 def test_closed_form_agrees_with_the_per_index_walk():
     # _basis_profile trusts the closed form's kink index and tail values
     for f, x_star in closed_form_cases():
-        form = _deriv_symbolic(f, x_star)
+        partials = basis_partials(f, x_star)
+        form = partials.form
         if form.status == "kink":
             # the form speaks for n >= the anchor's tail start only
             exists = [
-                analytic_dir_deriv(f, x_star, n).status is DirStatus.EXISTS
+                partials.at(n).status is DirStatus.EXISTS
                 for n in range(x_star.tail_start, form.kink_at + 1)
             ]
             assert exists.index(False) + x_star.tail_start == form.kink_at, (f, x_star)
         elif form.status == "ok":
             for n in range(form.valid_from, form.valid_from + 64):
-                dv = analytic_dir_deriv(f, x_star, n)
+                dv = partials.at(n)
                 assert dv.status is DirStatus.EXISTS, (f, x_star, n)
                 assert math.isclose(form.tail.value_at(n), dv.value, rel_tol=1e-9), (f, x_star, n)
 
