@@ -28,7 +28,6 @@ from .errors import (
     NonConvergentPairing,
 )
 from .funcs import (
-    BasisPartials,
     Constant,
     DirStatus,
     DirValue,
@@ -58,6 +57,7 @@ from .seqspace import (
     SeriesValue,
     SpaceDescriptor,
     TailRule,
+    coefficient_pairing,
     in_ell1,
     limsup_abs,
     point_from_json,
@@ -519,7 +519,7 @@ def check_psc_numeric(
 
 @dataclass(frozen=True)
 class _BasisProfile:
-    """n -> f'(x*; e_n) over every n; see _basis_profile."""
+    """n -> sum_j c_j f_j'(x*; e_n) over every n; see _basis_profile."""
 
     values: list[Optional[float]]
     head: list[float]
@@ -527,92 +527,79 @@ class _BasisProfile:
     tail: Optional[SymSeq]
     valid_from: int
     missing: Optional[int]
+    part: Optional[int]
     kink: Optional[DirValue]
 
 
-def _basis_profile(partials: BasisPartials, coords: int, tail_from: int = 1) -> _BasisProfile:
-    """The one place that decides which basis partials f'(x*; e_n) exist.
+def _basis_profile(
+    parts: Sequence[tuple[float, FunctionExpr]], x_star: Point, coords: int, tail_from: int = 1
+) -> _BasisProfile:
+    """The one place that reads the basis partials, of a weighted sum of parts.
 
-    From funcs.basis_partials(f, x*): ``values`` holds f'(x*; e_n) for
-    n <= coords, None where it does not exist, and ``head`` the same values
-    extended up to where the closed form starts: through valid_from - 1
-    when the form holds (valid_from is at least ``tail_from``), through its
-    kink index - 1 when it has a kink.  ``rule`` is the form's status and
-    ``tail`` the form (None unless "ok").
+    Builds one funcs.basis_partials walk per part (c_j, f_j) and profiles
+    n -> sum_j c_j f_j'(x*; e_n).  ``values`` holds it for n <= coords,
+    None where some part's partial does not exist, and ``head`` the same
+    sums extended up to where the closed forms start: through
+    valid_from - 1 when every part's form holds (valid_from is the largest
+    over the parts, and at least ``tail_from``), through a part's kink
+    index - 1 when its form has a kink.  ``rule`` is "kink" or "numeric"
+    when some part's form is, else "ok"; ``tail`` is the weighted sum of
+    the forms, None unless every one is "ok".
 
-    ``missing`` is the smallest n at which the partial does not exist: the
-    first per-index failure, else the form's kink; ``kink`` holds its
-    one-sided derivatives and ``head`` stops before it.  None means the
-    partial exists at every n the head covers, and at every n from
-    valid_from on when ``tail`` is set.
+    ``missing`` is the smallest n at which some part's partial does not
+    exist, ``part`` that part's index and ``kink`` its one-sided
+    derivatives there: per part, the first per-index failure, else the
+    form's kink.  ``head`` stops before it.  None means every partial
+    exists at every n the head covers, and at every n from valid_from on
+    when ``tail`` is set.
     """
-    form = partials.form
-    valid_from = max(form.valid_from, tail_from)
-    stop = valid_from if form.status == "ok" else (form.kink_at or 1)
-    dvs = [partials.at(n) for n in range(1, coords + 1)]
-    missing = next(
-        (n for n, dv in enumerate(dvs, start=1) if dv.status is not DirStatus.EXISTS), None
-    )
-    while missing is None and len(dvs) + 1 < stop:
-        dvs.append(partials.at(len(dvs) + 1))
-        if dvs[-1].status is not DirStatus.EXISTS:
-            missing = len(dvs)
-    if missing is None and form.status == "kink":
-        missing = form.kink_at
-        dvs.append(partials.at(missing))
+    walks = [(c, basis_partials(f, x_star)) for c, f in parts]
+    forms = [bp.form for _, bp in walks]
+    valid_from = max([tail_from, *(form.valid_from for form in forms)])
+    columns, cuts = [], []
+    missing = part = kink = None
+    for j, ((_, bp), form) in enumerate(zip(walks, forms)):
+        stop = valid_from if form.status == "ok" else (form.kink_at or 1)
+        dvs = [bp.at(n) for n in range(1, coords + 1)]
+        miss = next(
+            (n for n, dv in enumerate(dvs, start=1) if dv.status is not DirStatus.EXISTS), None
+        )
+        while miss is None and len(dvs) + 1 < stop:
+            dvs.append(bp.at(len(dvs) + 1))
+            if dvs[-1].status is not DirStatus.EXISTS:
+                miss = len(dvs)
+        if miss is None and form.status == "kink":
+            miss = form.kink_at
+            dvs.append(bp.at(miss))
+        if miss is not None and (missing is None or miss < missing):
+            missing, part, kink = miss, j, dvs[miss - 1]
+        columns.append(dvs)
+        cuts.append(miss - 1 if miss else len(dvs))
+
+    def weighted(n: int) -> Optional[float]:
+        total = 0.0
+        for (c, _), dvs in zip(walks, columns):
+            if dvs[n - 1].value is None:
+                return None
+            total += c * dvs[n - 1].value
+        return total
+
+    cut = min(cuts, default=coords)
+    row = [weighted(n) for n in range(1, max(coords, cut) + 1)]
+    tail: Optional[SymSeq] = SymSeq.zero()
+    for (c, _), form in zip(walks, forms):
+        tail = None if tail is None or form.tail is None else tail + form.tail.scaled(c)
+    statuses = {form.status for form in forms}
     return _BasisProfile(
-        values=[dv.value for dv in dvs[:coords]],
-        head=[dv.value for dv in dvs[: missing - 1 if missing else None]],
-        rule=form.status,
-        tail=form.tail,
+        values=row[:coords],
+        head=row[:cut],
+        rule=next((s for s in ("kink", "numeric") if s in statuses), "ok"),
+        tail=tail,
         valid_from=valid_from,
         missing=missing,
-        kink=dvs[missing - 1] if missing else None,
+        part=part,
+        kink=kink,
     )
-
-
-def _zero_for_every_n(
-    head: Sequence[float], tail: Optional[SymSeq], valid_from: int, tol: float
-) -> tuple[str, Optional[int], Optional[float]]:
-    """Is the residual profile r_n zero for every n?
-
-    ``head`` holds r_1, r_2, ... as computed, through at least
-    n = valid_from - 1; ``tail`` is the closed form of r_n for
-    n >= valid_from, or None when there is none.  The head comes from
-    _basis_profile, which runs it through valid_from - 1, so a missing
-    derivative anywhere below valid_from is decided before any violation.
-    The rule, in this order:
-
-    1. ("exact", None, None) when the tail is exactly zero and every head
-       value below valid_from is == 0.0: r_n = 0 for every n.
-    2. ("head", n, r_n) for the first head index with |r_n| > tol.
-    3. ("tail", n, r_n) for the first n in rank..rank+4095 with
-       |r_n| > tol, where tail.eventual_sign(valid_from) certifies a
-       nonzero sign from rank on; a tail whose eventual sign is 0 or
-       cannot be certified is not scanned.
-    4. ("none", None, None): no violation was found.
-    """
-    if (
-        tail is not None
-        and tail.is_zero
-        and tail.exact
-        and all(v == 0.0 for v in head[: valid_from - 1])
-    ):
-        return "exact", None, None
-    for n, v in enumerate(head, start=1):
-        if abs(v) > tol:
-            return "head", n, v
-    if tail is not None and not tail.is_zero:
-        try:
-            sgn, rank = tail.eventual_sign(valid_from)
-        except ValueError:
-            sgn = 0
-        if sgn != 0:
-            for n in range(rank, rank + 4096):
-                v = tail.value_at(n)
-                if abs(v) > tol:
-                    return "tail", n, v
-    return "none", None, None
 
 
 # ---------------------------------------------------------------------------
@@ -621,25 +608,58 @@ def _zero_for_every_n(
 
 
 def _basis_residual(
-    f: FunctionExpr, x_star: Point, p: Point, opts: CertifyOptions
+    parts: Sequence[tuple[float, FunctionExpr]], x_star: Point, p: Point, opts: CertifyOptions
 ) -> tuple[_BasisProfile, str, Optional[int], Optional[float], Grade]:
-    """Is f'(x*; e_n) - p_n zero for every n?
+    """Is r_n = sum_j c_j f_j'(x*; e_n) - p_n zero for every n?
 
-    The one decision behind subgradient_test (p the dual) and certify_min's
-    stationarity (p the zero point).  Returns (profile, answer, n, r_n,
-    grade): answer "kink" with n the first index whose partial does not
-    exist, else _zero_for_every_n's answer on the residual's head and
-    closed form.  Only "exact" is graded analytic; without a closed form the
-    head alone, the first opts.coords indices, decides.
+    The one stationarity decision: subgradient_test (one part, p the
+    dual), certify_min (one part, p = 0) and kkt_certify (the Lagrangian's
+    parts, p = 0).  The head comes from _basis_profile, which runs it
+    through valid_from - 1, so a missing partial anywhere below valid_from
+    is decided before any violation.  Returns (profile, answer, n, r_n,
+    grade), the answer being the first of these that applies:
+
+    1. ("kink", n, None) for the smallest n at which some part's partial
+       does not exist.
+    2. ("exact", None, None) when the closed form of r_n is exactly zero
+       and every head value below valid_from is == 0.0: r_n = 0 for every n.
+    3. ("head", n, r_n) for the first head index with |r_n| > tol.
+    4. ("tail", n, r_n) for the first n in rank..rank+4095 with
+       |r_n| > tol, where the closed form's eventual_sign(valid_from)
+       certifies a nonzero sign from rank on; a closed form whose eventual
+       sign is 0 or cannot be certified is not scanned.
+    5. ("none", None, None): no violation was found.
+
+    Only "exact" is graded analytic; without a closed form the head alone,
+    the first opts.coords indices, decides.
     """
-    prof = _basis_profile(basis_partials(f, x_star), opts.coords, p.tail_start)
+    prof = _basis_profile(parts, x_star, opts.coords, p.tail_start)
+    sampled = Grade.numeric(opts.coords)
     if prof.missing is not None:
-        return prof, "kink", prof.missing, None, Grade.numeric(opts.coords)
+        return prof, "kink", prof.missing, None, sampled
     head = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
     tail = None if prof.tail is None else prof.tail - p.tail_symseq()
-    where, n, r = _zero_for_every_n(head, tail, prof.valid_from, opts.tol)
-    grade = Grade.analytic() if where == "exact" else Grade.numeric(opts.coords)
-    return prof, where, n, r, grade
+    if (
+        tail is not None
+        and tail.is_zero
+        and tail.exact
+        and all(v == 0.0 for v in head[: prof.valid_from - 1])
+    ):
+        return prof, "exact", None, None, Grade.analytic()
+    for n, v in enumerate(head, start=1):
+        if abs(v) > opts.tol:
+            return prof, "head", n, v, sampled
+    if tail is not None and not tail.is_zero:
+        try:
+            sgn, rank = tail.eventual_sign(prof.valid_from)
+        except ValueError:
+            sgn = 0
+        if sgn != 0:
+            for n in range(rank, rank + 4096):
+                v = tail.value_at(n)
+                if abs(v) > opts.tol:
+                    return prof, "tail", n, v, sampled
+    return prof, "none", None, None, sampled
 
 
 def certify_min(
@@ -664,7 +684,9 @@ def certify_min(
     all_probes = list(probes) if probes is not None else []
     all_probes.extend(default_psc_probes(x_star, opts))
     psc = check_psc(f, s, x_star, depth=opts.psc_depth)
-    prof, stat, stat_n, stat_r, stat_grade = _basis_residual(f, x_star, Point.zero(), opts)
+    prof, stat, stat_n, stat_r, stat_grade = _basis_residual(
+        [(1.0, f)], x_star, Point.zero(), opts
+    )
     stat_evidence = {
         "derivatives": [{"n": i, "analytic": v} for i, v in enumerate(prof.values, start=1)],
         "symbolic": prof.rule,
@@ -765,7 +787,7 @@ def subgradient_test(
             reason="pseudo-semicontinuity not established",
             evidence={"psc": psc.to_json()},
         )
-    prof, where, n, _, grade = _basis_residual(f, x_star, p, opts)
+    prof, where, n, _, grade = _basis_residual([(1.0, f)], x_star, p, opts)
     if where == "kink":
         return Certificate(
             Verdict.INCONCLUSIVE,
@@ -821,26 +843,17 @@ class GateauxDerivative:
 
     def apply(self, h: Point, tol: float = 1e-12) -> SeriesValue:
         """Certified pairing of the coefficient sequence with h."""
-        k0 = max(len(self.known), h.tail_start - 1)
         if self.tail is None:
             if not h.is_finitely_supported() or len(h.prefix) > len(self.known):
                 raise NonConvergentPairing(
                     "direction reaches past the sampled coefficients"
                 )
+            k0 = len(self.known)
             head = sum(
                 self.coefficient(n) * h.coordinate(n) for n in range(1, k0 + 1)
             )
             return SeriesValue(head, abs(head) * (k0 + 1) * 2.2e-16, k0)
-        prod = self.tail * h.tail_symseq()
-        try:
-            tval, terr, used = tail_sum(prod, k0 + 1, tol / 2)
-        except ValueError as exc:
-            raise NonConvergentPairing(
-                f"derivative pairing not certified convergent ({exc})"
-            ) from exc
-        head = sum(self.coefficient(n) * h.coordinate(n) for n in range(1, k0 + 1))
-        err = terr + (abs(head) + abs(tval)) * (k0 + 2) * 2.2e-16
-        return SeriesValue(head + tval, err, k0 + used)
+        return coefficient_pairing(self.coefficient, len(self.known), self.tail, h)(tol)
 
 
 def gateaux_detect(
@@ -868,7 +881,7 @@ def gateaux_detect(
         return Certificate(verdict, grade, reason, witness, evidence or {}), None
 
     if not space.basis_is_topological:
-        kink = _basis_profile(basis_partials(f, x_star), min(opts.coords, 16)).missing
+        kink = _basis_profile([(1.0, f)], x_star, min(opts.coords, 16)).missing
         for h in witness_directions:
             res = dir_deriv(f, x_star, h, deriv_opts)
             if not res.exists:
@@ -900,7 +913,7 @@ def gateaux_detect(
             "expression has a limsup part, which is not continuous on this space",
         )
 
-    prof = _basis_profile(basis_partials(f, x_star), opts.coords)
+    prof = _basis_profile([(1.0, f)], x_star, opts.coords)
     if prof.missing is not None:
         return no_derivative(
             Verdict.FAILS,
@@ -1099,7 +1112,7 @@ def series_differentiate(
             _, why = _interval_slope(f_equiv, x_star, n, a)
             if why is not None:
                 return fails(why, {"n": n})
-        prof = _basis_profile(basis_partials(f_equiv, x_star), n_max)
+        prof = _basis_profile([(1.0, f_equiv)], x_star, n_max)
         if prof.missing is not None:
             return fails("term derivative missing at the anchor", {"n": prof.missing})
         cert = Certificate(
@@ -1112,7 +1125,7 @@ def series_differentiate(
         return cert, tuple(prof.values)
 
     if isinstance(family, ScaledFamily):
-        base = _basis_profile(basis_partials(family.base, x_star), n_max)
+        base = _basis_profile([(1.0, family.base)], x_star, n_max)
         if base.missing is not None:
             return fails("base derivative missing at the anchor", {"n": base.missing})
         base_values = base.values
@@ -1157,22 +1170,16 @@ def series_differentiate(
             _, why = _interval_slope(g, x_star, n, a)
             if why is not None:
                 return fails(why, {"term": idx, "n": n})
-    partials = [basis_partials(g, x_star) for g in terms]
-    values = []
-    for n in range(1, n_max + 1):
-        acc = 0.0
-        for idx, bp in enumerate(partials):
-            dv = bp.at(n)
-            if dv.status is not DirStatus.EXISTS:
-                return fails("term derivative missing at the anchor", {"term": idx, "n": n})
-            acc += dv.value
-        values.append(acc)
+    prof = _basis_profile([(1.0, g) for g in terms], x_star, n_max)
+    if prof.missing is not None:
+        witness = {"term": prof.part, "n": prof.missing}
+        return fails("term derivative missing at the anchor", witness)
     cert = Certificate(
         Verdict.HOLDS,
         Grade.analytic(),
         evidence={"rule": "finite family; conditions (ii) and (iii) are finite sums"},
     )
-    return cert, tuple(values)
+    return cert, tuple(prof.values)
 
 
 # ---------------------------------------------------------------------------
@@ -1250,45 +1257,17 @@ def kkt_certify(
             )
 
     # Stationarity of the Lagrangian derivative, coordinate by coordinate.
-    parts: list[tuple[float, FunctionExpr]] = [(1.0, f)]
-    parts.extend((l, g) for l, g in zip(lam, inequalities))
-    parts.extend((v, h) for v, h in zip(nu, equalities))
-
-    # Every part's head runs to where the last part's closed form starts.
-    partials = [(c, basis_partials(fn, x_star)) for c, fn in parts]
-    valid_from = max(bp.form.valid_from for _, bp in partials)
-    profiles = [(c, _basis_profile(bp, opts.coords, valid_from)) for c, bp in partials]
-    missing = min((p.missing for _, p in profiles if p.missing is not None), default=None)
-    if missing is not None:
-        return inconclusive(f"directional derivative missing at n={missing}")
-    tail: Optional[SymSeq] = SymSeq.zero()
-    for coeff, p in profiles:
-        tail = None if tail is None or p.tail is None else tail + p.tail.scaled(coeff)
-    head = [
-        sum(coeff * p.head[i] for coeff, p in profiles)
-        for i in range(min(len(p.head) for _, p in profiles))
-    ]
+    parts = [(1.0, f), *zip(lam, inequalities), *zip(nu, equalities)]
+    prof, where, n, r, grade = _basis_residual(parts, x_star, Point.zero(), opts)
+    if where == "kink":
+        return inconclusive(f"directional derivative missing at n={n}")
     evidence["stationarity"] = [
-        {"n": n, "lagrangian_derivative": v}
-        for n, v in enumerate(head[: min(opts.coords, 16)], start=1)
+        {"n": i, "lagrangian_derivative": v}
+        for i, v in enumerate(prof.head[: min(opts.coords, 16)], start=1)
     ]
-    worst = 0.0
-    worst_n = None
-    for n, v in enumerate(head[: opts.coords], start=1):
-        if abs(v) > worst:
-            worst, worst_n = abs(v), n
-    if worst > opts.tol:
-        return inconclusive(
-            f"stationarity fails at n={worst_n}; sufficiency cannot conclude",
-            witness={"n": worst_n, "lagrangian_derivative": worst},
-        )
-
-    where, n, v = _zero_for_every_n(head, tail, valid_from, opts.tol)
-    if where == "exact":
-        return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
-    if where == "none":
-        return Certificate(Verdict.HOLDS, Grade.numeric(opts.coords), evidence=evidence)
+    if where in ("exact", "none"):
+        return Certificate(Verdict.HOLDS, grade, evidence=evidence)
     return inconclusive(
         f"stationarity fails at n={n}; sufficiency cannot conclude",
-        witness={"n": n, "lagrangian_derivative": v},
+        witness={"n": n, "lagrangian_derivative": r},
     )

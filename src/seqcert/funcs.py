@@ -41,7 +41,6 @@ from .seqspace import (
     pair,
     pairing,
     point_axpy,
-    point_scale,
     tail_limit,
 )
 from .symseq import DIVERGENT, SUMMABLE, SymSeq, classify
@@ -250,25 +249,10 @@ class Scale(FunctionExpr):
             raise NegativeScale(f"scale factor must be >= 0, got {self.lam}")
 
 
-def combine_sum(fs: Sequence[FunctionExpr]) -> FunctionExpr:
-    flat: list[FunctionExpr] = []
-    for f in fs:
-        if isinstance(f, Sum):
-            flat.extend(f.terms)
-        else:
-            flat.append(f)
-    return Sum(tuple(flat))
-
-
 def scale(lam: float, f: FunctionExpr) -> FunctionExpr:
     if lam < 0.0:
         raise NegativeScale(f"scale factor must be >= 0, got {lam}")
     return Scale(float(lam), f)
-
-
-def subtract_linear(f: FunctionExpr, p: DualPoint) -> FunctionExpr:
-    """The convex function x -> f(x) - <p, x>."""
-    return combine_sum([f, LinearFunctional(point_scale(-1.0, p))])
 
 
 # ---------------------------------------------------------------------------

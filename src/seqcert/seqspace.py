@@ -147,7 +147,7 @@ class Point:
             raise ValueError(f"coordinate index must be >= 1, got {n}")
         if n <= len(self.prefix):
             return self.prefix[n - 1]
-        return sum(a.value_at(n) for a in self.tail)
+        return sum((a.value_at(n) for a in self.tail), 0.0)
 
     def tail_symseq(self) -> SymSeq:
         out = SymSeq.zero()
@@ -395,9 +395,21 @@ def pairing(p: DualPoint, x: Point) -> Callable[[float], SeriesValue]:
     returned step certifies the tail sum at a given tolerance and combines
     the two, so pairings of one p and x at many tolerances share the rest.
     """
-    k0 = max(len(p.prefix), len(x.prefix))
-    prod = p.tail_symseq() * x.tail_symseq()
-    head = sum(p.coordinate(n) * x.coordinate(n) for n in range(1, k0 + 1))
+    return coefficient_pairing(p.coordinate, len(p.prefix), p.tail_symseq(), x)
+
+
+def coefficient_pairing(
+    coefficient: Callable[[int], float], known: int, tail: SymSeq, x: Point
+) -> Callable[[float], SeriesValue]:
+    """:func:`pairing` of x with any coefficient sequence.
+
+    ``coefficient(n)`` gives the coefficients through n = ``known`` and
+    ``tail`` their closed form beyond; the explicit head runs through the
+    longer of the two prefixes.
+    """
+    k0 = max(known, len(x.prefix))
+    prod = tail * x.tail_symseq()
+    head = sum(coefficient(n) * x.coordinate(n) for n in range(1, k0 + 1))
 
     def at_tol(tol: float) -> SeriesValue:
         try:

@@ -27,6 +27,11 @@ probe comparison.  Only seed 17's certify_min record, that exception's
 message, moved (seed 6 raises evaluate's own message).  Merging the
 per-index and closed-form basis partials into one walk left it unchanged.
 
+It was re-recorded when Point.coordinate started summing an anchor's
+tail from 0.0 instead of the int 0: only "dual": 0 fields of the
+subgradient evidence and witnesses moved, to "dual": 0.0.  Reading KKT's
+Lagrangian through the same weighted residual left it unchanged.
+
 The instances are the grammar_fuzz benchmark's (space, f, x*, p) for seeds
 0-59; seed 54's closed-form derivative profile is valid only from n = 192,
 past the 64 sampled coordinates, so the head extension is pinned too.  Each
@@ -51,6 +56,7 @@ from seqcert.certify import (
     SetDescriptor,
     Verdict,
     certify_min,
+    kkt_certify,
     subgradient_test,
 )
 from seqcert.sampling import random_dual, random_function, random_point
@@ -60,7 +66,7 @@ pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="digest recorded under CPython 3.11"
 )
 
-CERTIFICATE_DIGEST = "f9be6f4c30ea3727d19433bb9d53da235f67f2e57204250f01bd12327b53dcaf"
+CERTIFICATE_DIGEST = "8c74e0d9b776ae18f4a566f33e61bed9ecdf4f09436e9de45e3eadc7e5e2b294"
 
 SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
 FUZZ_SEEDS = range(60)
@@ -104,6 +110,7 @@ def test_subgradient_and_certify_min_certificates_are_pinned(monkeypatch):
     monkeypatch.setattr(certify, "_basis_residual", spy)
     opts = CertifyOptions()
     h = hashlib.sha256()
+    kkt_compared = 0
     for seed in FUZZ_SEEDS:
         _, f, x, p = fuzz_instance(seed)
         for call in (
@@ -119,4 +126,10 @@ def test_subgradient_and_certify_min_certificates_are_pinned(monkeypatch):
             None,
             stationarity,
         ), seed
+        # so is KKT's without constraints, unless psc stopped it first
+        answers.clear()
+        kkt_certify(f, [], [], SetDescriptor.whole_space(), x, [], [], opts)
+        assert answers in ([], [stationarity]), seed
+        kkt_compared += len(answers)
+    assert kkt_compared > 40
     assert h.hexdigest() == CERTIFICATE_DIGEST

@@ -513,6 +513,15 @@ def test_diagonal_family_kink_past_the_sampled_coordinates_fails():
     assert cert.witness == {"n": 9}
 
 
+def test_list_family_kink_past_the_sampled_coordinates_fails():
+    # the same function as one list term: its partial along e_9 is missing
+    # too, past the 4 sampled coordinates
+    fam = [SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.abs_())]
+    cert, _ = series_differentiate(fam, Point([1.0] * 8), opts=CertifyOptions(coords=4))
+    assert cert.verdict is Verdict.FAILS
+    assert cert.witness == {"term": 0, "n": 9}
+
+
 def test_scaled_family_without_majorant_raises():
     base = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.square())
     fam = ScaledFamily(TailRule.harmonic(1.0), base)  # coefficients not summable
@@ -575,6 +584,21 @@ def test_kkt_multiplier_certificate_three_ways():
 
     with pytest.raises(InfeasiblePoint):
         kkt_certify(f, [g1], [], SetDescriptor.whole_space(), Point.zero(), [1.0], [], OPTS)
+
+
+def test_kkt_witness_is_the_first_failing_index_with_its_sign():
+    # f'(x*; e_n) = 0.5^n * 2 x_n: -1 at n = 1, then 0.75 at n = 3
+    f, x_star = quad_series(), Point([-1.0, 0.0, 3.0])
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], OPTS)
+    assert kkt.verdict is Verdict.INCONCLUSIVE
+    assert kkt.reason == "stationarity fails at n=1; sufficiency cannot conclude"
+    assert kkt.witness == {"n": 1, "lagrangian_derivative": -1.0}
+    sub = subgradient_test(f, x_star, DualPoint.zero(), OPTS)
+    assert sub.witness == {"n": 1, "derivative": -1.0, "dual": 0.0}
+    # the first violation is named, not the largest (0.75 at n = 3)
+    x_star = Point([-0.5, 0.0, 3.0])
+    kkt = kkt_certify(f, [], [], SetDescriptor.whole_space(), x_star, [], [], OPTS)
+    assert kkt.witness == {"n": 1, "lagrangian_derivative": -0.5}
 
 
 def test_kkt_negative_multiplier_is_inconclusive():
@@ -861,6 +885,6 @@ def test_stationarity_without_a_tail_form_is_decided_by_the_head():
     # f'(x*; e_1) = 0.5 is the first nonzero residual
     f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
     x = Point([], (TailRule.geometric(1.0, 0.5), TailRule.geometric(0.5, -0.5)))
-    prof, where, n, r, grade = _basis_residual(f, x, Point.zero(), OPTS)
+    prof, where, n, r, grade = _basis_residual([(1.0, f)], x, Point.zero(), OPTS)
     assert (prof.rule, prof.tail) == ("numeric", None)
     assert (where, n, r, grade) == ("head", 1, 0.5, Grade.numeric(OPTS.coords))

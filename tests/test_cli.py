@@ -2,6 +2,7 @@
 JSON reports, schema conformance, and diagnostics for malformed input."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,13 @@ from seqcert.cli import (
 from seqcert.errors import ScenarioError
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
+# the child interpreter finds the package in src/, installed or not
+CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    ),
+}
 REPORT_SCHEMA = json.loads((PKG_ROOT / "docs" / "report.schema.json").read_text())
 
 EXPECTED_VERDICTS = {
@@ -40,6 +48,7 @@ def run_cli(*argv, timeout=90):
         text=True,
         timeout=timeout,
         cwd=PKG_ROOT,
+        env=CLI_ENV,
     )
 
 

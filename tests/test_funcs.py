@@ -26,9 +26,8 @@ from seqcert.funcs import (
     function_from_json,
     function_to_json,
     scale,
-    subtract_linear,
 )
-from seqcert.seqspace import DualPoint, Point, TailRule, basis_vector, point_axpy
+from seqcert.seqspace import DualPoint, Point, TailRule, basis_vector, point_axpy, point_scale
 
 mpmath.mp.dps = 40
 
@@ -116,15 +115,15 @@ def test_constant_and_linear_functional():
     assert evaluate(g, x).value == pytest.approx(-2.0)
 
 
-def test_subtract_linear_negates_the_functional_exactly():
+def test_negated_dual_flips_every_sign_exactly():
     p = DualPoint([1.5, 0.0, -0.0], (TailRule.geometric(-0.0, 0.5), TailRule.harmonic(2.0)))
-    g = subtract_linear(Constant(1.0), p)
-    neg = g.terms[-1].p
+    neg = point_scale(-1.0, p)
     # -v, signed zeros included
     assert [math.copysign(1.0, v) for v in neg.prefix] == [-1.0, -1.0, 1.0]
     assert neg.prefix[0] == -1.5
     assert [(a.kind, a.c, a.r) for a in neg.tail] == [(a.kind, -a.c, a.r) for a in p.tail]
     x = Point([2.0, 1.0], (TailRule.geometric(1.0, 0.25),))
+    g = Sum((Constant(1.0), LinearFunctional(neg)))
     assert evaluate(g, x).value == pytest.approx(1.0 - evaluate(LinearFunctional(p), x).value)
 
 
