@@ -38,7 +38,6 @@ from .funcs import (
     ScalarKind,
     Scale,
     SeparableSeries,
-    SharedTailEvaluator,
     Sum,
     _expect_fields,
     _form_from_json,
@@ -66,6 +65,9 @@ from .seqspace import (
     project,
 )
 from .symseq import SUMMABLE, SymSeq, classify, tail_sum
+
+#: What evaluating or pairing at a point raises when it has no certified value.
+_NO_CERTIFIED_VALUE = (DomainViolation, NonConvergentPairing, NoMajorant)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +457,7 @@ def check_psc(
         z = anchored_truncation(x_star, zero, k)
         try:
             values.append({"k": k, "f_at_truncation": evaluate(f, z).value})
-        except (DomainViolation, NonConvergentPairing, NoMajorant):
+        except _NO_CERTIFIED_VALUE:
             continue
     f_zero = evaluate(f, zero).value
     return Certificate(
@@ -488,8 +490,6 @@ def check_psc_numeric(
     truncation could be evaluated).  A positive excess is no counterexample:
     f(z_k) may converge to f(x) from above.
     """
-    # every anchored truncation carries the anchor's tail
-    at_truncation = SharedTailEvaluator(f, x_star.tail)
     checked = 0
     excesses = []
     for x in probes:
@@ -498,15 +498,15 @@ def check_psc_numeric(
             continue
         try:
             fx = evaluate(f, x)
-        except (DomainViolation, NonConvergentPairing, NoMajorant):
+        except _NO_CERTIFIED_VALUE:
             continue
         checked += 1
         if math.isinf(fx.value):
             continue
         for k in range(max(1, depth // 2), depth + 1):
             try:
-                fz = at_truncation(anchored_truncation(x_star, x, k))
-            except (DomainViolation, NonConvergentPairing, NoMajorant):
+                fz = evaluate(f, anchored_truncation(x_star, x, k))
+            except _NO_CERTIFIED_VALUE:
                 continue
             excesses.append(fz.value - fx.value)
     return {"probes_checked": checked, "max_truncation_excess": max(excesses, default=None)}
@@ -537,7 +537,9 @@ def _basis_profile(
     """The one place that reads the basis partials, of a weighted sum of parts.
 
     Builds one funcs.basis_partials walk per part (c_j, f_j) and profiles
-    n -> sum_j c_j f_j'(x*; e_n).  ``values`` holds it for n <= coords,
+    n -> sum_j c_j f_j'(x*; e_n).  A part with c_j == 0 adds nothing, so
+    it gets no walk and its kinks and forms do not count; ``part`` still
+    indexes ``parts``.  ``values`` holds the profile for n <= coords,
     None where some part's partial does not exist, and ``head`` the same
     sums extended up to where the closed forms start: through
     valid_from - 1 when every part's form holds (valid_from is the largest
@@ -553,12 +555,12 @@ def _basis_profile(
     exists at every n the head covers, and at every n from valid_from on
     when ``tail`` is set.
     """
-    walks = [(c, basis_partials(f, x_star)) for c, f in parts]
-    forms = [bp.form for _, bp in walks]
+    walks = [(j, c, basis_partials(f, x_star)) for j, (c, f) in enumerate(parts) if c != 0.0]
+    forms = [bp.form for _, _, bp in walks]
     valid_from = max([tail_from, *(form.valid_from for form in forms)])
     columns, cuts = [], []
     missing = part = kink = None
-    for j, ((_, bp), form) in enumerate(zip(walks, forms)):
+    for (j, _, bp), form in zip(walks, forms):
         stop = valid_from if form.status == "ok" else (form.kink_at or 1)
         dvs = [bp.at(n) for n in range(1, coords + 1)]
         miss = next(
@@ -578,7 +580,7 @@ def _basis_profile(
 
     def weighted(n: int) -> Optional[float]:
         total = 0.0
-        for (c, _), dvs in zip(walks, columns):
+        for (_, c, _), dvs in zip(walks, columns):
             if dvs[n - 1].value is None:
                 return None
             total += c * dvs[n - 1].value
@@ -587,7 +589,7 @@ def _basis_profile(
     cut = min(cuts, default=coords)
     row = [weighted(n) for n in range(1, max(coords, cut) + 1)]
     tail: Optional[SymSeq] = SymSeq.zero()
-    for (c, _), form in zip(walks, forms):
+    for (_, c, _), form in zip(walks, forms):
         tail = None if tail is None or form.tail is None else tail + form.tail.scaled(c)
     statuses = {form.status for form in forms}
     return _BasisProfile(
@@ -705,7 +707,7 @@ def certify_min(
             continue
         try:
             fx = evaluate(f, x)
-        except (DomainViolation, NonConvergentPairing, NoMajorant) as exc:
+        except _NO_CERTIFIED_VALUE as exc:
             probe_log.append({"probe": point_to_json(x), "skipped": type(exc).__name__})
             continue
         probe_log.append({"probe": point_to_json(x), "f": fx.value})
@@ -843,17 +845,14 @@ class GateauxDerivative:
 
     def apply(self, h: Point, tol: float = 1e-12) -> SeriesValue:
         """Certified pairing of the coefficient sequence with h."""
-        if self.tail is None:
+        tail = self.tail
+        if tail is None:
             if not h.is_finitely_supported() or len(h.prefix) > len(self.known):
                 raise NonConvergentPairing(
                     "direction reaches past the sampled coefficients"
                 )
-            k0 = len(self.known)
-            head = sum(
-                self.coefficient(n) * h.coordinate(n) for n in range(1, k0 + 1)
-            )
-            return SeriesValue(head, abs(head) * (k0 + 1) * 2.2e-16, k0)
-        return coefficient_pairing(self.coefficient, len(self.known), self.tail, h)(tol)
+            tail = SymSeq.zero()
+        return coefficient_pairing(self.coefficient, len(self.known), tail, h)(tol)
 
 
 def gateaux_detect(
@@ -938,7 +937,7 @@ def gateaux_detect(
         try:
             applied = deriv.apply(h)
             direct = dir_deriv(f, x_star, h, deriv_opts)
-        except (NonConvergentPairing, NoMajorant, DomainViolation):
+        except _NO_CERTIFIED_VALUE:
             continue
         except DomainLimited:
             return no_derivative(
@@ -958,11 +957,13 @@ def gateaux_detect(
                 "assembled derivative disagrees with a direct directional derivative",
                 evidence={"validation_gap": gap},
             )
+    # without a closed form only the sampled coefficients are known
+    head_len = 8 if deriv.tail is not None else min(8, len(deriv.known))
     cert = Certificate(
         Verdict.HOLDS,
         grade,
         evidence={
-            "coefficients_head": [deriv.coefficient(n) for n in range(1, 9)],
+            "coefficients_head": [deriv.coefficient(n) for n in range(1, head_len + 1)],
             "validation_samples": samples,
         },
     )

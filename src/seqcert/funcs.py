@@ -34,7 +34,6 @@ from .seqspace import (
     _canonical_tail,
     _tail_atom_from_json,
     certified_series,
-    certified_tail,
     dual_from_json,
     dual_to_json,
     limsup_abs,
@@ -301,7 +300,7 @@ def _separable_tail_forms(
     """Closed forms for the series terms beyond the explicit region.
 
     Returns (exact_tail, valid_from, majorant); exactly one of exact_tail /
-    majorant is non-None except when both fail (no certificate possible).
+    majorant is non-None.
     """
     w = f.weight.to_symseq()
     xx = x.tail_symseq()
@@ -331,19 +330,13 @@ def _separable_tail_forms(
     return None, start, w.abs_terms() * cc.abs_terms() * _sqrt_majorant(xx)
 
 
-def _separable_tail_plan(f: SeparableSeries, x: Point, tol: float):
-    """The part of f(x) that depends on x only through its tail.
-
-    Returns a finished SeriesValue when the series diverges to +inf, else
-    the certified tail's completion (seqspace.certified_tail), which still
-    needs the point's explicit terms.
-    """
-    rank = _tail_domain_rank(f, x)
+def _evaluate_separable(f: SeparableSeries, x: Point, tol: float) -> SeriesValue:
+    """The explicit terms of f(x) plus its certified tail; +inf when the
+    series diverges to +inf."""
+    rank = _separable_domain_rank(f, x)
     exact, valid_from, major = _separable_tail_forms(f, x, rank)
     if exact is not None:
         label = classify(exact)
-        if label == SUMMABLE:
-            return certified_tail(valid_from, tol, tail=exact)
         if label == DIVERGENT:
             try:
                 sgn, _ = exact.eventual_sign(valid_from)
@@ -354,30 +347,16 @@ def _separable_tail_plan(f: SeparableSeries, x: Point, tol: float):
             if sgn > 0:
                 return SeriesValue(math.inf, 0.0, 0)
             raise DomainViolation("series diverges to -infinity; not a proper value")
-        raise NoMajorant("series is at best conditionally convergent")
-    if major is not None:
-        label = classify(major)
-        if label == SUMMABLE:
-            return certified_tail(valid_from, tol, majorant=major)
-        # A divergent majorant of nonnegative-term series still means +inf
-        # only when the terms themselves are certifiably bounded below; we
-        # have no such bound here, so refuse.
-        raise NoMajorant(f"series majorant is {label}")
-    raise NoMajorant("series terms have no certifiable closed form")
-
-
-def _evaluate_separable(
-    f: SeparableSeries, x: Point, tol: float, shared: Optional[SharedTailEvaluator]
-) -> SeriesValue:
-    _screen_sqrt_prefix(f, x)
-    if shared is None:
-        plan = _separable_tail_plan(f, x, tol)
-    else:
-        plan = shared.tail_plan(f, x, tol)
-    if isinstance(plan, SeriesValue):
-        return plan
+        if label != SUMMABLE:
+            raise NoMajorant("series is at best conditionally convergent")
     weight, inner = f.weight, f.inner
-    return plan(lambda n: weight.value_at(n) * inner.value(n, x.coordinate(n)))
+    return certified_series(
+        lambda n: weight.value_at(n) * inner.value(n, x.coordinate(n)),
+        valid_from,
+        tol,
+        tail=exact,
+        majorant=major,
+    )
 
 
 def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
@@ -387,46 +366,12 @@ def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> Seri
     coordinate under a sqrt piece, or a series with no proper extended
     value), and NonConvergentPairing for unpairable linear functionals.
     """
-    return _evaluate(f, x, tol, None)
+    # sub-expressions recurse through _evaluate, so a wrapper around
+    # evaluate sees only the outer call
+    return _evaluate(f, x, tol)
 
 
-class SharedTailEvaluator:
-    """evaluate(f, .) over points that all carry one tail.
-
-    The anchored truncations x* + P^k(x - x*) of any probes agree beyond
-    their prefixes, so each separable leaf's tail closed form, its
-    classification and its tail sum depend only on the leaf and the tail
-    start.  They are computed once per (leaf visit index, tail start) and
-    reused; the head sums and the sqrt-domain screening of each prefix
-    still run per point.  Evaluation visits the leaves in the same order at
-    every point, since f and the tolerance are fixed, so the visit index
-    names a leaf together with its share of the tolerance.
-    """
-
-    def __init__(self, f: FunctionExpr, tail: tuple[TailRule, ...]):
-        self.f = f
-        self.tail = tail
-        self._plans: dict[tuple[int, int], object] = {}
-        self._visit = 0
-
-    def __call__(self, x: Point) -> SeriesValue:
-        if x.tail != self.tail:
-            raise ValueError("point does not carry the shared tail")
-        self._visit = 0
-        return _evaluate(self.f, x, DEFAULT_SERIES_TOL, self)
-
-    def tail_plan(self, leaf: SeparableSeries, x: Point, tol: float):
-        key = (self._visit, x.tail_start)
-        self._visit += 1
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = _separable_tail_plan(leaf, x, tol)
-        return plan
-
-
-def _evaluate(
-    f: FunctionExpr, x: Point, tol: float, shared: Optional[SharedTailEvaluator]
-) -> SeriesValue:
+def _evaluate(f: FunctionExpr, x: Point, tol: float) -> SeriesValue:
     if isinstance(f, Constant):
         return SeriesValue(f.c, 0.0, 0)
     if isinstance(f, LimsupSeminorm):
@@ -434,11 +379,11 @@ def _evaluate(
     if isinstance(f, LinearFunctional):
         return pair(f.p, x, tol)
     if isinstance(f, SeparableSeries):
-        return _evaluate_separable(f, x, tol, shared)
+        return _evaluate_separable(f, x, tol)
     if isinstance(f, Scale):
         if f.lam == 0.0:
             return SeriesValue(0.0, 0.0, 0)
-        sub = _evaluate(f.inner, x, tol / max(f.lam, 1.0), shared)
+        sub = _evaluate(f.inner, x, tol / max(f.lam, 1.0))
         if math.isinf(sub.value):
             return SeriesValue(math.inf, 0.0, sub.terms_used)
         return SeriesValue(f.lam * sub.value, f.lam * sub.error_bound, sub.terms_used)
@@ -449,7 +394,7 @@ def _evaluate(
         total, err, used = 0.0, 0.0, 0
         hit_inf = False
         for g in f.terms:
-            sv = _evaluate(g, x, budget, shared)
+            sv = _evaluate(g, x, budget)
             used += sv.terms_used
             if math.isinf(sv.value):
                 hit_inf = True

@@ -21,6 +21,11 @@ _ULP = 2.2e-16
 
 DEFAULT_SERIES_TOL = 1e-12
 
+#: Most explicit terms a majorant-bounded series sums.  A majorant that
+#: needs more decays too slowly for the head sum to finish in reasonable
+#: time: sum n^-3 alone needs about 10^6 terms to certify 1e-12.
+_HEAD_BUDGET = 1 << 16
+
 
 class TailKind(str, Enum):
     ZERO = "zero"
@@ -319,22 +324,12 @@ def ell1_norm(x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
     """Certified sum of |coordinates|; rejects points outside ell1."""
     if not in_ell1(x):
         raise DomainViolation("point is not absolutely summable")
-    major = x.tail_symseq().abs_terms()
-    k = len(x.prefix)
-    # Grow the explicit region until the majorant tail drops below budget.
-    while True:
-        try:
-            mval, merr, _ = tail_sum(major, k + 1, tol / 4)
-        except ValueError as exc:
-            raise DomainViolation(f"tail not summable: {exc}") from exc
-        if mval + merr <= tol / 2 or not major.terms:
-            break
-        k = max(2 * k, 16)
-        if k > 1 << 26:
-            raise ArithmeticError("ell1 norm explicit region exploded")
-    value = sum(abs(x.coordinate(n)) for n in range(1, k + 1))
-    err = (mval + merr) + value * (k + 1) * _ULP
-    return SeriesValue(value + mval, err, k)
+    return certified_series(
+        lambda n: abs(x.coordinate(n)),
+        x.tail_start,
+        tol,
+        majorant=x.tail_symseq().abs_terms(),
+    )
 
 
 def sup_abs(x: Point, upto: int = 0) -> float:
@@ -437,24 +432,9 @@ def certified_series(
     Terms below ``tail_start`` are evaluated directly.  Beyond it, either
     ``tail`` gives the terms' exact closed form (summed analytically), or
     ``majorant`` bounds |term_at(n)| by a summable closed form, in which
-    case the explicit region is extended until the majorant's remainder
-    fits inside tol.  With neither, no certificate is possible.
-    """
-    return certified_tail(tail_start, tol, tail=tail, majorant=majorant)(term_at)
-
-
-def certified_tail(
-    tail_start: int,
-    tol: float = DEFAULT_SERIES_TOL,
-    *,
-    tail: SymSeq | None = None,
-    majorant: SymSeq | None = None,
-) -> Callable[[Callable[[int], float]], SeriesValue]:
-    """The term-independent half of :func:`certified_series`.
-
-    Certifies everything beyond the explicit region and returns the step
-    that sums the explicit terms and combines the two, so series that share
-    a tail but differ in their head certify the tail once.
+    case the explicit region is doubled until the majorant's remainder
+    fits inside tol; a region past _HEAD_BUDGET terms, or neither form,
+    means no certificate is possible (NoMajorant).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -462,32 +442,24 @@ def certified_tail(
         if classify(tail) != SUMMABLE:
             raise NoMajorant(f"series tail is {classify(tail)}")
         tval, terr, used = tail_sum(tail, tail_start, tol / 2)
-
-        def with_head(term_at: Callable[[int], float]) -> SeriesValue:
-            head = sum(term_at(n) for n in range(1, tail_start))
-            err = terr + (abs(head) + abs(tval)) * (tail_start + 1) * _ULP
-            return SeriesValue(head + tval, err, tail_start - 1 + used)
-
-        return with_head
-    if majorant is not None:
-        if classify(majorant) != SUMMABLE:
-            raise NoMajorant(f"series majorant is {classify(majorant)}")
-        k = tail_start - 1
-        while True:
-            mval, merr, _ = tail_sum(majorant, k + 1, tol / 4)
-            if mval + merr <= tol / 2 or not majorant.terms:
-                break
-            k = max(2 * k, 16)
-            if k > 1 << 26:
-                raise NoMajorant("majorant decays too slowly to certify")
-
-        def with_head(term_at: Callable[[int], float]) -> SeriesValue:
-            head = sum(term_at(n) for n in range(1, k + 1))
-            err = (mval + merr) + abs(head) * (k + 1) * _ULP
-            return SeriesValue(head, err, k)
-
-        return with_head
-    raise NoMajorant("no closed-form tail or majorant supplied")
+        head = sum(term_at(n) for n in range(1, tail_start))
+        err = terr + (abs(head) + abs(tval)) * (tail_start + 1) * _ULP
+        return SeriesValue(head + tval, err, tail_start - 1 + used)
+    if majorant is None:
+        raise NoMajorant("no closed-form tail or majorant supplied")
+    if classify(majorant) != SUMMABLE:
+        raise NoMajorant(f"series majorant is {classify(majorant)}")
+    k = tail_start - 1
+    while True:
+        mval, merr, _ = tail_sum(majorant, k + 1, tol / 4)
+        if mval + merr <= tol / 2 or not majorant.terms:
+            break
+        k = max(2 * k, 16)
+        if k > _HEAD_BUDGET:
+            raise NoMajorant("majorant decays too slowly to certify")
+    head = sum(term_at(n) for n in range(1, k + 1))
+    err = (mval + merr) + abs(head) * (k + 1) * _ULP
+    return SeriesValue(head, err, k)
 
 
 # ---------------------------------------------------------------------------

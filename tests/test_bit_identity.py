@@ -18,12 +18,7 @@ from typing import Optional
 import pytest
 
 from seqcert import reduce
-from seqcert.certify import (
-    CertifyOptions,
-    SetDescriptor,
-    anchored_truncation,
-    default_psc_probes,
-)
+from seqcert.certify import SetDescriptor
 from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
 from seqcert.errors import DomainViolation
 from seqcert.funcs import (
@@ -35,13 +30,11 @@ from seqcert.funcs import (
     ScalarKind,
     Scale,
     SeparableSeries,
-    SharedTailEvaluator,
     Sum,
     _finite_line,
     basis_partials,
     delta_along,
     delta_line,
-    evaluate,
 )
 from seqcert.reduce import OracleOptions, build_reduced, minimize_reduced
 from seqcert.sampling import random_direction, random_function, random_point
@@ -211,25 +204,6 @@ def test_profile_matches_direction_by_direction_scans():
             single = dir_deriv(f, x, basis_vector(n), NUMERIC)
             assert bits(res) == bits(single)
     assert raised > 0  # the infeasible sqrt points exercise the error path
-
-
-def test_shared_tail_evaluation_matches_evaluate_on_truncations():
-    opts = CertifyOptions(probe_count=4)
-    for f, x_star in instances():
-        at_truncation = SharedTailEvaluator(f, x_star.tail)
-        for probe in default_psc_probes(x_star, opts):
-            for k in (1, 3, 8, 16):
-                z = anchored_truncation(x_star, probe, k)
-                got = outcome(lambda: at_truncation(z))
-                want = outcome(lambda: evaluate(f, z))
-                assert got == want
-
-
-def test_shared_tail_evaluation_rejects_a_foreign_tail():
-    f = sqrt_objective(0.5)
-    at_truncation = SharedTailEvaluator(f, (TailRule.geometric(1.0, 0.25),))
-    with pytest.raises(ValueError):
-        at_truncation(Point([1.0], (TailRule.geometric(1.0, 0.5),)))
 
 
 def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):

@@ -4,6 +4,7 @@ term-wise series differentiation, and KKT."""
 
 import math
 import random
+import time
 
 import pytest
 
@@ -31,6 +32,7 @@ from seqcert.certify import (
     set_to_json,
     subgradient_test,
 )
+from seqcert.derivative import dir_deriv
 from seqcert.errors import DomainViolation, InfeasiblePoint, NoMajorant, NonConvergentPairing
 from seqcert.funcs import (
     Constant,
@@ -45,7 +47,7 @@ from seqcert.funcs import (
     evaluate,
 )
 from seqcert.reduce import build_reduced, minimize_reduced
-from seqcert.sampling import random_dual, random_function, random_point
+from seqcert.sampling import random_direction, random_dual, random_function, random_point
 from seqcert.seqspace import (
     DualPoint,
     Point,
@@ -452,8 +454,6 @@ def test_limsup_on_linfty_is_inconclusive_without_witness():
 
 
 def test_smooth_series_on_l1_assembles_derivative():
-    from seqcert.derivative import dir_deriv
-
     f = quad_series()
     x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
     cert, deriv = gateaux_detect(f, SpaceDescriptor.ell1(), x, OPTS)
@@ -829,6 +829,40 @@ def test_closed_form_agrees_with_the_per_index_walk():
                 dv = partials.at(n)
                 assert dv.status is DirStatus.EXISTS, (f, x_star, n)
                 assert math.isclose(form.tail.value_at(n), dv.value, rel_tol=1e-9), (f, x_star, n)
+
+
+def test_gateaux_detect_certifies_with_fewer_coords_than_the_evidence_head():
+    # with no closed form, coefficients_head reads only the coords known
+    # coefficients; seeds 25, 43, 83, ... have no closed form
+    opts = CertifyOptions(coords=4)
+    for seed in range(300):
+        space, f, x_star, _ = fuzz_instance(seed)
+        cert, deriv = gateaux_detect(f, space, x_star, opts)
+        if deriv is not None and deriv.tail is None:
+            assert len(cert.evidence["coefficients_head"]) == 4, seed
+
+
+def test_kkt_ignores_the_kinks_of_a_zero_multiplier_part():
+    # the Lagrangian at lambda = 0 is f, so the kink of g at every n is no obstacle
+    f = quad_series()
+    g = Sum((Constant(-1.0), SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())))
+    kkt = kkt_certify(f, [g], [], SetDescriptor.whole_space(), Point.zero(), [0.0], [], OPTS)
+    best = certify_min(f, SetDescriptor.whole_space(), Point.zero(), OPTS)
+    assert (kkt.verdict, kkt.grade.render()) == (Verdict.HOLDS, "analytic_all_n")
+    assert (best.verdict, best.grade.render()) == (Verdict.HOLDS, "analytic_all_n")
+
+
+def test_a_slowly_decaying_majorant_ends_in_no_majorant():
+    # seed 10 along a harmonic-tailed direction: the quotient steps need a
+    # majorant-bounded head sum of millions of terms, which would run for
+    # minutes; the head budget ends it at once
+    _, f, x_star, _ = fuzz_instance(10)
+    h = random_direction(random.Random(3), summable=False)
+    assert h.tail and h.tail[0].kind.value == "harmonic"
+    start = time.perf_counter()
+    with pytest.raises(NoMajorant, match="decays too slowly"):
+        dir_deriv(f, x_star, h)
+    assert time.perf_counter() - start < 5.0
 
 
 # evidence-only numeric passes ------------------------------------------------------

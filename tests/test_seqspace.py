@@ -5,12 +5,15 @@ import math
 import mpmath
 import pytest
 
+from seqcert.errors import NoMajorant
 from seqcert.seqspace import (
+    _HEAD_BUDGET,
     DualPoint,
     Point,
     SpaceDescriptor,
     TailRule,
     basis_vector,
+    certified_series,
     dual_basis_vector,
     dual_from_json,
     dual_to_json,
@@ -31,6 +34,7 @@ from seqcert.seqspace import (
     space_to_json,
     sup_abs,
 )
+from seqcert.symseq import SymSeq
 
 mpmath.mp.dps = 30
 
@@ -153,6 +157,16 @@ def test_ell1_norm_against_reference():
     got = ell1_norm(x)
     ref = 3.0 + float(mpmath.nsum(lambda n: mpmath.mpf(0.5) ** n, [3, mpmath.inf]))
     assert abs(got.value - ref) <= got.error_bound + 1e-12
+
+
+def test_majorant_series_gives_up_past_the_head_budget():
+    # the remainder of sum n^-3 drops below 1e-12 only after about 10^6
+    # explicit terms, past the head budget; a coarser tolerance fits inside it
+    with pytest.raises(NoMajorant, match="decays too slowly"):
+        certified_series(lambda n: n**-3.0, 1, 1e-12, majorant=SymSeq.term(1.0, 1.0, 3))
+    sv = certified_series(lambda n: n**-3.0, 1, 1e-6, majorant=SymSeq.term(1.0, 1.0, 3))
+    assert sv.terms_used <= _HEAD_BUDGET
+    assert abs(sv.value - float(mpmath.zeta(3))) <= sv.error_bound
 
 
 def test_in_ell1_detects_divergence():
