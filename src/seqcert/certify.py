@@ -57,7 +57,9 @@ from .seqspace import (
     SpaceDescriptor,
     TailRule,
     coefficient_pairing,
+    coordinate_signs,
     in_ell1,
+    in_space,
     limsup_abs,
     point_from_json,
     point_sub,
@@ -118,41 +120,6 @@ class SetDescriptor:
         return SetDescriptor(SetKind.BOX, lower=lower, upper=upper, bound_count=bound_count)
 
 
-def _coords_vs_zero(x: Point, strict: bool) -> tuple[Optional[bool], Optional[int]]:
-    """Are all coordinates >= 0 (or > 0)?
-
-    Returns (True, None) when certified, (False, n) with a concrete witness
-    index, (None, None) when the tail sign cannot be certified either way.
-    """
-    for n in range(1, x.tail_start):
-        v = x.coordinate(n)
-        if v < 0.0 or (strict and v == 0.0):
-            return False, n
-    seq = x.tail_symseq()
-    if not seq.terms:
-        if strict:
-            return False, x.tail_start
-        return True, None
-    try:
-        sgn, rank = seq.eventual_sign(x.tail_start)
-    except ValueError:
-        # no certified eventual sign: look for a concrete violation
-        for n in range(x.tail_start, x.tail_start + 256):
-            v = seq.value_at(n)
-            if v < 0.0 or (strict and v == 0.0):
-                return False, n
-        return None, None
-    if sgn < 0:
-        return False, rank
-    for n in range(x.tail_start, rank):
-        v = seq.value_at(n)
-        if v < 0.0 or (strict and v == 0.0):
-            return False, n
-    if sgn == 0 and strict:
-        return False, max(x.tail_start, rank)
-    return True, None
-
-
 def _bounded_index(s: SetDescriptor, n: int) -> bool:
     return s.bound_count is None or n <= s.bound_count
 
@@ -179,8 +146,8 @@ def _rectangle_position(
     """Is x in the set (strict False), or strictly inside every face that
     bounds it (strict True)?
 
-    Returns (ok, n, face), tri-state like _coords_vs_zero: (True, None,
-    None) when certified, (False, n, face) with a witness coordinate n,
+    Returns (ok, n, face), tri-state like seqspace.coordinate_signs: (True,
+    None, None) when certified, (False, n, face) with a witness coordinate n,
     (None, None, face) when a tail comparison could not be certified either
     way.  face names the box bound compared, "lower" or "upper", and is
     None for the cone and for a box with bound_count.
@@ -190,7 +157,8 @@ def _rectangle_position(
     if s.kind is SetKind.POSITIVE_CONE_ELL1:
         if not in_ell1(x):
             return False, 0, None
-        return (*_coords_vs_zero(x, strict), None)
+        signs = coordinate_signs(x, strict)
+        return signs.ok, signs.n, None
     if s.bound_count is not None:
         for n in range(1, s.bound_count + 1):
             lo, hi = coordinate_interval(s, n)
@@ -202,17 +170,17 @@ def _rectangle_position(
         if bound is None:
             continue
         diff = point_sub(x, bound) if face == "lower" else point_sub(bound, x)
-        ok, n = _coords_vs_zero(diff, strict)
-        if ok is not True:
-            return ok, n, face
+        signs = coordinate_signs(diff, strict)
+        if signs.ok is not True:
+            return signs.ok, signs.n, face
     return True, None, None
 
 
 def set_membership(s: SetDescriptor, x: Point) -> tuple[Optional[bool], Optional[int]]:
     """Membership with a witness coordinate on failure.
 
-    Tri-state like _coords_vs_zero: None means the tail comparison could
-    not be certified in either direction.
+    Tri-state like seqspace.coordinate_signs: None means the tail
+    comparison could not be certified in either direction.
     """
     ok, n, _ = _rectangle_position(s, x, strict=False)
     return ok, n
@@ -399,15 +367,25 @@ def anchored_truncation(x_star: Point, x: Point, k: int) -> Point:
     return project(x, k, x_star)
 
 
-def _limsup_weight(f: FunctionExpr) -> float:
-    """Total nonnegative coefficient of limsup parts inside the expression."""
+@dataclass(frozen=True)
+class _Shape:
+    lam: float  # the total nonnegative coefficient of its limsup parts
+    affine: bool  # built from constants, linear functionals, linear-piece series
+
+
+def _limsup_weight(f: FunctionExpr) -> _Shape:
+    """The expression's limsup weight and whether it is affine, in one walk."""
     if isinstance(f, LimsupSeminorm):
-        return 1.0
+        return _Shape(1.0, False)
     if isinstance(f, Scale):
-        return f.lam * _limsup_weight(f.inner)
+        inner = _limsup_weight(f.inner)
+        return _Shape(f.lam * inner.lam, inner.affine)
     if isinstance(f, Sum):
-        return sum(_limsup_weight(g) for g in f.terms)
-    return 0.0
+        parts = [_limsup_weight(g) for g in f.terms]
+        return _Shape(sum(p.lam for p in parts), all(p.affine for p in parts))
+    if isinstance(f, SeparableSeries):
+        return _Shape(0.0, f.inner.kind is ScalarKind.LINEAR)
+    return _Shape(0.0, True)
 
 
 def default_psc_probes(x_star: Point, opts: CertifyOptions) -> list[Point]:
@@ -437,7 +415,7 @@ def check_psc(
     at truncation depths up to ``depth`` as evidence only
     (check_psc_numeric): finitely many truncations cannot bound a limsup.
     """
-    lam = _limsup_weight(f)
+    lam = _limsup_weight(f).lam
     p_star = limsup_abs(x_star)
     if lam == 0.0 or p_star == 0.0:
         evidence = {
@@ -864,53 +842,22 @@ def gateaux_detect(
 ) -> tuple[Certificate, Optional[GateauxDerivative]]:
     """Is f Gateaux-differentiable at x*, and what is the derivative?
 
-    On a topological-basis space, existence of every basis directional
-    derivative settles the question and the derivative is assembled from
-    those coefficients (then validated against direct directional
-    derivatives on sample directions; a sample with no feasible step on
-    either side gives INCONCLUSIVE).  Without a topological basis the
-    basis directions prove nothing positive: the verdict is INCONCLUSIVE
-    unless some supplied direction exhibits left != right, which is FAILS.
+    One pipeline for every space: a missing basis partial, then a supplied
+    direction with left != right, gives FAILS (directions outside the space
+    or without certified quotients are skipped).  Otherwise a space without
+    a topological basis, or a limsup part of f, gives INCONCLUSIVE; else the
+    derivative is assembled from the basis partials and validated against
+    direct directional derivatives on sample directions (one with no
+    feasible step gives INCONCLUSIVE).  Raises InfeasiblePoint when x* is
+    not in the space.
     """
-    deriv_opts = opts.deriv
+    if not in_space(x_star, space):
+        raise InfeasiblePoint(f"anchor is not in the space {space.kind.value}")
 
     def no_derivative(
         verdict: Verdict, grade: Grade, reason: str, witness=None, evidence=None
     ) -> tuple[Certificate, None]:
         return Certificate(verdict, grade, reason, witness, evidence or {}), None
-
-    if not space.basis_is_topological:
-        kink = _basis_profile([(1.0, f)], x_star, min(opts.coords, 16)).missing
-        for h in witness_directions:
-            res = dir_deriv(f, x_star, h, deriv_opts)
-            if not res.exists:
-                return no_derivative(
-                    Verdict.FAILS,
-                    Grade.numeric(opts.coords),
-                    "a direction with unequal one-sided derivatives",
-                    {"direction": point_to_json(h), "left": res.left, "right": res.right},
-                    {"basis_kink": kink},
-                )
-        if kink is not None:
-            return no_derivative(
-                Verdict.FAILS,
-                Grade.analytic(),
-                "a basis directional derivative is missing",
-                {"n": kink},
-            )
-        return no_derivative(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
-            "basis is not topological; existence along basis directions is not sufficient",
-            evidence={"basis_derivatives_exist": True},
-        )
-
-    if _limsup_weight(f) != 0.0:
-        return no_derivative(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
-            "expression has a limsup part, which is not continuous on this space",
-        )
 
     prof = _basis_profile([(1.0, f)], x_star, opts.coords)
     if prof.missing is not None:
@@ -919,6 +866,34 @@ def gateaux_detect(
             Grade.analytic(),
             "directional derivative missing along a basis direction",
             {"n": prof.missing, "left": prof.kink.left, "right": prof.kink.right},
+        )
+    for h in witness_directions:
+        if not in_space(h, space):
+            continue
+        try:
+            res = dir_deriv(f, x_star, h, opts.deriv)
+        except (*_NO_CERTIFIED_VALUE, DomainLimited):
+            continue
+        if not res.exists:
+            return no_derivative(
+                Verdict.FAILS,
+                Grade.numeric(opts.coords),
+                "a direction with unequal one-sided derivatives",
+                {"direction": point_to_json(h), "left": res.left, "right": res.right},
+                {"basis_kink": None},  # every basis partial exists here
+            )
+    if not space.basis_is_topological:
+        return no_derivative(
+            Verdict.INCONCLUSIVE,
+            Grade.numeric(opts.coords),
+            "basis is not topological; existence along basis directions is not sufficient",
+            evidence={"basis_derivatives_exist": True},
+        )
+    if _limsup_weight(f).lam != 0.0:
+        return no_derivative(
+            Verdict.INCONCLUSIVE,
+            Grade.numeric(opts.coords),
+            "expression has a limsup part, which is not continuous on this space",
         )
     if prof.tail is not None:
         deriv = GateauxDerivative(known=tuple(prof.head[: prof.valid_from - 1]), tail=prof.tail)
@@ -936,7 +911,7 @@ def gateaux_detect(
         h = random_direction(rng, summable=True)
         try:
             applied = deriv.apply(h)
-            direct = dir_deriv(f, x_star, h, deriv_opts)
+            direct = dir_deriv(f, x_star, h, opts.deriv)
         except _NO_CERTIFIED_VALUE:
             continue
         except DomainLimited:
@@ -1028,55 +1003,34 @@ def family_from_json(obj: dict) -> SeriesFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _interval_slope(f: FunctionExpr, x: Point, n: int, a: float) -> tuple[float, Optional[str]]:
-    """(bound, why) for t -> f(x + t e_n) on |t| < a, term by term.
+def _interval_slope(f: FunctionExpr, x: Point, n: int, a: float) -> tuple[Optional[str], bool]:
+    """(why, unbounded) for t -> f(x + t e_n) on |t| < a, term by term.
 
     why is None when every term of f is differentiable on the interval, and
     otherwise names the first term's kink or sqrt boundary inside it.
-    bound sums, over all terms, the sup of |derivative| on the interval
-    within the domain; it is +inf where a sqrt term's boundary touches the
-    interval.
+    unbounded is True when some term's derivative has no finite supremum on
+    the interval within the domain, which happens only where a sqrt term's
+    boundary touches the interval: a convex piece's derivative is monotone
+    (Rockafellar, Convex Analysis, Thm 24.1), so elsewhere its supremum is
+    its value at an end of the interval.
     """
-    if isinstance(f, (Constant, LimsupSeminorm)):
-        return 0.0, None
-    if isinstance(f, LinearFunctional):
-        return abs(f.p.coordinate(n)), None
+    if isinstance(f, (Constant, LimsupSeminorm, LinearFunctional)):
+        return None, False
     if isinstance(f, Scale):
-        if not f.lam:
-            return 0.0, None
-        bound, why = _interval_slope(f.inner, x, n, a)
-        return f.lam * bound, why
+        return _interval_slope(f.inner, x, n, a) if f.lam else (None, False)
     if isinstance(f, Sum):
-        total, first_why = 0, None
-        for g in f.terms:
-            bound, why = _interval_slope(g, x, n, a)
-            total += bound
-            first_why = first_why or why
-        return total, first_why
+        parts = [_interval_slope(g, x, n, a) for g in f.terms]
+        return next((why for why, _ in parts if why), None), any(unb for _, unb in parts)
     if isinstance(f, SeparableSeries):
-        w = f.weight.value_at(n)
-        if w == 0.0:
-            return 0.0, None
-        u, v, why = f.inner, x.coordinate(n), None
+        u, v = f.inner, x.coordinate(n)
+        if f.weight.value_at(n) == 0.0:
+            return None, False
         if u.kind is ScalarKind.ABS:
-            slope = 1.0
-            if not abs(v) >= a:
-                why = f"kink of |.| inside the interval at n={n}"
-        elif u.kind is ScalarKind.SQUARE:
-            slope = 2.0 * (abs(v) + a)
-        elif u.kind is ScalarKind.AFFINE_QUAD:
-            slope = 2.0 * abs(u.a.value_at(n)) * (abs(v) + a) + abs(u.b.value_at(n))
-        elif u.kind is ScalarKind.LINEAR:
-            slope = abs(u.b.value_at(n))
-        else:
-            c, lo = abs(u.c.value_at(n)), v - a
-            if c == 0.0:
-                slope = 0.0
-            else:
-                slope = math.inf if lo <= 0.0 else c / (2.0 * math.sqrt(lo))
-                if not lo >= 0.0:
-                    why = f"sqrt boundary inside the interval at n={n}"
-        return abs(w) * slope, why
+            return (None if abs(v) >= a else f"kink of |.| inside the interval at n={n}"), False
+        if u.kind is not ScalarKind.NEG_SQRT or u.c.value_at(n) == 0.0:
+            return None, False
+        lo = v - a
+        return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
@@ -1110,7 +1064,7 @@ def series_differentiate(
         # immediate and only condition (i) needs work.
         f_equiv = SeparableSeries(family.weight, family.inner)
         for n, a in enumerate(radii_vals, start=1):
-            _, why = _interval_slope(f_equiv, x_star, n, a)
+            why, _ = _interval_slope(f_equiv, x_star, n, a)
             if why is not None:
                 return fails(why, {"n": n})
         prof = _basis_profile([(1.0, f_equiv)], x_star, n_max)
@@ -1145,10 +1099,10 @@ def series_differentiate(
                 tuple(0.0 for _ in base_values),
             )
         for n, a in enumerate(radii_vals, start=1):
-            bound, why = _interval_slope(family.base, x_star, n, a)
+            why, unbounded = _interval_slope(family.base, x_star, n, a)
             if why is not None:
                 return fails(why, {"n": n})
-            if not math.isfinite(bound):
+            if unbounded:
                 raise NoMajorant(
                     f"no finite derivative envelope on the interval at n={n}"
                 )
@@ -1168,7 +1122,7 @@ def series_differentiate(
     terms = list(family)
     for n, a in enumerate(radii_vals, start=1):
         for idx, g in enumerate(terms):
-            _, why = _interval_slope(g, x_star, n, a)
+            why, _ = _interval_slope(g, x_star, n, a)
             if why is not None:
                 return fails(why, {"term": idx, "n": n})
     prof = _basis_profile([(1.0, g) for g in terms], x_star, n_max)
@@ -1235,6 +1189,10 @@ def kkt_certify(
     for j, l in enumerate(lam):
         if l < 0.0:
             return inconclusive(f"multiplier {j} is negative; hypothesis not satisfied")
+    # sufficiency needs every part nu_k h_k convex: nu_k < 0 only on affine h_k
+    for k, (v, h) in enumerate(zip(nu, equalities)):
+        if v < 0.0 and not _limsup_weight(h).affine:
+            return inconclusive(f"multiplier {k} is negative on a non-affine equality")
 
     qual = check_qualification(s, x_star, opts.coords)
     evidence["qualification"] = qual.to_json()

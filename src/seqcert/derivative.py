@@ -84,14 +84,13 @@ def _is_basis(h: Point) -> Optional[int]:
 class _Side:
     """Monotone quotient scan on one side of 0."""
 
-    __slots__ = ("bound", "report", "log", "alive", "touched")
+    __slots__ = ("bound", "report", "log", "alive")
 
     def __init__(self):
         self.bound: Optional[float] = None
         self.report: Optional[float] = None
         self.log: list[tuple[float, float]] = []
         self.alive = False
-        self.touched = False
 
 
 def _scan_side(
@@ -125,7 +124,6 @@ def _scan_side(
             # Convex domains are intervals along a line: larger |t| failing
             # says nothing about smaller |t|, so keep shrinking.
             continue
-        side.touched = True
         side.log.append((t, q))
         if prev is not None:
             drift = (q - prev) if sign > 0 else (prev - q)

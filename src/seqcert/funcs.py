@@ -34,6 +34,7 @@ from .seqspace import (
     _canonical_tail,
     _tail_atom_from_json,
     certified_series,
+    coordinate_signs,
     dual_from_json,
     dual_to_json,
     limsup_abs,
@@ -259,39 +260,19 @@ def scale(lam: float, f: FunctionExpr) -> FunctionExpr:
 # ---------------------------------------------------------------------------
 
 
-def _screen_sqrt_prefix(f: SeparableSeries, x: Point) -> None:
-    """Domain screening of the explicit prefix for sqrt pieces."""
-    if f.inner.kind is not ScalarKind.NEG_SQRT:
-        return
-    for n in range(1, x.tail_start):
-        if x.coordinate(n) < 0.0:
-            raise DomainViolation(f"coordinate {n} is negative under a sqrt piece")
-
-
-def _tail_domain_rank(f: SeparableSeries, x: Point) -> int:
-    """Domain screening of the tail for sqrt pieces; returns the rank from
-    which the tail's sign is settled (tail start otherwise)."""
-    start = x.tail_start
-    if f.inner.kind is not ScalarKind.NEG_SQRT:
-        return start
-    seq = x.tail_symseq()
-    if not seq.terms:
-        return start
-    try:
-        sgn, rank = seq.eventual_sign(start)
-    except ValueError as exc:
-        raise DomainViolation(f"tail sign oscillates under a sqrt piece: {exc}") from exc
-    if sgn < 0:
-        raise DomainViolation("tail is eventually negative under a sqrt piece")
-    for n in range(start, rank):
-        if seq.value_at(n) < 0.0:
-            raise DomainViolation(f"coordinate {n} is negative under a sqrt piece")
-    return max(start, rank)
-
-
 def _separable_domain_rank(f: SeparableSeries, x: Point) -> int:
-    _screen_sqrt_prefix(f, x)
-    return _tail_domain_rank(f, x)
+    """Domain screening for sqrt pieces; returns the rank from which the
+    tail's sign is settled (the tail start otherwise)."""
+    if f.inner.kind is not ScalarKind.NEG_SQRT:
+        return x.tail_start
+    signs = coordinate_signs(x)
+    if signs.ok is None:
+        raise DomainViolation(f"tail sign oscillates under a sqrt piece: {signs.unsettled}")
+    if signs.eventual:
+        raise DomainViolation("tail is eventually negative under a sqrt piece")
+    if not signs.ok:
+        raise DomainViolation(f"coordinate {signs.n} is negative under a sqrt piece")
+    return signs.rank
 
 
 def _separable_tail_forms(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainViolation, NoMajorant, NonConvergentPairing
 from .symseq import SUMMABLE, SymSeq, classify, tail_sum
@@ -187,26 +187,27 @@ class SpaceDescriptor:
     """Which sequence space we are working in, and what its basis offers.
 
     The coordinate basis is topological for the metric space of all
-    sequences and for ell1 (projection norms uniformly bounded, constant 1
-    for the canonical ell1 basis); it is not a topological basis for
-    ellinf, which is why differentiability claims there are capped.
+    sequences and for ell1; it is not a topological basis for ellinf,
+    which is why differentiability claims there are capped.
     """
 
     kind: SpaceKind
-    basis_is_topological: bool
-    basis_constant: Optional[float] = None
+
+    @property
+    def basis_is_topological(self) -> bool:
+        return self.kind is not SpaceKind.ELLINF
 
     @staticmethod
     def rn() -> SpaceDescriptor:
-        return SpaceDescriptor(SpaceKind.RN, True, None)
+        return SpaceDescriptor(SpaceKind.RN)
 
     @staticmethod
     def ell1() -> SpaceDescriptor:
-        return SpaceDescriptor(SpaceKind.ELL1, True, 1.0)
+        return SpaceDescriptor(SpaceKind.ELL1)
 
     @staticmethod
     def ellinf() -> SpaceDescriptor:
-        return SpaceDescriptor(SpaceKind.ELLINF, False, None)
+        return SpaceDescriptor(SpaceKind.ELLINF)
 
 
 @dataclass(frozen=True)
@@ -315,9 +316,48 @@ def in_ellinf(x: Point) -> bool:
 
 
 def in_space(x: Point, space: SpaceDescriptor) -> bool:
-    if space.kind is SpaceKind.ELL1:
-        return in_ell1(x)
-    return True
+    return space.kind is not SpaceKind.ELL1 or in_ell1(x)
+
+
+class CoordinateSigns(NamedTuple):
+    """The answer of :func:`coordinate_signs`."""
+
+    ok: Optional[bool]  # None: no certified tail sign and no violation near
+    n: Optional[int]  # the first violating index found
+    rank: int  # where the tail's certified sign starts (else its tail start)
+    eventual: bool = False  # the violation is the tail's own sign from n = rank on
+    unsettled: Optional[str] = None  # why the tail has no certified eventual sign
+
+
+def coordinate_signs(x: Point, strict: bool = False) -> CoordinateSigns:
+    """Is every coordinate of x >= 0 (> 0 when strict)?
+
+    The one sign rule behind set membership, qualification's interior test
+    and the domain of sqrt pieces.  Without a certified eventual sign the
+    tail's first 256 coordinates are searched for a violation.
+    """
+    def first_bad(ns: range, value: Callable[[int], float]) -> Optional[int]:
+        for n in ns:
+            v = value(n)
+            if v < 0.0 or (strict and v == 0.0):
+                return n
+        return None
+
+    start = x.tail_start
+    n = first_bad(range(1, start), x.coordinate)
+    if n is not None:
+        return CoordinateSigns(False, n, start)
+    seq = x.tail_symseq()
+    try:
+        sgn, rank = seq.eventual_sign(start) if seq.terms else (0, start)
+    except ValueError as exc:
+        n = first_bad(range(start, start + 256), seq.value_at)
+        return CoordinateSigns(None if n is None else False, n, start, unsettled=str(exc))
+    rank = max(start, rank)
+    if sgn < 0 or (sgn == 0 and strict):
+        return CoordinateSigns(False, rank, rank, True)
+    n = first_bad(range(start, rank), seq.value_at)
+    return CoordinateSigns(n is None, n, rank)
 
 
 def ell1_norm(x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:

@@ -453,6 +453,72 @@ def test_limsup_on_linfty_is_inconclusive_without_witness():
     assert cert.verdict is Verdict.INCONCLUSIVE
 
 
+def test_witness_directions_are_read_on_every_space():
+    # on rn the limsup is not continuous, but a supplied direction still
+    # exhibits its kink at 0
+    ones = Point([], (TailRule.const(1.0),))
+    cert, deriv = gateaux_detect(
+        LimsupSeminorm(), SpaceDescriptor.rn(), Point.zero(), OPTS, witness_directions=(ones,)
+    )
+    assert (cert.verdict, cert.grade.render()) == (Verdict.FAILS, f"numeric_first_n({OPTS.coords})")
+    assert (cert.witness["left"], cert.witness["right"]) == (-1.0, 1.0)
+    assert deriv is None
+
+
+def test_witness_direction_without_certified_quotients_is_skipped():
+    # along the all-ones direction the delta series of sum (1/n) x_n^2 has
+    # no summable majorant; the direction is skipped and the basis decides
+    f = SeparableSeries(TailRule.harmonic(1.0), ScalarConvex.square())
+    ones = Point([], (TailRule.const(1.0),))
+    with pytest.raises(NoMajorant):
+        dir_deriv(f, Point.zero(), ones, OPTS.deriv)
+    for space, verdict in (
+        (SpaceDescriptor.rn(), Verdict.HOLDS),
+        (SpaceDescriptor.ellinf(), Verdict.INCONCLUSIVE),
+    ):
+        cert, _ = gateaux_detect(f, space, Point.zero(), OPTS, witness_directions=(ones,))
+        assert cert.verdict is verdict
+
+
+def test_witness_direction_outside_the_space_is_skipped():
+    # limsup |x_n| vanishes on l1, so the all-ones direction, which is not
+    # in l1, must not disprove differentiability there
+    ones = Point([], (TailRule.const(1.0),))
+    cert, _ = gateaux_detect(
+        LimsupSeminorm(), SpaceDescriptor.ell1(), Point.zero(), OPTS, witness_directions=(ones,)
+    )
+    assert cert.verdict is Verdict.INCONCLUSIVE
+
+
+def test_missing_partial_is_decided_before_witness_directions():
+    # the closed-form kink at n = 1 outranks a numeric direction witness
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+    e1 = basis_vector(1)
+    for space in (SpaceDescriptor.rn(), SpaceDescriptor.ell1(), SpaceDescriptor.ellinf()):
+        cert, _ = gateaux_detect(f, space, Point.zero(), OPTS, witness_directions=(e1,))
+        assert (cert.verdict, cert.grade.render()) == (Verdict.FAILS, "analytic_all_n")
+        assert cert.witness == {"n": 1, "left": -0.5, "right": 0.5}
+
+
+def test_gateaux_anchor_outside_the_space_is_rejected():
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square())
+    ones = Point([], (TailRule.const(1.0),))
+    with pytest.raises(InfeasiblePoint):
+        gateaux_detect(f, SpaceDescriptor.ell1(), ones, OPTS)
+    cert, _ = gateaux_detect(f, SpaceDescriptor.rn(), ones, OPTS)
+    assert cert.verdict is Verdict.HOLDS
+
+
+def test_space_descriptor_is_its_kind():
+    for space, topological in (
+        (SpaceDescriptor.rn(), True),
+        (SpaceDescriptor.ell1(), True),
+        (SpaceDescriptor.ellinf(), False),
+    ):
+        assert space.basis_is_topological is topological
+        assert space == SpaceDescriptor(space.kind)
+
+
 def test_smooth_series_on_l1_assembles_derivative():
     f = quad_series()
     x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
@@ -609,6 +675,35 @@ def test_kkt_negative_multiplier_is_inconclusive():
     assert cert.verdict is Verdict.INCONCLUSIVE
 
 
+def test_kkt_negative_multiplier_on_a_nonaffine_equality_is_inconclusive():
+    # f = sum 0.5^n x_n and h = sum 0.5^n x_n^2 - 1 at x* = (1, 1, ...): with
+    # nu = -0.5 the Lagrangian is stationary, but x* maximizes f on {h = 0}
+    # (x = (-1, -1, ...) is feasible with f = -1 < 1)
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.linear(1.0))
+    h = Sum((SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square()), Constant(-1.0)))
+    ws = SetDescriptor.whole_space()
+    ones = Point([], (TailRule.const(1.0),))
+    cert = kkt_certify(f, [], [h], ws, ones, [], [-0.5], OPTS)
+    assert cert.verdict is Verdict.INCONCLUSIVE
+    assert cert.reason == "multiplier 0 is negative on a non-affine equality"
+    # the mirrored anchor is the true minimizer, with nu = +0.5
+    minus_ones = Point([], (TailRule.const(-1.0),))
+    cert = kkt_certify(f, [], [h], ws, minus_ones, [], [0.5], OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+
+
+def test_kkt_negative_multiplier_on_an_affine_equality_is_admissible():
+    # h = sum 0.5^n x_n - 1 is affine, so nu < 0 keeps nu h convex
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.linear(1.0))
+    h = Sum((
+        Scale(2.0, SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.linear(0.5))),
+        Constant(-1.0),
+    ))
+    ones = Point([], (TailRule.const(1.0),))
+    cert = kkt_certify(f, [], [h], SetDescriptor.whole_space(), ones, [], [-1.0], OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+
+
 def test_kkt_multiplier_count_mismatch():
     f, g1 = kkt_pieces()
     with pytest.raises(ValueError):
@@ -748,7 +843,9 @@ def test_missing_partial_below_the_closed_form_kink_is_named_first():
     assert cert.verdict is Verdict.FAILS
     assert cert.witness == {"n": 6, "left": -0.015625, "right": 0.015625}
     cert, _ = gateaux_detect(half_abs(), SpaceDescriptor.ellinf(), x_star, opts)
-    assert (cert.verdict, cert.witness) == (Verdict.FAILS, {"n": 6})
+    assert (cert.verdict, cert.witness) == (
+        Verdict.FAILS, {"n": 6, "left": -0.015625, "right": 0.015625}
+    )
     sub = subgradient_test(half_abs(), x_star, DualPoint.zero(), opts)
     assert sub.reason == "directional derivative does not exist at n=6"
     kkt = kkt_certify(half_abs(), [], [], SetDescriptor.whole_space(), x_star, [], [], opts)

@@ -14,6 +14,7 @@ from seqcert.seqspace import (
     TailRule,
     basis_vector,
     certified_series,
+    coordinate_signs,
     dual_basis_vector,
     dual_from_json,
     dual_to_json,
@@ -259,3 +260,23 @@ def test_tail_normalization_drops_zero_atoms():
     x = Point([], (TailRule.zero(), TailRule.geometric(1.0, 0.5)))
     assert x.coordinate(2) == pytest.approx(0.25)
     assert math.isfinite(sup_abs(x, upto=8))
+
+
+def test_coordinate_signs_name_the_rule_that_decided():
+    # a certified positive tail after a zero below its rank
+    x = Point([2.0], (TailRule.const(1.0), TailRule.geometric(-4.0, 0.5)))
+    assert coordinate_signs(x).ok is True
+    assert coordinate_signs(x, strict=True)[:2] == (False, 2)
+    rank = coordinate_signs(x).rank
+    assert rank > x.tail_start and all(x.coordinate(n) > 0.0 for n in range(rank, rank + 64))
+    # eventually negative: the violation is the tail's own sign
+    down = coordinate_signs(Point([1.0], (TailRule.const(-1.0), TailRule.geometric(3.0, 0.5))))
+    assert (down.ok, down.eventual, down.n) == (False, True, down.rank)
+    # oscillating: a concrete violation when one is near, else no verdict
+    wave = coordinate_signs(Point([], (TailRule.geometric(1.0, -0.5),)))
+    assert (wave.ok, wave.n, wave.eventual) == (False, 1, False) and wave.unsettled
+    calm = Point([1.0], (TailRule.geometric(0.3, -0.5), TailRule.geometric(1.0, 0.5)))
+    assert coordinate_signs(calm).ok is None
+    # a zero tail is nonnegative but never strictly positive
+    assert coordinate_signs(Point([1.0])) == (True, None, 2, False, None)
+    assert coordinate_signs(Point([1.0]), strict=True)[:2] == (False, 2)
