@@ -37,7 +37,9 @@ from .seqspace import (
     coordinate_signs,
     dual_from_json,
     dual_to_json,
+    head_sum,
     limsup_abs,
+    majorant_region,
     pair,
     pairing,
     point_axpy,
@@ -708,7 +710,9 @@ def delta_line(
     separable leaf's majorant factors, tail start and per-index tables are
     computed here, and every call runs the float operations, exact
     products and certified sums that delta_along would, in the same order.
-    A call raises what that step would raise: domain errors stay per step,
+    What depends on |t| only (a pairing's certified sum, a separable
+    leaf's majorant and its certified region) is kept per step size, so
+    t and -t share it.  A call raises what that step would raise: domain errors stay per step,
     so a quotient scan can still skip the steps that leave the domain;
     only an unknown expression node is rejected when the line is built.
     """
@@ -721,9 +725,15 @@ def delta_line(
         return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
     if isinstance(f, LinearFunctional):
         paired = pairing(f.p, h)
+        # paired's result by its tolerance, which depends on |t| and tol
+        # only: the two sides of a quotient scan share it
+        sums: dict[float, SeriesValue] = {}
 
         def linear(t: float, tol: float) -> SeriesValue:
-            sv = paired(tol / max(abs(t), 1.0))
+            u = tol / max(abs(t), 1.0)
+            sv = sums.get(u)
+            if sv is None:
+                sv = sums[u] = paired(u)
             return SeriesValue(t * sv.value, abs(t) * sv.error_bound, sv.terms_used)
 
         return linear
@@ -814,6 +824,11 @@ def _separable_delta_line(
     # explicit regions of the steps so far have reached, up to a bound that
     # caps the memory of slowly converging majorants (entry 0 unused)
     table: list = [None]
+    # The certified region of each step's majorant, keyed by (|t|, tol,
+    # first): the majorant depends on |t| alone, so the two sides of a
+    # quotient scan share one majorant and one doubling search per step
+    # size, and only the head sum runs per sign of t.
+    regions: dict[tuple[float, float, int], tuple[int, float]] = {}
 
     def step(t: float, tol: float) -> SeriesValue:
         nonlocal x_rank
@@ -824,9 +839,13 @@ def _separable_delta_line(
                 # raises afresh at every step while x is outside the domain
                 x_rank = _separable_domain_rank(f, x)
             first = max(x_rank, _separable_domain_rank(f, xt), start)
-        major = majorant(h_unit.scaled(abs(t)))
-        if classify(major) != SUMMABLE:
-            raise NoMajorant("difference terms have no summable majorant")
+        key = (abs(t), tol, first)
+        region = regions.get(key)
+        if region is None:
+            major = majorant(h_unit.scaled(abs(t)))
+            if classify(major) != SUMMABLE:
+                raise NoMajorant("difference terms have no summable majorant")
+            region = regions[key] = majorant_region(major, first, tol)
 
         def term_at(n: int) -> float:
             if n < len(table):
@@ -838,7 +857,7 @@ def _separable_delta_line(
                     table.append(entry)
             return w_n * piece(t * h_n)
 
-        return certified_series(term_at, first, tol, majorant=major)
+        return head_sum(term_at, region)
 
     return step
 

@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainViolation, NoMajorant, NonConvergentPairing
-from .symseq import SUMMABLE, SymSeq, classify, tail_sum
+from .symseq import SUMMABLE, SymSeq, classify, tail_sum, tail_sums
 
 #: Relative slop applied per explicitly summed term to cover accumulated
 #: floating-point rounding in otherwise-certified sums.
@@ -489,16 +489,39 @@ def certified_series(
         raise NoMajorant("no closed-form tail or majorant supplied")
     if classify(majorant) != SUMMABLE:
         raise NoMajorant(f"series majorant is {classify(majorant)}")
+    return head_sum(term_at, majorant_region(majorant, tail_start, tol))
+
+
+def majorant_region(majorant: SymSeq, tail_start: int, tol: float) -> tuple[int, float]:
+    """The region step of :func:`certified_series`: its doubling search.
+
+    Returns ``(k, bound)``: the terms n <= k are summed explicitly, and
+    ``bound`` certifies the majorant's remainder beyond k, within tol / 2.
+    The region starts at tail_start - 1 and doubles (to 16 at least) until
+    the remainder fits; past _HEAD_BUDGET terms it raises NoMajorant.  The
+    majorant must classify SUMMABLE.  Each restart re-sums the majorant's
+    terms from one :func:`tail_sums`, which computes them once per search.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    remainder = tail_sums(majorant, tol / 4)
     k = tail_start - 1
     while True:
-        mval, merr, _ = tail_sum(majorant, k + 1, tol / 4)
+        mval, merr, _ = remainder(k + 1)
         if mval + merr <= tol / 2 or not majorant.terms:
-            break
+            return k, mval + merr
         k = max(2 * k, 16)
         if k > _HEAD_BUDGET:
             raise NoMajorant("majorant decays too slowly to certify")
+
+
+def head_sum(term_at: Callable[[int], float], region: tuple[int, float]) -> SeriesValue:
+    """The head step of :func:`certified_series`: sum term_at(n) over the
+    explicit region (k, bound) of :func:`majorant_region`, with its
+    remainder bound and the head's rounding as the error."""
+    k, bound = region
     head = sum(term_at(n) for n in range(1, k + 1))
-    err = (mval + merr) + abs(head) * (k + 1) * _ULP
+    err = bound + abs(head) * (k + 1) * _ULP
     return SeriesValue(head, err, k)
 
 

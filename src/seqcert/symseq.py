@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 Number = Union[Fraction, float]
 
@@ -74,6 +74,16 @@ class SymTerm:
         r = float(self.ratio)
         log_r = math.log(abs(r)) if r != 0.0 else 0.0
         return float(self.coef), r, log_r, -float(self.npow)
+
+    @cached_property
+    def _shape(self) -> tuple[float, float]:
+        """(ratio, npow) as floats, for classification and dominance order.
+
+        Kept apart from ``_floats``: the coefficient may lie beyond the
+        float range where the ratio does not.  A ratio beyond it raises
+        OverflowError at every read, as the plain conversion did.
+        """
+        return float(self.ratio), float(self.npow)
 
     def value_at(self, n: int) -> float:
         floats = self._floats
@@ -233,9 +243,9 @@ class SymSeq:
         if not live:
             return 0, start
         # Dominance order: larger |ratio| wins; ties broken by smaller npow.
-        live.sort(key=lambda t: (-abs(float(t.ratio)), float(t.npow)))
+        live.sort(key=lambda t: (-abs(t._shape[0]), t._shape[1]))
         dom = live[0]
-        if float(dom.ratio) < 0:
+        if dom._shape[0] < 0:
             # Check a same-magnitude positive-ratio partner that could mask it.
             raise ValueError("alternating dominant term; no eventual sign")
         rest = live[1:]
@@ -266,7 +276,7 @@ class SymSeq:
             q = abs(t.value_at(n)) / dv
             if not q < budget:
                 return False
-            rr = abs(float(t.ratio)) / abs(float(dom.ratio))
+            rr = abs(t._shape[0]) / abs(dom._shape[0])
             p = float(dom.npow - t.npow)
             step = rr * (1.0 + 1.0 / n) ** p
             if not step <= 1.0:
@@ -295,13 +305,13 @@ NOT_ABSOLUTE = "not_absolute"
 def classify_term(t: SymTerm) -> str:
     if t.coef == 0:
         return SUMMABLE
-    r = abs(float(t.ratio))
-    s = float(t.npow)
+    ratio, s = t._shape
+    r = abs(ratio)
     if r < 1.0:
         return SUMMABLE
     if r > 1.0:
         return DIVERGENT
-    if float(t.ratio) > 0:
+    if ratio > 0:
         return SUMMABLE if s > 1.0 else DIVERGENT
     # ratio == -1: alternating
     if s > 1.0:
@@ -368,48 +378,83 @@ def tail_sum(seq: SymSeq, start: int, tol: float) -> tuple[float, float, int]:
     with the classification when the sum is divergent or only conditionally
     convergent (callers translate to their domain-specific errors).
     """
+    return tail_sums(seq, tol)(start)
+
+
+def _value_runs(t: SymTerm) -> Callable[[int, int], list[float]]:
+    """(a, b) -> [t.value_at(n) for n in a..b] for b >= a - 1, each value
+    computed once while the requested runs stay contiguous (a run that
+    starts elsewhere starts the store afresh)."""
+    lo, vals = 1, []
+
+    def run(a: int, b: int) -> list[float]:
+        nonlocal lo, vals
+        if not lo <= a <= lo + len(vals):
+            lo, vals = a, []
+        end = lo + len(vals)
+        if b >= end:
+            vals.extend([t.value_at(n) for n in range(end, b + 1)])
+        return vals[a - lo : b - lo + 1]
+
+    return run
+
+
+def tail_sums(seq: SymSeq, tol: float) -> Callable[[int], tuple[float, float, int]]:
+    """``start -> tail_sum(seq, start, tol)``, for one sequence at many starts.
+
+    The classification, each live term's float constants and geometric
+    cut-off are taken once, here, and each term's values once per run of
+    indices; every call re-sums them with ``sum`` in the order a fresh
+    tail_sum would, so its results are the same bit for bit.
+    """
     label = classify(seq)
     if label != SUMMABLE:
         raise ValueError(label)
     live = [t for t in seq.terms if t.coef != 0]
-    if not live:
-        return 0.0, 0.0, 0
-    budget = tol / (2 * len(live))
-    value = 0.0
-    err = 0.0
-    used = 0
+    budget = tol / (2 * max(len(live), 1))
+    plans = []
     for t in live:
         c, r, _, neg_s = t._floats
         s = -neg_s
-        if abs(r) < 1.0:
-            k = max(start - 1, _geometric_tail_start(c, r, -s, budget))
-            part = sum(t.value_at(n) for n in range(start, k + 1))
-            q = (1.0 + abs(r)) / 2.0
-            rem = abs(c) * abs(r) ** (k + 1) * float(k + 1) ** (-s) / (1.0 - q)
-            value += part
-            err += rem + abs(part) * (k - start + 2) * 2.2e-16
-            used = max(used, k - start + 1)
-        elif r > 0:
-            # ratio == 1, s > 1: explicit head + Euler-Maclaurin tail
-            k = max(start + 15, 64)
-            part = sum(t.value_at(n) for n in range(start, k + 1))
-            tail, terr = _power_tail(s, 0.0, k)
-            value += part + c * tail
-            err += abs(c) * terr + abs(part) * (k - start + 2) * 2.2e-16
-            used = max(used, k - start + 1)
-        else:
-            # ratio == -1, s > 1: split into even/odd power tails
-            k = max(start + 15, 64)
-            if k % 2 == 1:
-                k += 1
-            part = sum(t.value_at(n) for n in range(start, k + 1))
-            # even n = 2m > k  =>  m > k/2 ; odd n = 2m-1 > k  =>  m > k/2
-            half = k // 2
-            ev, e1 = _power_tail(s, 0.0, half)
-            od, e2 = _power_tail(s, -0.5, half)
-            tail = (2.0 ** (-s)) * (ev - od)
-            value += part + c * tail
-            err += abs(c) * (2.0 ** (-s)) * (e1 + e2)
-            err += abs(part) * (k - start + 2) * 2.2e-16
-            used = max(used, k - start + 1)
-    return value, err, used
+        cut = _geometric_tail_start(c, r, -s, budget) if abs(r) < 1.0 else None
+        plans.append((c, r, s, cut, _value_runs(t)))
+
+    def at(start: int) -> tuple[float, float, int]:
+        value = 0.0
+        err = 0.0
+        used = 0
+        for c, r, s, cut, values in plans:
+            if cut is not None:
+                k = max(start - 1, cut)
+                part = sum(values(start, k))
+                q = (1.0 + abs(r)) / 2.0
+                rem = abs(c) * abs(r) ** (k + 1) * float(k + 1) ** (-s) / (1.0 - q)
+                value += part
+                err += rem + abs(part) * (k - start + 2) * 2.2e-16
+                used = max(used, k - start + 1)
+            elif r > 0:
+                # ratio == 1, s > 1: explicit head + Euler-Maclaurin tail
+                k = max(start + 15, 64)
+                part = sum(values(start, k))
+                tail, terr = _power_tail(s, 0.0, k)
+                value += part + c * tail
+                err += abs(c) * terr + abs(part) * (k - start + 2) * 2.2e-16
+                used = max(used, k - start + 1)
+            else:
+                # ratio == -1, s > 1: split into even/odd power tails
+                k = max(start + 15, 64)
+                if k % 2 == 1:
+                    k += 1
+                part = sum(values(start, k))
+                # even n = 2m > k  =>  m > k/2 ; odd n = 2m-1 > k  =>  m > k/2
+                half = k // 2
+                ev, e1 = _power_tail(s, 0.0, half)
+                od, e2 = _power_tail(s, -0.5, half)
+                tail = (2.0 ** (-s)) * (ev - od)
+                value += part + c * tail
+                err += abs(c) * (2.0 ** (-s)) * (e1 + e2)
+                err += abs(part) * (k - start + 2) * 2.2e-16
+                used = max(used, k - start + 1)
+        return value, err, used
+
+    return at

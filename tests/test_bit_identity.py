@@ -13,6 +13,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import pytest
@@ -20,7 +21,8 @@ import pytest
 from seqcert import reduce
 from seqcert.certify import SetDescriptor
 from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
-from seqcert.errors import DomainViolation
+from seqcert import funcs
+from seqcert.errors import DomainViolation, NoMajorant
 from seqcert.funcs import (
     Constant,
     FunctionExpr,
@@ -39,15 +41,29 @@ from seqcert.funcs import (
 from seqcert.reduce import OracleOptions, build_reduced, minimize_reduced
 from seqcert.sampling import random_direction, random_function, random_point
 from seqcert.seqspace import (
+    _HEAD_BUDGET,
+    _ULP,
     DualPoint,
     Point,
+    SeriesValue,
     SpaceDescriptor,
     TailKind,
     TailRule,
     basis_vector,
+    certified_series,
 )
-from seqcert.symseq import SymSeq
+from seqcert.symseq import (
+    SUMMABLE,
+    SymSeq,
+    SymTerm,
+    _geometric_tail_start,
+    _power_tail,
+    classify,
+    tail_sum,
+    tail_sums,
+)
 from test_certify import closed_form_cases
+from test_series_digest import ladder, ladder_cases, step_record
 
 NUMERIC = DerivOptions(prefer_analytic=False)
 SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
@@ -426,3 +442,209 @@ def test_basis_partials_match_the_two_walks_they_replaced():
             one_sided += "None" in got or "inf" in got
     assert statuses == {"ok", "kink", "numeric"}
     assert compared > 20_000 and one_sided > 0
+
+
+# The tail sum and the majorant doubling loop of certified_series as they
+# were before each doubling search summed every majorant term once (one
+# fresh tail sum per restart), kept as the reference for symseq.tail_sums
+# and seqspace's region and head steps.
+def _reference_tail_sum(seq: SymSeq, start: int, tol: float) -> tuple[float, float, int]:
+    label = classify(seq)
+    if label != SUMMABLE:
+        raise ValueError(label)
+    live = [t for t in seq.terms if t.coef != 0]
+    if not live:
+        return 0.0, 0.0, 0
+    budget = tol / (2 * len(live))
+    value = 0.0
+    err = 0.0
+    used = 0
+    for t in live:
+        c, r, _, neg_s = t._floats
+        s = -neg_s
+        if abs(r) < 1.0:
+            k = max(start - 1, _geometric_tail_start(c, r, -s, budget))
+            part = sum(t.value_at(n) for n in range(start, k + 1))
+            q = (1.0 + abs(r)) / 2.0
+            rem = abs(c) * abs(r) ** (k + 1) * float(k + 1) ** (-s) / (1.0 - q)
+            value += part
+            err += rem + abs(part) * (k - start + 2) * 2.2e-16
+            used = max(used, k - start + 1)
+        elif r > 0:
+            # ratio == 1, s > 1: explicit head + Euler-Maclaurin tail
+            k = max(start + 15, 64)
+            part = sum(t.value_at(n) for n in range(start, k + 1))
+            tail, terr = _power_tail(s, 0.0, k)
+            value += part + c * tail
+            err += abs(c) * terr + abs(part) * (k - start + 2) * 2.2e-16
+            used = max(used, k - start + 1)
+        else:
+            # ratio == -1, s > 1: split into even/odd power tails
+            k = max(start + 15, 64)
+            if k % 2 == 1:
+                k += 1
+            part = sum(t.value_at(n) for n in range(start, k + 1))
+            # even n = 2m > k  =>  m > k/2 ; odd n = 2m-1 > k  =>  m > k/2
+            half = k // 2
+            ev, e1 = _power_tail(s, 0.0, half)
+            od, e2 = _power_tail(s, -0.5, half)
+            tail = (2.0 ** (-s)) * (ev - od)
+            value += part + c * tail
+            err += abs(c) * (2.0 ** (-s)) * (e1 + e2)
+            err += abs(part) * (k - start + 2) * 2.2e-16
+            used = max(used, k - start + 1)
+    return value, err, used
+
+
+def _reference_majorant_series(term_at, tail_start: int, tol: float, majorant: SymSeq) -> SeriesValue:
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    if classify(majorant) != SUMMABLE:
+        raise NoMajorant(f"series majorant is {classify(majorant)}")
+    k = tail_start - 1
+    while True:
+        mval, merr, _ = _reference_tail_sum(majorant, k + 1, tol / 4)
+        if mval + merr <= tol / 2 or not majorant.terms:
+            break
+        k = max(2 * k, 16)
+        if k > _HEAD_BUDGET:
+            raise NoMajorant("majorant decays too slowly to certify")
+    head = sum(term_at(n) for n in range(1, k + 1))
+    err = (mval + merr) + abs(head) * (k + 1) * _ULP
+    return SeriesValue(head, err, k)
+
+
+MAJORANTS = {
+    "geometric +r": SymSeq.geometric(0.75, 0.5),
+    "geometric -r": SymSeq.geometric(1.5, -0.9),
+    "ratio 1, npow 2": SymSeq.term(2.0, 1.0, 2),
+    "ratio -1, npow 2": SymSeq.term(0.5, -1.0, 2),
+    "mixed": SymSeq.geometric(Fraction(1, 3), Fraction(9, 10))
+    + SymSeq.term(1.0, 1.0, 3)
+    + SymSeq.term(-0.25, -1.0, 2)
+    + SymSeq.geometric(2.0, -0.25),
+    # a float zero coefficient survives canonical form; the sums skip it
+    "zero coefficient": SymSeq((SymTerm(0.0, 0.5, Fraction(0)), SymTerm(1.0, 0.25, Fraction(0)))),
+    "empty": SymSeq.zero(),
+    "head budget": SymSeq.term(1.0, 1.0, Fraction(101, 100)),
+    "divergent": SymSeq.harmonic(1.0),
+}
+TAIL_STARTS = (1, 3, 17, 40, 130)
+SERIES_TOLS = (1e-12, 1e-16, 1e-20, 1e-24, 1e-28)
+
+
+def test_certified_series_matches_one_tail_sum_per_restart():
+    assert MAJORANTS["zero coefficient"].terms[0].coef == 0.0
+    seen = set()
+    for name, major in MAJORANTS.items():
+        def term_at(n):
+            return math.sin(n) * major.value_at(n)
+
+        for start in TAIL_STARTS:
+            for tol in SERIES_TOLS:
+                got = outcome(lambda: certified_series(term_at, start, tol, majorant=major))
+                want = outcome(lambda: _reference_majorant_series(term_at, start, tol, major))
+                assert got == want, (name, start, tol)
+                seen.add(got[0] if got[0] == "value" else got[2])
+    assert seen >= {
+        "value", "majorant decays too slowly to certify", "series majorant is divergent",
+    }
+
+
+def test_tail_sums_match_a_fresh_tail_sum_at_each_start():
+    # starts that rise, repeat, fall back and jump, as the stored runs of
+    # term values must survive all of them
+    starts = (1, 17, 17, 33, 5, 65, 64, 81, 200, 2)
+    for name, seq in MAJORANTS.items():
+        for tol in SERIES_TOLS:
+            try:
+                at = tail_sums(seq, tol)
+            except ValueError as exc:
+                assert outcome(lambda: _reference_tail_sum(seq, 1, tol)) == (
+                    "raise", "ValueError", str(exc)), name
+                continue
+            for start in starts:
+                want = outcome(lambda: _reference_tail_sum(seq, start, tol))
+                assert outcome(lambda: at(start)) == want, (name, tol, start)
+                assert outcome(lambda: tail_sum(seq, start, tol)) == want, (name, tol, start)
+
+
+def test_delta_line_steps_do_not_depend_on_their_order():
+    # One line per direction caches each step's majorant region by |t|,
+    # tolerance and first explicit index, so a step must give the same
+    # bytes as a fresh delta_along whichever steps ran before it: in
+    # ladder order, -t before +t, and shuffled at two tolerances per step.
+    # Every sqrt case of the pinned ladders is replayed, and every sixth
+    # grammar_fuzz direction.  In the case added here the tail of x + t h
+    # has the dominant coefficient 1 - 95 t, so its certified sign starts
+    # at n = 16 for t = 1e-2 and at n = 4 for t = -1e-2: the first explicit
+    # index, and with it the certified region, depends on the sign of t.
+    # Its pairing has a tail product, so its sum depends on the tolerance.
+    cases = list(ladder_cases())
+    fuzz = 3 * 34
+    cases = cases[:fuzz:6] + cases[fuzz:]
+    cases.append((
+        Sum((sqrt_objective(0.5), LinearFunctional(DualPoint([1.0], TailRule.geometric(1.0, 0.9))))),
+        Point((), (TailRule.geometric(1.0, 0.5), TailRule.geometric(7.0, 0.25))),
+        Point((), (TailRule.geometric(-95.0, 0.5),)),
+    ))
+    rng = random.Random(7)
+    compared = 0
+    for f, x, d in cases:
+        steps = ladder()
+        fresh = {}
+
+        def record(line, t, scale):
+            return step_record(lambda t, tol: line(t, tol * scale), t)
+
+        def want(t, scale):
+            if (t, scale) not in fresh:
+                fresh[t, scale] = record(lambda t, tol: delta_along(f, x, d, t, tol), t, scale)
+            return fresh[t, scale]
+
+        half = len(steps) // 2
+        interleaved = [t for pair in zip(steps[half:], steps[:half]) for t in pair]
+        shuffled = [(t, scale) for t in steps for scale in (1.0, 1e4)]
+        rng.shuffle(shuffled)
+        for order in ([(t, 1.0) for t in steps], [(t, 1.0) for t in interleaved], shuffled):
+            line = delta_line(f, x, d)
+            for t, scale in order:
+                assert record(line, t, scale) == want(t, scale), (f, x, d, t, scale)
+                compared += 1
+    assert compared > 10_000
+
+
+def test_one_majorant_region_and_pairing_sum_per_step_size(monkeypatch):
+    regions = pairs = 0
+    make_region, make_pairing = funcs.majorant_region, funcs.pairing
+
+    def counted_region(*args):
+        nonlocal regions
+        regions += 1
+        return make_region(*args)
+
+    def counted_pairing(p, h):
+        paired = make_pairing(p, h)
+
+        def at_tol(tol):
+            nonlocal pairs
+            pairs += 1
+            return paired(tol)
+
+        return at_tol
+
+    monkeypatch.setattr(funcs, "majorant_region", counted_region)
+    monkeypatch.setattr(funcs, "pairing", counted_pairing)
+    f = Sum((
+        SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square()),
+        SeparableSeries(TailRule.const(1.0), ScalarConvex.abs_()),
+        LinearFunctional(DualPoint([1.0, -2.0], TailRule.const(0.5))),
+    ))
+    x = Point([0.5, -1.0], (TailRule.geometric(1.0, 0.5),))
+    h = Point([1.0, 0.25], (TailRule.geometric(0.8, 0.6),))
+    res = dir_deriv(f, x, h)
+    sizes = len({abs(t) for t, _ in res.quotients_log})
+    assert res.method == "numeric" and sizes > 1
+    assert {t > 0 for t, _ in res.quotients_log} == {True, False}
+    assert 0 < regions <= 2 * sizes
+    assert 0 < pairs <= sizes

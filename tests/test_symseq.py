@@ -9,7 +9,16 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from seqcert.symseq import SUMMABLE, SymSeq, SymTerm, classify, exact_sqrt, tail_sum
+from seqcert.symseq import (
+    DIVERGENT,
+    SUMMABLE,
+    SymSeq,
+    SymTerm,
+    classify,
+    classify_term,
+    exact_sqrt,
+    tail_sum,
+)
 
 mpmath.mp.dps = 40
 
@@ -170,6 +179,24 @@ def test_term_beyond_float_range_builds_and_raises_only_when_valued():
     with pytest.raises(OverflowError):
         big.value_at(3)
     assert SymTerm(Fraction(0), Fraction(10) ** 400, Fraction(0)).value_at(3) == 0.0
+
+
+def test_classification_reads_ratio_floats_apart_from_the_coefficient():
+    # the ratio and exponent floats are kept per term apart from the value
+    # floats: an out-of-range coefficient still classifies, and an
+    # out-of-range ratio raises OverflowError at every classification
+    big_coef = SymTerm(Fraction(10) ** 400, Fraction(1), Fraction(2))
+    assert classify_term(big_coef) == SUMMABLE
+    with pytest.raises(OverflowError):
+        big_coef.value_at(1)
+    assert classify_term(big_coef) == SUMMABLE
+    big_ratio = SymTerm(Fraction(1), Fraction(10) ** 400, Fraction(0))
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            classify_term(big_ratio)
+    assert classify_term(SymTerm(Fraction(0), Fraction(10) ** 400, Fraction(0))) == SUMMABLE
+    assert classify_term(SymTerm(1.0, -1.0, Fraction(1, 2))) == "not_absolute"
+    assert classify_term(SymTerm(1.0, 1.0, Fraction(1))) == DIVERGENT
 
 
 def test_ratios_that_round_to_one_double_do_not_merge():
