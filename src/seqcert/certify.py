@@ -28,12 +28,10 @@ from .errors import (
     NonConvergentPairing,
 )
 from .funcs import (
-    Constant,
     DirStatus,
     DirValue,
     FunctionExpr,
     LimsupSeminorm,
-    LinearFunctional,
     ScalarConvex,
     ScalarKind,
     Scale,
@@ -398,22 +396,16 @@ def default_psc_probes(x_star: Point, opts: CertifyOptions) -> list[Point]:
     return probes
 
 
-def check_psc(
-    f: FunctionExpr,
-    s: SetDescriptor,
-    x_star: Point,
-    probes: Optional[Sequence[Point]] = None,
-    depth: int = 32,
-) -> Certificate:
+def check_psc(f: FunctionExpr, s: SetDescriptor, x_star: Point, depth: int = 32) -> Certificate:
     """Does limsup_k f(x* + P^k(x - x*)) <= f(x) hold for all x?
 
     Analytic rule: every series and linear part converges along anchored
     truncations to its value (absolutely convergent tails), so the whole
     expression is pseudo-semicontinuous exactly when its limsup parts are,
     which happens iff the anchor's limsup vanishes or those parts have
-    weight zero.  The rule alone decides.  Supplied probes are evaluated
-    at truncation depths up to ``depth`` as evidence only
-    (check_psc_numeric): finitely many truncations cannot bound a limsup.
+    weight zero.  The rule alone decides; finitely many truncations cannot
+    bound a limsup, so probes are evidence only (check_psc_numeric).  On
+    FAILS, ``depth`` sets the truncations the witness reports.
     """
     lam = _limsup_weight(f).lam
     p_star = limsup_abs(x_star)
@@ -422,10 +414,7 @@ def check_psc(
             "rule": "series and linear parts converge along anchored truncations",
             "limsup_weight": lam,
             "limsup_at_anchor": p_star,
-            "probes_checked": 0,
         }
-        if probes:
-            evidence.update(check_psc_numeric(f, s, x_star, probes, depth))
         return Certificate(Verdict.HOLDS, Grade.analytic(), evidence=evidence)
     # The zero point is always a counterexample in this regime.
     zero = Point((), ())
@@ -1003,37 +992,6 @@ def family_from_json(obj: dict) -> SeriesFamily:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
-def _interval_slope(f: FunctionExpr, x: Point, n: int, a: float) -> tuple[Optional[str], bool]:
-    """(why, unbounded) for t -> f(x + t e_n) on |t| < a, term by term.
-
-    why is None when every term of f is differentiable on the interval, and
-    otherwise names the first term's kink or sqrt boundary inside it.
-    unbounded is True when some term's derivative has no finite supremum on
-    the interval within the domain, which happens only where a sqrt term's
-    boundary touches the interval: a convex piece's derivative is monotone
-    (Rockafellar, Convex Analysis, Thm 24.1), so elsewhere its supremum is
-    its value at an end of the interval.
-    """
-    if isinstance(f, (Constant, LimsupSeminorm, LinearFunctional)):
-        return None, False
-    if isinstance(f, Scale):
-        return _interval_slope(f.inner, x, n, a) if f.lam else (None, False)
-    if isinstance(f, Sum):
-        parts = [_interval_slope(g, x, n, a) for g in f.terms]
-        return next((why for why, _ in parts if why), None), any(unb for _, unb in parts)
-    if isinstance(f, SeparableSeries):
-        u, v = f.inner, x.coordinate(n)
-        if f.weight.value_at(n) == 0.0:
-            return None, False
-        if u.kind is ScalarKind.ABS:
-            return (None if abs(v) >= a else f"kink of |.| inside the interval at n={n}"), False
-        if u.kind is not ScalarKind.NEG_SQRT or u.c.value_at(n) == 0.0:
-            return None, False
-        lo = v - a
-        return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
-    raise TypeError(f"unknown function expression {type(f).__name__}")
-
-
 def series_differentiate(
     family: SeriesFamily,
     x_star: Point,
@@ -1063,8 +1021,9 @@ def series_differentiate(
         # so pointwise and uniform convergence of the derivative series are
         # immediate and only condition (i) needs work.
         f_equiv = SeparableSeries(family.weight, family.inner)
+        walk = basis_partials(f_equiv, x_star)
         for n, a in enumerate(radii_vals, start=1):
-            why, _ = _interval_slope(f_equiv, x_star, n, a)
+            why, _ = walk.interval(n, a)
             if why is not None:
                 return fails(why, {"n": n})
         prof = _basis_profile([(1.0, f_equiv)], x_star, n_max)
@@ -1098,8 +1057,9 @@ def series_differentiate(
                 ),
                 tuple(0.0 for _ in base_values),
             )
+        walk = basis_partials(family.base, x_star)
         for n, a in enumerate(radii_vals, start=1):
-            why, unbounded = _interval_slope(family.base, x_star, n, a)
+            why, unbounded = walk.interval(n, a)
             if why is not None:
                 return fails(why, {"n": n})
             if unbounded:
@@ -1120,9 +1080,10 @@ def series_differentiate(
 
     # Finite explicit list of terms.
     terms = list(family)
+    walks = [basis_partials(g, x_star) for g in terms]
     for n, a in enumerate(radii_vals, start=1):
-        for idx, g in enumerate(terms):
-            why, _ = _interval_slope(g, x_star, n, a)
+        for idx, walk in enumerate(walks):
+            why, _ = walk.interval(n, a)
             if why is not None:
                 return fails(why, {"term": idx, "n": n})
     prof = _basis_profile([(1.0, g) for g in terms], x_star, n_max)

@@ -21,7 +21,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
+from importlib import resources
 from typing import Optional, Sequence
 
 import jsonschema
@@ -32,8 +32,10 @@ from .certify import (
     SeriesFamily,
     SetDescriptor,
     SetKind,
+    Verdict,
     certify_min,
     check_psc,
+    check_psc_numeric,
     check_qualification,
     family_from_json,
     gateaux_detect,
@@ -94,23 +96,9 @@ class Scenario:
     expected: Optional[str] = None
 
 
-def _schema_dir() -> Path:
-    """Locate the shipped schema directory next to the source tree."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        candidate = parent / "docs" / "scenario.schema.json"
-        if candidate.is_file():
-            return parent / "docs"
-    raise ScenarioError(
-        "docs/scenario.schema.json not found; run from a source checkout "
-        "or editable install"
-    )
-
-
 def load_schema(name: str) -> dict:
-    path = _schema_dir() / name
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A JSON schema shipped in the package's schemas/ directory."""
+    return json.loads((resources.files("seqcert") / "schemas" / name).read_text(encoding="utf-8"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -464,10 +452,11 @@ def run_scenario(
                 )
             oracle_rows = _run_oracle(scn, opts, oracle_k)
     elif scn.task == "psc":
-        cert = check_psc(
-            scn.function, scn.feasible_set, scn.x_star,
-            probes=scn.probes or None, depth=opts.psc_depth,
-        )
+        cert = check_psc(scn.function, scn.feasible_set, scn.x_star, depth=opts.psc_depth)
+        if scn.probes and cert.verdict is Verdict.HOLDS:
+            cert.evidence.update(check_psc_numeric(
+                scn.function, scn.feasible_set, scn.x_star, scn.probes, opts.psc_depth,
+            ))
     elif scn.task == "qualification":
         cert = check_qualification(scn.feasible_set, scn.x_star, opts.coords)
     elif scn.task == "series_diff":

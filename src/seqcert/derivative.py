@@ -21,7 +21,7 @@ from .errors import (
     DomainViolation,
     NonConvexBehavior,
 )
-from .funcs import FunctionExpr, _finite_line, analytic_dir_deriv, delta_line, evaluate
+from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials, delta_line, evaluate
 from .seqspace import Point, basis_vector
 
 _EPS = 2.220446049250313e-16
@@ -214,7 +214,7 @@ def dir_deriv(
         def delta(t: float) -> float:
             return line(t, abs(t) * 1e-13).value
     else:
-        delta = _finite_line(f, x, tuple((n, h.coordinate(n)) for n in support))
+        delta = basis_partials(f, x).line(tuple((n, h.coordinate(n)) for n in support))
     exact = support is not None
     right = _scan_side(delta, exact, t0, +1, opts, fx_mag)
     left = _scan_side(delta, exact, t0, -1, opts, fx_mag)

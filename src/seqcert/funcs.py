@@ -438,17 +438,24 @@ class PartialsForm:
 
 
 class BasisPartials:
-    """The partials of f at x along the basis directions, from one walk.
+    """What finitely many coordinate moves do to f at x, from one walk.
 
     ``sides(n)`` is the closed-form (left, right) derivative pair of
     t -> f(x + t e_n) at 0, None marking a side outside the domain, and
     ``at(n)`` classifies it.  ``form`` is built on first use, so per-index
-    callers never pay for the closed form.
+    callers never pay for the closed form.  ``line(steps)`` is the exact
+    difference t -> f(x + t h) - f(x) for the finitely supported h whose
+    nonzero coordinates are the (n, h_n) of steps.  ``interval(n, a)`` is
+    (why, unbounded) for t -> f(x + t e_n) on |t| < a: why names the first
+    term's kink or sqrt boundary inside it (None when there is none), and
+    unbounded says some term's derivative has no finite supremum there.
     """
 
-    def __init__(self, sides: Callable[[int], tuple], form: Callable[[], PartialsForm]):
+    def __init__(self, sides: Callable, form: Callable, line: Callable, interval: Callable):
         self.sides = sides
         self._form = form
+        self.line = line
+        self.interval = interval
 
     @cached_property
     def form(self) -> PartialsForm:
@@ -461,20 +468,33 @@ class BasisPartials:
         return DirValue.exists(right) if left == right else DirValue.kink(left, right)
 
 
+def _zero_line(t: float) -> float:
+    return 0.0
+
+
 def _flat() -> BasisPartials:
-    """Partials that are 0 at every index."""
-    return BasisPartials(lambda n: (0.0, 0.0), lambda: PartialsForm("ok", 1, SymSeq.zero()))
+    """No finite move changes f: zero partials and line, no kink on any interval."""
+    return BasisPartials(
+        lambda n: (0.0, 0.0), lambda: PartialsForm("ok", 1, SymSeq.zero()),
+        lambda steps: _zero_line, lambda n, a: (None, False),
+    )
 
 
 def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
-    """The one walk behind every basis partial f'(x; e_n).
+    """The one walk behind every question about finitely many coordinates.
 
     Each node's sides combine its children's at the same index; one-sided
     derivatives of the whole expression are kept apart, so a kink in one
-    summand is reported only when the sum genuinely has one.
+    summand is reported only when the sum genuinely has one.  Lines resolve
+    their per-index constants and scale factors once, and each call runs
+    the per-step sum's float operations in the same order, including the
+    int 0 that starts every sum, so signed zeros come out the same whatever
+    the support's size.  A convex piece's derivative is monotone
+    (Rockafellar, Convex Analysis, Thm 24.1), so on an interval only a sqrt
+    boundary touching it leaves the derivative without a finite supremum.
     """
     if isinstance(f, (Constant, LimsupSeminorm)):
-        # A one-coordinate change never moves a constant or a limsup.
+        # A finite change of coordinates never moves a constant or a limsup.
         return _flat()
     if isinstance(f, LinearFunctional):
         p = f.p
@@ -483,7 +503,16 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             v = p.coordinate(n)
             return v, v
 
-        return BasisPartials(linear, lambda: PartialsForm("ok", p.tail_start, p.tail_symseq()))
+        def linear_line(steps: tuple) -> Callable[[float], float]:
+            slope = sum(p.coordinate(n) * hn for n, hn in steps)
+            return lambda t: t * slope
+
+        return BasisPartials(
+            linear,
+            lambda: PartialsForm("ok", p.tail_start, p.tail_symseq()),
+            linear_line,
+            lambda n, a: (None, False),
+        )
     if isinstance(f, SeparableSeries):
         return _separable_partials(f, x)
     if isinstance(f, Scale):
@@ -505,7 +534,11 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
                 return sub
             return PartialsForm("ok", sub.valid_from, sub.tail.scaled(lam))
 
-        return BasisPartials(scaled, scaled_form)
+        def scaled_line(steps: tuple) -> Callable[[float], float]:
+            sub = inner.line(steps)
+            return lambda t: lam * sub(t)
+
+        return BasisPartials(scaled, scaled_form, scaled_line, inner.interval)
     if isinstance(f, Sum):
         parts = [basis_partials(g, x) for g in f.terms]
 
@@ -535,7 +568,15 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
                 total = total + p.tail
             return PartialsForm("ok", max((p.valid_from for p in forms), default=1), total)
 
-        return BasisPartials(summed, summed_form)
+        def summed_line(steps: tuple) -> Callable[[float], float]:
+            lines = [part.line(steps) for part in parts]
+            return lambda t: sum([g(t) for g in lines])
+
+        def summed_interval(n: int, a: float) -> tuple[Optional[str], bool]:
+            answers = [part.interval(n, a) for part in parts]
+            return next((why for why, _ in answers if why), None), any(unb for _, unb in answers)
+
+        return BasisPartials(summed, summed_form, summed_line, summed_interval)
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
@@ -609,7 +650,27 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
                 return PartialsForm("kink", kink_at=n)
         return PartialsForm("ok", rank, w.scaled(sgn))
 
-    return BasisPartials(sides, form)
+    def line(steps: tuple) -> Callable[[float], float]:
+        pieces = [(weight.value_at(n), hn, u.line(n, x.coordinate(n))) for n, hn in steps]
+        if len(pieces) == 1:
+            # one coordinate: no per-call generator, as the oracle's line
+            # searches call this hundreds of thousands of times
+            ((w, hn, piece),) = pieces
+            return lambda t: 0 + w * piece(t * hn)
+        return lambda t: sum(w * piece(t * hn) for w, hn, piece in pieces)
+
+    def interval(n: int, a: float) -> tuple[Optional[str], bool]:
+        v = x.coordinate(n)
+        if weight.value_at(n) == 0.0:
+            return None, False
+        if kind is ScalarKind.ABS:
+            return (None if abs(v) >= a else f"kink of |.| inside the interval at n={n}"), False
+        if kind is not ScalarKind.NEG_SQRT or u.c.value_at(n) == 0.0:
+            return None, False
+        lo = v - a
+        return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
+
+    return BasisPartials(sides, form, line, interval)
 
 
 def analytic_dir_deriv(f: FunctionExpr, x: Point, n: int) -> DirValue:
@@ -632,52 +693,7 @@ def delta_along_basis(f: FunctionExpr, x: Point, n: int, t: float) -> float:
     cancellation-free arrangement.  This is what makes numeric difference
     quotients trustworthy at machine scale.
     """
-    return _finite_line(f, x, ((n, 1.0),))(t)
-
-
-def _zero_line(t: float) -> float:
-    return 0.0
-
-
-def _finite_line(
-    f: FunctionExpr, x: Point, steps: tuple[tuple[int, float], ...]
-) -> Callable[[float], float]:
-    """t -> f(x + t*h) - f(x) for the finitely supported h whose nonzero
-    coordinates are the (n, h_n) of steps: an exact finite sum.
-
-    Only the touched coordinates contribute for every leaf of the grammar
-    (a finite perturbation never moves a limsup).  The per-index constants
-    (w_n, x_n, the piece's a_n, b_n, c_n, p_n) and every scale factor are
-    resolved once here.  Each call runs the float operations of the
-    per-step sum in the same order, including the int 0 that starts every
-    sum over the support or the terms, so signed zeros come out the same
-    whatever the support's size.
-    """
-    if isinstance(f, (Constant, LimsupSeminorm)):
-        return _zero_line
-    if isinstance(f, LinearFunctional):
-        slope = sum(f.p.coordinate(n) * hn for n, hn in steps)
-        return lambda t: t * slope
-    if isinstance(f, SeparableSeries):
-        pieces = [
-            (f.weight.value_at(n), hn, f.inner.line(n, x.coordinate(n))) for n, hn in steps
-        ]
-        if len(pieces) == 1:
-            # one coordinate: no per-call generator, as the oracle's line
-            # searches call this hundreds of thousands of times
-            ((w, hn, piece),) = pieces
-            return lambda t: 0 + w * piece(t * hn)
-        return lambda t: sum(w * piece(t * hn) for w, hn, piece in pieces)
-    if isinstance(f, Scale):
-        if not f.lam:
-            return _zero_line
-        lam = f.lam
-        inner = _finite_line(f.inner, x, steps)
-        return lambda t: lam * inner(t)
-    if isinstance(f, Sum):
-        parts = [_finite_line(g, x, steps) for g in f.terms]
-        return lambda t: sum([g(t) for g in parts])
-    raise TypeError(f"unknown function expression {type(f).__name__}")
+    return basis_partials(f, x).line(((n, 1.0),))(t)
 
 
 def delta_along(

@@ -25,7 +25,7 @@ from .errors import (
     PartialNotDifferentiable,
     Unbounded,
 )
-from .funcs import DirStatus, FunctionExpr, _finite_line, basis_partials, evaluate
+from .funcs import DirStatus, FunctionExpr, basis_partials, evaluate
 from .seqspace import Point, SeriesValue
 
 
@@ -111,7 +111,7 @@ def _line_minimize(
     search cap the ulp of the endpoints exceeds any absolute tolerance, so
     an absolute test would never trigger.
     """
-    line = _finite_line(prob.f, x, ((i, 1.0),))
+    line = basis_partials(prob.f, x).line(((i, 1.0),))
     while hi - lo > _LINE_TOL * (1.0 + max(abs(lo), abs(hi))):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0

@@ -8,6 +8,7 @@ are immutable values and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -373,20 +374,38 @@ def ell1_norm(x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
 
 
 def sup_abs(x: Point, upto: int = 0) -> float:
-    """Supremum of |coordinates|: exact, via the closed-form tail.
+    """Supremum of |coordinates|: the maximum up to a certified horizon.
 
-    The tail's |value| is maximized over an explicit window plus its limit;
-    window length grows until the tail envelope is monotone decreasing.
+    Write the tail as c0 + d_n, with d_n its decaying atoms.  The sum
+    B(n) = |c0| + sum |c_i||r_i|^n + |c_h|/n of the atoms' magnitudes bounds
+    |x_m| for every m >= n and does not increase, so the scan (through
+    ``upto`` at least) stops at the first n where B(n) cannot beat the best
+    value found, the limit |c0| included.  Where d_n has a certified
+    eventual sign opposite to c0's, |x_m| <= |c0| once m is past that rank
+    and |d_m| <= 2|c0|, which ends the scan although B stays above |c0|.
+    Otherwise B falls to the best value (its float geometric terms
+    underflow and its harmonic term falls below any positive best), so the
+    scan ends on every tail, late for atoms that decay slowly.
     """
-    best = max((abs(v) for v in x.prefix), default=0.0)
+    c0 = tail_limit(x)
+    best = max(max((abs(v) for v in x.prefix), default=0.0), abs(c0))
     seq = x.tail_symseq()
-    start = x.tail_start
-    # Beyond some rank every atom's magnitude is nonincreasing, so scanning
-    # to that rank plus the limit value covers the supremum.
-    horizon = max(start + 64, 128, upto)
-    for n in range(start, horizon + 1):
+    decaying = [t for t in seq.terms if (t.ratio, t.npow) != (1, 0)]
+    settled = math.inf  # from here on d_n's sign is not c0's
+    if c0 != 0.0 and decaying:
+        try:
+            sgn, rank = SymSeq(decaying).eventual_sign(x.tail_start)
+            if sgn * c0 <= 0.0:
+                settled = rank
+        except ValueError:
+            pass
+    n = x.tail_start
+    # summed in the order of seq.value_at, so B(n) >= |x_n| holds in floats
+    while n <= upto or sum((abs(t.value_at(n)) for t in seq.terms), 0.0) > best:
+        if n >= settled and sum(abs(t.value_at(n)) for t in decaying) <= 2.0 * abs(c0):
+            break
         best = max(best, abs(seq.value_at(n)))
-    best = max(best, abs(limsup_abs(x)))
+        n += 1
     return best
 
 

@@ -1,5 +1,5 @@
-"""The hoisted scan kernels and the one basis-partial walk reproduce the
-code they replaced bit for bit.
+"""The hoisted scan kernels and the one coordinate walk reproduce the code
+they replaced bit for bit.
 
 Floats are compared through struct.pack("<d", v), so signed zeros and NaN
 payloads count as differences, or through repr, which tells signed zeros
@@ -33,7 +33,6 @@ from seqcert.funcs import (
     Scale,
     SeparableSeries,
     Sum,
-    _finite_line,
     basis_partials,
     delta_along,
     delta_line,
@@ -111,7 +110,7 @@ def instances():
     yield SeparableSeries(TailRule.geometric(-0.0, 0.5), ScalarConvex.square()), x
 
 
-# The per-step sum that funcs._finite_line replaced, kept as its reference.
+# The per-step sum behind the walk's exact lines, kept as their reference.
 def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: float) -> float:
     """f(x + t h) - f(x) for finitely supported h: an exact finite sum.
 
@@ -136,7 +135,7 @@ def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: fl
 
 def reference_line(f, x, steps):
     """The reference difference along the direction steps describes, as a
-    line like _finite_line's."""
+    line like the walk's."""
     coords = dict(steps)
     h = Point([coords.get(n, 0.0) for n in range(1, max(coords) + 1)])
     support = [n for n, _ in steps]
@@ -159,11 +158,12 @@ def supports():
     yield ((2, 0.5), (3, -1.0), (6, 3.0))
 
 
-def test_finite_line_matches_delta_finite_on_the_quotient_ladder():
+def test_walk_line_matches_delta_finite_on_the_quotient_ladder():
     compared = 0
     for f, x in instances():
+        walk = basis_partials(f, x)
         for steps in supports():
-            line = _finite_line(f, x, steps)
+            line = walk.line(steps)
             want_line = reference_line(f, x, steps)
             for t in quotient_ladder(x, steps):
                 got = outcome(lambda: line(t))
@@ -237,7 +237,14 @@ def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
             build_reduced(sqrt_objective(beta), SetDescriptor.positive_cone_ell1(), anchor, 3)
         )
     got = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
-    monkeypatch.setattr(reduce, "_finite_line", reference_line)
+    walk = reduce.basis_partials
+
+    def reference_walk(f, x):
+        partials = walk(f, x)
+        partials.line = lambda steps: reference_line(f, x, steps)
+        return partials
+
+    monkeypatch.setattr(reduce, "basis_partials", reference_walk)
     want = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
     assert got == want
     assert sum(g[0] == "value" for g in got) > 20
@@ -442,6 +449,59 @@ def test_basis_partials_match_the_two_walks_they_replaced():
             one_sided += "None" in got or "inf" in got
     assert statuses == {"ok", "kink", "numeric"}
     assert compared > 20_000 and one_sided > 0
+
+
+# The interval walk that funcs.basis_partials replaced, kept verbatim as
+# the reference for its interval test.
+def _interval_slope(f: FunctionExpr, x: Point, n: int, a: float) -> tuple[Optional[str], bool]:
+    """(why, unbounded) for t -> f(x + t e_n) on |t| < a, term by term.
+
+    why is None when every term of f is differentiable on the interval, and
+    otherwise names the first term's kink or sqrt boundary inside it.
+    unbounded is True when some term's derivative has no finite supremum on
+    the interval within the domain, which happens only where a sqrt term's
+    boundary touches the interval: a convex piece's derivative is monotone
+    (Rockafellar, Convex Analysis, Thm 24.1), so elsewhere its supremum is
+    its value at an end of the interval.
+    """
+    if isinstance(f, (Constant, LimsupSeminorm, LinearFunctional)):
+        return None, False
+    if isinstance(f, Scale):
+        return _interval_slope(f.inner, x, n, a) if f.lam else (None, False)
+    if isinstance(f, Sum):
+        parts = [_interval_slope(g, x, n, a) for g in f.terms]
+        return next((why for why, _ in parts if why), None), any(unb for _, unb in parts)
+    if isinstance(f, SeparableSeries):
+        u, v = f.inner, x.coordinate(n)
+        if f.weight.value_at(n) == 0.0:
+            return None, False
+        if u.kind is ScalarKind.ABS:
+            return (None if abs(v) >= a else f"kink of |.| inside the interval at n={n}"), False
+        if u.kind is not ScalarKind.NEG_SQRT or u.c.value_at(n) == 0.0:
+            return None, False
+        lo = v - a
+        return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
+    raise TypeError(f"unknown function expression {type(f).__name__}")
+
+
+def test_walk_interval_matches_the_interval_walk_it_replaced():
+    compared = 0
+    answers = set()
+    # coordinates on the interval ends, where only <= or < decides
+    ends = Point([0.5, 1.0, -3.0, 0.0], (TailRule.geometric(3.0, 0.5),))
+    on_ends = [(sqrt_objective(0.5), ends),
+               (SeparableSeries(TailRule.const(1.0), ScalarConvex.abs_()), ends)]
+    for f, x in list(instances()) + on_ends:
+        walk = basis_partials(f, x)
+        for n in range(1, 9):
+            for a in (1e-3, 0.5, 1.0, 3.0):
+                got = outcome(lambda: walk.interval(n, a))
+                assert got == outcome(lambda: _interval_slope(f, x, n, a)), (f, x, n, a)
+                compared += 1
+                answers.add((got[1][0] is None, got[1][1]))
+    # differentiable, kinked, and kinked with an unbounded slope all occur
+    assert answers >= {(True, False), (False, False), (False, True)}
+    assert compared > 1500
 
 
 # The tail sum and the majorant doubling loop of certified_series as they

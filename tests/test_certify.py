@@ -19,6 +19,7 @@ from seqcert.certify import (
     anchored_truncation,
     certify_min,
     check_psc,
+    check_psc_numeric,
     check_qualification,
     default_psc_probes,
     coordinate_interval,
@@ -969,18 +970,20 @@ def test_psc_truncations_are_evidence_only():
     # seed 1: f(z_k) - f(x) is 4.9e-3 at k = 16 and tends to 0 as k grows, so
     # the limsup is f(x) and the excess at finite depths is no counterexample
     _, f, x, _ = fuzz_instance(1)
-    cert = check_psc(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS))
+    cert = check_psc(f, SetDescriptor.whole_space(), x)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
-    assert cert.evidence["probes_checked"] == 13
-    assert cert.evidence["max_truncation_excess"] > OPTS.tol
+    evidence = check_psc_numeric(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS), 32)
+    assert evidence["probes_checked"] == 13
+    assert evidence["max_truncation_excess"] > OPTS.tol
 
 
 def test_psc_truncations_outside_the_domain_are_skipped():
     # seed 107: every truncation of every probe makes a series diverge
     _, f, x, _ = fuzz_instance(107)
-    cert = check_psc(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS))
+    cert = check_psc(f, SetDescriptor.whole_space(), x)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
-    assert cert.evidence["max_truncation_excess"] is None
+    evidence = check_psc_numeric(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS), 32)
+    assert evidence["max_truncation_excess"] is None
 
 
 def test_closed_form_decides_without_the_numeric_passes():
@@ -988,7 +991,7 @@ def test_closed_form_decides_without_the_numeric_passes():
     cert = certify_min(f, SetDescriptor.whole_space(), x, OPTS)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
     assert set(cert.evidence["stationarity"]["derivatives"][0]) == {"n", "analytic"}
-    assert cert.evidence["psc"]["evidence"]["probes_checked"] == 0
+    assert "probes_checked" not in cert.evidence["psc"]["evidence"]
 
 
 def test_anchor_without_a_finite_value_is_rejected():

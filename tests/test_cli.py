@@ -3,6 +3,7 @@ JSON reports, schema conformance, and diagnostics for malformed input."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,9 @@ CLI_ENV = {
         filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")])
     ),
 }
-REPORT_SCHEMA = json.loads((PKG_ROOT / "docs" / "report.schema.json").read_text())
+REPORT_SCHEMA = json.loads(
+    (PKG_ROOT / "src" / "seqcert" / "schemas" / "report.schema.json").read_text()
+)
 
 EXPECTED_VERDICTS = {
     "example1": ("gateaux", "fails"),
@@ -296,3 +299,40 @@ def test_zero_scaled_kink_scenario_is_differentiable():
     }
     report = run_scenario(scenario_from_json(raw), CertifyOptions())
     assert (report.verdict, report.grade) == ("holds", "analytic_all_n")
+
+
+def test_cli_runs_from_a_copy_of_the_package_alone(tmp_path):
+    # the schemas ship inside the package, so no source checkout is needed
+    lib = tmp_path / "lib"
+    shutil.copytree(
+        PKG_ROOT / "src" / "seqcert", lib / "seqcert",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    code = "import sys; from seqcert.cli import main; sys.exit(main(['example3']))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=90, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(lib)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: holds" in proc.stdout
+
+
+def test_psc_report_keeps_the_probe_evidence():
+    raw = {
+        "name": "psc_probes",
+        "task": "psc",
+        "space": {"kind": "ell1"},
+        "function": {"kind": "separable", "weight": {"kind": "geometric", "c": 1.0, "r": 0.5},
+                     "inner": {"kind": "square"}},
+        "x_star": {"prefix": [1.0], "tail": {"kind": "zero"}},
+        "probes": [{"prefix": [0.5, -1.0], "tail": {"kind": "geometric", "c": 1.0, "r": 0.5}}],
+    }
+    report = run_scenario(scenario_from_json(raw), CertifyOptions())
+    assert report.verdict == "holds"
+    evidence = report.to_json()["certificate"]["evidence"]
+    assert list(evidence)[-2:] == ["probes_checked", "max_truncation_excess"]
+    assert evidence["probes_checked"] == 1
+    raw.pop("probes")
+    report = run_scenario(scenario_from_json(raw), CertifyOptions())
+    assert "probes_checked" not in report.to_json()["certificate"]["evidence"]

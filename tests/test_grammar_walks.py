@@ -12,10 +12,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seqcert"
 
 WALKS = {
-    "certify._interval_slope",
     "certify._limsup_weight",
     "funcs._evaluate",
-    "funcs._finite_line",
     "funcs.basis_partials",
     "funcs.delta_line",
     "funcs.function_to_json",
@@ -47,7 +45,7 @@ def grammar_walks() -> set[str]:
     return found
 
 
-def test_the_grammar_has_seven_walks():
+def test_the_grammar_has_five_walks():
     assert grammar_walks() == WALKS
-    assert len(WALKS) == 7
+    assert len(WALKS) == 5
 

@@ -1,6 +1,7 @@
 """Points, anchored projections, pairings, and their JSON forms."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -187,6 +188,46 @@ def test_sup_and_limsup():
     # the transient harmonic part decays; only the constant survives
     assert limsup_abs(x) == pytest.approx(2.0)
     assert limsup_abs(Point([9.0], (TailRule.harmonic(3.0),))) == 0.0
+
+
+def test_sup_abs_finds_a_late_maximum():
+    # 0.999^n - 0.99^n peaks at n = 255, past any fixed scan of the first 128
+    x = Point([], (TailRule.geometric(1.0, 0.999), TailRule.geometric(-1.0, 0.99)))
+    assert sup_abs(x) == pytest.approx(0.6977, abs=1e-4)
+    assert sup_abs(x) == max(abs(x.tail_symseq().value_at(n)) for n in range(1, 1000))
+    # 1 - 1/n never reaches its limit, which the decaying part's sign settles
+    assert sup_abs(Point([], (TailRule.const(1.0), TailRule.harmonic(-1.0)))) == 1.0
+
+
+def random_tail(rng):
+    if rng.random() < 0.5:
+        # two slowly decaying atoms that cancel early peak at n = 110 .. 260
+        c = rng.uniform(-2, 2)
+        late = (TailRule.geometric(c, rng.uniform(0.997, 0.999)),
+                TailRule.geometric(-c, rng.uniform(0.98, 0.99)))
+        return Point([rng.uniform(-0.1, 0.1)], late)
+    atoms = [TailRule.geometric(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.5, 0.999))
+             for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        atoms.append(TailRule.const(rng.uniform(-1, 1)))
+    if rng.random() < 0.5:
+        atoms.append(TailRule.harmonic(rng.uniform(-3, 3)))
+    prefix = [rng.uniform(-1, 1) for _ in range(rng.randint(0, 3))]
+    return Point(prefix, atoms)
+
+
+def test_sup_abs_matches_a_brute_force_maximum():
+    # every geometric atom is below 1e-40 by n = 10^5; from there on
+    # |c0 + c_h/n| stays below the larger of its value there and its limit
+    for seed in range(16):
+        x = random_tail(random.Random(seed))
+        seq = x.tail_symseq()
+        brute = max(
+            max((abs(v) for v in x.prefix), default=0.0),
+            limsup_abs(x),
+            max(abs(seq.value_at(n)) for n in range(x.tail_start, 10**5 + 1)),
+        )
+        assert sup_abs(x) == brute, (seed, x)
 
 
 def test_pair_against_reference():
