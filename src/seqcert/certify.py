@@ -49,6 +49,7 @@ from .funcs import (
 )
 from .sampling import random_direction, random_point, rng_from_seed
 from .seqspace import (
+    DEFAULT_SERIES_TOL,
     DualPoint,
     Point,
     SeriesValue,
@@ -247,14 +248,6 @@ class Grade:
     def numeric(n: int) -> Grade:
         return Grade(GradeKind.NUMERIC_FIRST_N, n)
 
-    def combine(self, other: Grade) -> Grade:
-        """The weaker of two grades: any sampling makes the whole claim sampled."""
-        if self.kind is GradeKind.ANALYTIC_ALL_N:
-            return other
-        if other.kind is GradeKind.ANALYTIC_ALL_N:
-            return self
-        return Grade.numeric(min(self.n or 0, other.n or 0))
-
     def render(self) -> str:
         if self.kind is GradeKind.ANALYTIC_ALL_N:
             return "analytic_all_n"
@@ -293,7 +286,6 @@ class CertifyOptions:
     coords: int = 64
     tol: float = 1e-7
     psc_depth: int = 32
-    probe_count: int = 10
     seed: int = 42
     deriv: DerivOptions = DerivOptions()
 
@@ -386,17 +378,21 @@ def _limsup_weight(f: FunctionExpr) -> _Shape:
     return _Shape(0.0, True)
 
 
+#: Random points default_psc_probes draws after its three fixed probes.
+_RANDOM_PROBES = 10
+
+
 def default_psc_probes(x_star: Point, opts: CertifyOptions) -> list[Point]:
     """Zero point, the anchor, a one-coordinate bump, then random points."""
     bump_prefix = list(x_star.prefix) or [x_star.coordinate(1)]
     bump_prefix[0] += 1.0
     probes = [Point((), ()), x_star, Point(bump_prefix, x_star.tail)]
     rng = rng_from_seed(opts.seed)
-    probes.extend(random_point(rng) for _ in range(opts.probe_count))
+    probes.extend(random_point(rng) for _ in range(_RANDOM_PROBES))
     return probes
 
 
-def check_psc(f: FunctionExpr, s: SetDescriptor, x_star: Point, depth: int = 32) -> Certificate:
+def check_psc(f: FunctionExpr, x_star: Point, depth: int = 32) -> Certificate:
     """Does limsup_k f(x* + P^k(x - x*)) <= f(x) hold for all x?
 
     Analytic rule: every series and linear part converges along anchored
@@ -652,7 +648,7 @@ def certify_min(
     qual = check_qualification(s, x_star, opts.coords)
     all_probes = list(probes) if probes is not None else []
     all_probes.extend(default_psc_probes(x_star, opts))
-    psc = check_psc(f, s, x_star, depth=opts.psc_depth)
+    psc = check_psc(f, x_star, depth=opts.psc_depth)
     prof, stat, stat_n, stat_r, stat_grade = _basis_residual(
         [(1.0, f)], x_star, Point.zero(), opts
     )
@@ -733,8 +729,9 @@ def certify_min(
             reason="pseudo-semicontinuity not established and no better probe found",
             evidence=evidence,
         )
-    grade = qual.grade.combine(psc.grade).combine(stat_grade)
-    return Certificate(Verdict.HOLDS, grade, evidence=evidence)
+    # qualification and psc only ever hold graded analytic, so the
+    # stationarity grade is the whole claim's
+    return Certificate(Verdict.HOLDS, stat_grade, evidence=evidence)
 
 
 def subgradient_test(
@@ -748,7 +745,7 @@ def subgradient_test(
     Reduces to f'(x*; e_n) = p_n for every n (_basis_residual), under
     pseudo-semicontinuity of f with respect to x* (whole-space setting).
     """
-    psc = check_psc(f, SetDescriptor.whole_space(), x_star, depth=opts.psc_depth)
+    psc = check_psc(f, x_star, depth=opts.psc_depth)
     if psc.verdict is not Verdict.HOLDS:
         return Certificate(
             Verdict.INCONCLUSIVE,
@@ -810,7 +807,7 @@ class GateauxDerivative:
             )
         return self.tail.value_at(n)
 
-    def apply(self, h: Point, tol: float = 1e-12) -> SeriesValue:
+    def apply(self, h: Point) -> SeriesValue:
         """Certified pairing of the coefficient sequence with h."""
         tail = self.tail
         if tail is None:
@@ -819,7 +816,7 @@ class GateauxDerivative:
                     "direction reaches past the sampled coefficients"
                 )
             tail = SymSeq.zero()
-        return coefficient_pairing(self.coefficient, len(self.known), tail, h)(tol)
+        return coefficient_pairing(self.coefficient, len(self.known), tail, h)(DEFAULT_SERIES_TOL)
 
 
 def gateaux_detect(
@@ -1162,7 +1159,7 @@ def kkt_certify(
     for name, fn in [("objective", f)] + [
         (f"inequality_{j}", g) for j, g in enumerate(inequalities)
     ] + [(f"equality_{j}", h) for j, h in enumerate(equalities)]:
-        psc = check_psc(fn, s, x_star, depth=opts.psc_depth)
+        psc = check_psc(fn, x_star, depth=opts.psc_depth)
         if psc.verdict is not Verdict.HOLDS:
             evidence["psc_failure"] = {name: psc.to_json()}
             return inconclusive(f"pseudo-semicontinuity not established for {name}", psc.grade)

@@ -169,16 +169,23 @@ def scenario_from_json(obj: dict) -> Scenario:
         raise ScenarioError(f"scenario {obj.get('name', '?')!r}: {exc}") from exc
 
 
+def _reject_constant(token: str):
+    """json's parse_constant: NaN and Infinity are not JSON numbers."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def load_scenarios(path: str) -> list[Scenario]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
     if isinstance(obj, dict) and "scenarios" in obj:
         unknown = set(obj) - {"scenarios"}
         if unknown:
@@ -368,9 +375,7 @@ def _certify_table(cert: Certificate) -> list[dict]:
     ]
 
 
-def _run_oracle(
-    scn: Scenario, opts: CertifyOptions, ks: Sequence[int]
-) -> list[dict]:
+def _run_oracle(scn: Scenario, ks: Sequence[int]) -> list[dict]:
     rows = []
     f_star = evaluate(scn.function, scn.x_star)
     for k in ks:
@@ -416,7 +421,7 @@ def run_scenario(
         probe_log = cert.evidence.get("probe_log", [])
         notes.append(f"f(x*) = {cert.evidence.get('f_at_anchor')!r}")
         if oracle_k:
-            oracle_rows = _run_oracle(scn, opts, oracle_k)
+            oracle_rows = _run_oracle(scn, oracle_k)
     elif scn.task == "gateaux":
         cert, deriv = gateaux_detect(
             scn.function, scn.space, scn.x_star, opts,
@@ -450,9 +455,9 @@ def run_scenario(
                     "oracle reduces over the declared set only; describe the "
                     "constraint region as a box set for constrained cross-checks"
                 )
-            oracle_rows = _run_oracle(scn, opts, oracle_k)
+            oracle_rows = _run_oracle(scn, oracle_k)
     elif scn.task == "psc":
-        cert = check_psc(scn.function, scn.feasible_set, scn.x_star, depth=opts.psc_depth)
+        cert = check_psc(scn.function, scn.x_star, depth=opts.psc_depth)
         if scn.probes and cert.verdict is Verdict.HOLDS:
             cert.evidence.update(check_psc_numeric(
                 scn.function, scn.feasible_set, scn.x_star, scn.probes, opts.psc_depth,
@@ -677,8 +682,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for item in to_check:
             _validate(item, "report.schema.json")
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc}")
+            return 2
 
     return 0 if all(r.passed for r in reports) else 1
 

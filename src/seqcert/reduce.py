@@ -35,11 +35,8 @@ _LINE_TOL = 1e-12
 _SWEEP_TOL = 1e-12
 #: Search cap on each coordinate; a descent still running at it is unbounded.
 _BOUND = 1e6
-
-
-@dataclass(frozen=True)
-class OracleOptions:
-    max_sweeps: int = 10_000
+#: Sweep budget of one descent; a descent still decreasing after it raises.
+_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,7 @@ def _line_minimize(
     return t, v
 
 
-def minimize_reduced(
-    prob: ReducedProblem, opts: OracleOptions = OracleOptions()
-) -> tuple[list[float], SeriesValue, int]:
+def minimize_reduced(prob: ReducedProblem) -> tuple[list[float], SeriesValue, int]:
     """Cyclic coordinate descent with exact line searches.
 
     Returns (minimizer, certified objective value, sweeps used).  Raises
@@ -151,7 +146,7 @@ def minimize_reduced(
 
     b = _BOUND
     sweeps = 0
-    while sweeps < opts.max_sweeps:
+    while sweeps < _MAX_SWEEPS:
         sweeps += 1
         decrease = 0.0
         for i in range(1, prob.k + 1):
@@ -180,4 +175,4 @@ def minimize_reduced(
         if decrease <= _SWEEP_TOL * (1.0 + abs(feasible_start.value)):
             final = evaluate(prob.f, prob.embed(y))
             return y, final, sweeps
-    raise MaxSweeps(f"no convergence within {opts.max_sweeps} sweeps")
+    raise MaxSweeps(f"no convergence within {_MAX_SWEEPS} sweeps")

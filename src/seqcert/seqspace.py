@@ -49,6 +49,8 @@ class TailRule:
     r: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.c) and math.isfinite(self.r)):
+            raise ValueError(f"tail coefficients must be finite, got c={self.c}, r={self.r}")
         if self.kind is TailKind.GEOMETRIC and not abs(self.r) < 1.0:
             raise ValueError(f"geometric tail needs |r| < 1, got r={self.r}")
         if self.kind is not TailKind.GEOMETRIC and self.r != 0.0:
@@ -136,7 +138,10 @@ class Point:
     tail: tuple[TailRule, ...] = ()
 
     def __init__(self, prefix: Sequence[float] = (), tail=()):
-        object.__setattr__(self, "prefix", tuple(float(v) for v in prefix))
+        prefix = tuple(float(v) for v in prefix)
+        if not all(map(math.isfinite, prefix)):
+            raise ValueError(f"point coordinates must be finite, got {list(prefix)}")
+        object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "tail", _coerce_tail(tail))
 
     @staticmethod
@@ -287,16 +292,12 @@ def point_axpy(x: Point, t: float, h: Point) -> Point:
     return point_add(x, point_scale(t, h))
 
 
-def points_equal(x: Point, y: Point, upto: int = 0) -> bool:
-    """Structural equality of canonical forms (exact, all coordinates).
-
-    ``upto`` > 0 additionally demands the first coordinates match exactly,
-    which is redundant but cheap insurance in tests.
-    """
+def points_equal(x: Point, y: Point) -> bool:
+    """Structural equality of canonical forms (exact, all coordinates)."""
     if x.prefix == y.prefix and x.tail == y.tail:
         return True
     m = max(len(x.prefix), len(y.prefix))
-    if any(x.coordinate(n) != y.coordinate(n) for n in range(1, max(m, upto) + 1)):
+    if any(x.coordinate(n) != y.coordinate(n) for n in range(1, m + 1)):
         return False
     return x.tail == y.tail or (point_sub(x, y).tail_symseq().is_zero)
 
@@ -309,11 +310,6 @@ def points_equal(x: Point, y: Point, upto: int = 0) -> bool:
 def in_ell1(x: Point) -> bool:
     """Absolute summability, decided from the tail rule."""
     return classify(x.tail_symseq()) == SUMMABLE
-
-
-def in_ellinf(x: Point) -> bool:
-    """Boundedness; every representable tail is bounded."""
-    return True
 
 
 def in_space(x: Point, space: SpaceDescriptor) -> bool:
@@ -371,42 +367,6 @@ def ell1_norm(x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
         tol,
         majorant=x.tail_symseq().abs_terms(),
     )
-
-
-def sup_abs(x: Point, upto: int = 0) -> float:
-    """Supremum of |coordinates|: the maximum up to a certified horizon.
-
-    Write the tail as c0 + d_n, with d_n its decaying atoms.  The sum
-    B(n) = |c0| + sum |c_i||r_i|^n + |c_h|/n of the atoms' magnitudes bounds
-    |x_m| for every m >= n and does not increase, so the scan (through
-    ``upto`` at least) stops at the first n where B(n) cannot beat the best
-    value found, the limit |c0| included.  Where d_n has a certified
-    eventual sign opposite to c0's, |x_m| <= |c0| once m is past that rank
-    and |d_m| <= 2|c0|, which ends the scan although B stays above |c0|.
-    Otherwise B falls to the best value (its float geometric terms
-    underflow and its harmonic term falls below any positive best), so the
-    scan ends on every tail, late for atoms that decay slowly.
-    """
-    c0 = tail_limit(x)
-    best = max(max((abs(v) for v in x.prefix), default=0.0), abs(c0))
-    seq = x.tail_symseq()
-    decaying = [t for t in seq.terms if (t.ratio, t.npow) != (1, 0)]
-    settled = math.inf  # from here on d_n's sign is not c0's
-    if c0 != 0.0 and decaying:
-        try:
-            sgn, rank = SymSeq(decaying).eventual_sign(x.tail_start)
-            if sgn * c0 <= 0.0:
-                settled = rank
-        except ValueError:
-            pass
-    n = x.tail_start
-    # summed in the order of seq.value_at, so B(n) >= |x_n| holds in floats
-    while n <= upto or sum((abs(t.value_at(n)) for t in seq.terms), 0.0) > best:
-        if n >= settled and sum(abs(t.value_at(n)) for t in decaying) <= 2.0 * abs(c0):
-            break
-        best = max(best, abs(seq.value_at(n)))
-        n += 1
-    return best
 
 
 def tail_limit(x: Point) -> float:
@@ -467,15 +427,23 @@ def coefficient_pairing(
 
     def at_tol(tol: float) -> SeriesValue:
         try:
-            tval, terr, used = tail_sum(prod, k0 + 1, tol / 2)
+            return _head_plus_tail(head, prod, k0 + 1, tol)
         except ValueError as exc:
             raise NonConvergentPairing(
                 f"pairing series not certified absolutely convergent ({exc})"
             ) from exc
-        err = terr + (abs(head) + abs(tval)) * (k0 + 2) * _ULP
-        return SeriesValue(head + tval, err, k0 + used)
 
     return at_tol
+
+
+def _head_plus_tail(head: float, tail: SymSeq, start: int, tol: float) -> SeriesValue:
+    """The one head-plus-tail sum: ``head``, the explicit sum of the terms
+    below ``start``, plus tail's certified sum from ``start`` on within
+    tol / 2, with both parts' rounding in the error.  Raises ValueError
+    (from tail_sum) when the tail is not absolutely summable."""
+    tval, terr, used = tail_sum(tail, start, tol / 2)
+    err = terr + (abs(head) + abs(tval)) * (start + 1) * _ULP
+    return SeriesValue(head + tval, err, start - 1 + used)
 
 
 def certified_series(
@@ -500,10 +468,8 @@ def certified_series(
     if tail is not None:
         if classify(tail) != SUMMABLE:
             raise NoMajorant(f"series tail is {classify(tail)}")
-        tval, terr, used = tail_sum(tail, tail_start, tol / 2)
         head = sum(term_at(n) for n in range(1, tail_start))
-        err = terr + (abs(head) + abs(tval)) * (tail_start + 1) * _ULP
-        return SeriesValue(head + tval, err, tail_start - 1 + used)
+        return _head_plus_tail(head, tail, tail_start, tol)
     if majorant is None:
         raise NoMajorant("no closed-form tail or majorant supplied")
     if classify(majorant) != SUMMABLE:

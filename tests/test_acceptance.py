@@ -181,7 +181,7 @@ def test_criterion_4_vanishing_derivatives_without_psc_fail():
         assert cert.verdict is Verdict.FAILS
         assert cert.witness["f_at_anchor"] == pytest.approx(0.0, abs=1e-9)
         assert cert.witness["f_at_probe"] == pytest.approx(-0.25, abs=1e-9)
-        psc = check_psc(g, WHOLE, ones)
+        psc = check_psc(g, ones)
         assert psc.verdict is Verdict.FAILS
         w = psc.witness
         # along anchored truncations of the zero point the value stays near

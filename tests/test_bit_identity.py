@@ -37,7 +37,7 @@ from seqcert.funcs import (
     delta_along,
     delta_line,
 )
-from seqcert.reduce import OracleOptions, build_reduced, minimize_reduced
+from seqcert.reduce import build_reduced, minimize_reduced
 from seqcert.sampling import random_direction, random_function, random_point
 from seqcert.seqspace import (
     _HEAD_BUDGET,
@@ -223,7 +223,7 @@ def test_profile_matches_direction_by_direction_scans():
 
 
 def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
-    opts = OracleOptions(max_sweeps=200)
+    monkeypatch.setattr(reduce, "_MAX_SWEEPS", 200)
     problems = []
     for f, x in instances():
         for k in (2, 5):
@@ -236,7 +236,7 @@ def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
         problems.append(
             build_reduced(sqrt_objective(beta), SetDescriptor.positive_cone_ell1(), anchor, 3)
         )
-    got = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
+    got = [outcome(lambda: minimize_reduced(p)) for p in problems]
     walk = reduce.basis_partials
 
     def reference_walk(f, x):
@@ -245,7 +245,7 @@ def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
         return partials
 
     monkeypatch.setattr(reduce, "basis_partials", reference_walk)
-    want = [outcome(lambda: minimize_reduced(p, opts)) for p in problems]
+    want = [outcome(lambda: minimize_reduced(p)) for p in problems]
     assert got == want
     assert sum(g[0] == "value" for g in got) > 20
 

@@ -191,14 +191,14 @@ def test_box_face_anchor_not_qualified():
 
 
 def test_limsup_psc_holds_when_anchor_limsup_vanishes():
-    cert = check_psc(LimsupSeminorm(), SetDescriptor.whole_space(), example3_anchor())
+    cert = check_psc(LimsupSeminorm(), example3_anchor())
     assert cert.verdict is Verdict.HOLDS
     assert cert.grade.render() == "analytic_all_n"
 
 
 def test_limsup_psc_fails_at_ones_with_zero_witness():
     ones = Point([], (TailRule.const(1.0),))
-    cert = check_psc(LimsupSeminorm(), SetDescriptor.whole_space(), ones)
+    cert = check_psc(LimsupSeminorm(), ones)
     assert cert.verdict is Verdict.FAILS
     w = cert.witness
     assert w["limsup_at_anchor"] == pytest.approx(1.0)
@@ -208,7 +208,7 @@ def test_limsup_psc_fails_at_ones_with_zero_witness():
 
 
 def test_series_only_functions_are_psc():
-    cert = check_psc(quad_series(), SetDescriptor.whole_space(), Point([2.0], ()))
+    cert = check_psc(quad_series(), Point([2.0], ()))
     assert cert.verdict is Verdict.HOLDS
 
 
@@ -216,10 +216,9 @@ def test_psc_sum_rule():
     f = quad_series()
     g = SeparableSeries(TailRule.harmonic(1.0), ScalarConvex.abs_())
     x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
-    s = SetDescriptor.whole_space()
-    assert check_psc(f, s, x).verdict is Verdict.HOLDS
-    assert check_psc(g, s, x).verdict is Verdict.HOLDS
-    assert check_psc(Sum((f, g)), s, x).verdict is Verdict.HOLDS
+    assert check_psc(f, x).verdict is Verdict.HOLDS
+    assert check_psc(g, x).verdict is Verdict.HOLDS
+    assert check_psc(Sum((f, g)), x).verdict is Verdict.HOLDS
 
 
 def test_anchored_truncation_shape():
@@ -306,12 +305,6 @@ def test_certificate_json_shape():
     assert set(obj) == {"verdict", "grade", "reason", "witness", "evidence"}
 
 
-def test_grade_combination_takes_weakest():
-    assert Grade.analytic().combine(Grade.numeric(7)).render() == "numeric_first_n(7)"
-    assert Grade.numeric(3).combine(Grade.numeric(9)).render() == "numeric_first_n(3)"
-    assert Grade.analytic().combine(Grade.analytic()).render() == "analytic_all_n"
-
-
 # subgradient --------------------------------------------------------------------
 
 
@@ -337,6 +330,15 @@ def test_rounded_ratio_products_do_not_earn_the_exact_grade():
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.numeric(OPTS.coords))
     sub = subgradient_test(quad, x_star, DualPoint((), TailRule.geometric(1.0, r3)), OPTS)
     assert (sub.verdict, sub.grade) == (Verdict.HOLDS, Grade.numeric(OPTS.coords))
+
+
+def test_a_non_finite_dual_is_rejected_not_certified():
+    # |f'(x*; e_1) - p_1| > tol is False for p_1 = NaN: such a dual would
+    # match every derivative, so it must not be representable
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square())
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            subgradient_test(f, Point([1.0]), DualPoint([bad]), OPTS)
 
 
 def test_wrong_dual_fails_with_index_witness():
@@ -970,7 +972,7 @@ def test_psc_truncations_are_evidence_only():
     # seed 1: f(z_k) - f(x) is 4.9e-3 at k = 16 and tends to 0 as k grows, so
     # the limsup is f(x) and the excess at finite depths is no counterexample
     _, f, x, _ = fuzz_instance(1)
-    cert = check_psc(f, SetDescriptor.whole_space(), x)
+    cert = check_psc(f, x)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
     evidence = check_psc_numeric(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS), 32)
     assert evidence["probes_checked"] == 13
@@ -980,7 +982,7 @@ def test_psc_truncations_are_evidence_only():
 def test_psc_truncations_outside_the_domain_are_skipped():
     # seed 107: every truncation of every probe makes a series diverge
     _, f, x, _ = fuzz_instance(107)
-    cert = check_psc(f, SetDescriptor.whole_space(), x)
+    cert = check_psc(f, x)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
     evidence = check_psc_numeric(f, SetDescriptor.whole_space(), x, default_psc_probes(x, OPTS), 32)
     assert evidence["max_truncation_excess"] is None

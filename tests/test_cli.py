@@ -134,6 +134,44 @@ def test_bad_json_reports_line_and_column(tmp_path):
     assert "line" in proc.stdout or ":1:" in proc.stdout
 
 
+def nan_dual_scenario() -> dict:
+    # f = sum 0.5^n x_n^2 at x* = (1, 0, ...): f'(x*; e_1) = 1, dual p_1 = NaN
+    return {
+        "name": "nan_dual",
+        "task": "subgradient",
+        "space": {"kind": "rn"},
+        "function": {
+            "kind": "separable",
+            "weight": {"kind": "geometric", "c": 1.0, "r": 0.5},
+            "inner": {"kind": "square"},
+        },
+        "x_star": {"prefix": [1.0]},
+        "dual": {"prefix": [float("nan")]},
+    }
+
+
+@pytest.mark.parametrize("where", ["dual", "x_star"])
+def test_non_finite_numbers_are_malformed_json(where, tmp_path, capsys):
+    # json.dumps writes NaN and -Infinity tokens, which json.load would accept
+    raw = nan_dual_scenario()
+    if where == "x_star":
+        raw["dual"] = {"prefix": [1.0]}
+        raw["x_star"] = {"prefix": [float("-inf")]}
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(raw))
+    assert main([str(f)]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:")
+    assert ("NaN" if where == "dual" else "-Infinity") in out
+
+
+def test_unwritable_json_path_is_an_error_not_a_traceback(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["example3", "--json", str(target)]) == 2
+    assert f"error: cannot write {target}" in capsys.readouterr().out
+    assert not target.exists()
+
+
 def test_unknown_field_is_rejected_with_a_path(tmp_path):
     raw = BUILTINS["example3"][1](0.5)
     raw["surprise"] = 1

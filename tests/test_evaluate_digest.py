@@ -67,7 +67,7 @@ def test_evaluations_pairings_and_psc_evidence_are_pinned():
     h = hashlib.sha256()
     for seed in range(60):
         f, x, p = fuzz_instance(seed)
-        probes = default_psc_probes(x, CertifyOptions(probe_count=4))
+        probes = default_psc_probes(x, CertifyOptions())[:7]
         records = [record(lambda: evaluate(f, x))]
         records += [
             record(lambda: evaluate(f, anchored_truncation(x, q, k)))

@@ -157,12 +157,11 @@ def test_psc_closed_under_sums(seed):
     f = random_separable(rng)
     g = random_separable(rng)
     x = random_point(rng)
-    s = SetDescriptor.whole_space()
-    cf = check_psc(f, s, x)
-    cg = check_psc(g, s, x)
+    cf = check_psc(f, x)
+    cg = check_psc(g, x)
     assert cf.verdict is Verdict.HOLDS
     assert cg.verdict is Verdict.HOLDS
-    assert check_psc(Sum((f, g)), s, x).verdict is Verdict.HOLDS
+    assert check_psc(Sum((f, g)), x).verdict is Verdict.HOLDS
 
 
 @SLOW

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from seqcert import reduce
 from seqcert.certify import SetDescriptor
 from seqcert.errors import DomainViolation, InfeasiblePoint, MaxSweeps, Unbounded
 from seqcert.funcs import (
@@ -17,7 +18,7 @@ from seqcert.funcs import (
     Sum,
     evaluate,
 )
-from seqcert.reduce import OracleOptions, build_reduced, grad_reduced, minimize_reduced
+from seqcert.reduce import build_reduced, grad_reduced, minimize_reduced
 from seqcert.seqspace import Point, TailRule
 
 BETA = 0.5
@@ -116,11 +117,12 @@ def test_unbounded_linear_descent():
         minimize_reduced(prob)
 
 
-def test_max_sweeps_budget():
+def test_max_sweeps_budget(monkeypatch):
+    monkeypatch.setattr(reduce, "_MAX_SWEEPS", 1)
     anchor = Point([0.9], (TailRule.harmonic(0.5),))
     prob = build_reduced(quad_with_harmonic_drift(), SetDescriptor.whole_space(), anchor, 1)
     with pytest.raises(MaxSweeps):
-        minimize_reduced(prob, OracleOptions(max_sweeps=1))
+        minimize_reduced(prob)
 
 
 def test_infinite_start_raises():

@@ -1,7 +1,6 @@
 """Points, anchored projections, pairings, and their JSON forms."""
 
 import math
-import random
 
 import mpmath
 import pytest
@@ -21,7 +20,6 @@ from seqcert.seqspace import (
     dual_to_json,
     ell1_norm,
     in_ell1,
-    in_ellinf,
     limsup_abs,
     pair,
     point_add,
@@ -34,7 +32,6 @@ from seqcert.seqspace import (
     project,
     space_from_json,
     space_to_json,
-    sup_abs,
 )
 from seqcert.symseq import SymSeq
 
@@ -110,7 +107,7 @@ def test_exact_cancellation_of_equal_tails():
     x = Point([], (TailRule.geometric(1.0, 0.5),))
     d = point_sub(x, x)
     assert d.is_finitely_supported()
-    assert points_equal(d, Point.zero(), upto=32)
+    assert points_equal(d, Point.zero())
 
 
 # projections -----------------------------------------------------------------
@@ -136,7 +133,7 @@ def test_projection_idempotent_and_nested():
     x = Point([1.0, 2.0], (TailRule.geometric(1.0, 0.5),))
     anchor = Point([], (TailRule.harmonic(0.5),))
     p4 = project(x, 4, anchor)
-    assert points_equal(project(p4, 4, anchor), p4, upto=20)
+    assert points_equal(project(p4, 4, anchor), p4)
     # nesting: projecting deeper after k keeps the first k coordinates
     p6 = project(x, 6, anchor)
     for n in range(1, 5):
@@ -146,7 +143,7 @@ def test_projection_idempotent_and_nested():
 def test_projection_rank_zero_gives_the_anchor():
     x = Point([7.0], (TailRule.const(1.0),))
     anchor = Point([], (TailRule.harmonic(0.5),))
-    assert points_equal(project(x, 0, anchor), anchor, upto=12)
+    assert points_equal(project(x, 0, anchor), anchor)
     with pytest.raises(ValueError):
         project(x, -1)
 
@@ -177,57 +174,11 @@ def test_in_ell1_detects_divergence():
     assert not in_ell1(Point([], (TailRule.const(0.1),)))
 
 
-def test_in_ellinf_bounded_tails():
-    assert in_ellinf(Point([5.0], (TailRule.const(2.0),)))
-    assert in_ellinf(Point([], (TailRule.harmonic(7.0),)))
-
-
 def test_sup_and_limsup():
     x = Point([5.0, -7.0], (TailRule.const(2.0), TailRule.harmonic(1.0)))
-    assert sup_abs(x, upto=16) == 7.0
     # the transient harmonic part decays; only the constant survives
     assert limsup_abs(x) == pytest.approx(2.0)
     assert limsup_abs(Point([9.0], (TailRule.harmonic(3.0),))) == 0.0
-
-
-def test_sup_abs_finds_a_late_maximum():
-    # 0.999^n - 0.99^n peaks at n = 255, past any fixed scan of the first 128
-    x = Point([], (TailRule.geometric(1.0, 0.999), TailRule.geometric(-1.0, 0.99)))
-    assert sup_abs(x) == pytest.approx(0.6977, abs=1e-4)
-    assert sup_abs(x) == max(abs(x.tail_symseq().value_at(n)) for n in range(1, 1000))
-    # 1 - 1/n never reaches its limit, which the decaying part's sign settles
-    assert sup_abs(Point([], (TailRule.const(1.0), TailRule.harmonic(-1.0)))) == 1.0
-
-
-def random_tail(rng):
-    if rng.random() < 0.5:
-        # two slowly decaying atoms that cancel early peak at n = 110 .. 260
-        c = rng.uniform(-2, 2)
-        late = (TailRule.geometric(c, rng.uniform(0.997, 0.999)),
-                TailRule.geometric(-c, rng.uniform(0.98, 0.99)))
-        return Point([rng.uniform(-0.1, 0.1)], late)
-    atoms = [TailRule.geometric(rng.uniform(-2, 2), rng.choice((-1, 1)) * rng.uniform(0.5, 0.999))
-             for _ in range(rng.randint(1, 3))]
-    if rng.random() < 0.5:
-        atoms.append(TailRule.const(rng.uniform(-1, 1)))
-    if rng.random() < 0.5:
-        atoms.append(TailRule.harmonic(rng.uniform(-3, 3)))
-    prefix = [rng.uniform(-1, 1) for _ in range(rng.randint(0, 3))]
-    return Point(prefix, atoms)
-
-
-def test_sup_abs_matches_a_brute_force_maximum():
-    # every geometric atom is below 1e-40 by n = 10^5; from there on
-    # |c0 + c_h/n| stays below the larger of its value there and its limit
-    for seed in range(16):
-        x = random_tail(random.Random(seed))
-        seq = x.tail_symseq()
-        brute = max(
-            max((abs(v) for v in x.prefix), default=0.0),
-            limsup_abs(x),
-            max(abs(seq.value_at(n)) for n in range(x.tail_start, 10**5 + 1)),
-        )
-        assert sup_abs(x) == brute, (seed, x)
 
 
 def test_pair_against_reference():
@@ -252,6 +203,18 @@ def test_pair_rejects_divergent_pairing():
 # JSON ------------------------------------------------------------------------
 
 
+def test_points_and_tail_rules_reject_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Point([0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            TailRule.const(bad)
+        with pytest.raises(ValueError, match="finite"):
+            TailRule.geometric(bad, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            point_from_json({"prefix": [], "tail": {"kind": "harmonic", "c": bad}})
+
+
 def test_point_json_round_trip():
     pts = [
         Point.zero(),
@@ -262,7 +225,7 @@ def test_point_json_round_trip():
     ]
     for x in pts:
         back = point_from_json(point_to_json(x))
-        assert points_equal(back, x, upto=24)
+        assert points_equal(back, x)
 
 
 def test_point_json_rejects_unknown_fields():
@@ -300,7 +263,6 @@ def test_space_json_round_trip():
 def test_tail_normalization_drops_zero_atoms():
     x = Point([], (TailRule.zero(), TailRule.geometric(1.0, 0.5)))
     assert x.coordinate(2) == pytest.approx(0.25)
-    assert math.isfinite(sup_abs(x, upto=8))
 
 
 def test_coordinate_signs_name_the_rule_that_decided():
