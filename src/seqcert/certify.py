@@ -31,12 +31,8 @@ from .funcs import (
     DirStatus,
     DirValue,
     FunctionExpr,
-    LimsupSeminorm,
     ScalarConvex,
-    ScalarKind,
-    Scale,
     SeparableSeries,
-    Sum,
     _expect_fields,
     _form_from_json,
     _form_to_json,
@@ -289,6 +285,14 @@ class CertifyOptions:
     seed: int = 42
     deriv: DerivOptions = DerivOptions()
 
+    def __post_init__(self):
+        # the bounds of the scenario schema's "parameters"
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        for name, low in (("coords", 1), ("psc_depth", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # Qualification
@@ -357,27 +361,6 @@ def anchored_truncation(x_star: Point, x: Point, k: int) -> Point:
     return project(x, k, x_star)
 
 
-@dataclass(frozen=True)
-class _Shape:
-    lam: float  # the total nonnegative coefficient of its limsup parts
-    affine: bool  # built from constants, linear functionals, linear-piece series
-
-
-def _limsup_weight(f: FunctionExpr) -> _Shape:
-    """The expression's limsup weight and whether it is affine, in one walk."""
-    if isinstance(f, LimsupSeminorm):
-        return _Shape(1.0, False)
-    if isinstance(f, Scale):
-        inner = _limsup_weight(f.inner)
-        return _Shape(f.lam * inner.lam, inner.affine)
-    if isinstance(f, Sum):
-        parts = [_limsup_weight(g) for g in f.terms]
-        return _Shape(sum(p.lam for p in parts), all(p.affine for p in parts))
-    if isinstance(f, SeparableSeries):
-        return _Shape(0.0, f.inner.kind is ScalarKind.LINEAR)
-    return _Shape(0.0, True)
-
-
 #: Random points default_psc_probes draws after its three fixed probes.
 _RANDOM_PROBES = 10
 
@@ -403,7 +386,7 @@ def check_psc(f: FunctionExpr, x_star: Point, depth: int = 32) -> Certificate:
     bound a limsup, so probes are evidence only (check_psc_numeric).  On
     FAILS, ``depth`` sets the truncations the witness reports.
     """
-    lam = _limsup_weight(f).lam
+    lam = basis_partials(f, x_star).limsup_weight()
     p_star = limsup_abs(x_star)
     if lam == 0.0 or p_star == 0.0:
         evidence = {
@@ -799,6 +782,8 @@ class GateauxDerivative:
     tail: Optional[SymSeq] = None
 
     def coefficient(self, n: int) -> float:
+        if n < 1:
+            raise ValueError(f"coefficient index must be >= 1, got {n}")
         if n <= len(self.known):
             return self.known[n - 1]
         if self.tail is None:
@@ -875,7 +860,7 @@ def gateaux_detect(
             "basis is not topological; existence along basis directions is not sufficient",
             evidence={"basis_derivatives_exist": True},
         )
-    if _limsup_weight(f).lam != 0.0:
+    if basis_partials(f, x_star).limsup_weight() != 0.0:
         return no_derivative(
             Verdict.INCONCLUSIVE,
             Grade.numeric(opts.coords),
@@ -1116,9 +1101,17 @@ def kkt_certify(
     function, complementary slackness, and per-coordinate stationarity of
     f' + sum(lam_j g_j') + sum(nu_k h_k').  The implication runs one way:
     any hypothesis failure is INCONCLUSIVE, never a non-optimality claim.
+
+    Raises ValueError when the multiplier counts differ from the constraint
+    counts or a multiplier is not finite, and InfeasiblePoint when x* is
+    outside the base set or violates a constraint.
     """
     if len(lam) != len(inequalities) or len(nu) != len(equalities):
         raise ValueError("multiplier counts must match constraint counts")
+    for name, values in (("lambda", lam), ("nu", nu)):
+        for j, v in enumerate(values):
+            if not math.isfinite(v):
+                raise ValueError(f"multiplier {name}_{j} is not finite: {v}")
     evidence: dict = {}
 
     def inconclusive(reason: str, grade: Optional[Grade] = None, witness=None) -> Certificate:
@@ -1149,7 +1142,7 @@ def kkt_certify(
             return inconclusive(f"multiplier {j} is negative; hypothesis not satisfied")
     # sufficiency needs every part nu_k h_k convex: nu_k < 0 only on affine h_k
     for k, (v, h) in enumerate(zip(nu, equalities)):
-        if v < 0.0 and not _limsup_weight(h).affine:
+        if v < 0.0 and not basis_partials(h, x_star).affine():
             return inconclusive(f"multiplier {k} is negative on a non-affine equality")
 
     qual = check_qualification(s, x_star, opts.coords)

@@ -21,7 +21,7 @@ from .errors import (
     DomainViolation,
     NonConvexBehavior,
 )
-from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials, delta_line, evaluate
+from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials, evaluate
 from .seqspace import Point, basis_vector
 
 _EPS = 2.220446049250313e-16
@@ -45,6 +45,14 @@ class DerivOptions:
     steps: int = 40
     tol_match: float = 1e-7
     prefer_analytic: bool = True
+
+    def __post_init__(self):
+        if self.t0 is not None and not (math.isfinite(self.t0) and self.t0 > 0.0):
+            raise ValueError(f"t0 must be None or finite and > 0, got {self.t0}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        if not (math.isfinite(self.tol_match) and self.tol_match > 0.0):
+            raise ValueError(f"tol_match must be finite and > 0, got {self.tol_match}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,7 @@ def dir_deriv(
     else:
         t0 = 1e-2
     if support is None:
-        line = delta_line(f, x, h)
+        line = basis_partials(f, x).series_line(h)
 
         def delta(t: float) -> float:
             return line(t, abs(t) * 1e-13).value

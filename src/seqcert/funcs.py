@@ -349,45 +349,9 @@ def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> Seri
     coordinate under a sqrt piece, or a series with no proper extended
     value), and NonConvergentPairing for unpairable linear functionals.
     """
-    # sub-expressions recurse through _evaluate, so a wrapper around
-    # evaluate sees only the outer call
-    return _evaluate(f, x, tol)
-
-
-def _evaluate(f: FunctionExpr, x: Point, tol: float) -> SeriesValue:
-    if isinstance(f, Constant):
-        return SeriesValue(f.c, 0.0, 0)
-    if isinstance(f, LimsupSeminorm):
-        return SeriesValue(limsup_abs(x), 0.0, 0)
-    if isinstance(f, LinearFunctional):
-        return pair(f.p, x, tol)
-    if isinstance(f, SeparableSeries):
-        return _evaluate_separable(f, x, tol)
-    if isinstance(f, Scale):
-        if f.lam == 0.0:
-            return SeriesValue(0.0, 0.0, 0)
-        sub = _evaluate(f.inner, x, tol / max(f.lam, 1.0))
-        if math.isinf(sub.value):
-            return SeriesValue(math.inf, 0.0, sub.terms_used)
-        return SeriesValue(f.lam * sub.value, f.lam * sub.error_bound, sub.terms_used)
-    if isinstance(f, Sum):
-        if not f.terms:
-            return SeriesValue(0.0, 0.0, 0)
-        budget = tol / len(f.terms)
-        total, err, used = 0.0, 0.0, 0
-        hit_inf = False
-        for g in f.terms:
-            sv = _evaluate(g, x, budget)
-            used += sv.terms_used
-            if math.isinf(sv.value):
-                hit_inf = True
-            else:
-                total += sv.value
-                err += sv.error_bound
-        if hit_inf:
-            return SeriesValue(math.inf, 0.0, used)
-        return SeriesValue(total, err, used)
-    raise TypeError(f"unknown function expression {type(f).__name__}")
+    # sub-expressions recurse inside the walk's value answers, so a wrapper
+    # around evaluate sees only the outer call
+    return basis_partials(f, x).value(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +401,20 @@ class PartialsForm:
     kink_at: Optional[int] = None
 
 
+_ZERO = SeriesValue(0.0, 0.0, 0)
+
+
+def _zero_line(t: float) -> float:
+    return 0.0
+
+
+def _zero_step(t: float, tol: float) -> SeriesValue:
+    return _ZERO
+
+
+@dataclass(eq=False)
 class BasisPartials:
-    """What finitely many coordinate moves do to f at x, from one walk.
+    """What f is and does at x, from one walk over the grammar.
 
     ``sides(n)`` is the closed-form (left, right) derivative pair of
     t -> f(x + t e_n) at 0, None marking a side outside the domain, and
@@ -449,13 +425,28 @@ class BasisPartials:
     (why, unbounded) for t -> f(x + t e_n) on |t| < a: why names the first
     term's kink or sqrt boundary inside it (None when there is none), and
     unbounded says some term's derivative has no finite supremum there.
+    ``value(tol)`` is evaluate(f, x, tol), and ``series_line(h)`` is
+    (t, tol) -> delta_along(f, x, h, t, tol) for any direction h: its
+    constants are resolved once, what depends on |t| only (a pairing's
+    certified sum, a separable leaf's majorant region) is kept per step
+    size so t and -t share it, and domain errors stay per step, so a
+    quotient scan can skip the steps that leave the domain.
+    ``limsup_weight()`` is the total coefficient of the limsup parts, and
+    ``affine()`` says whether f is built from constants, linear functionals
+    and linear-piece series only.
+
+    Every answer runs only when it is called.  The defaults are the zero
+    function's answers, so a node passes only those where it differs.
     """
 
-    def __init__(self, sides: Callable, form: Callable, line: Callable, interval: Callable):
-        self.sides = sides
-        self._form = form
-        self.line = line
-        self.interval = interval
+    sides: Callable = lambda n: (0.0, 0.0)
+    _form: Callable = lambda: PartialsForm("ok", 1, SymSeq.zero())
+    line: Callable = lambda steps: _zero_line
+    interval: Callable = lambda n, a: (None, False)
+    value: Callable = lambda tol: _ZERO
+    series_line: Callable = lambda h: _zero_step
+    limsup_weight: Callable = lambda: 0.0
+    affine: Callable = lambda: True
 
     @cached_property
     def form(self) -> PartialsForm:
@@ -468,20 +459,8 @@ class BasisPartials:
         return DirValue.exists(right) if left == right else DirValue.kink(left, right)
 
 
-def _zero_line(t: float) -> float:
-    return 0.0
-
-
-def _flat() -> BasisPartials:
-    """No finite move changes f: zero partials and line, no kink on any interval."""
-    return BasisPartials(
-        lambda n: (0.0, 0.0), lambda: PartialsForm("ok", 1, SymSeq.zero()),
-        lambda steps: _zero_line, lambda n, a: (None, False),
-    )
-
-
 def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
-    """The one walk behind every question about finitely many coordinates.
+    """The one walk behind every question about f at x.
 
     Each node's sides combine its children's at the same index; one-sided
     derivatives of the whole expression are kept apart, so a kink in one
@@ -493,9 +472,23 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     (Rockafellar, Convex Analysis, Thm 24.1), so on an interval only a sqrt
     boundary touching it leaves the derivative without a finite supremum.
     """
-    if isinstance(f, (Constant, LimsupSeminorm)):
-        # A finite change of coordinates never moves a constant or a limsup.
-        return _flat()
+    if isinstance(f, Constant):
+        # A finite change of coordinates never moves a constant.
+        c = f.c
+        return BasisPartials(value=lambda tol: SeriesValue(c, 0.0, 0))
+    if isinstance(f, LimsupSeminorm):
+        # Nor a limsup; only the tails' limits reach it.
+        def limsup_line(h: Point) -> Callable[[float, float], SeriesValue]:
+            cx, ch = tail_limit(x), tail_limit(h)
+            base = abs(cx)
+            return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
+
+        return BasisPartials(
+            value=lambda tol: SeriesValue(limsup_abs(x), 0.0, 0),
+            series_line=limsup_line,
+            limsup_weight=lambda: 1.0,
+            affine=lambda: False,
+        )
     if isinstance(f, LinearFunctional):
         p = f.p
 
@@ -507,18 +500,34 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             slope = sum(p.coordinate(n) * hn for n, hn in steps)
             return lambda t: t * slope
 
+        def paired_line(h: Point) -> Callable[[float, float], SeriesValue]:
+            paired = pairing(p, h)
+            # paired's result by its tolerance, which depends on |t| and tol
+            # only: the two sides of a quotient scan share it
+            sums: dict[float, SeriesValue] = {}
+
+            def step(t: float, tol: float) -> SeriesValue:
+                u = tol / max(abs(t), 1.0)
+                sv = sums.get(u)
+                if sv is None:
+                    sv = sums[u] = paired(u)
+                return SeriesValue(t * sv.value, abs(t) * sv.error_bound, sv.terms_used)
+
+            return step
+
         return BasisPartials(
             linear,
             lambda: PartialsForm("ok", p.tail_start, p.tail_symseq()),
             linear_line,
-            lambda n, a: (None, False),
+            value=lambda tol: pair(p, x, tol),
+            series_line=paired_line,
         )
     if isinstance(f, SeparableSeries):
         return _separable_partials(f, x)
     if isinstance(f, Scale):
         if f.lam == 0.0:
-            # A zero factor flattens every kink of the inner expression.
-            return _flat()
+            # A zero factor flattens the inner expression, whatever it is.
+            return BasisPartials()
         lam, inner = f.lam, basis_partials(f.inner, x)
 
         def scaled(n: int) -> tuple:
@@ -538,7 +547,26 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             sub = inner.line(steps)
             return lambda t: lam * sub(t)
 
-        return BasisPartials(scaled, scaled_form, scaled_line, inner.interval)
+        def scaled_value(tol: float) -> SeriesValue:
+            sub = inner.value(tol / max(lam, 1.0))
+            if math.isinf(sub.value):
+                return SeriesValue(math.inf, 0.0, sub.terms_used)
+            return SeriesValue(lam * sub.value, lam * sub.error_bound, sub.terms_used)
+
+        def scaled_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
+            share = max(lam, 1.0)
+            sub = inner.series_line(h)
+
+            def step(t: float, tol: float) -> SeriesValue:
+                sv = sub(t, tol / share)
+                return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
+
+            return step
+
+        return BasisPartials(
+            scaled, scaled_form, scaled_line, inner.interval, scaled_value, scaled_series_line,
+            lambda: lam * inner.limsup_weight(), inner.affine,
+        )
     if isinstance(f, Sum):
         parts = [basis_partials(g, x) for g in f.terms]
 
@@ -576,7 +604,47 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             answers = [part.interval(n, a) for part in parts]
             return next((why for why, _ in answers if why), None), any(unb for _, unb in answers)
 
-        return BasisPartials(summed, summed_form, summed_line, summed_interval)
+        def summed_value(tol: float) -> SeriesValue:
+            if not parts:
+                return _ZERO
+            budget = tol / len(parts)
+            total, err, used = 0.0, 0.0, 0
+            hit_inf = False
+            for part in parts:
+                sv = part.value(budget)
+                used += sv.terms_used
+                if math.isinf(sv.value):
+                    hit_inf = True
+                else:
+                    total += sv.value
+                    err += sv.error_bound
+            if hit_inf:
+                return SeriesValue(math.inf, 0.0, used)
+            return SeriesValue(total, err, used)
+
+        def summed_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
+            if not parts:
+                return _zero_step
+            lines = [part.series_line(h) for part in parts]
+            count = len(lines)
+
+            def step(t: float, tol: float) -> SeriesValue:
+                budget = tol / count
+                total, err, used = 0.0, 0.0, 0
+                for sub in lines:
+                    sv = sub(t, budget)
+                    total += sv.value
+                    err += sv.error_bound
+                    used += sv.terms_used
+                return SeriesValue(total, err, used)
+
+            return step
+
+        return BasisPartials(
+            summed, summed_form, summed_line, summed_interval, summed_value, summed_series_line,
+            lambda: sum(part.limsup_weight() for part in parts),
+            lambda: all(part.affine() for part in parts),
+        )
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
@@ -670,7 +738,12 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         lo = v - a
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
 
-    return BasisPartials(sides, form, line, interval)
+    return BasisPartials(
+        sides, form, line, interval,
+        lambda tol: _evaluate_separable(f, x, tol),
+        lambda h: _separable_delta_line(f, x, h),
+        affine=lambda: kind is ScalarKind.LINEAR,
+    )
 
 
 def analytic_dir_deriv(f: FunctionExpr, x: Point, n: int) -> DirValue:
@@ -705,89 +778,10 @@ def delta_along(
     error bound does not inherit the catastrophic cancellation of
     subtracting two full series evaluations.
     """
-    return delta_line(f, x, h)(t, tol)
+    return basis_partials(f, x).series_line(h)(t, tol)
 
 
-_NO_DELTA = SeriesValue(0.0, 0.0, 0)
-
-
-def _no_delta(t: float, tol: float) -> SeriesValue:
-    return _NO_DELTA
-
-
-def delta_line(
-    f: FunctionExpr, x: Point, h: Point
-) -> Callable[[float, float], SeriesValue]:
-    """(t, tol) -> delta_along(f, x, h, t, tol), with the direction's
-    constants resolved once.
-
-    Along a line only t and the tolerance change.  The limsup coefficients,
-    the pairing's tail product and head sum, the scale factors, and each
-    separable leaf's majorant factors, tail start and per-index tables are
-    computed here, and every call runs the float operations, exact
-    products and certified sums that delta_along would, in the same order.
-    What depends on |t| only (a pairing's certified sum, a separable
-    leaf's majorant and its certified region) is kept per step size, so
-    t and -t share it.  A call raises what that step would raise: domain errors stay per step,
-    so a quotient scan can still skip the steps that leave the domain;
-    only an unknown expression node is rejected when the line is built.
-    """
-    if isinstance(f, Constant):
-        return _no_delta
-    if isinstance(f, LimsupSeminorm):
-        cx = tail_limit(x)
-        ch = tail_limit(h)
-        base = abs(cx)
-        return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
-    if isinstance(f, LinearFunctional):
-        paired = pairing(f.p, h)
-        # paired's result by its tolerance, which depends on |t| and tol
-        # only: the two sides of a quotient scan share it
-        sums: dict[float, SeriesValue] = {}
-
-        def linear(t: float, tol: float) -> SeriesValue:
-            u = tol / max(abs(t), 1.0)
-            sv = sums.get(u)
-            if sv is None:
-                sv = sums[u] = paired(u)
-            return SeriesValue(t * sv.value, abs(t) * sv.error_bound, sv.terms_used)
-
-        return linear
-    if isinstance(f, Scale):
-        if f.lam == 0.0:
-            return _no_delta
-        lam = f.lam
-        share = max(lam, 1.0)
-        inner = delta_line(f.inner, x, h)
-
-        def scaled(t: float, tol: float) -> SeriesValue:
-            sv = inner(t, tol / share)
-            return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
-
-        return scaled
-    if isinstance(f, Sum):
-        if not f.terms:
-            return _no_delta
-        parts = [delta_line(g, x, h) for g in f.terms]
-        count = len(parts)
-
-        def summed(t: float, tol: float) -> SeriesValue:
-            budget = tol / count
-            total, err, used = 0.0, 0.0, 0
-            for part in parts:
-                sv = part(t, budget)
-                total += sv.value
-                err += sv.error_bound
-                used += sv.terms_used
-            return SeriesValue(total, err, used)
-
-        return summed
-    if isinstance(f, SeparableSeries):
-        return _separable_delta_line(f, x, h)
-    raise TypeError(f"unknown function expression {type(f).__name__}")
-
-
-#: Indices whose per-index constants a delta line keeps.  Directions with
+#: Indices whose per-index constants a series line keeps.  Directions with
 #: geometric tails need a few hundred at the quotient scan's tolerances;
 #: beyond the bound each term is resolved afresh.
 _TABLE_LIMIT = 4096

@@ -35,7 +35,7 @@ from seqcert.funcs import (
     Sum,
     basis_partials,
     delta_along,
-    delta_line,
+    evaluate,
 )
 from seqcert.reduce import build_reduced, minimize_reduced
 from seqcert.sampling import random_direction, random_function, random_point
@@ -50,6 +50,10 @@ from seqcert.seqspace import (
     TailRule,
     basis_vector,
     certified_series,
+    limsup_abs,
+    pair,
+    pairing,
+    tail_limit,
 )
 from seqcert.symseq import (
     SUMMABLE,
@@ -173,7 +177,7 @@ def test_walk_line_matches_delta_finite_on_the_quotient_ladder():
     assert compared > 40_000
 
 
-def test_delta_line_matches_fresh_delta_along_on_the_quotient_ladder():
+def test_series_line_matches_fresh_delta_along_on_the_quotient_ladder():
     # One line per direction serves both sides of the ladder, so its
     # per-index tables and cached domain rank carry over between steps.
     cases = [
@@ -186,7 +190,7 @@ def test_delta_line_matches_fresh_delta_along_on_the_quotient_ladder():
         cases.append((f, x, h))
     compared = raised = 0
     for f, x, h in cases:
-        line = delta_line(f, x, h)
+        line = basis_partials(f, x).series_line(h)
         for t in [sign * 1e-2 * 2.0**-j for sign in (1, -1) for j in range(41)]:
             tol = abs(t) * 1e-13
             got = outcome(lambda: line(t, tol))
@@ -504,6 +508,193 @@ def test_walk_interval_matches_the_interval_walk_it_replaced():
     assert compared > 1500
 
 
+# The three walks that funcs.basis_partials' value, series_line and limsup
+# answers replaced, kept verbatim as their references.
+def _evaluate(f: FunctionExpr, x: Point, tol: float) -> SeriesValue:
+    if isinstance(f, Constant):
+        return SeriesValue(f.c, 0.0, 0)
+    if isinstance(f, LimsupSeminorm):
+        return SeriesValue(limsup_abs(x), 0.0, 0)
+    if isinstance(f, LinearFunctional):
+        return pair(f.p, x, tol)
+    if isinstance(f, SeparableSeries):
+        return funcs._evaluate_separable(f, x, tol)
+    if isinstance(f, Scale):
+        if f.lam == 0.0:
+            return SeriesValue(0.0, 0.0, 0)
+        sub = _evaluate(f.inner, x, tol / max(f.lam, 1.0))
+        if math.isinf(sub.value):
+            return SeriesValue(math.inf, 0.0, sub.terms_used)
+        return SeriesValue(f.lam * sub.value, f.lam * sub.error_bound, sub.terms_used)
+    if isinstance(f, Sum):
+        if not f.terms:
+            return SeriesValue(0.0, 0.0, 0)
+        budget = tol / len(f.terms)
+        total, err, used = 0.0, 0.0, 0
+        hit_inf = False
+        for g in f.terms:
+            sv = _evaluate(g, x, budget)
+            used += sv.terms_used
+            if math.isinf(sv.value):
+                hit_inf = True
+            else:
+                total += sv.value
+                err += sv.error_bound
+        if hit_inf:
+            return SeriesValue(math.inf, 0.0, used)
+        return SeriesValue(total, err, used)
+    raise TypeError(f"unknown function expression {type(f).__name__}")
+
+
+_NO_DELTA = SeriesValue(0.0, 0.0, 0)
+
+
+def _no_delta(t: float, tol: float) -> SeriesValue:
+    return _NO_DELTA
+
+
+def _delta_line(f: FunctionExpr, x: Point, h: Point):
+    if isinstance(f, Constant):
+        return _no_delta
+    if isinstance(f, LimsupSeminorm):
+        cx = tail_limit(x)
+        ch = tail_limit(h)
+        base = abs(cx)
+        return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
+    if isinstance(f, LinearFunctional):
+        paired = pairing(f.p, h)
+        sums: dict[float, SeriesValue] = {}
+
+        def linear(t: float, tol: float) -> SeriesValue:
+            u = tol / max(abs(t), 1.0)
+            sv = sums.get(u)
+            if sv is None:
+                sv = sums[u] = paired(u)
+            return SeriesValue(t * sv.value, abs(t) * sv.error_bound, sv.terms_used)
+
+        return linear
+    if isinstance(f, Scale):
+        if f.lam == 0.0:
+            return _no_delta
+        lam = f.lam
+        share = max(lam, 1.0)
+        inner = _delta_line(f.inner, x, h)
+
+        def scaled(t: float, tol: float) -> SeriesValue:
+            sv = inner(t, tol / share)
+            return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
+
+        return scaled
+    if isinstance(f, Sum):
+        if not f.terms:
+            return _no_delta
+        parts = [_delta_line(g, x, h) for g in f.terms]
+        count = len(parts)
+
+        def summed(t: float, tol: float) -> SeriesValue:
+            budget = tol / count
+            total, err, used = 0.0, 0.0, 0
+            for part in parts:
+                sv = part(t, budget)
+                total += sv.value
+                err += sv.error_bound
+                used += sv.terms_used
+            return SeriesValue(total, err, used)
+
+        return summed
+    if isinstance(f, SeparableSeries):
+        return funcs._separable_delta_line(f, x, h)
+    raise TypeError(f"unknown function expression {type(f).__name__}")
+
+
+@dataclass(frozen=True)
+class _Shape:
+    lam: float  # the total nonnegative coefficient of its limsup parts
+    affine: bool  # built from constants, linear functionals, linear-piece series
+
+
+def _limsup_weight(f: FunctionExpr) -> _Shape:
+    """The expression's limsup weight and whether it is affine, in one walk."""
+    if isinstance(f, LimsupSeminorm):
+        return _Shape(1.0, False)
+    if isinstance(f, Scale):
+        inner = _limsup_weight(f.inner)
+        return _Shape(f.lam * inner.lam, inner.affine)
+    if isinstance(f, Sum):
+        parts = [_limsup_weight(g) for g in f.terms]
+        return _Shape(sum(p.lam for p in parts), all(p.affine for p in parts))
+    if isinstance(f, SeparableSeries):
+        return _Shape(0.0, f.inner.kind is ScalarKind.LINEAR)
+    return _Shape(0.0, True)
+
+
+def built(make):
+    """(result, None), or (None, the exception) when building raises."""
+    try:
+        return make(), None
+    except Exception as exc:  # the exception itself is part of the outcome
+        return None, (type(exc).__name__, str(exc))
+
+
+ZERO_SCALED_SQRT = Scale(0.0, SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.neg_sqrt(2.0)))
+
+
+def node_cases():
+    """(f, x, h) for the nodes the merge must keep: an empty sum, a zero
+    scale over a sqrt leaf at a point outside its domain, and a limsup
+    along a direction with a constant tail."""
+    outside = Point([-1.0, 0.5], (TailRule.geometric(1.0, 0.5),))
+    h = Point([1.0, -0.5], (TailRule.const(0.25),))
+    limsup_x = Point([0.5], (TailRule.const(-0.75), TailRule.geometric(1.0, 0.5)))
+    return [(Sum(()), outside, h), (ZERO_SCALED_SQRT, outside, h), (LimsupSeminorm(), limsup_x, h)]
+
+
+def test_walk_answers_match_the_three_walks_they_replaced():
+    cases = [
+        (f, x, random_direction(random.Random(4000 + i), summable=True))
+        for i, (f, x) in enumerate(instances())
+    ] + node_cases()
+    compared = raised = 0
+    changed, affinities = [], set()
+    for f, x, h in cases:
+        walk = basis_partials(f, x)
+        for tol in (1e-6, 1e-12, 1e-16):
+            got = outcome(lambda: walk.value(tol))
+            assert got == outcome(lambda: _evaluate(f, x, tol)), (f, x, tol)
+            raised += got[0] == "raise"
+        line, err = built(lambda: walk.series_line(h))
+        want_line, want_err = built(lambda: _delta_line(f, x, h))
+        assert err == want_err, (f, x, h)
+        if line is not None:
+            for t in ladder(steps=12):
+                assert step_record(line, t) == step_record(want_line, t), (f, x, h, t)
+                compared += 1
+        shape = _limsup_weight(f)
+        # repr tells the int 0 of an empty sum from 0.0
+        assert repr(walk.limsup_weight()) == repr(shape.lam), (f, x)
+        affinities.add(walk.affine())
+        if walk.affine() != shape.affine:
+            changed.append(f)
+    # the one intended change: a zero scale is the flat walk, so it is affine
+    assert changed == [ZERO_SCALED_SQRT]
+    assert affinities == {True, False}
+    assert compared > 1000 and raised > 0
+    # the node cases' answers, spelled out
+    (empty, outside, h), (zero, _, _), (limsup, limsup_x, _) = node_cases()
+    assert repr(basis_partials(empty, outside).limsup_weight()) == "0"
+    for f in (empty, zero):
+        walk = basis_partials(f, outside)
+        assert walk.value(1e-12) == SeriesValue(0.0, 0.0, 0)
+        assert walk.series_line(h)(-1e-2, 1e-15) == SeriesValue(0.0, 0.0, 0)
+    with pytest.raises(DomainViolation):  # the sqrt leaf alone is outside its domain
+        evaluate(zero.inner, outside)
+    # lim x_n = -0.75 and lim h_n = 0.25: |-0.75 + t/4| - 0.75
+    line = basis_partials(limsup, limsup_x).series_line(h)
+    assert line(1.0, 1e-12) == SeriesValue(-0.25, 0.0, 0)
+    assert line(-1.0, 1e-12) == SeriesValue(0.25, 0.0, 0)
+    assert basis_partials(limsup, limsup_x).value(1e-12) == SeriesValue(0.75, 0.0, 0)
+
+
 # The tail sum and the majorant doubling loop of certified_series as they
 # were before each doubling search summed every majorant term once (one
 # fresh tail sum per restart), kept as the reference for symseq.tail_sums
@@ -629,7 +820,7 @@ def test_tail_sums_match_a_fresh_tail_sum_at_each_start():
                 assert outcome(lambda: tail_sum(seq, start, tol)) == want, (name, tol, start)
 
 
-def test_delta_line_steps_do_not_depend_on_their_order():
+def test_series_line_steps_do_not_depend_on_their_order():
     # One line per direction caches each step's majorant region by |t|,
     # tolerance and first explicit index, so a step must give the same
     # bytes as a fresh delta_along whichever steps ran before it: in
@@ -667,7 +858,7 @@ def test_delta_line_steps_do_not_depend_on_their_order():
         shuffled = [(t, scale) for t in steps for scale in (1.0, 1e4)]
         rng.shuffle(shuffled)
         for order in ([(t, 1.0) for t in steps], [(t, 1.0) for t in interleaved], shuffled):
-            line = delta_line(f, x, d)
+            line = basis_partials(f, x).series_line(d)
             for t, scale in order:
                 assert record(line, t, scale) == want(t, scale), (f, x, d, t, scale)
                 compared += 1

@@ -545,6 +545,18 @@ def test_gateaux_apply_is_linear():
     assert lhs.value == pytest.approx(rhs, abs=1e-9)
 
 
+def test_gateaux_coefficients_start_at_index_one():
+    # known is (1.0, 1.5); Python's negative indexing used to answer
+    # coefficient(0) with 1.5 and coefficient(-1) with 1.0
+    cert, deriv = gateaux_detect(quad_series(), SpaceDescriptor.ell1(), Point([1.0, 3.0]), OPTS)
+    assert cert.verdict is Verdict.HOLDS
+    assert deriv.known[:2] == (1.0, 1.5)
+    assert (deriv.coefficient(1), deriv.coefficient(2)) == (1.0, 1.5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="coefficient index must be >= 1"):
+            deriv.coefficient(n)
+
+
 def test_apply_rejects_directions_past_sampled_head():
     f = quad_series()
     x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
@@ -711,6 +723,27 @@ def test_kkt_multiplier_count_mismatch():
     f, g1 = kkt_pieces()
     with pytest.raises(ValueError):
         kkt_certify(f, [g1], [], SetDescriptor.whole_space(), basis_vector(1), [], [], OPTS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kkt_rejects_a_non_finite_multiplier(bad):
+    # NaN passes the sign checks (every comparison is False) and used to
+    # surface as SymSeq's "non-finite coefficient" from deep inside
+    f, ws = quad_series(), SetDescriptor.whole_space()
+    e1 = LinearFunctional(DualPoint([1.0]))
+    with pytest.raises(ValueError, match=r"^multiplier lambda_0 is not finite"):
+        kkt_certify(f, [e1], [], ws, Point.zero(), [bad], [], OPTS)
+    with pytest.raises(ValueError, match=r"^multiplier nu_1 is not finite"):
+        kkt_certify(f, [], [e1, e1], ws, Point.zero(), [], [0.0, bad], OPTS)
+
+
+def test_kkt_admits_a_negative_multiplier_on_a_zero_scaled_equality():
+    # 0 * h is the zero function whatever h is, so nu * (0 * h) is affine
+    # and nu < 0 keeps the Lagrangian convex
+    f, ws = quad_series(), SetDescriptor.whole_space()
+    h = Scale(0.0, quad_series())
+    cert = kkt_certify(f, [], [h], ws, Point.zero(), [], [-1.0], OPTS)
+    assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
 
 
 def test_kkt_slackness_violation_is_inconclusive():
@@ -1024,3 +1057,19 @@ def test_stationarity_without_a_tail_form_is_decided_by_the_head():
     prof, where, n, r, grade = _basis_residual([(1.0, f)], x, Point.zero(), OPTS)
     assert (prof.rule, prof.tail) == ("numeric", None)
     assert (where, n, r, grade) == ("head", 1, 0.5, Grade.numeric(OPTS.coords))
+
+
+def test_options_outside_the_scenario_bounds_are_rejected():
+    # with tol = NaN every "margin > tol" test was False, and certify_min
+    # certified (1, 0, ...) as the minimizer of sum 0.5^n x_n^2
+    x_star = Point([1.0])
+    cert = certify_min(quad_series(), SetDescriptor.whole_space(), x_star, OPTS)
+    assert cert.verdict is Verdict.FAILS
+    for bad in (
+        {"tol": math.nan}, {"tol": math.inf}, {"tol": 0.0}, {"tol": -1e-7},
+        {"coords": 0}, {"psc_depth": 0}, {"seed": -1},
+    ):
+        (name, _), = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            CertifyOptions(**bad)
+    CertifyOptions(coords=1, psc_depth=1, seed=0, tol=5e-324)

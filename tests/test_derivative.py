@@ -140,3 +140,14 @@ def test_one_sided_domain_boundary():
 def test_noise_floor_is_sane_for_exact_path():
     res = dir_deriv(quad_series(), Point([0.5], ()), basis_vector(1), FORCED)
     assert 0 < res.noise_floor < 1e-10
+
+
+def test_options_outside_the_scenario_bounds_are_rejected():
+    for bad in (
+        {"t0": math.nan}, {"t0": math.inf}, {"t0": 0.0}, {"t0": -1e-2},
+        {"steps": -1}, {"tol_match": math.nan}, {"tol_match": 0.0},
+    ):
+        (name, _), = bad.items()
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            DerivOptions(**bad)
+    DerivOptions(t0=None, steps=0, tol_match=5e-324)

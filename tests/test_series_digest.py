@@ -1,8 +1,8 @@
 """Series-backed difference quotients and gateaux certificates, pinned by sha256.
 
 The digests were recorded from the code as it stood before delta_along
-resolved its per-direction constants once per line (funcs.delta_line); that
-change reproduced them unchanged.  A later change that moves any of these
+resolved its per-direction constants once per line (now the coordinate
+walk's series_line); that change reproduced them unchanged.  A later change that moves any of these
 bytes must say why and re-record them.
 
 The ladders are the steps dir_deriv takes along a direction with a tail
@@ -10,8 +10,8 @@ The ladders are the steps dir_deriv takes along a direction with a tail
 instances (seeds 0-33) and on hand-built sqrt objectives, whose domain
 errors are part of what is pinned.  They were recorded with one
 delta_along call per step and are replayed, as dir_deriv runs them,
-through one delta_line per direction (tests/test_bit_identity.py checks
-the two against each other).  The certificates are gateaux_detect's on
+through one basis_partials(f, x).series_line(h) per direction
+(tests/test_bit_identity.py checks the two against each other).  The certificates are gateaux_detect's on
 the same instances, evidence included; their digest was re-recorded when
 SymSeq.value_at started returning 0.0 for an empty sequence, which turned
 five zero entries of coefficients_head from 0 into 0.0, and again when
@@ -40,7 +40,7 @@ from seqcert.funcs import (
     ScalarConvex,
     SeparableSeries,
     Sum,
-    delta_line,
+    basis_partials,
 )
 from seqcert.sampling import random_direction, random_function, random_point
 from seqcert.seqspace import DualPoint, Point, SpaceDescriptor, TailRule
@@ -110,7 +110,7 @@ def step_record(line, t):
 def test_delta_along_ladders_are_pinned():
     h = hashlib.sha256()
     for f, x, d in ladder_cases():
-        line = delta_line(f, x, d)
+        line = basis_partials(f, x).series_line(d)
         for t in ladder():
             h.update(repr(step_record(line, t)).encode())
             h.update(b"\n")
