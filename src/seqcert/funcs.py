@@ -135,52 +135,71 @@ class ScalarConvex:
             raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
         return -self.c.value_at(n) * math.sqrt(t)
 
-    def line(self, n: int, t0: float) -> Callable[[float], float]:
-        """dt -> u_n(t0 + dt) - u_n(t0), with u_n's parameters resolved once.
+    def line(self, n: int, t0: float, w: float, hn: float) -> Callable[[float], float]:
+        """t -> 0.0 + w * (u_n(t0 + t*hn) - u_n(t0)): one weighted series
+        term along a line, with u_n's parameters resolved once.
 
-        Along a line only dt changes, so the per-index coefficients and the
+        Along a line only t changes, so the per-index coefficients and the
         anchor terms (2*t0, sqrt(t0)) are computed here and each call runs
-        just the cancellation-free difference.
+        just the cancellation-free difference dt = t*hn, its weighting and
+        the start of the sum, in that order.  The start is 0.0, which is
+        what the int 0 starting every sum of such terms adds as (it turns
+        a -0.0 term into 0.0), and a float add costs less than a mixed one.
         """
         kind = self.kind
+        # the weighted difference at dt == 0 (and wherever u_n is flat)
+        flat = 0.0 + w * 0.0
         if kind is ScalarKind.ABS:
-            def d(dt: float) -> float:
+            def d(t: float) -> float:
+                dt = t * hn
                 if dt == 0.0:
-                    return 0.0
+                    return flat
                 if t0 >= 0.0 and t0 + dt >= 0.0:
-                    return dt
+                    return 0.0 + w * dt
                 if t0 <= 0.0 and t0 + dt <= 0.0:
-                    return -dt
-                return abs(t0 + dt) - abs(t0)
+                    return 0.0 + w * -dt
+                return 0.0 + w * (abs(t0 + dt) - abs(t0))
             return d
         two_t0 = 2.0 * t0
         if kind is ScalarKind.SQUARE:
-            return lambda dt: 0.0 if dt == 0.0 else dt * (two_t0 + dt)
+            def d(t: float) -> float:
+                dt = t * hn
+                return flat if dt == 0.0 else 0.0 + w * (dt * (two_t0 + dt))
+            return d
         if kind is ScalarKind.AFFINE_QUAD:
             a = self.a.value_at(n)
             b = self.b.value_at(n)
-            return lambda dt: 0.0 if dt == 0.0 else a * dt * (two_t0 + dt) + b * dt
+
+            def d(t: float) -> float:
+                dt = t * hn
+                return flat if dt == 0.0 else 0.0 + w * (a * dt * (two_t0 + dt) + b * dt)
+            return d
         if kind is ScalarKind.LINEAR:
             b = self.b.value_at(n)
-            return lambda dt: 0.0 if dt == 0.0 else b * dt
+
+            def d(t: float) -> float:
+                dt = t * hn
+                return flat if dt == 0.0 else 0.0 + w * (b * dt)
+            return d
         c = self.c.value_at(n)
         # a negative t0 raises below before its root would be used
         root0 = 0.0 if t0 < 0.0 else math.sqrt(t0)
 
-        def d(dt: float) -> float:
+        def d(t: float) -> float:
+            dt = t * hn
             if dt == 0.0:
-                return 0.0
+                return flat
             t1 = t0 + dt
             if t0 < 0.0 or t1 < 0.0:
                 raise DomainViolation(
                     f"sqrt piece needs t >= 0 along the segment at index {n}"
                 )
             if c == 0.0:
-                return 0.0
+                return flat
             root_sum = math.sqrt(t1) + root0
             if root_sum == 0.0:
-                return 0.0
-            return -c * dt / root_sum
+                return flat
+            return 0.0 + w * (-c * dt / root_sum)
         return d
 
 
@@ -203,6 +222,10 @@ class Constant(FunctionExpr):
     """
 
     c: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError(f"constant must be finite, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -247,13 +270,13 @@ class Scale(FunctionExpr):
     inner: FunctionExpr
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ValueError(f"scale factor must be finite, got {self.lam}")
         if self.lam < 0.0:
             raise NegativeScale(f"scale factor must be >= 0, got {self.lam}")
 
 
 def scale(lam: float, f: FunctionExpr) -> FunctionExpr:
-    if lam < 0.0:
-        raise NegativeScale(f"scale factor must be >= 0, got {lam}")
     return Scale(float(lam), f)
 
 
@@ -467,7 +490,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     summand is reported only when the sum genuinely has one.  Lines resolve
     their per-index constants and scale factors once, and each call runs
     the per-step sum's float operations in the same order, including the
-    int 0 that starts every sum, so signed zeros come out the same whatever
+    0.0 that starts every sum, so signed zeros come out the same whatever
     the support's size.  A convex piece's derivative is monotone
     (Rockafellar, Convex Analysis, Thm 24.1), so on an interval only a sqrt
     boundary touching it leaves the derivative without a finite supremum.
@@ -545,7 +568,8 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 
         def scaled_line(steps: tuple) -> Callable[[float], float]:
             sub = inner.line(steps)
-            return lambda t: lam * sub(t)
+            # lam is finite and positive here, so lam * 0.0 is 0.0
+            return _zero_line if sub is _zero_line else lambda t: lam * sub(t)
 
         def scaled_value(tol: float) -> SeriesValue:
             sub = inner.value(tol / max(lam, 1.0))
@@ -597,7 +621,17 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             return PartialsForm("ok", max((p.valid_from for p in forms), default=1), total)
 
         def summed_line(steps: tuple) -> Callable[[float], float]:
-            lines = [part.line(steps) for part in parts]
+            # A flat part adds 0.0 to a partial sum that the 0.0 start
+            # keeps from being -0.0, which changes no bit, so it is skipped.
+            lines = [g for g in (part.line(steps) for part in parts) if g is not _zero_line]
+            if not lines:
+                return _zero_line
+            if len(lines) == 1:
+                (g,) = lines
+                return lambda t: 0.0 + g(t)
+            if len(lines) == 2:
+                g, h = lines
+                return lambda t: 0.0 + g(t) + h(t)
             return lambda t: sum([g(t) for g in lines])
 
         def summed_interval(n: int, a: float) -> tuple[Optional[str], bool]:
@@ -719,13 +753,12 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         return PartialsForm("ok", rank, w.scaled(sgn))
 
     def line(steps: tuple) -> Callable[[float], float]:
-        pieces = [(weight.value_at(n), hn, u.line(n, x.coordinate(n))) for n, hn in steps]
-        if len(pieces) == 1:
-            # one coordinate: no per-call generator, as the oracle's line
-            # searches call this hundreds of thousands of times
-            ((w, hn, piece),) = pieces
-            return lambda t: 0 + w * piece(t * hn)
-        return lambda t: sum(w * piece(t * hn) for w, hn, piece in pieces)
+        terms = [u.line(n, x.coordinate(n), weight.value_at(n), hn) for n, hn in steps]
+        if len(terms) == 1:
+            # one coordinate: the term itself, as the oracle's line searches
+            # call it hundreds of thousands of times
+            return terms[0]
+        return lambda t: sum(g(t) for g in terms)
 
     def interval(n: int, a: float) -> tuple[Optional[str], bool]:
         v = x.coordinate(n)
@@ -830,9 +863,10 @@ def _separable_delta_line(
     start = max(x.tail_start, h.tail_start)
     sqrt_piece = kind is ScalarKind.NEG_SQRT
     x_rank: Optional[int] = None
-    # (w_n, h_n, the piece's line at x_n) for n = 1, 2, ... as far as the
-    # explicit regions of the steps so far have reached, up to a bound that
-    # caps the memory of slowly converging majorants (entry 0 unused)
+    # the n-th weighted term's line, t -> w_n * (u_n(x_n + t h_n) - u_n(x_n)),
+    # for n = 1, 2, ... as far as the explicit regions of the steps so far
+    # have reached, up to a bound that caps the memory of slowly converging
+    # majorants (entry 0 unused)
     table: list = [None]
     # The certified region of each step's majorant, keyed by (|t|, tol,
     # first): the majorant depends on |t| alone, so the two sides of a
@@ -859,13 +893,11 @@ def _separable_delta_line(
 
         def term_at(n: int) -> float:
             if n < len(table):
-                w_n, h_n, piece = table[n]
-            else:
-                entry = (weight.value_at(n), h.coordinate(n), inner.line(n, x.coordinate(n)))
-                w_n, h_n, piece = entry
-                if n == len(table) and n <= _TABLE_LIMIT:
-                    table.append(entry)
-            return w_n * piece(t * h_n)
+                return table[n](t)
+            term = inner.line(n, x.coordinate(n), weight.value_at(n), h.coordinate(n))
+            if n == len(table) and n <= _TABLE_LIMIT:
+                table.append(term)
+            return term(t)
 
         return head_sum(term_at, region)
 

@@ -9,6 +9,15 @@ line search: the one-coordinate restriction of the objective is evaluated
 through exact finite differences (no series truncation), so the search is
 immune to cancellation noise and independent of the closed-form
 derivatives the certificates it cross-checks are decided from.
+
+Each sweep builds one grammar walk, at the point where the sweep starts,
+and reads every coordinate's line from it.  That is exact because the
+grammar is separable along the basis: the line along e_i reads x_i and no
+other coordinate of x (a separable leaf reads x_i, a linear functional
+only its dual, and constants and the limsup nothing), and when the sweep
+reaches i it has moved only the coordinates before i.  A grammar node
+whose line along e_i read any other coordinate would break this, and its
+sweeps would need a walk per coordinate again.
 """
 
 from __future__ import annotations
@@ -84,37 +93,37 @@ def grad_reduced(prob: ReducedProblem, y) -> list[float]:
     return out
 
 
-def _phi(line: Callable[[float], float], t: float) -> float:
-    """Exact f(x + t e_i) - f(x) along a basis line; +inf outside the domain."""
-    if t == 0.0:
-        return 0.0
-    try:
-        return line(t)
-    except DomainViolation:
-        return math.inf
-
-
 def _line_minimize(
-    prob: ReducedProblem, x: Point, i: int, lo: float, hi: float
+    line: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
-    """Ternary search for the convex one-coordinate restriction on [lo, hi].
+    """Ternary search for a convex one-coordinate restriction on [lo, hi].
 
-    Returns (t, phi(t)).  0 is assumed to lie in [lo, hi] with phi(0) = 0
-    finite, which keeps the infeasible ends identifiable: the domain is an
-    interval around 0, so when both probes are infeasible the live segment
-    is whichever third contains 0.
+    line is the exact difference phi(t) = f(x + t e_i) - f(x); a step
+    outside the domain reads phi = +inf.  Returns (t, phi(t)).  0 is
+    assumed to lie in [lo, hi] with phi(0) = 0 finite, which keeps the
+    infeasible ends identifiable: the domain is an interval around 0, so
+    when both probes are infeasible the live segment is whichever third
+    contains 0.  Only +inf marks a step infeasible: a difference that
+    overflows to -inf is a descent, which runs to the search cap.
 
     The stopping width is relative to the interval's magnitude: near the
     search cap the ulp of the endpoints exceeds any absolute tolerance, so
     an absolute test would never trigger.
     """
-    line = basis_partials(prob.f, x).line(((i, 1.0),))
+    inf = math.inf
     while hi - lo > _LINE_TOL * (1.0 + max(abs(lo), abs(hi))):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1 = _phi(line, m1)
-        v2 = _phi(line, m2)
-        if math.isinf(v1) and math.isinf(v2):
+        third = (hi - lo) / 3.0
+        m1 = lo + third
+        m2 = hi - third
+        try:
+            v1 = line(m1) if m1 != 0.0 else 0.0
+        except DomainViolation:
+            v1 = inf
+        try:
+            v2 = line(m2) if m2 != 0.0 else 0.0
+        except DomainViolation:
+            v2 = inf
+        if v1 == inf and v2 == inf:
             if m1 >= 0.0:
                 hi = m1
             elif m2 <= 0.0:
@@ -126,10 +135,11 @@ def _line_minimize(
         else:
             lo = m1
     t = 0.5 * (lo + hi)
-    v = _phi(line, t)
-    if math.isinf(v):
-        return 0.0, 0.0
-    return t, v
+    try:
+        v = line(t) if t != 0.0 else 0.0
+    except DomainViolation:
+        v = inf
+    return (0.0, 0.0) if v == inf else (t, v)
 
 
 def minimize_reduced(prob: ReducedProblem) -> tuple[list[float], SeriesValue, int]:
@@ -145,18 +155,20 @@ def minimize_reduced(prob: ReducedProblem) -> tuple[list[float], SeriesValue, in
         raise DomainViolation("objective is infinite at the starting point")
 
     b = _BOUND
+    intervals = [coordinate_interval(prob.feasible_set, i) for i in range(1, prob.k + 1)]
     sweeps = 0
     while sweeps < _MAX_SWEEPS:
         sweeps += 1
         decrease = 0.0
-        for i in range(1, prob.k + 1):
-            x = prob.embed(y)
-            lo_set, hi_set = coordinate_interval(prob.feasible_set, i)
+        # one walk per sweep: its line along e_i reads x_i only, which the
+        # sweep has not moved yet when it reaches i (module docstring)
+        partials = basis_partials(prob.f, prob.embed(y))
+        for i, (lo_set, hi_set) in enumerate(intervals, start=1):
             lo = max(lo_set - y[i - 1], -b)
             hi = min(hi_set - y[i - 1], b)
             if hi <= lo:
                 continue
-            t, v = _line_minimize(prob, x, i, lo, hi)
+            t, v = _line_minimize(partials.line(((i, 1.0),)), lo, hi)
             if v < 0.0:
                 # margin matched to the line search's relative stopping width
                 cap_margin = 4 * _LINE_TOL * (1.0 + b)

@@ -1,5 +1,5 @@
-"""The hoisted scan kernels and the one coordinate walk reproduce the code
-they replaced bit for bit.
+"""The hoisted scan kernels, the one coordinate walk and the oracle's
+descent driver reproduce the code they replaced bit for bit.
 
 Floats are compared through struct.pack("<d", v), so signed zeros and NaN
 payloads count as differences, or through repr, which tells signed zeros
@@ -19,10 +19,10 @@ from typing import Optional
 import pytest
 
 from seqcert import reduce
-from seqcert.certify import SetDescriptor
+from seqcert.certify import SetDescriptor, coordinate_interval
 from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
 from seqcert import funcs
-from seqcert.errors import DomainViolation, NoMajorant
+from seqcert.errors import DomainViolation, MaxSweeps, NoMajorant, Unbounded
 from seqcert.funcs import (
     Constant,
     FunctionExpr,
@@ -112,6 +112,61 @@ def instances():
     x = Point([0.5, -1.0], (TailRule.geometric(1.0, 0.5),))
     yield LinearFunctional(DualPoint([-0.0, 2.0, -0.0])), x
     yield SeparableSeries(TailRule.geometric(-0.0, 0.5), ScalarConvex.square()), x
+    yield SeparableSeries(TailRule.geometric(-0.0, 0.5), ScalarConvex.abs_()), x
+    yield SeparableSeries(TailRule.geometric(-0.0, 0.5), ScalarConvex.neg_sqrt(0.0)), x
+    yield Sum((LimsupSeminorm(), LinearFunctional(DualPoint([-0.0, 2.0, -0.0])))), x
+
+
+# The per-piece difference the walk's exact lines replaced (the former
+# ScalarConvex.line(n, t0), which left the weight, the direction's
+# coordinate and the int 0 to its caller), kept as their reference.
+def _piece_line(u: ScalarConvex, n: int, t0: float):
+    """dt -> u_n(t0 + dt) - u_n(t0), with u_n's parameters resolved once.
+
+    Along a line only dt changes, so the per-index coefficients and the
+    anchor terms (2*t0, sqrt(t0)) are computed here and each call runs
+    just the cancellation-free difference.
+    """
+    kind = u.kind
+    if kind is ScalarKind.ABS:
+        def d(dt: float) -> float:
+            if dt == 0.0:
+                return 0.0
+            if t0 >= 0.0 and t0 + dt >= 0.0:
+                return dt
+            if t0 <= 0.0 and t0 + dt <= 0.0:
+                return -dt
+            return abs(t0 + dt) - abs(t0)
+        return d
+    two_t0 = 2.0 * t0
+    if kind is ScalarKind.SQUARE:
+        return lambda dt: 0.0 if dt == 0.0 else dt * (two_t0 + dt)
+    if kind is ScalarKind.AFFINE_QUAD:
+        a = u.a.value_at(n)
+        b = u.b.value_at(n)
+        return lambda dt: 0.0 if dt == 0.0 else a * dt * (two_t0 + dt) + b * dt
+    if kind is ScalarKind.LINEAR:
+        b = u.b.value_at(n)
+        return lambda dt: 0.0 if dt == 0.0 else b * dt
+    c = u.c.value_at(n)
+    # a negative t0 raises below before its root would be used
+    root0 = 0.0 if t0 < 0.0 else math.sqrt(t0)
+
+    def d(dt: float) -> float:
+        if dt == 0.0:
+            return 0.0
+        t1 = t0 + dt
+        if t0 < 0.0 or t1 < 0.0:
+            raise DomainViolation(
+                f"sqrt piece needs t >= 0 along the segment at index {n}"
+            )
+        if c == 0.0:
+            return 0.0
+        root_sum = math.sqrt(t1) + root0
+        if root_sum == 0.0:
+            return 0.0
+        return -c * dt / root_sum
+    return d
 
 
 # The per-step sum behind the walk's exact lines, kept as their reference.
@@ -127,7 +182,7 @@ def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: fl
         return t * sum(f.p.coordinate(n) * h.coordinate(n) for n in support)
     if isinstance(f, SeparableSeries):
         return sum(
-            f.weight.value_at(n) * f.inner.line(n, x.coordinate(n))(t * h.coordinate(n))
+            f.weight.value_at(n) * _piece_line(f.inner, n, x.coordinate(n))(t * h.coordinate(n))
             for n in support
         )
     if isinstance(f, Scale):
@@ -252,6 +307,158 @@ def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
     want = [outcome(lambda: minimize_reduced(p)) for p in problems]
     assert got == want
     assert sum(g[0] == "value" for g in got) > 20
+
+
+# The descent driver that reduce.minimize_reduced replaced (a walk per
+# coordinate, with _phi wrapping every line evaluation), kept as its
+# reference; the module constants are read from reduce.
+def _phi(line, t: float) -> float:
+    """Exact f(x + t e_i) - f(x) along a basis line; +inf outside the domain."""
+    if t == 0.0:
+        return 0.0
+    try:
+        return line(t)
+    except DomainViolation:
+        return math.inf
+
+
+def _line_minimize(prob, x: Point, i: int, lo: float, hi: float) -> tuple[float, float]:
+    line = basis_partials(prob.f, x).line(((i, 1.0),))
+    while hi - lo > reduce._LINE_TOL * (1.0 + max(abs(lo), abs(hi))):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        v1 = _phi(line, m1)
+        v2 = _phi(line, m2)
+        if math.isinf(v1) and math.isinf(v2):
+            if m1 >= 0.0:
+                hi = m1
+            elif m2 <= 0.0:
+                lo = m2
+            else:
+                lo, hi = m1, m2
+        elif v1 < v2:
+            hi = m2
+        else:
+            lo = m1
+    t = 0.5 * (lo + hi)
+    v = _phi(line, t)
+    if math.isinf(v):
+        return 0.0, 0.0
+    return t, v
+
+
+def reference_minimize(prob):
+    y = prob.start()
+    feasible_start = evaluate(prob.f, prob.embed(y))
+    if math.isinf(feasible_start.value):
+        raise DomainViolation("objective is infinite at the starting point")
+
+    b = reduce._BOUND
+    sweeps = 0
+    while sweeps < reduce._MAX_SWEEPS:
+        sweeps += 1
+        decrease = 0.0
+        for i in range(1, prob.k + 1):
+            x = prob.embed(y)
+            lo_set, hi_set = coordinate_interval(prob.feasible_set, i)
+            lo = max(lo_set - y[i - 1], -b)
+            hi = min(hi_set - y[i - 1], b)
+            if hi <= lo:
+                continue
+            t, v = _line_minimize(prob, x, i, lo, hi)
+            if v < 0.0:
+                # margin matched to the line search's relative stopping width
+                cap_margin = 4 * reduce._LINE_TOL * (1.0 + b)
+                at_cap = (
+                    (lo == -b and t <= lo + cap_margin)
+                    or (hi == b and t >= hi - cap_margin)
+                )
+                if at_cap:
+                    raise Unbounded(
+                        f"coordinate {i} runs to the search cap {b:g} while still descending"
+                    )
+                y[i - 1] += t
+                decrease += -v
+            if abs(y[i - 1]) > b:
+                raise Unbounded(f"coordinate {i} left the search box")
+        if decrease <= reduce._SWEEP_TOL * (1.0 + abs(feasible_start.value)):
+            final = evaluate(prob.f, prob.embed(y))
+            return y, final, sweeps
+    raise MaxSweeps(f"no convergence within {reduce._MAX_SWEEPS} sweeps")
+
+
+def oracle_families():
+    """The oracle benchmark's three families (example 3, example 4 and
+    acceptance criterion 8 as a box) at ranks 8, 16 and 32, from anchors
+    whose first k coordinates are perturbed off the known minimizer."""
+    for k in (8, 16, 32):
+        for beta in (0.25, 0.4, 0.55):
+            rng = random.Random(f"{k}/{beta}")
+            u = [rng.uniform(-0.5, 0.5) for _ in range(k)]
+            example3 = Sum((
+                LimsupSeminorm(),
+                SeparableSeries(
+                    TailRule.geometric(1.0, beta),
+                    ScalarConvex.affine_quad(1.0, TailRule.harmonic(-1.0)),
+                ),
+            ))
+            anchor = Point(
+                [1.0 / (2 * n) + u[n - 1] for n in range(1, k + 1)], (TailRule.harmonic(0.5),)
+            )
+            yield build_reduced(example3, SetDescriptor.whole_space(), anchor, k)
+            anchor = Point(
+                [beta ** (2 * n) * (1.0 + u[n - 1]) for n in range(1, k + 1)],
+                (TailRule.geometric(1.0, beta * beta),),
+            )
+            cone = SetDescriptor.positive_cone_ell1()
+            yield build_reduced(sqrt_objective(beta), cone, anchor, k)
+            box = SetDescriptor.box(lower=Point([1.0], ()), upper=None, bound_count=1)
+            anchor = Point([1.5 + u[0]] + [0.4 + u[n - 1] for n in range(2, k + 1)], ())
+            criterion8 = SeparableSeries(TailRule.geometric(1.0, beta), ScalarConvex.square())
+            yield build_reduced(criterion8, box, anchor, k)
+
+
+def test_oracle_matches_the_descent_driver_it_replaced(monkeypatch):
+    # One walk per sweep, the inlined domain test and the weighted term
+    # closures give the bytes of a walk per coordinate and per-call _phi:
+    # minimizer, value, error bound, terms used and sweeps, or the same
+    # exception and message.  The sqrt objectives at k = 2 and 5 include
+    # points whose line steps leave the domain.
+    monkeypatch.setattr(reduce, "_MAX_SWEEPS", 200)
+    problems = list(oracle_families())
+    for f, x in instances():
+        for k in (2, 5):
+            try:
+                problems.append(build_reduced(f, SetDescriptor.whole_space(), x, k))
+            except Exception:
+                continue
+    raised = 0
+    for prob in problems:
+        got = outcome(lambda: minimize_reduced(prob))
+        assert got == outcome(lambda: reference_minimize(prob)), (prob.f, prob.anchor, prob.k)
+        raised += got[0] == "raise"
+    assert len(problems) > 100 and 0 < raised < len(problems) / 2
+
+
+def test_a_line_along_a_basis_vector_reads_only_its_own_coordinate():
+    # What lets the oracle build one walk per sweep: walks at two points
+    # that differ off coordinate i give the same line along e_i.
+    rng = random.Random(11)
+    compared = 0
+    for f, x in instances():
+        m = max(len(x.prefix), 7)
+        for i in (1, 2, 3, 6):
+            moved = Point(
+                [x.coordinate(n) + (0.0 if n == i else rng.uniform(-1.0, 1.0))
+                 for n in range(1, m + 1)],
+                x.tail,
+            )
+            line = basis_partials(f, x).line(((i, 1.0),))
+            moved_line = basis_partials(f, moved).line(((i, 1.0),))
+            for t in quotient_ladder(x, ((i, 1.0),)):
+                assert outcome(lambda: moved_line(t)) == outcome(lambda: line(t)), (f, x, i, t)
+                compared += 1
+    assert compared > 10_000
 
 
 # The two walks that funcs.basis_partials replaced, kept as its references:

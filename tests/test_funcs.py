@@ -151,6 +151,20 @@ def test_scale_doubles_and_rejects_negative():
         Scale(-0.5, f)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_constants_and_scales_must_be_finite(bad):
+    # A non-finite constant or scale has no certified value: -inf would be
+    # read as +inf by the value step, and NaN slips past the sign check.
+    f = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.square())
+    with pytest.raises(ValueError, match="must be finite"):
+        Constant(bad)
+    for make in (Scale, scale):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(bad, f)
+        with pytest.raises(ValueError, match="must be finite"):
+            make(bad, LimsupSeminorm())
+
+
 def test_limsup_ignores_prefix():
     p = LimsupSeminorm()
     assert evaluate(p, Point([100.0], (TailRule.harmonic(1.0),))).value == 0.0

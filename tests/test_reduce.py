@@ -13,13 +13,14 @@ from seqcert.certify import SetDescriptor
 from seqcert.errors import DomainViolation, InfeasiblePoint, MaxSweeps, Unbounded
 from seqcert.funcs import (
     LimsupSeminorm,
+    LinearFunctional,
     ScalarConvex,
     SeparableSeries,
     Sum,
     evaluate,
 )
 from seqcert.reduce import build_reduced, grad_reduced, minimize_reduced
-from seqcert.seqspace import Point, TailRule
+from seqcert.seqspace import DualPoint, Point, TailRule
 
 BETA = 0.5
 
@@ -113,6 +114,16 @@ def test_cone_constraint_clips_at_zero():
 def test_unbounded_linear_descent():
     f = SeparableSeries(TailRule.const(1.0), ScalarConvex.linear(-1.0))
     prob = build_reduced(f, SetDescriptor.whole_space(), Point.zero(), 1)
+    with pytest.raises(Unbounded):
+        minimize_reduced(prob)
+
+
+@pytest.mark.parametrize("slope", [-1.0, -1e300, -1e303, 1e303])
+def test_a_line_that_overflows_to_minus_infinity_is_unbounded(slope):
+    # Far out, t * slope overflows to -inf on one side: that is a descent,
+    # not a step outside the domain (which only +inf marks).
+    f = LinearFunctional(DualPoint([slope]))
+    prob = build_reduced(f, SetDescriptor.whole_space(), Point([0.0]), 1)
     with pytest.raises(Unbounded):
         minimize_reduced(prob)
 
