@@ -45,7 +45,7 @@ from .certify import (
     subgradient_test,
 )
 from .derivative import DerivOptions, dir_deriv_profile
-from .errors import ScenarioError, SeqcertError
+from .errors import DomainViolation, MaxSweeps, ScenarioError, SeqcertError, Unbounded
 from .funcs import FunctionExpr, evaluate, function_from_json
 from .reduce import build_reduced, minimize_reduced
 from .seqspace import (
@@ -380,7 +380,12 @@ def _run_oracle(scn: Scenario, ks: Sequence[int]) -> list[dict]:
     f_star = evaluate(scn.function, scn.x_star)
     for k in ks:
         prob = build_reduced(scn.function, scn.feasible_set, scn.x_star, k)
-        y, value, sweeps = minimize_reduced(prob)
+        try:
+            y, value, sweeps = minimize_reduced(prob)
+        except (Unbounded, MaxSweeps, DomainViolation) as exc:
+            # a descent that does not finish is this rank's answer, not the run's
+            rows.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
+            continue
         rows.append(
             {
                 "k": k,
@@ -537,6 +542,9 @@ def render_human(report: Report) -> str:
             lines.append(f"    n={row['n']:<3d} value={shown:<14s} method={row['method']}")
     if report.oracle:
         for row in report.oracle:
+            if "error" in row:
+                lines.append(f"  oracle k={row['k']}: {row['error']}")
+                continue
             lines.append(
                 f"  oracle k={row['k']}: value={row['value']:.12g} "
                 f"gap={row['gap_to_anchor']:.3e} sweeps={row['sweeps']}"

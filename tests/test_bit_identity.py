@@ -6,6 +6,10 @@ payloads count as differences, or through repr, which tells signed zeros
 and Fractions from floats apart.  Instances come from the library's seeded
 samplers plus sqrt objectives built by hand (the samplers exclude sqrt
 pieces), at feasible and infeasible points.
+
+The one comparison that is not bit for bit is the oracle's golden-section
+line search against the ternary search it replaced: it probes other
+points, so it is compared within tolerances.
 """
 
 import dataclasses
@@ -14,7 +18,7 @@ import random
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import pytest
 
@@ -310,43 +314,8 @@ def test_oracle_matches_a_descent_driven_by_the_reference_delta(monkeypatch):
 
 
 # The descent driver that reduce.minimize_reduced replaced (a walk per
-# coordinate, with _phi wrapping every line evaluation), kept as its
-# reference; the module constants are read from reduce.
-def _phi(line, t: float) -> float:
-    """Exact f(x + t e_i) - f(x) along a basis line; +inf outside the domain."""
-    if t == 0.0:
-        return 0.0
-    try:
-        return line(t)
-    except DomainViolation:
-        return math.inf
-
-
-def _line_minimize(prob, x: Point, i: int, lo: float, hi: float) -> tuple[float, float]:
-    line = basis_partials(prob.f, x).line(((i, 1.0),))
-    while hi - lo > reduce._LINE_TOL * (1.0 + max(abs(lo), abs(hi))):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        v1 = _phi(line, m1)
-        v2 = _phi(line, m2)
-        if math.isinf(v1) and math.isinf(v2):
-            if m1 >= 0.0:
-                hi = m1
-            elif m2 <= 0.0:
-                lo = m2
-            else:
-                lo, hi = m1, m2
-        elif v1 < v2:
-            hi = m2
-        else:
-            lo = m1
-    t = 0.5 * (lo + hi)
-    v = _phi(line, t)
-    if math.isinf(v):
-        return 0.0, 0.0
-    return t, v
-
-
+# coordinate), kept as its reference; the line search and the module
+# constants are read from reduce.
 def reference_minimize(prob):
     y = prob.start()
     feasible_start = evaluate(prob.f, prob.embed(y))
@@ -365,7 +334,8 @@ def reference_minimize(prob):
             hi = min(hi_set - y[i - 1], b)
             if hi <= lo:
                 continue
-            t, v = _line_minimize(prob, x, i, lo, hi)
+            line = basis_partials(prob.f, x).line(((i, 1.0),))
+            t, v = reduce._line_minimize(line, lo, hi)
             if v < 0.0:
                 # margin matched to the line search's relative stopping width
                 cap_margin = 4 * reduce._LINE_TOL * (1.0 + b)
@@ -418,13 +388,8 @@ def oracle_families():
             yield build_reduced(criterion8, box, anchor, k)
 
 
-def test_oracle_matches_the_descent_driver_it_replaced(monkeypatch):
-    # One walk per sweep, the inlined domain test and the weighted term
-    # closures give the bytes of a walk per coordinate and per-call _phi:
-    # minimizer, value, error bound, terms used and sweeps, or the same
-    # exception and message.  The sqrt objectives at k = 2 and 5 include
-    # points whose line steps leave the domain.
-    monkeypatch.setattr(reduce, "_MAX_SWEEPS", 200)
+def oracle_problems():
+    """The oracle families plus every instance reduced at k = 2 and 5."""
     problems = list(oracle_families())
     for f, x in instances():
         for k in (2, 5):
@@ -432,12 +397,93 @@ def test_oracle_matches_the_descent_driver_it_replaced(monkeypatch):
                 problems.append(build_reduced(f, SetDescriptor.whole_space(), x, k))
             except Exception:
                 continue
+    return problems
+
+
+def test_oracle_matches_the_descent_driver_it_replaced(monkeypatch):
+    # One walk per sweep and the weighted term closures give the bytes of a
+    # walk per coordinate with the same line search:
+    # minimizer, value, error bound, terms used and sweeps, or the same
+    # exception and message.  The sqrt objectives at k = 2 and 5 include
+    # points whose line steps leave the domain.
+    monkeypatch.setattr(reduce, "_MAX_SWEEPS", 200)
+    problems = oracle_problems()
     raised = 0
     for prob in problems:
         got = outcome(lambda: minimize_reduced(prob))
         assert got == outcome(lambda: reference_minimize(prob)), (prob.f, prob.anchor, prob.k)
         raised += got[0] == "raise"
     assert len(problems) > 100 and 0 < raised < len(problems) / 2
+
+
+# The ternary line search that reduce._line_minimize's golden-section
+# search replaced (two fresh probes per one-third shrink), kept as its
+# reference.
+def _ternary_minimize(
+    line: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    inf = math.inf
+    while hi - lo > reduce._LINE_TOL * (1.0 + max(abs(lo), abs(hi))):
+        third = (hi - lo) / 3.0
+        m1 = lo + third
+        m2 = hi - third
+        try:
+            v1 = line(m1) if m1 != 0.0 else 0.0
+        except DomainViolation:
+            v1 = inf
+        try:
+            v2 = line(m2) if m2 != 0.0 else 0.0
+        except DomainViolation:
+            v2 = inf
+        if v1 == inf and v2 == inf:
+            if m1 >= 0.0:
+                hi = m1
+            elif m2 <= 0.0:
+                lo = m2
+            else:
+                lo, hi = m1, m2
+        elif v1 < v2:
+            hi = m2
+        else:
+            lo = m1
+    t = 0.5 * (lo + hi)
+    try:
+        v = line(t) if t != 0.0 else 0.0
+    except DomainViolation:
+        v = inf
+    return (0.0, 0.0) if v == inf else (t, v)
+
+
+def descent(prob):
+    try:
+        return ("value", minimize_reduced(prob))
+    except Exception as exc:  # the exception itself is part of the outcome
+        return ("raise", type(exc).__name__, str(exc))
+
+
+def test_golden_oracle_agrees_with_the_ternary_reference(monkeypatch):
+    # The golden-section search stops at the same relative width as the
+    # ternary one but probes other points, so the iterates move in their
+    # last bits: the same outcome, exception and sweep count, the value to
+    # 1e-12 relative and the minimizer to 1e-9.
+    monkeypatch.setattr(reduce, "_MAX_SWEEPS", 200)
+    problems = oracle_problems()
+    got = [descent(prob) for prob in problems]
+    monkeypatch.setattr(reduce, "_line_minimize", _ternary_minimize)
+    want = [descent(prob) for prob in problems]
+    values = 0
+    for prob, g, w in zip(problems, got, want):
+        where = (prob.f, prob.anchor, prob.k)
+        assert g[0] == w[0], where
+        if g[0] == "raise":
+            assert g == w, where
+            continue
+        (gy, gv, gs), (wy, wv, ws) = g[1], w[1]
+        assert gs == ws, where
+        assert abs(gv.value - wv.value) <= 1e-12 * (1.0 + abs(wv.value)), where
+        assert max(abs(a - b) for a, b in zip(gy, wy)) <= 1e-9, where
+        values += 1
+    assert len(problems) > 100 and 0 < values < len(problems)
 
 
 def test_a_line_along_a_basis_vector_reads_only_its_own_coordinate():

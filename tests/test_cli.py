@@ -258,6 +258,42 @@ def test_oracle_rows_track_requested_ranks(tmp_path):
         assert abs(row["gap_to_anchor"]) <= 1e-6
 
 
+ORACLE_UNBOUNDED_BATCH = PKG_ROOT / "tests" / "data" / "oracle_unbounded_batch.json"
+UNBOUNDED_ROW = {
+    "k": 1,
+    "error": "Unbounded: coordinate 1 runs to the search cap 1e+06 while still descending",
+}
+
+
+def test_an_unbounded_oracle_rank_is_a_row_not_an_abort(tmp_path):
+    # f = <e_1, .> has no minimum: the rank-1 descent runs to the search
+    # cap, and the certificate still comes out with that row beside it.
+    batch = json.loads(ORACLE_UNBOUNDED_BATCH.read_text())
+    linear = batch["scenarios"][1]
+    f = tmp_path / "linear.json"
+    f.write_text(json.dumps(linear))
+    proc, report = run_json(tmp_path, str(f))
+    assert proc.returncode == 0, proc.stdout
+    assert report["verdict"] == "fails"
+    assert report["oracle"] == [UNBOUNDED_ROW]
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert f"oracle k=1: {UNBOUNDED_ROW['error']}" in proc.stdout
+
+
+def test_an_unbounded_oracle_rank_keeps_the_rest_of_the_batch(tmp_path):
+    proc, payload = run_json(tmp_path, str(ORACLE_UNBOUNDED_BATCH))
+    assert proc.returncode == 0, proc.stdout
+    first, second = payload["reports"]
+    assert (first["name"], first["verdict"]) == ("example3", "holds")
+    assert [row["k"] for row in first["oracle"]] == [1, 2]
+    for row in first["oracle"]:
+        assert abs(row["gap_to_anchor"]) <= 1e-6
+    assert (second["name"], second["verdict"]) == ("linear_unbounded", "fails")
+    assert second["oracle"] == [UNBOUNDED_ROW]
+    for r in payload["reports"]:
+        jsonschema.validate(r, REPORT_SCHEMA)
+
+
 def test_oracle_flag_rejects_bad_ranks():
     assert run_cli("example3", "--oracle-k", "0").returncode == 2
     assert run_cli("example3", "--oracle-k", "two").returncode == 2

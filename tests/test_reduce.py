@@ -5,6 +5,7 @@ it against problems with hand-computable minima before anything trusts it.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,7 @@ from seqcert.funcs import (
     ScalarConvex,
     SeparableSeries,
     Sum,
+    basis_partials,
     evaluate,
 )
 from seqcert.reduce import build_reduced, grad_reduced, minimize_reduced
@@ -171,3 +173,82 @@ def test_limsup_part_is_inert_in_reduction():
     prob = build_reduced(f, SetDescriptor.whole_space(), anchor, 1)
     y, _, _ = minimize_reduced(prob)
     assert y[0] == pytest.approx(0.5, abs=1e-6)
+
+
+# The line search alone.  Lines that return Fractions are exact, so a
+# comparison of two probes never ties by rounding and the bracket keeps the
+# argmin of a convex line until the search stops.
+def counted(line):
+    calls = []
+
+    def probe(t):
+        calls.append(t)
+        return line(t)
+
+    return probe, calls
+
+
+def test_line_search_makes_one_new_probe_per_shrink():
+    # Two fresh probes per shrink (a ternary search) take about 208 calls here.
+    c = Fraction(0.3)
+    line, calls = counted(lambda t: (Fraction(t) - c) ** 2 - c * c)
+    t, _ = reduce._line_minimize(line, -1e6, 1e6)
+    assert abs(t - 0.3) <= reduce._LINE_TOL * 1.3
+    assert len(calls) <= 100
+
+
+@pytest.mark.parametrize("c", [-3.7e4, -250.0, -1.0, -1e-3, 1e-7, 0.3, 2.5, 777.0, 9.9e5])
+@pytest.mark.parametrize("bracket", ["wide", "one_sided", "tight"])
+def test_line_search_stops_within_its_width_of_the_argmin(c, bracket):
+    lo, hi = {
+        "wide": (-1e6, 1e6),
+        "one_sided": (-1e6, 0.0) if c < 0.0 else (0.0, 1e6),
+        "tight": (min(c, 0.0) - 1.0, max(c, 0.0) + 1.0),
+    }[bracket]
+    exact = Fraction(c)
+    t, v = reduce._line_minimize(lambda t: (Fraction(t) - exact) ** 2 - exact * exact, lo, hi)
+    # the final bracket holds c and is at most its stopping width wide
+    assert abs(t - c) <= reduce._LINE_TOL * (1.0 + abs(c))
+    assert v == (Fraction(t) - exact) ** 2 - exact * exact
+
+
+def test_line_search_stops_inside_a_sqrt_domain_edge():
+    # Along e_1 at x_1 = 1, f = sum x_n - 2 sum beta^n sqrt(x_n) moves by
+    # t - (sqrt(1 + t) - 1), which is finite for t >= -1 only and least at
+    # 1 + t = 1/4, inside the bracket.
+    f = Sum((
+        SeparableSeries(TailRule.const(1.0), ScalarConvex.linear(1.0)),
+        SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.neg_sqrt(2.0)),
+    ))
+    x = Point([1.0], (TailRule.geometric(1.0, BETA * BETA),))
+    line = basis_partials(f, x).line(((1, 1.0),))
+    probe, calls = counted(line)
+    t, v = reduce._line_minimize(probe, -1e6, 1e6)
+    assert t == pytest.approx(-0.75, abs=1e-7)
+    assert v == pytest.approx(-0.25, abs=1e-15) and v == line(t)
+    outside = 0
+    for s in calls:
+        try:
+            line(s)
+        except DomainViolation:
+            outside += 1
+    assert outside > 0  # probes reached past the domain edge at t = -1
+
+
+def test_line_search_keeps_the_side_of_zero_when_both_probes_are_infeasible():
+    c = Fraction(1e-3)
+    raised = []
+
+    def line(t):
+        if not -1e-3 <= t <= 2e-3:
+            raised.append(t)
+            raise DomainViolation(f"{t} is outside [-1e-3, 2e-3]")
+        return (Fraction(t) - c) ** 2 - c * c
+
+    probe, calls = counted(line)
+    t, v = reduce._line_minimize(probe, -1e6, 1e6)
+    # the first two probes (at -/+2.4e5) both lie outside the domain, so
+    # the first shrink has only the side of 0 to go by
+    assert calls[:2] == raised[:2] and calls[0] < 0.0 < calls[1]
+    assert abs(t - 1e-3) <= reduce._LINE_TOL * 2.0
+    assert v < 0.0
