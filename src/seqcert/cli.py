@@ -45,7 +45,14 @@ from .certify import (
     subgradient_test,
 )
 from .derivative import DerivOptions, dir_deriv_profile
-from .errors import DomainViolation, MaxSweeps, ScenarioError, SeqcertError, Unbounded
+from .errors import (
+    DomainViolation,
+    InfeasiblePoint,
+    MaxSweeps,
+    ScenarioError,
+    SeqcertError,
+    Unbounded,
+)
 from .funcs import FunctionExpr, evaluate, function_from_json
 from .reduce import build_reduced, minimize_reduced
 from .seqspace import (
@@ -379,11 +386,13 @@ def _run_oracle(scn: Scenario, ks: Sequence[int]) -> list[dict]:
     rows = []
     f_star = evaluate(scn.function, scn.x_star)
     for k in ks:
-        prob = build_reduced(scn.function, scn.feasible_set, scn.x_star, k)
         try:
-            y, value, sweeps = minimize_reduced(prob)
-        except (Unbounded, MaxSweeps, DomainViolation) as exc:
-            # a descent that does not finish is this rank's answer, not the run's
+            y, value, sweeps = minimize_reduced(
+                build_reduced(scn.function, scn.feasible_set, scn.x_star, k)
+            )
+        except (InfeasiblePoint, Unbounded, MaxSweeps, DomainViolation) as exc:
+            # an anchor the rank cannot start from, or a descent that does
+            # not finish, is this rank's answer, not the run's
             rows.append({"k": k, "error": f"{type(exc).__name__}: {exc}"})
             continue
         rows.append(

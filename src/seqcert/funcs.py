@@ -45,7 +45,7 @@ from .seqspace import (
     point_axpy,
     tail_limit,
 )
-from .symseq import DIVERGENT, SUMMABLE, SymSeq, classify
+from .symseq import DIVERGENT, SUMMABLE, PolyMajorant, SymSeq, classify
 
 
 def _as_form(v) -> TailRule:
@@ -820,43 +820,62 @@ def delta_along(
 _TABLE_LIMIT = 4096
 
 
+def _line_majorant(f: SeparableSeries, x: Point, h: Point) -> Optional[PolyMajorant]:
+    """The majorant of a series line's difference terms beyond its tail
+    start, as a polynomial in |t|; None for sqrt pieces.
+
+    With h_abs = |h tail| * |t| it is w h_abs for |.|, w |b| h_abs for
+    linear pieces, w h_abs (2|x| + h_abs) for squares and
+    w (|a| h_abs (2|x| + h_abs) + |b| h_abs) for affine quadratics, each
+    factor term by term in absolute value: the product at |t| = 1 and its
+    part in |t|^2 fix it for every step size.
+    """
+    inner = f.inner
+    kind = inner.kind
+    if kind is ScalarKind.NEG_SQRT:
+        return None
+    w_abs = f.weight.to_symseq().abs_terms()
+    h_unit = h.tail_symseq().abs_terms()
+    if kind is ScalarKind.ABS:
+        return PolyMajorant(w_abs * h_unit, SymSeq.zero())
+    if kind is ScalarKind.LINEAR:
+        return PolyMajorant(w_abs * inner.b.to_symseq().abs_terms() * h_unit, SymSeq.zero())
+    x2 = x.tail_symseq().abs_terms().scaled(2)
+    if kind is ScalarKind.SQUARE:
+        wh = w_abs * h_unit
+        return PolyMajorant(wh * (x2 + h_unit), wh * h_unit)
+    ah = inner.a.to_symseq().abs_terms() * h_unit
+    b_abs = inner.b.to_symseq().abs_terms()
+    return PolyMajorant(w_abs * (ah * (x2 + h_unit) + b_abs * h_unit), w_abs * (ah * h_unit))
+
+
 def _separable_delta_line(
     f: SeparableSeries, x: Point, h: Point
 ) -> Callable[[float, float], SeriesValue]:
     weight, inner = f.weight, f.inner
     kind = inner.kind
-    w_abs = weight.to_symseq().abs_terms()
-    h_unit = h.tail_symseq().abs_terms()
-    x_abs = x.tail_symseq().abs_terms()
-    # The majorant of the step's difference terms, given |h tail| * |t|;
-    # t-free factors and products are formed once, the rest keeps the
-    # per-step grouping.
-    if kind is ScalarKind.ABS:
-        def majorant(h_abs: SymSeq) -> SymSeq:
-            return w_abs * h_abs
-    elif kind is ScalarKind.LINEAR:
-        wb = w_abs * inner.b.to_symseq().abs_terms()
+    # The majorant of a step's difference terms is formed once per line, and
+    # a step only evaluates its coefficients at |t|.  Sqrt pieces are the
+    # exception: |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative
+    # domain, and the roots are inexact floats, so theirs is formed per
+    # step size.
+    poly = _line_majorant(f, x, h)
+    if poly is None:
+        wc = weight.to_symseq().abs_terms() * inner.c.to_symseq().abs_terms()
+        h_unit = h.tail_symseq().abs_terms()
 
-        def majorant(h_abs: SymSeq) -> SymSeq:
-            return wb * h_abs
-    elif kind is ScalarKind.SQUARE:
-        x2 = x_abs.scaled(2)
+    def region(tau: float, first: int, tol: float) -> tuple[int, float]:
+        if poly is not None and tau:
+            if poly.label != SUMMABLE:
+                raise NoMajorant("difference terms have no summable majorant")
+            return majorant_region(poly, first, tol, tau)
+        major = poly.at(tau) if poly is not None else wc * _sqrt_majorant(h_unit.scaled(tau))
+        if classify(major) != SUMMABLE:
+            raise NoMajorant("difference terms have no summable majorant")
+        return majorant_region(major, first, tol)
 
-        def majorant(h_abs: SymSeq) -> SymSeq:
-            return w_abs * h_abs * (x2 + h_abs)
-    elif kind is ScalarKind.AFFINE_QUAD:
-        x2 = x_abs.scaled(2)
-        a_abs = inner.a.to_symseq().abs_terms()
-        b_abs = inner.b.to_symseq().abs_terms()
-
-        def majorant(h_abs: SymSeq) -> SymSeq:
-            return w_abs * (a_abs * h_abs * (x2 + h_abs) + b_abs * h_abs)
-    else:
-        # |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative domain
-        wc = w_abs * inner.c.to_symseq().abs_terms()
-
-        def majorant(h_abs: SymSeq) -> SymSeq:
-            return wc * _sqrt_majorant(h_abs)
+    def term(n: int) -> Callable[[float], float]:
+        return inner.line(n, x.coordinate(n), weight.value_at(n), h.coordinate(n))
 
     # Outside sqrt pieces the domain rank of x + t h is its tail start,
     # max(x.tail_start, h.tail_start), whatever t is.
@@ -884,22 +903,15 @@ def _separable_delta_line(
                 x_rank = _separable_domain_rank(f, x)
             first = max(x_rank, _separable_domain_rank(f, xt), start)
         key = (abs(t), tol, first)
-        region = regions.get(key)
-        if region is None:
-            major = majorant(h_unit.scaled(abs(t)))
-            if classify(major) != SUMMABLE:
-                raise NoMajorant("difference terms have no summable majorant")
-            region = regions[key] = majorant_region(major, first, tol)
-
-        def term_at(n: int) -> float:
-            if n < len(table):
-                return table[n](t)
-            term = inner.line(n, x.coordinate(n), weight.value_at(n), h.coordinate(n))
-            if n == len(table) and n <= _TABLE_LIMIT:
-                table.append(term)
-            return term(t)
-
-        return head_sum(term_at, region)
+        k_bound = regions.get(key)
+        if k_bound is None:
+            k_bound = regions[key] = region(abs(t), first, tol)
+        k = k_bound[0]
+        while len(table) <= min(k, _TABLE_LIMIT):
+            table.append(term(len(table)))
+        heads = [g(t) for g in table[1 : k + 1]]
+        heads += [term(n)(t) for n in range(len(table), k + 1)]
+        return head_sum(heads, k_bound)
 
     return step
 

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainViolation, NoMajorant, NonConvergentPairing
-from .symseq import SUMMABLE, SymSeq, classify, tail_sum, tail_sums
+from .symseq import SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum, tail_sums
 
 #: Relative slop applied per explicitly summed term to cover accumulated
 #: floating-point rounding in otherwise-certified sums.
@@ -474,10 +474,13 @@ def certified_series(
         raise NoMajorant("no closed-form tail or majorant supplied")
     if classify(majorant) != SUMMABLE:
         raise NoMajorant(f"series majorant is {classify(majorant)}")
-    return head_sum(term_at, majorant_region(majorant, tail_start, tol))
+    region = majorant_region(majorant, tail_start, tol)
+    return head_sum(map(term_at, range(1, region[0] + 1)), region)
 
 
-def majorant_region(majorant: SymSeq, tail_start: int, tol: float) -> tuple[int, float]:
+def majorant_region(
+    majorant: SymSeq | PolyMajorant, tail_start: int, tol: float, tau: float | None = None
+) -> tuple[int, float]:
     """The region step of :func:`certified_series`: its doubling search.
 
     Returns ``(k, bound)``: the terms n <= k are summed explicitly, and
@@ -486,10 +489,15 @@ def majorant_region(majorant: SymSeq, tail_start: int, tol: float) -> tuple[int,
     the remainder fits; past _HEAD_BUDGET terms it raises NoMajorant.  The
     majorant must classify SUMMABLE.  Each restart re-sums the majorant's
     terms from one :func:`tail_sums`, which computes them once per search.
+    A :class:`PolyMajorant` is searched at the step size tau > 0, with the
+    result of its ``at(tau)`` bit for bit.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    remainder = tail_sums(majorant, tol / 4)
+    if tau is None:
+        remainder = tail_sums(majorant, tol / 4)
+    else:
+        remainder = majorant.tail_sums(tau, tol / 4)
     k = tail_start - 1
     while True:
         mval, merr, _ = remainder(k + 1)
@@ -500,12 +508,12 @@ def majorant_region(majorant: SymSeq, tail_start: int, tol: float) -> tuple[int,
             raise NoMajorant("majorant decays too slowly to certify")
 
 
-def head_sum(term_at: Callable[[int], float], region: tuple[int, float]) -> SeriesValue:
-    """The head step of :func:`certified_series`: sum term_at(n) over the
-    explicit region (k, bound) of :func:`majorant_region`, with its
-    remainder bound and the head's rounding as the error."""
+def head_sum(terms: Iterable[float], region: tuple[int, float]) -> SeriesValue:
+    """The head step of :func:`certified_series`: the sum of the terms
+    n = 1..k of the explicit region (k, bound) of :func:`majorant_region`,
+    with its remainder bound and the head's rounding as the error."""
     k, bound = region
-    head = sum(term_at(n) for n in range(1, k + 1))
+    head = sum(terms)
     err = bound + abs(head) * (k + 1) * _ULP
     return SeriesValue(head, err, k)
 

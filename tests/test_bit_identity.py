@@ -1,5 +1,6 @@
-"""The hoisted scan kernels, the one coordinate walk and the oracle's
-descent driver reproduce the code they replaced bit for bit.
+"""The hoisted scan kernels, the series line's once-per-line majorant, the
+one coordinate walk and the oracle's descent driver reproduce the code
+they replaced bit for bit.
 
 Floats are compared through struct.pack("<d", v), so signed zeros and NaN
 payloads count as differences, or through repr, which tells signed zeros
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 import pytest
 
 from seqcert import reduce
-from seqcert.certify import SetDescriptor, coordinate_interval
+from seqcert.certify import CertifyOptions, SetDescriptor, coordinate_interval, gateaux_detect
 from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
 from seqcert import funcs
 from seqcert.errors import DomainViolation, MaxSweeps, NoMajorant, Unbounded
@@ -55,8 +56,10 @@ from seqcert.seqspace import (
     basis_vector,
     certified_series,
     limsup_abs,
+    majorant_region,
     pair,
     pairing,
+    point_axpy,
     tail_limit,
 )
 from seqcert.symseq import (
@@ -70,7 +73,7 @@ from seqcert.symseq import (
     tail_sums,
 )
 from test_certify import closed_form_cases
-from test_series_digest import ladder, ladder_cases, step_record
+from test_series_digest import fuzz_instance, ladder, ladder_cases, step_record
 
 NUMERIC = DerivOptions(prefer_analytic=False)
 SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
@@ -856,7 +859,7 @@ def _delta_line(f: FunctionExpr, x: Point, h: Point):
 
         return summed
     if isinstance(f, SeparableSeries):
-        return funcs._separable_delta_line(f, x, h)
+        return _reference_separable_delta_line(f, x, h)
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
@@ -1152,3 +1155,287 @@ def test_one_majorant_region_and_pairing_sum_per_step_size(monkeypatch):
     assert {t > 0 for t, _ in res.quotients_log} == {True, False}
     assert 0 < regions <= 2 * sizes
     assert 0 < pairs <= sizes
+
+
+# The series line as it was when each step size built its majorant from
+# exact SymSeq products, with the head step it summed through, kept
+# verbatim as the reference for funcs._separable_delta_line, its
+# PolyMajorant and the table-backed head sum.
+def _reference_separable_delta_line(
+    f: SeparableSeries, x: Point, h: Point
+) -> Callable[[float, float], SeriesValue]:
+    weight, inner = f.weight, f.inner
+    kind = inner.kind
+    w_abs = weight.to_symseq().abs_terms()
+    h_unit = h.tail_symseq().abs_terms()
+    x_abs = x.tail_symseq().abs_terms()
+    # The majorant of the step's difference terms, given |h tail| * |t|;
+    # t-free factors and products are formed once, the rest keeps the
+    # per-step grouping.
+    if kind is ScalarKind.ABS:
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return w_abs * h_abs
+    elif kind is ScalarKind.LINEAR:
+        wb = w_abs * inner.b.to_symseq().abs_terms()
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return wb * h_abs
+    elif kind is ScalarKind.SQUARE:
+        x2 = x_abs.scaled(2)
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return w_abs * h_abs * (x2 + h_abs)
+    elif kind is ScalarKind.AFFINE_QUAD:
+        x2 = x_abs.scaled(2)
+        a_abs = inner.a.to_symseq().abs_terms()
+        b_abs = inner.b.to_symseq().abs_terms()
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return w_abs * (a_abs * h_abs * (x2 + h_abs) + b_abs * h_abs)
+    else:
+        # |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative domain
+        wc = w_abs * inner.c.to_symseq().abs_terms()
+
+        def majorant(h_abs: SymSeq) -> SymSeq:
+            return wc * funcs._sqrt_majorant(h_abs)
+
+    # Outside sqrt pieces the domain rank of x + t h is its tail start,
+    # max(x.tail_start, h.tail_start), whatever t is.
+    start = max(x.tail_start, h.tail_start)
+    sqrt_piece = kind is ScalarKind.NEG_SQRT
+    x_rank: Optional[int] = None
+    # the n-th weighted term's line, t -> w_n * (u_n(x_n + t h_n) - u_n(x_n)),
+    # for n = 1, 2, ... as far as the explicit regions of the steps so far
+    # have reached, up to a bound that caps the memory of slowly converging
+    # majorants (entry 0 unused)
+    table: list = [None]
+    # The certified region of each step's majorant, keyed by (|t|, tol,
+    # first): the majorant depends on |t| alone, so the two sides of a
+    # quotient scan share one majorant and one doubling search per step
+    # size, and only the head sum runs per sign of t.
+    regions: dict[tuple[float, float, int], tuple[int, float]] = {}
+
+    def step(t: float, tol: float) -> SeriesValue:
+        nonlocal x_rank
+        first = start
+        if sqrt_piece:
+            xt = point_axpy(x, t, h)
+            if x_rank is None:
+                # raises afresh at every step while x is outside the domain
+                x_rank = funcs._separable_domain_rank(f, x)
+            first = max(x_rank, funcs._separable_domain_rank(f, xt), start)
+        key = (abs(t), tol, first)
+        region = regions.get(key)
+        if region is None:
+            major = majorant(h_unit.scaled(abs(t)))
+            if classify(major) != SUMMABLE:
+                raise NoMajorant("difference terms have no summable majorant")
+            region = regions[key] = majorant_region(major, first, tol)
+
+        def term_at(n: int) -> float:
+            if n < len(table):
+                return table[n](t)
+            term = inner.line(n, x.coordinate(n), weight.value_at(n), h.coordinate(n))
+            if n == len(table) and n <= funcs._TABLE_LIMIT:
+                table.append(term)
+            return term(t)
+
+        return _reference_head_sum(term_at, region)
+
+    return step
+
+
+def _reference_head_sum(term_at: Callable[[int], float], region: tuple[int, float]) -> SeriesValue:
+    """The head step of :func:`certified_series`: sum term_at(n) over the
+    explicit region (k, bound) of :func:`majorant_region`, with its
+    remainder bound and the head's rounding as the error."""
+    k, bound = region
+    head = sum(term_at(n) for n in range(1, k + 1))
+    err = bound + abs(head) * (k + 1) * _ULP
+    return SeriesValue(head, err, k)
+
+
+def separable_leaves(f: FunctionExpr):
+    """The separable leaves of an expression, through sums and scalings."""
+    if isinstance(f, SeparableSeries):
+        yield f
+    elif isinstance(f, Scale):
+        yield from separable_leaves(f.inner)
+    elif isinstance(f, Sum):
+        for g in f.terms:
+            yield from separable_leaves(g)
+
+
+def line_edge_cases():
+    """(leaf, x, h) for the forms a line's majorant can take beyond the
+    sampled ones: x and h tails that share (ratio, npow) keys, so that
+    2|x| + |h| |t| merges a constant with a multiple of |t|, under a square
+    and an affine quadratic; zero weights, which leave no terms; a weight
+    with ratio 0; and sqrt leaves, whose majorant is still formed per step
+    size."""
+    x = Point([0.5, -1.0], (TailRule.geometric(1.0, 0.5), TailRule.harmonic(-0.25)))
+    h = Point([1.0, 0.25], (
+        TailRule.geometric(-0.3, 0.5), TailRule.harmonic(0.5), TailRule.geometric(0.2, 0.9),
+    ))
+    quad = ScalarConvex.affine_quad(TailRule.geometric(2.0, 0.5), TailRule.harmonic(-1.0))
+    leaves = [
+        SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square()),
+        SeparableSeries(TailRule.const(1.0), quad),
+        SeparableSeries(TailRule.geometric(3.0, 0.75), quad),
+        SeparableSeries(TailRule.harmonic(1.0), ScalarConvex.abs_()),
+        SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.linear(TailRule.harmonic(2.0))),
+        SeparableSeries(TailRule.const(0.0), ScalarConvex.square()),
+        SeparableSeries(TailRule.geometric(-0.0, 0.5), quad),
+        # a zero ratio, whose terms vanish from n = 1 on
+        SeparableSeries(TailRule.geometric(2.0, 0.0), ScalarConvex.square()),
+    ]
+    cases = [(leaf, x, h) for leaf in leaves]
+    cases += [(leaf, x, x) for leaf in leaves[:3]]
+    positive = Point([0.001, 0.3], (TailRule.geometric(1.0, 0.25),))
+    for leaf in separable_leaves(sqrt_objective(0.5)):
+        cases.append((leaf, positive, Point([-1.0], (TailRule.geometric(0.5, 0.5),))))
+        cases.append((leaf, positive, h))
+    return cases
+
+
+def fuzz_line_cases(seeds):
+    """(leaf, x, h) for every separable leaf of the grammar_fuzz instances,
+    along one summable and one non-summable direction each."""
+    for seed in seeds:
+        _, f, x = fuzz_instance(seed)
+        rng = random.Random(20_000 + seed)
+        directions = [random_direction(rng, summable=True), random_direction(rng, summable=False)]
+        for leaf in separable_leaves(f):
+            for h in directions:
+                yield leaf, x, h
+
+
+def seq_record(seq: SymSeq):
+    """A sequence's terms in order, exactly (repr tells a Fraction from a
+    float), and its exact flag."""
+    return seq.exact, tuple((repr(t.coef), repr(t.ratio), repr(t.npow)) for t in seq.terms)
+
+
+def test_line_majorant_is_the_per_step_product_at_every_step_size(monkeypatch):
+    # The reference builds each step size's majorant afresh and classifies
+    # it at once; capturing what it classifies gives the per-step product,
+    # and the step need not go on.
+    products = []
+    label_of = classify
+
+    class Captured(Exception):
+        pass
+
+    def capture(seq):
+        products.append(seq)
+        raise Captured
+
+    monkeypatch.setitem(globals(), "classify", capture)
+    # every size of the quotient ladder on the edge cases, every eighth on
+    # the sampled leaves, and a few sizes no ladder takes
+    sizes = sorted({abs(t) for t in ladder()})
+    extra = [0.0, 0.75, 1.0, 3.0]
+    cases = [(case, sizes + extra) for case in line_edge_cases()]
+    cases += [(case, sizes[::8] + extra) for case in fuzz_line_cases(range(300))]
+    compared = summed = mixed = 0
+    labels = set()
+    for (leaf, x, h), sizes in cases:
+        poly = funcs._line_majorant(leaf, x, h)
+        if poly is None:
+            assert leaf.inner.kind is ScalarKind.NEG_SQRT
+            continue
+        ref = _reference_separable_delta_line(leaf, x, h)
+        for i, tau in enumerate(sizes):
+            products.clear()
+            with pytest.raises(Captured):
+                ref(tau, 1e-12)
+            (want,) = products
+            assert seq_record(poly.at(tau)) == seq_record(want), (leaf, x, h, tau)
+            compared += 1
+            if not tau:
+                assert not want.terms
+                continue
+            assert poly.label == label_of(want)
+            labels.add(poly.label)
+            if poly.label != SUMMABLE or i % 3:
+                continue
+            # shared powers against each term's own, at starts that rise,
+            # repeat, fall back and jump
+            for tol in (1e-12, 1e-20):
+                got_at, want_at = poly.tail_sums(tau, tol), tail_sums(want, tol)
+                for start in (1, 17, 17, 5, 65, 2):
+                    assert outcome(lambda: got_at(start)) == outcome(lambda: want_at(start))
+                    summed += 1
+        # a term whose coefficient has parts of degree one and two in |t|
+        one, two = poly.at(1.0), poly.at(2.0)
+        mixed += any(b.coef not in (2 * a.coef, 4 * a.coef) for a, b in zip(one.terms, two.terms))
+    assert labels == {SUMMABLE, "divergent"}
+    assert compared > 8_000 and summed > 20_000 and mixed > 0
+
+
+def lockstep(compared: list):
+    """funcs._separable_delta_line, with every step checked against the
+    reference line's on the same direction, exceptions included."""
+    make = funcs._separable_delta_line
+
+    def paired(f, x, h):
+        line, ref = make(f, x, h), _reference_separable_delta_line(f, x, h)
+
+        def step(t: float, tol: float) -> SeriesValue:
+            want = outcome(lambda: ref(t, tol))
+            try:
+                sv = line(t, tol)
+            except Exception as exc:
+                assert ("raise", type(exc).__name__, str(exc)) == want, (f, x, h, t, tol)
+                raise
+            assert ("value", bits(sv)) == want, (f, x, h, t, tol)
+            compared.append(t)
+            return sv
+
+        return step
+
+    return paired
+
+
+def test_series_line_steps_match_the_reference_line(monkeypatch):
+    compared: list = []
+    monkeypatch.setattr(funcs, "_separable_delta_line", lockstep(compared))
+    # the pinned quotient ladders, and the edge cases along the same ladder
+    for f, x, d in ladder_cases():
+        line = basis_partials(f, x).series_line(d)
+        for t in ladder():
+            step_record(line, t)
+    for leaf, x, h in line_edge_cases():
+        line = basis_partials(leaf, x).series_line(h)
+        for t in ladder():
+            step_record(line, t)
+    on_ladders = len(compared)
+    # every step of gateaux_detect's validation directions
+    for seed in range(300):
+        space, f, x = fuzz_instance(seed)
+        outcome(lambda: gateaux_detect(f, space, x, CertifyOptions()))
+    assert on_ladders > 10_000 and len(compared) - on_ladders > 20_000
+
+
+def test_a_square_line_builds_its_majorant_products_once(monkeypatch):
+    products = 0
+    mul = SymSeq.__mul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(SymSeq, "__mul__", counted)
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square())
+    x = Point([0.5, -1.0], (TailRule.geometric(1.0, 0.5),))
+    h = Point([1.0, 0.25], (TailRule.geometric(0.8, 0.6),))
+    walk = basis_partials(f, x)
+    before = products
+    line = walk.series_line(h)
+    built = products - before
+    for t in ladder():
+        line(t, abs(t) * 1e-13)
+    # w|h| once, then w|h| (2|x| + |h|) and w|h| |h|, for all 41 step sizes
+    assert len({abs(t) for t in ladder()}) == 41
+    assert built == 3 and products - before == built

@@ -294,6 +294,22 @@ def test_an_unbounded_oracle_rank_keeps_the_rest_of_the_batch(tmp_path):
         jsonschema.validate(r, REPORT_SCHEMA)
 
 
+ORACLE_INFEASIBLE_BATCH = PKG_ROOT / "tests" / "data" / "oracle_infeasible_batch.json"
+
+
+def test_an_infeasible_anchor_is_an_oracle_row_not_an_abort(tmp_path):
+    # x* = (-1, 0, ...) lies outside the positive cone: the rank-1 reduction
+    # cannot start from it, and the certificate still comes out with that
+    # row beside it.
+    proc, report = run_json(tmp_path, str(ORACLE_INFEASIBLE_BATCH))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert report["verdict"] == "fails" and report["passed"]
+    error = "InfeasiblePoint: anchor is not a certified member of the set (coordinate 1)"
+    assert report["oracle"] == [{"k": 1, "error": error}]
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert f"oracle k=1: {error}" in proc.stdout
+
+
 def test_oracle_flag_rejects_bad_ranks():
     assert run_cli("example3", "--oracle-k", "0").returncode == 2
     assert run_cli("example3", "--oracle-k", "two").returncode == 2
