@@ -7,7 +7,8 @@ Verdicts (does the two-sided derivative exist?) use those monotone bounds
 only; Richardson extrapolation sharpens the reported value but never feeds
 a decision.  Differences along finitely supported directions are computed
 exactly (no series, no cancellation), so quotients stay trustworthy down to
-machine scale.
+machine scale.  Along a direction the function grammar answers in closed
+form, that answer comes first and no quotient is scanned.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .errors import (
     DomainViolation,
     NonConvexBehavior,
 )
-from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials, evaluate
-from .seqspace import Point, basis_vector
+from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials
+from .seqspace import DEFAULT_SERIES_TOL, Point, basis_vector
 
 _EPS = 2.220446049250313e-16
 #: Quotient movement below _NOISE_SCALE * eps * (|f(x)| + 1) / t counts as
@@ -37,8 +38,9 @@ class DerivOptions:
     t0 = None picks 1e-2 * max(1, |x_n|) for single-coordinate directions
     and 1e-2 otherwise; steps is the number of halvings; tol_match decides
     left-right agreement.  Setting prefer_analytic False forces the
-    quotient scan even along basis directions; no certifier does, and it
-    stays as the tests' independent numeric reference for the closed forms.
+    quotient scan along every direction, basis or not, where the closed
+    forms would otherwise answer; no certifier does, and it stays as the
+    tests' independent numeric reference for the closed forms.
     """
 
     t0: Optional[float] = None
@@ -168,6 +170,26 @@ def _extrapolate(qs: list[float], sign: int) -> float:
     return qs[-1] - g1 * rho / (1.0 - rho)
 
 
+def _closed_form(
+    left: float, right: float, value: Optional[float], opts: DerivOptions
+) -> DirDerivResult:
+    """A closed-form one-sided pair as a result: no quotients, no noise."""
+    exists = (
+        math.isfinite(left)
+        and math.isfinite(right)
+        and abs(right - left) <= opts.tol_match
+    )
+    return DirDerivResult(
+        right=right,
+        left=left,
+        exists=exists,
+        value=value if exists else None,
+        noise_floor=0.0,
+        quotients_log=(),
+        method="analytic",
+    )
+
+
 def dir_deriv(
     f: FunctionExpr,
     x: Point,
@@ -176,35 +198,30 @@ def dir_deriv(
 ) -> DirDerivResult:
     """Directional derivative of f at x along h, with an existence verdict.
 
-    Uses the closed-form path when h is a basis vector and the expression
-    has one (method "analytic"); otherwise scans monotone difference
-    quotients on both sides.  A side whose every probe leaves the domain is
-    reported at its extended-real limit (+inf on the right would mean the
-    right side is infeasible; in this grammar only -inf arises, from sqrt
-    boundaries); the verdict is then "does not exist".
+    With prefer_analytic (the default) the closed forms answer first
+    (method "analytic", no quotients, noise floor 0): along a basis
+    vector the per-index sides, without evaluating f; along any other
+    direction, once f(x) is certified finite, the walk's
+    ``direction(h)``, the sum of the terms' one-sided derivatives.  Along
+    a direction with a tail the scan's first series step, f(x + t0 h) -
+    f(x), is still taken: where its majorant needs more terms than the
+    head budget it raises NoMajorant, as the scan would.  Where the
+    walk has no closed form, difference quotients are scanned on both
+    sides.  A side whose every probe leaves the domain is reported at its
+    extended-real limit (+inf on the right would mean the right side is
+    infeasible; in this grammar only -inf arises, from sqrt boundaries);
+    the verdict is then "does not exist".
     """
     n = _is_basis(h)
     if n is not None and opts.prefer_analytic:
         dv = analytic_dir_deriv(f, x, n)
         left = -math.inf if dv.left is None else dv.left
         right = math.inf if dv.right is None else dv.right
-        exists = (
-            math.isfinite(left)
-            and math.isfinite(right)
-            and abs(right - left) <= opts.tol_match
-        )
-        return DirDerivResult(
-            right=right,
-            left=left,
-            exists=exists,
-            value=dv.value if exists else None,
-            noise_floor=0.0,
-            quotients_log=(),
-            method="analytic",
-        )
+        return _closed_form(left, right, dv.value, opts)
 
+    walk = basis_partials(f, x)
     # |f(x)| scales the quotient noise floor
-    fx = evaluate(f, x)
+    fx = walk.value(DEFAULT_SERIES_TOL)
     if not math.isfinite(fx.value):
         raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
     fx_mag = abs(fx.value)
@@ -217,13 +234,21 @@ def dir_deriv(
     else:
         t0 = 1e-2
     if support is None:
-        line = basis_partials(f, x).series_line(h)
+        line = walk.series_line(h)
 
         def delta(t: float) -> float:
             return line(t, abs(t) * 1e-13).value
     else:
-        delta = basis_partials(f, x).line(tuple((n, h.coordinate(n)) for n in support))
+        delta = walk.line(tuple((n, h.coordinate(n)) for n in support))
     exact = support is not None
+    sides = walk.direction(h) if opts.prefer_analytic else None
+    if sides is not None:
+        if not exact:
+            # the scan's first step: where its majorant needs more terms
+            # than the head budget it raises NoMajorant, as the scan would
+            delta(t0)
+        left, right = sides
+        return _closed_form(left, right, left + 0.5 * (right - left), opts)
     right = _scan_side(delta, exact, t0, +1, opts, fx_mag)
     left = _scan_side(delta, exact, t0, -1, opts, fx_mag)
     if not right.alive and not left.alive:

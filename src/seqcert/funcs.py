@@ -23,6 +23,7 @@ from .errors import (
     DomainViolation,
     NegativeScale,
     NoMajorant,
+    NonConvergentPairing,
 )
 from .seqspace import (
     DEFAULT_SERIES_TOL,
@@ -45,7 +46,7 @@ from .seqspace import (
     point_axpy,
     tail_limit,
 )
-from .symseq import DIVERGENT, SUMMABLE, PolyMajorant, SymSeq, classify
+from .symseq import DIVERGENT, SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum
 
 
 def _as_form(v) -> TailRule:
@@ -456,7 +457,9 @@ class BasisPartials:
     quotient scan can skip the steps that leave the domain.
     ``limsup_weight()`` is the total coefficient of the limsup parts, and
     ``affine()`` says whether f is built from constants, linear functionals
-    and linear-piece series only.
+    and linear-piece series only.  ``direction(h)`` is the one-sided pair
+    (left, right) of t -> f(x + t h) at 0 in closed form, or None where
+    there is none (see :func:`basis_partials`).
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
@@ -470,6 +473,7 @@ class BasisPartials:
     series_line: Callable = lambda h: _zero_step
     limsup_weight: Callable = lambda: 0.0
     affine: Callable = lambda: True
+    direction: Callable = lambda h: (0.0, 0.0)
 
     @cached_property
     def form(self) -> PartialsForm:
@@ -494,6 +498,16 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     the support's size.  A convex piece's derivative is monotone
     (Rockafellar, Convex Analysis, Thm 24.1), so on an interval only a sqrt
     boundary touching it leaves the derivative without a finite supremum.
+
+    The difference quotient of a convex function is monotone in t
+    (Rockafellar, Thm 23.1), so where a separable leaf's line majorant is
+    summable each term's quotient falls monotonically to its one-sided
+    derivative and, by monotone convergence, the leaf's one-sided
+    derivative along h is the sum of its terms' (``direction(h)``): the
+    per-index sides scaled by h_n over the head, plus a closed-form tail
+    summed by ``tail_sum``.  The answer is None for a sqrt piece, a line
+    majorant that is not summable, an eventual sign that cannot be
+    certified and a tail or pairing without a certified sum.
     """
     if isinstance(f, Constant):
         # A finite change of coordinates never moves a constant.
@@ -506,11 +520,20 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             base = abs(cx)
             return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
 
+        def limsup_slopes(h: Point) -> tuple:
+            # the one-sided slopes of t -> |cx + t ch| at 0
+            cx, ch = tail_limit(x), tail_limit(h)
+            if cx == 0.0:
+                return -abs(ch), abs(ch)
+            slope = ch if cx > 0.0 else -ch
+            return slope, slope
+
         return BasisPartials(
             value=lambda tol: SeriesValue(limsup_abs(x), 0.0, 0),
             series_line=limsup_line,
             limsup_weight=lambda: 1.0,
             affine=lambda: False,
+            direction=limsup_slopes,
         )
     if isinstance(f, LinearFunctional):
         p = f.p
@@ -538,12 +561,20 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 
             return step
 
+        def paired_slope(h: Point) -> Optional[tuple]:
+            try:
+                v = pair(p, h).value
+            except NonConvergentPairing:
+                return None
+            return v, v
+
         return BasisPartials(
             linear,
             lambda: PartialsForm("ok", p.tail_start, p.tail_symseq()),
             linear_line,
             value=lambda tol: pair(p, x, tol),
             series_line=paired_line,
+            direction=paired_slope,
         )
     if isinstance(f, SeparableSeries):
         return _separable_partials(f, x)
@@ -587,9 +618,13 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 
             return step
 
+        def scaled_direction(h: Point) -> Optional[tuple]:
+            sub = inner.direction(h)
+            return None if sub is None else (lam * sub[0], lam * sub[1])
+
         return BasisPartials(
             scaled, scaled_form, scaled_line, inner.interval, scaled_value, scaled_series_line,
-            lambda: lam * inner.limsup_weight(), inner.affine,
+            lambda: lam * inner.limsup_weight(), inner.affine, scaled_direction,
         )
     if isinstance(f, Sum):
         parts = [basis_partials(g, x) for g in f.terms]
@@ -674,10 +709,21 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 
             return step
 
+        def summed_direction(h: Point) -> Optional[tuple]:
+            lsum, rsum = 0.0, 0.0
+            for part in parts:
+                sub = part.direction(h)
+                if sub is None:
+                    return None
+                lsum += sub[0]
+                rsum += sub[1]
+            return lsum, rsum
+
         return BasisPartials(
             summed, summed_form, summed_line, summed_interval, summed_value, summed_series_line,
             lambda: sum(part.limsup_weight() for part in parts),
             lambda: all(part.affine() for part in parts),
+            summed_direction,
         )
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
@@ -771,11 +817,50 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         lo = v - a
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
 
+    def direction(h: Point) -> Optional[tuple]:
+        if kind is ScalarKind.NEG_SQRT or _line_majorant(f, x, h).label != SUMMABLE:
+            return None
+        # from here on x and h are both closed forms
+        start = max(x.tail_start, h.tail_start)
+        kink = False
+        if kind is not ScalarKind.ABS:
+            # the partial's closed form, valid from x's tail start
+            slope = form().tail
+        else:
+            try:
+                sgn, rank = x.tail_symseq().eventual_sign(start)
+                if sgn == 0:
+                    # x's tail is zero: every tail term has its kink at 0,
+                    # with one-sided slopes -+w|h_n|, and |h_n| = sgn h_n
+                    kink = True
+                    sgn, rank = h.tail_symseq().eventual_sign(start)
+            except ValueError:
+                return None
+            start = max(start, rank)
+            slope = weight.to_symseq().scaled(sgn)
+        try:
+            tail, _, _ = tail_sum(slope * h.tail_symseq(), start, DEFAULT_SERIES_TOL)
+        except ValueError:
+            return None
+        left, right = 0.0, 0.0
+        for n in range(1, start):
+            hn = h.coordinate(n)
+            if hn == 0.0:
+                continue
+            lo, hi = sides(n)
+            # a negative step swaps the sides
+            if hn < 0.0:
+                lo, hi = hi, lo
+            left += lo * hn
+            right += hi * hn
+        return (left - tail, right + tail) if kink else (left + tail, right + tail)
+
     return BasisPartials(
         sides, form, line, interval,
         lambda tol: _evaluate_separable(f, x, tol),
         lambda h: _separable_delta_line(f, x, h),
         affine=lambda: kind is ScalarKind.LINEAR,
+        direction=direction,
     )
 
 

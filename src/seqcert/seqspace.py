@@ -463,7 +463,7 @@ def certified_series(
     fits inside tol; a region past _HEAD_BUDGET terms, or neither form,
     means no certificate is possible (NoMajorant).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if tail is not None:
         if classify(tail) != SUMMABLE:
@@ -492,7 +492,7 @@ def majorant_region(
     A :class:`PolyMajorant` is searched at the step size tau > 0, with the
     result of its ``at(tau)`` bit for bit.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if tau is None:
         remainder = tail_sums(majorant, tol / 4)

@@ -1,18 +1,28 @@
 """Monotone difference quotients and the closed-form fast path."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
+from seqcert import certify
+from seqcert.certify import CertifyOptions, gateaux_detect
 from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
+from seqcert.errors import NoMajorant, SeqcertError
 from seqcert.funcs import (
+    Constant,
     LimsupSeminorm,
     LinearFunctional,
+    Scale,
     ScalarConvex,
     SeparableSeries,
     Sum,
+    basis_partials,
 )
+from seqcert.sampling import random_direction
 from seqcert.seqspace import DualPoint, Point, TailRule, basis_vector
+from test_certify import fuzz_instance
 
 BETA = 0.5
 
@@ -151,3 +161,149 @@ def test_options_outside_the_scenario_bounds_are_rejected():
         with pytest.raises(ValueError, match=f"^{name} must be"):
             DerivOptions(**bad)
     DerivOptions(t0=None, steps=0, tol_match=5e-324)
+
+
+# closed-form directions ------------------------------------------------------
+
+
+def geometric_from(c, r, start):
+    """sum over n >= start of c * r^n, exactly."""
+    c, r = Fraction(c), Fraction(r)
+    return c * r**start / (1 - r)
+
+
+def test_abs_along_a_direction_follows_the_sign_of_each_coordinate():
+    # sum 0.5^n |x_n|: the head reads sign(x_n) h_n index by index, and the
+    # tail, from the later of the two tail starts, the sign of x's tail
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+    h = Point([1.0, 0.5, -1.0], (TailRule.geometric(1.0, 0.25),))
+    for sign in (1, -1):
+        x = Point([2.0, -1.0], (TailRule.geometric(sign * 1.0, 0.5),))
+        exact = (
+            Fraction(1, 2) * 1 - Fraction(1, 4) * Fraction(1, 2)
+            + Fraction(1, 8) * sign * -1 + sign * geometric_from(1, Fraction(1, 8), 4)
+        )
+        res = dir_deriv(f, x, h)
+        assert (res.method, res.exists, res.noise_floor, res.quotients_log) == (
+            "analytic", True, 0.0, ()
+        )
+        assert res.left == res.right == res.value
+        assert abs(res.value - float(exact)) <= 1e-14
+
+
+def test_abs_at_a_zero_head_coordinate_is_a_kink_along_the_direction():
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+    x = Point([0.0, 1.0], (TailRule.geometric(1.0, 0.5),))
+    h = Point([1.0, 1.0], (TailRule.geometric(1.0, 0.5),))
+    rest = Fraction(1, 4) + geometric_from(1, Fraction(1, 4), 3)
+    res = dir_deriv(f, x, h)
+    assert res.method == "analytic" and not res.exists and res.value is None
+    assert abs(res.left - float(rest - Fraction(1, 2))) <= 1e-14
+    assert abs(res.right - float(rest + Fraction(1, 2))) <= 1e-14
+
+
+def test_abs_at_a_zero_tail_has_a_kink_at_every_tail_index():
+    # x's tail is zero, so the tail adds -+ sum w_n |h_n| to the two sides
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+    h = Point([], (TailRule.geometric(-1.0, 0.5),))
+    spread = geometric_from(1, Fraction(1, 4), 1)
+    left, right = basis_partials(f, Point([], ())).direction(h)
+    assert abs(left + float(spread)) <= 1e-14 and abs(right - float(spread)) <= 1e-14
+
+
+def test_limsup_along_the_ones_direction_has_slopes_minus_one_and_one():
+    res = dir_deriv(LimsupSeminorm(), Point.zero(), Point([], (TailRule.const(1.0),)))
+    assert (res.method, res.exists, res.left, res.right) == ("analytic", False, -1.0, 1.0)
+    # away from a zero limit the limsup is differentiable along h
+    x = Point([], (TailRule.const(-2.0),))
+    h = Point([5.0], (TailRule.const(0.5), TailRule.harmonic(1.0)))
+    assert basis_partials(LimsupSeminorm(), x).direction(h) == (-0.5, -0.5)
+
+
+def test_linear_functional_pairs_with_the_direction():
+    p = DualPoint([1.0, -2.0], (TailRule.geometric(1.0, 0.5),))
+    h = Point([0.5], (TailRule.geometric(1.0, 0.25),))
+    exact = Fraction(1, 2) - 2 * Fraction(1, 16) + geometric_from(1, Fraction(1, 8), 3)
+    res = dir_deriv(LinearFunctional(p), Point([3.0], ()), h)
+    assert res.method == "analytic" and res.exists
+    assert abs(res.value - float(exact)) <= 1e-14
+
+
+def test_scales_and_sums_combine_their_parts_answers():
+    square = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square())
+    p = DualPoint([], (TailRule.geometric(1.0, 0.5),))
+    sqrt_piece = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.neg_sqrt(2.0))
+    f = Sum((
+        Scale(2.0, square),
+        Scale(0.5, LinearFunctional(p)),
+        Constant(3.0),
+        Scale(0.0, sqrt_piece),  # flat, whatever its inner piece is
+    ))
+    x = Point([1.0], (TailRule.geometric(1.0, 0.5),))
+    h = Point([-1.0], (TailRule.geometric(1.0, 0.5),))
+    # 2 * sum 0.5^n 2 x_n h_n + 0.5 * sum 0.5^n h_n
+    exact = (
+        2 * (Fraction(1, 2) * 2 * 1 * -1 + 2 * geometric_from(1, Fraction(1, 8), 2))
+        + Fraction(1, 2) * (Fraction(1, 2) * -1 + geometric_from(1, Fraction(1, 4), 2))
+    )
+    res = dir_deriv(f, x, h)
+    assert res.method == "analytic" and res.exists
+    assert abs(res.value - float(exact)) <= 1e-14
+
+
+def test_directions_without_a_closed_form_fall_back_to_the_scan():
+    # a sqrt piece has no direction answer; along all-ones the harmonic
+    # weight's square line has no summable majorant, and the scan still
+    # raises NoMajorant
+    sqrt_piece = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.neg_sqrt(2.0))
+    x = Point([1.0], (TailRule.geometric(1.0, 0.5),))
+    h = Point([0.5], (TailRule.geometric(1.0, 0.25),))
+    assert basis_partials(sqrt_piece, x).direction(h) is None
+    assert dir_deriv(sqrt_piece, x, h).method == "numeric"
+    f = SeparableSeries(TailRule.harmonic(1.0), ScalarConvex.square())
+    ones = Point([], (TailRule.const(1.0),))
+    assert basis_partials(f, Point.zero()).direction(ones) is None
+    with pytest.raises(NoMajorant):
+        dir_deriv(f, Point.zero(), ones)
+
+
+def test_closed_form_directions_agree_with_the_quotient_scan(monkeypatch):
+    # On fuzz seeds 0-299, along one seeded direction per seed and along
+    # every direction gateaux_detect validates with, the answer must lie in
+    # the scan's monotone bounds: for convex f every right quotient bounds
+    # f'(x; h) from above and every left quotient f'(x; -h) from below.
+    # The scan's extrapolated value is no bound: on seeds 23 and 129 it
+    # leaves the bracket by up to 1.9 noise floors while the answer stays
+    # inside.  The answer's tail sums are certified to 1e-12 per leaf.
+    gateaux_draws = []
+
+    def recorded(f, x, h, opts):
+        gateaux_draws.append((f, x, h))
+        return dir_deriv(f, x, h, opts)
+
+    monkeypatch.setattr(certify, "dir_deriv", recorded)
+    cases = []
+    for seed in range(300):
+        space, f, x, _ = fuzz_instance(seed)
+        cases.append((f, x, random_direction(random.Random(10_000 + seed), summable=True)))
+        gateaux_detect(f, space, x, CertifyOptions())
+    cases += gateaux_draws
+    scanned = agreed = 0
+    for f, x, h in cases:
+        try:
+            scan = dir_deriv(f, x, h, FORCED)
+        except SeqcertError as exc:
+            with pytest.raises(type(exc)):
+                dir_deriv(f, x, h)
+            continue
+        res = dir_deriv(f, x, h)
+        assert res.method == ("analytic" if basis_partials(f, x).direction(h) else "numeric")
+        if res.method == "numeric":
+            continue
+        slack = scan.noise_floor + 1e-11
+        assert res.right <= scan.right + slack and res.left >= scan.left - slack, (f, x, h)
+        if scan.exists:
+            assert res.exists, (f, x, h)
+            agreed += 1
+        scanned += 1
+    assert len(gateaux_draws) > 700 and scanned > 700 and agreed > 500

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 from seqcert.errors import NoMajorant
+from seqcert.funcs import ScalarConvex, SeparableSeries, delta_along
 from seqcert.seqspace import (
     _HEAD_BUDGET,
     DualPoint,
@@ -21,6 +22,7 @@ from seqcert.seqspace import (
     ell1_norm,
     in_ell1,
     limsup_abs,
+    majorant_region,
     pair,
     point_add,
     point_axpy,
@@ -166,6 +168,24 @@ def test_majorant_series_gives_up_past_the_head_budget():
     sv = certified_series(lambda n: n**-3.0, 1, 1e-6, majorant=SymSeq.term(1.0, 1.0, 3))
     assert sv.terms_used <= _HEAD_BUDGET
     assert abs(sv.value - float(mpmath.zeta(3))) <= sv.error_bound
+
+
+def test_a_nan_tolerance_is_rejected():
+    # every "remainder <= tol" test is False against NaN: a majorant without
+    # terms was certified at once, one with terms doubled its region to the
+    # head budget and raised a NoMajorant that misnamed the cause
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.square())
+    x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
+    h = Point([1.0], (TailRule.geometric(0.8, 0.6),))
+    for t in (0.0, 1e-3):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            delta_along(f, x, h, t, math.nan)
+    majorant = SymSeq.geometric(1.0, 0.5)
+    for bad in (math.nan, 0.0, -1e-12):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            certified_series(lambda n: 0.5**n, 1, bad, majorant=majorant)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            majorant_region(majorant, 1, bad)
 
 
 def test_in_ell1_detects_divergence():
