@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 from .derivative import DerivOptions, dir_deriv
@@ -365,13 +366,20 @@ def anchored_truncation(x_star: Point, x: Point, k: int) -> Point:
 _RANDOM_PROBES = 10
 
 
+@lru_cache(maxsize=4)
+def _random_probes(seed: int) -> tuple[Point, ...]:
+    """The random points of default_psc_probes, drawn once per seed;
+    points are immutable, so every call shares them."""
+    rng = rng_from_seed(seed)
+    return tuple(random_point(rng) for _ in range(_RANDOM_PROBES))
+
+
 def default_psc_probes(x_star: Point, opts: CertifyOptions) -> list[Point]:
     """Zero point, the anchor, a one-coordinate bump, then random points."""
     bump_prefix = list(x_star.prefix) or [x_star.coordinate(1)]
     bump_prefix[0] += 1.0
     probes = [Point((), ()), x_star, Point(bump_prefix, x_star.tail)]
-    rng = rng_from_seed(opts.seed)
-    probes.extend(random_point(rng) for _ in range(_RANDOM_PROBES))
+    probes.extend(_random_probes(opts.seed))
     return probes
 
 
@@ -652,7 +660,8 @@ def certify_min(
             probe_log.append({"probe": point_to_json(x), "skipped": "not a certified member"})
             continue
         try:
-            fx = evaluate(f, x)
+            # the anchor probe is x* itself, whose value is already certified
+            fx = f_star if x is x_star else evaluate(f, x)
         except _NO_CERTIFIED_VALUE as exc:
             probe_log.append({"probe": point_to_json(x), "skipped": type(exc).__name__})
             continue

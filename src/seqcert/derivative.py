@@ -203,9 +203,11 @@ def dir_deriv(
     vector the per-index sides, without evaluating f; along any other
     direction, once f(x) is certified finite, the walk's
     ``direction(h)``, the sum of the terms' one-sided derivatives.  Along
-    a direction with a tail the scan's first series step, f(x + t0 h) -
-    f(x), is still taken: where its majorant needs more terms than the
-    head budget it raises NoMajorant, as the scan would.  Where the
+    a direction with a tail the walk's ``budget(h)`` then checks the
+    scan's first series step, f(x + t0 h) - f(x), without taking it: it
+    runs only the step's majorant region searches and pairings, so where
+    a majorant needs more terms than the head budget it raises
+    NoMajorant, as the scan would.  Where the
     walk has no closed form, difference quotients are scanned on both
     sides.  A side whose every probe leaves the domain is reported at its
     extended-real limit (+inf on the right would mean the right side is
@@ -233,22 +235,22 @@ def dir_deriv(
         t0 = 1e-2 * max(1.0, abs(x.coordinate(support[0])))
     else:
         t0 = 1e-2
-    if support is None:
-        line = walk.series_line(h)
-
-        def delta(t: float) -> float:
-            return line(t, abs(t) * 1e-13).value
-    else:
-        delta = walk.line(tuple((n, h.coordinate(n)) for n in support))
     exact = support is not None
     sides = walk.direction(h) if opts.prefer_analytic else None
     if sides is not None:
         if not exact:
-            # the scan's first step: where its majorant needs more terms
-            # than the head budget it raises NoMajorant, as the scan would
-            delta(t0)
+            # what the scan's first step would raise: NoMajorant where its
+            # majorant needs more terms than the head budget
+            walk.budget(h)(t0, t0 * 1e-13)
         left, right = sides
         return _closed_form(left, right, left + 0.5 * (right - left), opts)
+    if exact:
+        delta = walk.line(tuple((n, h.coordinate(n)) for n in support))
+    else:
+        line = walk.series_line(h)
+
+        def delta(t: float) -> float:
+            return line(t, abs(t) * 1e-13).value
     right = _scan_side(delta, exact, t0, +1, opts, fx_mag)
     left = _scan_side(delta, exact, t0, -1, opts, fx_mag)
     if not right.alive and not left.alive:

@@ -436,6 +436,38 @@ def _zero_step(t: float, tol: float) -> SeriesValue:
     return _ZERO
 
 
+def _scaled_step(lam: float, sub: Callable) -> Callable[[float, float], SeriesValue]:
+    """A series line's step of lam * g from g's step: g's share of tol is
+    tol / max(lam, 1)."""
+    share = max(lam, 1.0)
+
+    def step(t: float, tol: float) -> SeriesValue:
+        sv = sub(t, tol / share)
+        return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
+
+    return step
+
+
+def _summed_step(subs: list) -> Callable[[float, float], SeriesValue]:
+    """A series line's step of a sum from its parts' steps, in order: each
+    part's share of tol is tol / len(subs)."""
+    if not subs:
+        return _zero_step
+    count = len(subs)
+
+    def step(t: float, tol: float) -> SeriesValue:
+        budget = tol / count
+        total, err, used = 0.0, 0.0, 0
+        for sub in subs:
+            sv = sub(t, budget)
+            total += sv.value
+            err += sv.error_bound
+            used += sv.terms_used
+        return SeriesValue(total, err, used)
+
+    return step
+
+
 @dataclass(eq=False)
 class BasisPartials:
     """What f is and does at x, from one walk over the grammar.
@@ -459,7 +491,10 @@ class BasisPartials:
     ``affine()`` says whether f is built from constants, linear functionals
     and linear-piece series only.  ``direction(h)`` is the one-sided pair
     (left, right) of t -> f(x + t h) at 0 in closed form, or None where
-    there is none (see :func:`basis_partials`).
+    there is none (see :func:`basis_partials`).  ``budget(h)`` is
+    ``series_line(h)`` without its head sums: each step raises what the
+    line's step would raise, but a separable leaf's step runs only its
+    majorant's region search, so a step's value is no difference.
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
@@ -474,6 +509,7 @@ class BasisPartials:
     limsup_weight: Callable = lambda: 0.0
     affine: Callable = lambda: True
     direction: Callable = lambda h: (0.0, 0.0)
+    budget: Callable = lambda h: _zero_step
 
     @cached_property
     def form(self) -> PartialsForm:
@@ -575,6 +611,8 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             value=lambda tol: pair(p, x, tol),
             series_line=paired_line,
             direction=paired_slope,
+            # the pairing's sum is all a step of the line does
+            budget=paired_line,
         )
     if isinstance(f, SeparableSeries):
         return _separable_partials(f, x)
@@ -608,23 +646,15 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
                 return SeriesValue(math.inf, 0.0, sub.terms_used)
             return SeriesValue(lam * sub.value, lam * sub.error_bound, sub.terms_used)
 
-        def scaled_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
-            share = max(lam, 1.0)
-            sub = inner.series_line(h)
-
-            def step(t: float, tol: float) -> SeriesValue:
-                sv = sub(t, tol / share)
-                return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
-
-            return step
-
         def scaled_direction(h: Point) -> Optional[tuple]:
             sub = inner.direction(h)
             return None if sub is None else (lam * sub[0], lam * sub[1])
 
         return BasisPartials(
-            scaled, scaled_form, scaled_line, inner.interval, scaled_value, scaled_series_line,
+            scaled, scaled_form, scaled_line, inner.interval, scaled_value,
+            lambda h: _scaled_step(lam, inner.series_line(h)),
             lambda: lam * inner.limsup_weight(), inner.affine, scaled_direction,
+            lambda h: _scaled_step(lam, inner.budget(h)),
         )
     if isinstance(f, Sum):
         parts = [basis_partials(g, x) for g in f.terms]
@@ -691,24 +721,6 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
                 return SeriesValue(math.inf, 0.0, used)
             return SeriesValue(total, err, used)
 
-        def summed_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
-            if not parts:
-                return _zero_step
-            lines = [part.series_line(h) for part in parts]
-            count = len(lines)
-
-            def step(t: float, tol: float) -> SeriesValue:
-                budget = tol / count
-                total, err, used = 0.0, 0.0, 0
-                for sub in lines:
-                    sv = sub(t, budget)
-                    total += sv.value
-                    err += sv.error_bound
-                    used += sv.terms_used
-                return SeriesValue(total, err, used)
-
-            return step
-
         def summed_direction(h: Point) -> Optional[tuple]:
             lsum, rsum = 0.0, 0.0
             for part in parts:
@@ -720,10 +732,12 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             return lsum, rsum
 
         return BasisPartials(
-            summed, summed_form, summed_line, summed_interval, summed_value, summed_series_line,
+            summed, summed_form, summed_line, summed_interval, summed_value,
+            lambda h: _summed_step([part.series_line(h) for part in parts]),
             lambda: sum(part.limsup_weight() for part in parts),
             lambda: all(part.affine() for part in parts),
             summed_direction,
+            lambda h: _summed_step([part.budget(h) for part in parts]),
         )
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
@@ -731,6 +745,14 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
     weight, u = f.weight, f.inner
     kind = u.kind
+    # the last direction asked about and its line majorant, which the
+    # direction's closed form, budget check and series line share
+    last: list = [None, None]
+
+    def majorant(h: Point) -> Optional[PolyMajorant]:
+        if last[0] is not h:
+            last[:] = h, _line_majorant(f, x, h)
+        return last[1]
 
     def sides(n: int) -> tuple:
         w = weight.value_at(n)
@@ -818,7 +840,7 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
 
     def direction(h: Point) -> Optional[tuple]:
-        if kind is ScalarKind.NEG_SQRT or _line_majorant(f, x, h).label != SUMMABLE:
+        if kind is ScalarKind.NEG_SQRT or majorant(h).label != SUMMABLE:
             return None
         # from here on x and h are both closed forms
         start = max(x.tail_start, h.tail_start)
@@ -855,12 +877,27 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
             right += hi * hn
         return (left - tail, right + tail) if kink else (left + tail, right + tail)
 
+    def budget(h: Point) -> Callable[[float, float], SeriesValue]:
+        poly = majorant(h)
+        if poly is None:
+            # a sqrt piece's first index moves with each step's domain, so
+            # its check is the step itself
+            return _separable_delta_line(f, x, h, poly)
+        start = max(x.tail_start, h.tail_start)
+
+        def step(t: float, tol: float) -> SeriesValue:
+            k, bound = _line_region(poly, abs(t), start, tol)
+            return SeriesValue(0.0, bound, k)
+
+        return step
+
     return BasisPartials(
         sides, form, line, interval,
         lambda tol: _evaluate_separable(f, x, tol),
-        lambda h: _separable_delta_line(f, x, h),
+        lambda h: _separable_delta_line(f, x, h, majorant(h)),
         affine=lambda: kind is ScalarKind.LINEAR,
         direction=direction,
+        budget=budget,
     )
 
 
@@ -934,27 +971,36 @@ def _line_majorant(f: SeparableSeries, x: Point, h: Point) -> Optional[PolyMajor
     return PolyMajorant(w_abs * (ah * (x2 + h_unit) + b_abs * h_unit), w_abs * (ah * h_unit))
 
 
+def _line_region(poly: PolyMajorant, tau: float, first: int, tol: float) -> tuple[int, float]:
+    """The certified region (k, bound) of a series line's step of size
+    tau from index first: the majorant's doubling search at tau, or no
+    terms at tau = 0."""
+    if tau:
+        if poly.label != SUMMABLE:
+            raise NoMajorant("difference terms have no summable majorant")
+        return majorant_region(poly, first, tol, tau)
+    return majorant_region(poly.at(tau), first, tol)
+
+
 def _separable_delta_line(
-    f: SeparableSeries, x: Point, h: Point
+    f: SeparableSeries, x: Point, h: Point, poly: Optional[PolyMajorant]
 ) -> Callable[[float, float], SeriesValue]:
+    """The series line of a separable leaf along h, whose line majorant
+    ``poly`` is _line_majorant(f, x, h), formed once per direction."""
     weight, inner = f.weight, f.inner
     kind = inner.kind
-    # The majorant of a step's difference terms is formed once per line, and
-    # a step only evaluates its coefficients at |t|.  Sqrt pieces are the
-    # exception: |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative
-    # domain, and the roots are inexact floats, so theirs is formed per
-    # step size.
-    poly = _line_majorant(f, x, h)
+    # A step only evaluates the majorant's coefficients at |t|.  Sqrt pieces
+    # are the exception: |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the
+    # nonnegative domain, and the roots are inexact floats, so theirs is
+    # formed per step size.
     if poly is None:
         wc = weight.to_symseq().abs_terms() * inner.c.to_symseq().abs_terms()
         h_unit = h.tail_symseq().abs_terms()
 
     def region(tau: float, first: int, tol: float) -> tuple[int, float]:
-        if poly is not None and tau:
-            if poly.label != SUMMABLE:
-                raise NoMajorant("difference terms have no summable majorant")
-            return majorant_region(poly, first, tol, tau)
-        major = poly.at(tau) if poly is not None else wc * _sqrt_majorant(h_unit.scaled(tau))
+        if poly is not None:
+            return _line_region(poly, tau, first, tol)
+        major = wc * _sqrt_majorant(h_unit.scaled(tau))
         if classify(major) != SUMMABLE:
             raise NoMajorant("difference terms have no summable majorant")
         return majorant_region(major, first, tol)

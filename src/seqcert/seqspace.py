@@ -11,14 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainViolation, NoMajorant, NonConvergentPairing
-from .symseq import SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum, tail_sums
-
-#: Relative slop applied per explicitly summed term to cover accumulated
-#: floating-point rounding in otherwise-certified sums.
-_ULP = 2.2e-16
+from .symseq import _ULP, SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum, tail_sums
 
 DEFAULT_SERIES_TOL = 1e-12
 
@@ -84,6 +81,13 @@ class TailRule:
         return self.c * self.r**n
 
     def to_symseq(self) -> SymSeq:
+        """The rule as a closed-form sequence, built once per rule."""
+        return self._symseq
+
+    @cached_property
+    def _symseq(self) -> SymSeq:
+        # kept in the instance's __dict__, outside the fields, so equality
+        # and hashing never see it
         if self.kind is TailKind.ZERO:
             return SymSeq.zero()
         if self.kind is TailKind.CONST:
@@ -161,6 +165,11 @@ class Point:
         return sum((a.value_at(n) for a in self.tail), 0.0)
 
     def tail_symseq(self) -> SymSeq:
+        """The tail atoms' sum as one closed-form sequence, built once per point."""
+        return self._tail_symseq
+
+    @cached_property
+    def _tail_symseq(self) -> SymSeq:
         out = SymSeq.zero()
         for a in self.tail:
             out = out + a.to_symseq()

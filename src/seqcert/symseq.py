@@ -18,6 +18,10 @@ from typing import Callable, Iterable, Optional, Union
 
 Number = Union[Fraction, float]
 
+#: Relative slop applied per explicitly summed term to cover accumulated
+#: floating-point rounding in otherwise-certified sums.
+_ULP = 2.2e-16
+
 #: Terms whose exact coefficient cancellation we trust for all-n claims carry
 #: Fraction data end to end; any float contamination drops exactness.
 
@@ -347,7 +351,7 @@ def _power_tail(s: float, shift: float, k: int) -> tuple[float, float]:
     val -= (s * (s + 1) * (s + 2) / 720.0) * x ** (-s - 3)
     err = (s * (s + 1) * (s + 2) * (s + 3) * (s + 4) / 30240.0) * x ** (-s - 5)
     # Also account for one rounding ulp per arithmetic step.
-    err += 8 * abs(val) * 2.2e-16
+    err += 8 * abs(val) * _ULP
     return val, err
 
 
@@ -448,7 +452,7 @@ def _tail_sums(live: list, tol: float) -> Callable[[int], tuple[float, float, in
                 q = (1.0 + abs(r)) / 2.0
                 rem = abs(c) * abs(r) ** (k + 1) * float(k + 1) ** (-s) / (1.0 - q)
                 value += part
-                err += rem + abs(part) * (k - start + 2) * 2.2e-16
+                err += rem + abs(part) * (k - start + 2) * _ULP
                 used = max(used, k - start + 1)
             elif r > 0:
                 # ratio == 1, s > 1: explicit head + Euler-Maclaurin tail
@@ -456,7 +460,7 @@ def _tail_sums(live: list, tol: float) -> Callable[[int], tuple[float, float, in
                 part = sum(values(start, k))
                 tail, terr = _power_tail(s, 0.0, k)
                 value += part + c * tail
-                err += abs(c) * terr + abs(part) * (k - start + 2) * 2.2e-16
+                err += abs(c) * terr + abs(part) * (k - start + 2) * _ULP
                 used = max(used, k - start + 1)
             else:
                 # ratio == -1, s > 1: split into even/odd power tails
@@ -471,7 +475,7 @@ def _tail_sums(live: list, tol: float) -> Callable[[int], tuple[float, float, in
                 tail = (2.0 ** (-s)) * (ev - od)
                 value += part + c * tail
                 err += abs(c) * (2.0 ** (-s)) * (e1 + e2)
-                err += abs(part) * (k - start + 2) * 2.2e-16
+                err += abs(part) * (k - start + 2) * _ULP
                 used = max(used, k - start + 1)
         return value, err, used
 

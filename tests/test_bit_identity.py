@@ -1378,8 +1378,8 @@ def lockstep(compared: list):
     reference line's on the same direction, exceptions included."""
     make = funcs._separable_delta_line
 
-    def paired(f, x, h):
-        line, ref = make(f, x, h), _reference_separable_delta_line(f, x, h)
+    def paired(f, x, h, poly):
+        line, ref = make(f, x, h, poly), _reference_separable_delta_line(f, x, h)
 
         def step(t: float, tol: float) -> SeriesValue:
             want = outcome(lambda: ref(t, tol))

@@ -1073,3 +1073,33 @@ def test_options_outside_the_scenario_bounds_are_rejected():
         with pytest.raises(ValueError, match=f"^{name} must be"):
             CertifyOptions(**bad)
     CertifyOptions(coords=1, psc_depth=1, seed=0, tol=5e-324)
+
+
+def test_certify_min_evaluates_the_anchor_once(monkeypatch):
+    # the anchor probe of the sweep is x* itself, whose value f(x*) the
+    # sweep already holds; its log entry reads that value
+    f = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.square())
+    x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
+    at = []
+
+    def counted(g, z, *args):
+        at.append(z)
+        return evaluate(g, z, *args)
+
+    monkeypatch.setattr("seqcert.certify.evaluate", counted)
+    cert = certify_min(f, SetDescriptor.whole_space(), x, OPTS)
+    assert sum(z is x for z in at) == 1
+    anchor = cert.evidence["probe_log"][1]
+    assert anchor["f"] == cert.evidence["f_at_anchor"] == evaluate(f, x).value
+
+
+def test_default_probes_draw_their_random_points_once_per_seed():
+    x = Point([1.0], (TailRule.geometric(1.0, 0.5),))
+    first, second = default_psc_probes(x, OPTS), default_psc_probes(x, OPTS)
+    # a fresh list each call, whose random points are the seed's draws
+    assert first is not second and first == second and first[1] is x
+    assert all(p is q for p, q in zip(first[3:], second[3:]))
+    rng = random.Random(OPTS.seed)
+    assert first[3:] == [random_point(rng) for _ in range(10)]
+    first.clear()
+    assert len(default_psc_probes(x, OPTS)) == 13

@@ -303,3 +303,16 @@ def test_coordinate_signs_name_the_rule_that_decided():
     # a zero tail is nonnegative but never strictly positive
     assert coordinate_signs(Point([1.0])) == (True, None, 2, False, None)
     assert coordinate_signs(Point([1.0]), strict=True)[:2] == (False, 2)
+
+
+def test_closed_forms_are_built_once_per_object_and_stay_out_of_equality():
+    rule = TailRule.geometric(0.5, 0.25)
+    x = Point([1.0, -2.0], (TailRule.const(1.0), TailRule.harmonic(2.0)))
+    assert rule.to_symseq() is rule.to_symseq()
+    assert x.tail_symseq() is x.tail_symseq()
+    # the filled caches change neither equality, hashing nor repr
+    fresh_rule = TailRule.geometric(0.5, 0.25)
+    fresh_x = Point([1.0, -2.0], (TailRule.const(1.0), TailRule.harmonic(2.0)))
+    assert rule == fresh_rule and hash(rule) == hash(fresh_rule)
+    assert x == fresh_x and hash(x) == hash(fresh_x) and repr(x) == repr(fresh_x)
+    assert fresh_x.tail_symseq().terms == x.tail_symseq().terms
