@@ -34,9 +34,8 @@ from .funcs import (
     FunctionExpr,
     ScalarConvex,
     SeparableSeries,
+    _as_form,
     _expect_fields,
-    _form_from_json,
-    _form_to_json,
     basis_partials,
     evaluate,
     function_from_json,
@@ -52,7 +51,9 @@ from .seqspace import (
     SeriesValue,
     SpaceDescriptor,
     TailRule,
+    coef_from_json,
     coefficient_pairing,
+    coef_to_json,
     coordinate_signs,
     in_ell1,
     in_space,
@@ -594,7 +595,7 @@ def _basis_residual(
     if prof.missing is not None:
         return prof, "kink", prof.missing, None, sampled
     head = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
-    tail = None if prof.tail is None else prof.tail - p.tail_symseq()
+    tail = None if prof.tail is None else prof.tail - p.tail
     if (
         tail is not None
         and tail.is_zero
@@ -934,16 +935,22 @@ def gateaux_detect(
 class DiagonalFamily:
     """The family f_k(x) = weight(k) * inner_k(x_k): one coordinate each."""
 
-    weight: TailRule
+    weight: SymSeq
     inner: ScalarConvex
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", _as_form(self.weight))
 
 
 @dataclass(frozen=True)
 class ScaledFamily:
     """The family f_k(x) = coeffs(k) * base(x): shared shape, scaled."""
 
-    coeffs: TailRule
+    coeffs: SymSeq
     base: FunctionExpr
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _as_form(self.coeffs))
 
 
 SeriesFamily = Union[DiagonalFamily, ScaledFamily, Sequence[FunctionExpr]]
@@ -953,13 +960,13 @@ def family_to_json(family: SeriesFamily) -> dict:
     if isinstance(family, DiagonalFamily):
         return {
             "kind": "diagonal",
-            "weight": _form_to_json(family.weight),
+            "weight": coef_to_json(family.weight),
             "inner": scalar_to_json(family.inner),
         }
     if isinstance(family, ScaledFamily):
         return {
             "kind": "scaled",
-            "coeffs": _form_to_json(family.coeffs),
+            "coeffs": coef_to_json(family.coeffs),
             "base": function_to_json(family.base),
         }
     return {"kind": "list", "terms": [function_to_json(g) for g in family]}
@@ -971,10 +978,10 @@ def family_from_json(obj: dict) -> SeriesFamily:
     kind = obj["kind"]
     if kind == "diagonal":
         _expect_fields(obj, "diagonal family", {"kind", "weight", "inner"})
-        return DiagonalFamily(_form_from_json(obj["weight"]), scalar_from_json(obj["inner"]))
+        return DiagonalFamily(coef_from_json(obj["weight"]), scalar_from_json(obj["inner"]))
     if kind == "scaled":
         _expect_fields(obj, "scaled family", {"kind", "coeffs", "base"})
-        return ScaledFamily(_form_from_json(obj["coeffs"]), function_from_json(obj["base"]))
+        return ScaledFamily(coef_from_json(obj["coeffs"]), function_from_json(obj["base"]))
     if kind == "list":
         _expect_fields(obj, "family list", {"kind", "terms"})
         if not isinstance(obj["terms"], list):
@@ -986,7 +993,7 @@ def family_from_json(obj: dict) -> SeriesFamily:
 def series_differentiate(
     family: SeriesFamily,
     x_star: Point,
-    radii: TailRule = TailRule.const(1.0),
+    radii: SymSeq = TailRule.const(1.0),
     opts: CertifyOptions = CertifyOptions(),
 ) -> tuple[Certificate, tuple[float, ...]]:
     """Differentiate a series of convex functions term by term at x*.
@@ -1000,7 +1007,8 @@ def series_differentiate(
     Raises NoMajorant when the derivative tail has no summable bound.
     """
     n_max = opts.coords
-    radii_vals = [radii.value_at(n) for n in range(1, n_max + 1)]
+    radii = _as_form(radii)
+    radii_vals = [radii.coordinate(n) for n in range(1, n_max + 1)]
     if any(a <= 0.0 for a in radii_vals):
         raise ValueError("interval radii must be positive")
 
@@ -1034,7 +1042,7 @@ def series_differentiate(
         if base.missing is not None:
             return fails("base derivative missing at the anchor", {"n": base.missing})
         base_values = base.values
-        coeff_seq = family.coeffs.to_symseq()
+        coeff_seq = family.coeffs
         if classify(coeff_seq) != SUMMABLE:
             if any(v != 0.0 for v in base_values):
                 raise NoMajorant(

@@ -8,7 +8,9 @@ basis directions, which is what the optimality and differentiability
 certificates are built from.
 
 Per-index coefficients (series weights, scalar parameters) use the same
-closed forms as point tails: constant, geometric, or harmonic in the index.
+closed forms as point tails: canonical SymSeqs summing constant, geometric
+and harmonic atoms in the index (seqspace.TailRule), read per index with
+``coordinate`` and used as they are in every closed-form product.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from .seqspace import (
     DualPoint,
     Point,
     SeriesValue,
-    TailKind,
     TailRule,
-    _canonical_tail,
-    _tail_atom_from_json,
     certified_series,
+    to_point_form,
+    coef_from_json,
+    coef_to_json,
     coordinate_signs,
     dual_from_json,
     dual_to_json,
@@ -49,21 +51,16 @@ from .seqspace import (
 from .symseq import DIVERGENT, SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum
 
 
-def _as_form(v) -> TailRule:
-    """Coerce a per-index coefficient: numbers become constant forms."""
-    if isinstance(v, TailRule):
-        return v
-    return TailRule.const(float(v))
+def _as_form(v) -> SymSeq:
+    """Coerce a per-index coefficient to its canonical form: numbers
+    become constant forms."""
+    return to_point_form(v) if isinstance(v, SymSeq) else TailRule.const(v)
 
 
-def _form_nonneg(form: TailRule) -> bool:
-    """True when the closed form is >= 0 at every index n >= 1."""
-    if form.kind is TailKind.ZERO:
-        return True
-    if form.kind in (TailKind.CONST, TailKind.HARMONIC):
-        return form.c >= 0.0
-    # geometric: sign alternates unless the ratio is nonnegative
-    return form.c == 0.0 or (form.c >= 0.0 and form.r >= 0.0)
+def _nonneg(form: SymSeq) -> bool:
+    """A canonical form is >= 0 at every index n >= 1 when each of its
+    atoms is (a negative ratio alternates the sign)."""
+    return all(t.coef > 0 and t.ratio > 0 for t in form.terms)
 
 
 def _sqrt_majorant(seq: SymSeq) -> SymSeq:
@@ -91,14 +88,16 @@ class ScalarConvex:
     """
 
     kind: ScalarKind
-    a: TailRule = TailRule.zero()
-    b: TailRule = TailRule.zero()
-    c: TailRule = TailRule.zero()
+    a: SymSeq = TailRule.zero()
+    b: SymSeq = TailRule.zero()
+    c: SymSeq = TailRule.zero()
 
     def __post_init__(self):
-        if self.kind is ScalarKind.AFFINE_QUAD and not _form_nonneg(self.a):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _as_form(getattr(self, name)))
+        if self.kind is ScalarKind.AFFINE_QUAD and not _nonneg(self.a):
             raise ValueError("quadratic coefficient must be >= 0 at every index")
-        if self.kind is ScalarKind.NEG_SQRT and not _form_nonneg(self.c):
+        if self.kind is ScalarKind.NEG_SQRT and not _nonneg(self.c):
             raise ValueError("square-root coefficient must be >= 0 at every index")
 
     @staticmethod
@@ -111,15 +110,15 @@ class ScalarConvex:
 
     @staticmethod
     def affine_quad(a, b) -> ScalarConvex:
-        return ScalarConvex(ScalarKind.AFFINE_QUAD, a=_as_form(a), b=_as_form(b))
+        return ScalarConvex(ScalarKind.AFFINE_QUAD, a=a, b=b)
 
     @staticmethod
     def neg_sqrt(c) -> ScalarConvex:
-        return ScalarConvex(ScalarKind.NEG_SQRT, c=_as_form(c))
+        return ScalarConvex(ScalarKind.NEG_SQRT, c=c)
 
     @staticmethod
     def linear(b) -> ScalarConvex:
-        return ScalarConvex(ScalarKind.LINEAR, b=_as_form(b))
+        return ScalarConvex(ScalarKind.LINEAR, b=b)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -129,12 +128,12 @@ class ScalarConvex:
         if self.kind is ScalarKind.SQUARE:
             return t * t
         if self.kind is ScalarKind.AFFINE_QUAD:
-            return self.a.value_at(n) * t * t + self.b.value_at(n) * t
+            return self.a.coordinate(n) * t * t + self.b.coordinate(n) * t
         if self.kind is ScalarKind.LINEAR:
-            return self.b.value_at(n) * t
+            return self.b.coordinate(n) * t
         if t < 0.0:
             raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
-        return -self.c.value_at(n) * math.sqrt(t)
+        return -self.c.coordinate(n) * math.sqrt(t)
 
     def line(self, n: int, t0: float, w: float, hn: float) -> Callable[[float], float]:
         """t -> 0.0 + w * (u_n(t0 + t*hn) - u_n(t0)): one weighted series
@@ -168,21 +167,21 @@ class ScalarConvex:
                 return flat if dt == 0.0 else 0.0 + w * (dt * (two_t0 + dt))
             return d
         if kind is ScalarKind.AFFINE_QUAD:
-            a = self.a.value_at(n)
-            b = self.b.value_at(n)
+            a = self.a.coordinate(n)
+            b = self.b.coordinate(n)
 
             def d(t: float) -> float:
                 dt = t * hn
                 return flat if dt == 0.0 else 0.0 + w * (a * dt * (two_t0 + dt) + b * dt)
             return d
         if kind is ScalarKind.LINEAR:
-            b = self.b.value_at(n)
+            b = self.b.coordinate(n)
 
             def d(t: float) -> float:
                 dt = t * hn
                 return flat if dt == 0.0 else 0.0 + w * (b * dt)
             return d
-        c = self.c.value_at(n)
+        c = self.c.coordinate(n)
         # a negative t0 raises below before its root would be used
         root0 = 0.0 if t0 < 0.0 else math.sqrt(t0)
 
@@ -242,11 +241,12 @@ class SeparableSeries(FunctionExpr):
     unless the inner piece is linear (where signs fold into the slope).
     """
 
-    weight: TailRule
+    weight: SymSeq
     inner: ScalarConvex
 
     def __post_init__(self):
-        if self.inner.kind is not ScalarKind.LINEAR and not _form_nonneg(self.weight):
+        object.__setattr__(self, "weight", _as_form(self.weight))
+        if self.inner.kind is not ScalarKind.LINEAR and not _nonneg(self.weight):
             raise ValueError("series weight must be >= 0 at every index")
 
 
@@ -309,17 +309,15 @@ def _separable_tail_forms(
     Returns (exact_tail, valid_from, majorant); exactly one of exact_tail /
     majorant is non-None.
     """
-    w = f.weight.to_symseq()
-    xx = x.tail_symseq()
+    w = f.weight
+    xx = x.tail
     kind = f.inner.kind
     if kind is ScalarKind.LINEAR:
-        return w * f.inner.b.to_symseq() * xx, start, None
+        return w * f.inner.b * xx, start, None
     if kind is ScalarKind.SQUARE:
         return w * xx * xx, start, None
     if kind is ScalarKind.AFFINE_QUAD:
-        aa = f.inner.a.to_symseq()
-        bb = f.inner.b.to_symseq()
-        return w * (aa * xx * xx + bb * xx), start, None
+        return w * (f.inner.a * xx * xx + f.inner.b * xx), start, None
     if kind is ScalarKind.ABS:
         if len(xx.terms) <= 1:
             return w * xx.abs_terms(), start, None
@@ -329,7 +327,7 @@ def _separable_tail_forms(
             return None, start, w.abs_terms() * xx.abs_terms()
         return w.scaled(sgn) * xx, max(start, rank), None
     # NEG_SQRT: exact only for a single positive atom, else a sqrt majorant
-    cc = f.inner.c.to_symseq()
+    cc = f.inner.c
     if not xx.terms:
         return SymSeq.zero(), start, None
     if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
@@ -358,7 +356,7 @@ def _evaluate_separable(f: SeparableSeries, x: Point, tol: float) -> SeriesValue
             raise NoMajorant("series is at best conditionally convergent")
     weight, inner = f.weight, f.inner
     return certified_series(
-        lambda n: weight.value_at(n) * inner.value(n, x.coordinate(n)),
+        lambda n: weight.coordinate(n) * inner.value(n, x.coordinate(n)),
         valid_from,
         tol,
         tail=exact,
@@ -606,7 +604,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 
         return BasisPartials(
             linear,
-            lambda: PartialsForm("ok", p.tail_start, p.tail_symseq()),
+            lambda: PartialsForm("ok", p.tail_start, p.tail),
             linear_line,
             value=lambda tol: pair(p, x, tol),
             series_line=paired_line,
@@ -755,18 +753,18 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         return last[1]
 
     def sides(n: int) -> tuple:
-        w = weight.value_at(n)
+        w = weight.coordinate(n)
         t = x.coordinate(n)
         if kind is ScalarKind.ABS:
             left, right = (1.0, 1.0) if t > 0.0 else (-1.0, -1.0) if t < 0.0 else (-1.0, 1.0)
         elif kind is ScalarKind.SQUARE:
             left = right = 2.0 * t
         elif kind is ScalarKind.AFFINE_QUAD:
-            left = right = 2.0 * u.a.value_at(n) * t + u.b.value_at(n)
+            left = right = 2.0 * u.a.coordinate(n) * t + u.b.coordinate(n)
         elif kind is ScalarKind.LINEAR:
-            left = right = u.b.value_at(n)
+            left = right = u.b.coordinate(n)
         else:
-            c = u.c.value_at(n)
+            c = u.c.coordinate(n)
             if t < 0.0:
                 raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
             if c == 0.0:
@@ -785,29 +783,24 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
 
     def form() -> PartialsForm:
         start = x.tail_start
-        w = weight.to_symseq()
-        xx = x.tail_symseq()
+        xx = x.tail
         if kind is ScalarKind.SQUARE:
-            return PartialsForm("ok", start, w * xx.scaled(2))
+            return PartialsForm("ok", start, weight * xx.scaled(2))
         if kind is ScalarKind.AFFINE_QUAD:
-            aa = u.a.to_symseq()
-            bb = u.b.to_symseq()
-            return PartialsForm("ok", start, w * (aa * xx.scaled(2) + bb))
+            return PartialsForm("ok", start, weight * (u.a * xx.scaled(2) + u.b))
         if kind is ScalarKind.LINEAR:
-            return PartialsForm("ok", start, w * u.b.to_symseq())
+            return PartialsForm("ok", start, weight * u.b)
         # |.| and sqrt: a weight, or a sqrt coefficient, that vanishes at
-        # every index (canonicalizing drops it) makes the leaf constant;
+        # every index (its canonical form is zero) makes the leaf constant;
         # otherwise a zero tail is a kink.
-        if not _canonical_tail((weight,)) or (
-            kind is ScalarKind.NEG_SQRT and not _canonical_tail((u.c,))
-        ):
+        if not weight or (kind is ScalarKind.NEG_SQRT and not u.c):
             return PartialsForm("ok", start, SymSeq.zero())
         if not xx.terms:
             return PartialsForm("kink", kink_at=start)
         if kind is ScalarKind.NEG_SQRT:
             if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
                 inv_root = xx.sqrt().reciprocal()
-                return PartialsForm("ok", start, (w * u.c.to_symseq() * inv_root).scaled(-0.5))
+                return PartialsForm("ok", start, (weight * u.c * inv_root).scaled(-0.5))
             return PartialsForm("numeric")
         try:
             sgn, rank = xx.eventual_sign(start)
@@ -816,12 +809,12 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         if sgn == 0:
             return PartialsForm("kink", kink_at=start)
         for n in range(start, rank):
-            if xx.value_at(n) == 0.0 and weight.value_at(n) != 0.0:
+            if xx.value_at(n) == 0.0 and weight.coordinate(n) != 0.0:
                 return PartialsForm("kink", kink_at=n)
-        return PartialsForm("ok", rank, w.scaled(sgn))
+        return PartialsForm("ok", rank, weight.scaled(sgn))
 
     def line(steps: tuple) -> Callable[[float], float]:
-        terms = [u.line(n, x.coordinate(n), weight.value_at(n), hn) for n, hn in steps]
+        terms = [u.line(n, x.coordinate(n), weight.coordinate(n), hn) for n, hn in steps]
         if len(terms) == 1:
             # one coordinate: the term itself, as the oracle's line searches
             # call it hundreds of thousands of times
@@ -830,11 +823,11 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
 
     def interval(n: int, a: float) -> tuple[Optional[str], bool]:
         v = x.coordinate(n)
-        if weight.value_at(n) == 0.0:
+        if weight.coordinate(n) == 0.0:
             return None, False
         if kind is ScalarKind.ABS:
             return (None if abs(v) >= a else f"kink of |.| inside the interval at n={n}"), False
-        if kind is not ScalarKind.NEG_SQRT or u.c.value_at(n) == 0.0:
+        if kind is not ScalarKind.NEG_SQRT or u.c.coordinate(n) == 0.0:
             return None, False
         lo = v - a
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
@@ -850,18 +843,18 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
             slope = form().tail
         else:
             try:
-                sgn, rank = x.tail_symseq().eventual_sign(start)
+                sgn, rank = x.tail.eventual_sign(start)
                 if sgn == 0:
                     # x's tail is zero: every tail term has its kink at 0,
                     # with one-sided slopes -+w|h_n|, and |h_n| = sgn h_n
                     kink = True
-                    sgn, rank = h.tail_symseq().eventual_sign(start)
+                    sgn, rank = h.tail.eventual_sign(start)
             except ValueError:
                 return None
             start = max(start, rank)
-            slope = weight.to_symseq().scaled(sgn)
+            slope = weight.scaled(sgn)
         try:
-            tail, _, _ = tail_sum(slope * h.tail_symseq(), start, DEFAULT_SERIES_TOL)
+            tail, _, _ = tail_sum(slope * h.tail, start, DEFAULT_SERIES_TOL)
         except ValueError:
             return None
         left, right = 0.0, 0.0
@@ -956,18 +949,18 @@ def _line_majorant(f: SeparableSeries, x: Point, h: Point) -> Optional[PolyMajor
     kind = inner.kind
     if kind is ScalarKind.NEG_SQRT:
         return None
-    w_abs = f.weight.to_symseq().abs_terms()
-    h_unit = h.tail_symseq().abs_terms()
+    w_abs = f.weight.abs_terms()
+    h_unit = h.tail.abs_terms()
     if kind is ScalarKind.ABS:
         return PolyMajorant(w_abs * h_unit, SymSeq.zero())
     if kind is ScalarKind.LINEAR:
-        return PolyMajorant(w_abs * inner.b.to_symseq().abs_terms() * h_unit, SymSeq.zero())
-    x2 = x.tail_symseq().abs_terms().scaled(2)
+        return PolyMajorant(w_abs * inner.b.abs_terms() * h_unit, SymSeq.zero())
+    x2 = x.tail.abs_terms().scaled(2)
     if kind is ScalarKind.SQUARE:
         wh = w_abs * h_unit
         return PolyMajorant(wh * (x2 + h_unit), wh * h_unit)
-    ah = inner.a.to_symseq().abs_terms() * h_unit
-    b_abs = inner.b.to_symseq().abs_terms()
+    ah = inner.a.abs_terms() * h_unit
+    b_abs = inner.b.abs_terms()
     return PolyMajorant(w_abs * (ah * (x2 + h_unit) + b_abs * h_unit), w_abs * (ah * h_unit))
 
 
@@ -994,8 +987,8 @@ def _separable_delta_line(
     # nonnegative domain, and the roots are inexact floats, so theirs is
     # formed per step size.
     if poly is None:
-        wc = weight.to_symseq().abs_terms() * inner.c.to_symseq().abs_terms()
-        h_unit = h.tail_symseq().abs_terms()
+        wc = weight.abs_terms() * inner.c.abs_terms()
+        h_unit = h.tail.abs_terms()
 
     def region(tau: float, first: int, tol: float) -> tuple[int, float]:
         if poly is not None:
@@ -1006,7 +999,7 @@ def _separable_delta_line(
         return majorant_region(major, first, tol)
 
     def term(n: int) -> Callable[[float], float]:
-        return inner.line(n, x.coordinate(n), weight.value_at(n), h.coordinate(n))
+        return inner.line(n, x.coordinate(n), weight.coordinate(n), h.coordinate(n))
 
     # Outside sqrt pieces the domain rank of x + t h is its tail start,
     # max(x.tail_start, h.tail_start), whatever t is.
@@ -1052,34 +1045,16 @@ def _separable_delta_line(
 # ---------------------------------------------------------------------------
 
 
-def _form_to_json(form: TailRule):
-    """Per-index coefficients: constants as bare numbers, else tail objects."""
-    if form.kind is TailKind.CONST:
-        return form.c
-    if form.kind is TailKind.ZERO:
-        return 0.0
-    d: dict = {"kind": form.kind.value, "c": form.c}
-    if form.kind is TailKind.GEOMETRIC:
-        d["r"] = form.r
-    return d
-
-
-def _form_from_json(obj) -> TailRule:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return TailRule.const(float(obj))
-    return _tail_atom_from_json(obj)
-
-
 def scalar_to_json(u: ScalarConvex) -> dict:
     if u.kind is ScalarKind.ABS:
         return {"kind": "abs"}
     if u.kind is ScalarKind.SQUARE:
         return {"kind": "square"}
     if u.kind is ScalarKind.AFFINE_QUAD:
-        return {"kind": "affine_quad", "a": _form_to_json(u.a), "b": _form_to_json(u.b)}
+        return {"kind": "affine_quad", "a": coef_to_json(u.a), "b": coef_to_json(u.b)}
     if u.kind is ScalarKind.NEG_SQRT:
-        return {"kind": "neg_sqrt", "c": _form_to_json(u.c)}
-    return {"kind": "linear", "b": _form_to_json(u.b)}
+        return {"kind": "neg_sqrt", "c": coef_to_json(u.c)}
+    return {"kind": "linear", "b": coef_to_json(u.b)}
 
 
 def _expect_fields(obj: dict, what: str, required: set, optional: set = frozenset()):
@@ -1105,13 +1080,13 @@ def scalar_from_json(obj: dict) -> ScalarConvex:
         return ScalarConvex.square()
     if kind == "affine_quad":
         _expect_fields(obj, "affine_quad piece", {"kind", "a", "b"})
-        return ScalarConvex.affine_quad(_form_from_json(obj["a"]), _form_from_json(obj["b"]))
+        return ScalarConvex.affine_quad(coef_from_json(obj["a"]), coef_from_json(obj["b"]))
     if kind == "neg_sqrt":
         _expect_fields(obj, "neg_sqrt piece", {"kind", "c"})
-        return ScalarConvex.neg_sqrt(_form_from_json(obj["c"]))
+        return ScalarConvex.neg_sqrt(coef_from_json(obj["c"]))
     if kind == "linear":
         _expect_fields(obj, "linear piece", {"kind", "b"})
-        return ScalarConvex.linear(_form_from_json(obj["b"]))
+        return ScalarConvex.linear(coef_from_json(obj["b"]))
     raise ValueError(f"unknown scalar piece kind {kind!r}")
 
 
@@ -1125,7 +1100,7 @@ def function_to_json(f: FunctionExpr) -> dict:
     if isinstance(f, SeparableSeries):
         return {
             "kind": "separable",
-            "weight": _form_to_json(f.weight),
+            "weight": coef_to_json(f.weight),
             "inner": scalar_to_json(f.inner),
         }
     if isinstance(f, Scale):
@@ -1150,7 +1125,7 @@ def function_from_json(obj: dict) -> FunctionExpr:
         return LinearFunctional(dual_from_json(obj["p"]))
     if kind == "separable":
         _expect_fields(obj, "separable", {"kind", "weight", "inner"})
-        return SeparableSeries(_form_from_json(obj["weight"]), scalar_from_json(obj["inner"]))
+        return SeparableSeries(coef_from_json(obj["weight"]), scalar_from_json(obj["inner"]))
     if kind == "scale":
         _expect_fields(obj, "scale", {"kind", "lam", "inner"})
         return Scale(float(obj["lam"]), function_from_json(obj["inner"]))

@@ -20,6 +20,7 @@ from .funcs import (
     scale,
 )
 from .seqspace import DualPoint, Point, SpaceDescriptor, SpaceKind, TailRule
+from .symseq import SymSeq
 
 
 def rng_from_seed(seed: int) -> random.Random:
@@ -28,9 +29,9 @@ def rng_from_seed(seed: int) -> random.Random:
 
 def random_tail(
     rng: random.Random, *, summable: bool = False, positive: bool = False
-) -> tuple[TailRule, ...]:
+) -> tuple[SymSeq, ...]:
     """Zero to two tail atoms; flags restrict to summable / nonnegative shapes."""
-    atoms: list[TailRule] = []
+    atoms: list[SymSeq] = []
     n_atoms = rng.choice([0, 1, 1, 2])
     for _ in range(n_atoms):
         kind = rng.choice(["geometric", "geometric", "harmonic", "const"])
@@ -85,7 +86,7 @@ def random_direction(rng: random.Random, *, summable: bool = False) -> Point:
     return Point((1.0,), ())
 
 
-def random_weight(rng: random.Random) -> TailRule:
+def random_weight(rng: random.Random) -> SymSeq:
     """A nonnegative summable-or-harmonic weight form."""
     kind = rng.choice(["geometric", "geometric", "geometric", "harmonic"])
     c = rng.uniform(0.2, 1.5)

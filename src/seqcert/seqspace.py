@@ -2,7 +2,9 @@
 
 Points are exact objects: a finite prefix of coordinates plus a closed-form
 tail, so every coordinate, pairing, and series below is evaluated against an
-analytic expression rather than a truncation someone eyeballed.  All types
+analytic expression rather than a truncation someone eyeballed.  The tail is
+a canonical SymSeq summing TailRule's constant, geometric and harmonic atoms,
+the one sequence type of tails, coefficients and derivative forms.  All types
 are immutable values and all operations are pure.
 """
 
@@ -11,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainViolation, NoMajorant, NonConvergentPairing
-from .symseq import _ULP, SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum, tail_sums
+from .symseq import _ULP, SUMMABLE, PolyMajorant, SymSeq, classify, point_form, tail_sum, tail_sums
 
 DEFAULT_SERIES_TOL = 1e-12
 
@@ -25,128 +26,92 @@ DEFAULT_SERIES_TOL = 1e-12
 _HEAD_BUDGET = 1 << 16
 
 
-class TailKind(str, Enum):
-    ZERO = "zero"
-    CONST = "const"
-    GEOMETRIC = "geometric"
-    HARMONIC = "harmonic"
+def _atom(kind: str, c, r=0.0) -> tuple[str, float, float]:
+    """One closed-form atom (kind, c, r) in floats, checked: finite, and
+    |r| < 1 for a geometric one."""
+    c, r = float(c), float(r)
+    if not (math.isfinite(c) and math.isfinite(r)):
+        raise ValueError(f"tail coefficients must be finite, got c={c}, r={r}")
+    if kind == "geometric" and not abs(r) < 1.0:
+        raise ValueError(f"geometric tail needs |r| < 1, got r={r}")
+    return kind, c, r
 
 
-@dataclass(frozen=True)
 class TailRule:
-    """Closed-form rule for coordinates beyond a point's prefix.
+    """The closed-form atoms that a point's tail or a per-index coefficient
+    sums: 0, c, c*r**n with |r| < 1, or c/n at (1-based) index n.
 
-    The value at (1-based) index n is 0, c, c*r**n, or c/n depending on the
-    kind.  Geometric rules require |r| < 1 so that tails stay bounded and
-    geometric-type series over them stay summable.
+    Each constructor returns its atom as a canonical one-term SymSeq
+    (symseq.point_form; the zero atom has no terms), so geometric-type
+    series over a tail stay summable and tails stay bounded.
     """
 
-    kind: TailKind
-    c: float = 0.0
-    r: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and math.isfinite(self.r)):
-            raise ValueError(f"tail coefficients must be finite, got c={self.c}, r={self.r}")
-        if self.kind is TailKind.GEOMETRIC and not abs(self.r) < 1.0:
-            raise ValueError(f"geometric tail needs |r| < 1, got r={self.r}")
-        if self.kind is not TailKind.GEOMETRIC and self.r != 0.0:
-            raise ValueError(f"tail kind {self.kind.value!r} takes no ratio")
-        if self.kind is TailKind.ZERO and self.c != 0.0:
-            raise ValueError("zero tail takes no coefficient")
+    @staticmethod
+    def zero() -> SymSeq:
+        return point_form(())
 
     @staticmethod
-    def zero() -> TailRule:
-        return TailRule(TailKind.ZERO)
+    def const(c: float) -> SymSeq:
+        return point_form((_atom("const", c),))
 
     @staticmethod
-    def const(c: float) -> TailRule:
-        return TailRule(TailKind.CONST, c=float(c))
+    def geometric(c: float, r: float) -> SymSeq:
+        return point_form((_atom("geometric", c, r),))
 
     @staticmethod
-    def geometric(c: float, r: float) -> TailRule:
-        return TailRule(TailKind.GEOMETRIC, c=float(c), r=float(r))
-
-    @staticmethod
-    def harmonic(c: float) -> TailRule:
-        return TailRule(TailKind.HARMONIC, c=float(c))
-
-    def value_at(self, n: int) -> float:
-        if self.kind is TailKind.ZERO:
-            return 0.0
-        if self.kind is TailKind.CONST:
-            return self.c
-        if self.kind is TailKind.HARMONIC:
-            return self.c / n
-        return self.c * self.r**n
-
-    def to_symseq(self) -> SymSeq:
-        """The rule as a closed-form sequence, built once per rule."""
-        return self._symseq
-
-    @cached_property
-    def _symseq(self) -> SymSeq:
-        # kept in the instance's __dict__, outside the fields, so equality
-        # and hashing never see it
-        if self.kind is TailKind.ZERO:
-            return SymSeq.zero()
-        if self.kind is TailKind.CONST:
-            return SymSeq.constant(self.c)
-        if self.kind is TailKind.HARMONIC:
-            return SymSeq.harmonic(self.c)
-        return SymSeq.geometric(self.c, self.r)
+    def harmonic(c: float) -> SymSeq:
+        return point_form((_atom("harmonic", c),))
 
 
-def _canonical_tail(atoms: Iterable[TailRule]) -> tuple[TailRule, ...]:
-    """Merge same-shape atoms, drop vanishing ones, order deterministically."""
-    const_c = 0.0
-    harm_c = 0.0
-    geo: dict[float, float] = {}
-    for a in atoms:
-        if a.kind is TailKind.ZERO:
-            continue
-        elif a.kind is TailKind.CONST:
-            const_c += a.c
-        elif a.kind is TailKind.HARMONIC:
-            harm_c += a.c
-        else:
-            geo[a.r] = geo.get(a.r, 0.0) + a.c
-    out: list[TailRule] = []
-    if const_c != 0.0:
-        out.append(TailRule.const(const_c))
-    for r in sorted(geo):
-        if geo[r] != 0.0 and r != 0.0:
-            out.append(TailRule.geometric(geo[r], r))
-    if harm_c != 0.0:
-        out.append(TailRule.harmonic(harm_c))
-    return tuple(out)
+def _term_atom(t) -> tuple[str, float, float]:
+    """The checked atom of a SymTerm of one of the three shapes."""
+    if t.ratio == 1 and t.npow in (0, 1):
+        return _atom("harmonic" if t.npow else "const", t.coef)
+    if t.npow != 0:
+        raise ValueError(
+            f"a tail sums constant, geometric and harmonic terms, not {SymSeq((t,))!r}"
+        )
+    return _atom("geometric", t.coef, t.ratio)
 
 
-def _coerce_tail(tail) -> tuple[TailRule, ...]:
-    if isinstance(tail, TailRule):
-        return _canonical_tail((tail,))
-    return _canonical_tail(tail)
+def to_point_form(tail) -> SymSeq:
+    """tail, a SymSeq or an iterable of SymSeqs, as one canonical form.
+
+    A canonical form is returned as it is, so a tail passed on from one
+    point to the next is never canonicalized again.  Any other sequence
+    is rounded into the form: its coefficients and ratios become doubles.
+    """
+    if isinstance(tail, SymSeq):
+        if tail.atoms is not None:
+            return tail
+        tail = (tail,)
+    return point_form(
+        atom
+        for seq in tail
+        for atom in (seq.atoms if seq.atoms is not None else map(_term_atom, seq.terms))
+    )
 
 
 @dataclass(frozen=True)
 class Point:
     """A sequence-space element: finite prefix plus closed-form tail.
 
-    ``prefix[i]`` holds coordinate i+1; the tail atoms (summed together)
-    give every coordinate beyond ``len(prefix)``.  A single TailRule is
-    accepted anywhere a tail is expected; sums of atoms arise from point
-    arithmetic and are kept in canonical form so equality is structural.
+    ``prefix[i]`` holds coordinate i+1, and the tail, a canonical SymSeq
+    (:func:`to_point_form`), gives every coordinate beyond ``len(prefix)``.
+    A SymSeq or an iterable of them (TailRule atoms, say) is accepted
+    anywhere a tail is expected; the canonical form makes equality
+    structural.
     """
 
     prefix: tuple[float, ...] = ()
-    tail: tuple[TailRule, ...] = ()
+    tail: SymSeq = TailRule.zero()
 
     def __init__(self, prefix: Sequence[float] = (), tail=()):
         prefix = tuple(float(v) for v in prefix)
         if not all(map(math.isfinite, prefix)):
             raise ValueError(f"point coordinates must be finite, got {list(prefix)}")
         object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", _coerce_tail(tail))
+        object.__setattr__(self, "tail", to_point_form(tail))
 
     @staticmethod
     def zero() -> Point:
@@ -162,26 +127,15 @@ class Point:
             raise ValueError(f"coordinate index must be >= 1, got {n}")
         if n <= len(self.prefix):
             return self.prefix[n - 1]
-        return sum((a.value_at(n) for a in self.tail), 0.0)
-
-    def tail_symseq(self) -> SymSeq:
-        """The tail atoms' sum as one closed-form sequence, built once per point."""
-        return self._tail_symseq
-
-    @cached_property
-    def _tail_symseq(self) -> SymSeq:
-        out = SymSeq.zero()
-        for a in self.tail:
-            out = out + a.to_symseq()
-        return out
+        # the sum over the tail starts at 0.0, so a -0.0 reads as 0.0
+        return 0.0 + self.tail.coordinate(n)
 
     def is_finitely_supported(self) -> bool:
         return not self.tail
 
     def __repr__(self) -> str:
         tails = ",".join(
-            f"{a.kind.value}({a.c:g}" + (f",{a.r:g})" if a.r else ")")
-            for a in self.tail
+            f"{kind}({c:g}" + (f",{r:g})" if r else ")") for kind, c, r in self.tail.atoms
         ) or "zero"
         return f"Point(prefix={list(self.prefix)!r}, tail={tails})"
 
@@ -280,15 +234,12 @@ def point_add(x: Point, y: Point) -> Point:
     prefix = tuple(x.coordinate(n) + y.coordinate(n) for n in range(1, m + 1))
     # Any atom whose region starts inside the other prefix still evaluates
     # identically there because prefixes were extended to the common length.
-    return Point(prefix, x.tail + y.tail)
+    return Point(prefix, (x.tail, y.tail))
 
 
 def point_scale(c: float, x: Point) -> Point:
     c = float(c)
-    scaled = tuple(
-        TailRule(a.kind, c=c * a.c, r=a.r) if a.kind is not TailKind.ZERO else a
-        for a in x.tail
-    )
+    scaled = point_form(_atom(kind, c * a, r) for kind, a, r in x.tail.atoms)
     return Point(tuple(c * v for v in x.prefix), scaled)
 
 
@@ -308,7 +259,7 @@ def points_equal(x: Point, y: Point) -> bool:
     m = max(len(x.prefix), len(y.prefix))
     if any(x.coordinate(n) != y.coordinate(n) for n in range(1, m + 1)):
         return False
-    return x.tail == y.tail or (point_sub(x, y).tail_symseq().is_zero)
+    return x.tail == y.tail or (point_sub(x, y).tail.is_zero)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +269,7 @@ def points_equal(x: Point, y: Point) -> bool:
 
 def in_ell1(x: Point) -> bool:
     """Absolute summability, decided from the tail rule."""
-    return classify(x.tail_symseq()) == SUMMABLE
+    return classify(x.tail) == SUMMABLE
 
 
 def in_space(x: Point, space: SpaceDescriptor) -> bool:
@@ -353,7 +304,7 @@ def coordinate_signs(x: Point, strict: bool = False) -> CoordinateSigns:
     n = first_bad(range(1, start), x.coordinate)
     if n is not None:
         return CoordinateSigns(False, n, start)
-    seq = x.tail_symseq()
+    seq = x.tail
     try:
         sgn, rank = seq.eventual_sign(start) if seq.terms else (0, start)
     except ValueError as exc:
@@ -374,7 +325,7 @@ def ell1_norm(x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
         lambda n: abs(x.coordinate(n)),
         x.tail_start,
         tol,
-        majorant=x.tail_symseq().abs_terms(),
+        majorant=x.tail.abs_terms(),
     )
 
 
@@ -384,11 +335,7 @@ def tail_limit(x: Point) -> float:
     Geometric and harmonic components vanish at infinity, so the limit of
     the tail exists and equals the summed constant coefficients.
     """
-    c = 0.0
-    for a in x.tail:
-        if a.kind is TailKind.CONST:
-            c += a.c
-    return c
+    return sum((c for kind, c, _ in x.tail.atoms if kind == "const"), 0.0)
 
 
 def limsup_abs(x: Point) -> float:
@@ -418,7 +365,7 @@ def pairing(p: DualPoint, x: Point) -> Callable[[float], SeriesValue]:
     returned step certifies the tail sum at a given tolerance and combines
     the two, so pairings of one p and x at many tolerances share the rest.
     """
-    return coefficient_pairing(p.coordinate, len(p.prefix), p.tail_symseq(), x)
+    return coefficient_pairing(p.coordinate, len(p.prefix), p.tail, x)
 
 
 def coefficient_pairing(
@@ -431,7 +378,7 @@ def coefficient_pairing(
     longer of the two prefixes.
     """
     k0 = max(known, len(x.prefix))
-    prod = tail * x.tail_symseq()
+    prod = tail * x.tail
     head = sum(coefficient(n) * x.coordinate(n) for n in range(1, k0 + 1))
 
     def at_tol(tol: float) -> SeriesValue:
@@ -531,51 +478,63 @@ def head_sum(terms: Iterable[float], region: tuple[int, float]) -> SeriesValue:
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
-_TAIL_KEYS = {"kind", "c", "r"}
+#: The fields of each atom's JSON object.
+_ATOM_FIELDS = {
+    "zero": {"kind"},
+    "const": {"kind", "c"},
+    "geometric": {"kind", "c", "r"},
+    "harmonic": {"kind", "c"},
+}
 
 
-def _tail_to_json(atoms: tuple[TailRule, ...]):
-    def one(a: TailRule) -> dict:
-        d: dict = {"kind": a.kind.value}
-        if a.kind in (TailKind.CONST, TailKind.HARMONIC):
-            d["c"] = a.c
-        elif a.kind is TailKind.GEOMETRIC:
-            d["c"] = a.c
-            d["r"] = a.r
-        return d
-
+def _tail_to_json(tail: SymSeq):
+    """A canonical form as JSON: one atom object, a list of them, or zero."""
+    atoms = [
+        {"kind": kind, "c": c, "r": r} if kind == "geometric" else {"kind": kind, "c": c}
+        for kind, c, r in tail.atoms
+    ]
     if not atoms:
         return {"kind": "zero"}
-    if len(atoms) == 1:
-        return one(atoms[0])
-    return [one(a) for a in atoms]
+    return atoms[0] if len(atoms) == 1 else atoms
 
 
-def _tail_from_json(obj) -> tuple[TailRule, ...]:
-    if isinstance(obj, list):
-        return _canonical_tail(_tail_atom_from_json(a) for a in obj)
-    return _canonical_tail((_tail_atom_from_json(obj),))
+def _tail_from_json(obj) -> SymSeq:
+    return point_form(map(_atom_from_json, obj if isinstance(obj, list) else (obj,)))
 
 
-def _tail_atom_from_json(obj) -> TailRule:
+def _atom_from_json(obj) -> tuple[str, float, float]:
+    """The one term decoder: an atom object, with exactly its kind's fields."""
     if not isinstance(obj, dict):
         raise ValueError(f"tail must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - _TAIL_KEYS
+    unknown = set(obj) - {"kind", "c", "r"}
     if unknown:
         raise ValueError(f"unknown tail fields: {sorted(unknown)}")
     kind = obj.get("kind")
-    allowed = {"zero": {"kind"}, "const": {"kind", "c"}, "harmonic": {"kind", "c"}}
-    if kind in allowed and set(obj) != allowed[kind]:
-        raise ValueError(f"{kind} tail takes exactly fields {sorted(allowed[kind])}")
+    if kind not in _ATOM_FIELDS:
+        raise ValueError(f"unknown tail kind {kind!r}")
+    if set(obj) != _ATOM_FIELDS[kind]:
+        raise ValueError(f"{kind} tail takes exactly fields {sorted(_ATOM_FIELDS[kind])}")
     if kind == "zero":
-        return TailRule.zero()
-    if kind == "const":
-        return TailRule.const(float(obj["c"]))
-    if kind == "harmonic":
-        return TailRule.harmonic(float(obj["c"]))
-    if kind == "geometric":
-        return TailRule.geometric(float(obj["c"]), float(obj["r"]))
-    raise ValueError(f"unknown tail kind {kind!r}")
+        return _atom("const", 0.0)
+    return _atom(kind, obj["c"], obj.get("r", 0.0))
+
+
+def coef_to_json(form: SymSeq):
+    """A per-index coefficient: a constant (or zero) as a bare number,
+    anything else as a tail."""
+    atoms = form.atoms
+    if not atoms:
+        return 0.0
+    if len(atoms) == 1 and atoms[0][0] == "const":
+        return atoms[0][1]
+    return _tail_to_json(form)
+
+
+def coef_from_json(obj) -> SymSeq:
+    """The inverse of :func:`coef_to_json`."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return TailRule.const(obj)
+    return _tail_from_json(obj)
 
 
 def point_to_json(x: Point) -> dict:

@@ -121,10 +121,13 @@ class SymSeq:
     """A finite sum of :class:`SymTerm`, canonicalized by (ratio, npow) key.
 
     ``exact`` is True when every coefficient survived in rational arithmetic,
-    which is what entitles a zero test to the ANALYTIC grade.
+    which is what entitles a zero test to the ANALYTIC grade.  Sequences
+    compare and hash by their terms and ``exact``; the zero one is falsy.
+    ``atoms`` holds a canonical form's atoms (:func:`point_form`) and is
+    None on any other sequence.
     """
 
-    __slots__ = ("terms", "exact")
+    __slots__ = ("terms", "exact", "atoms")
 
     def __init__(self, terms: Iterable[SymTerm] = (), exact: bool = True):
         merged: dict[tuple, SymTerm] = {}
@@ -146,24 +149,24 @@ class SymSeq:
             t for t in merged.values() if not (t.is_exact and t.coef == 0)
         )
         self.exact = all_exact
+        self.atoms: Optional[tuple[tuple[str, float, float], ...]] = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SymSeq):
+            return NotImplemented
+        return self.terms == other.terms and self.exact == other.exact
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.exact))
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> SymSeq:
         return SymSeq(())
-
-    @staticmethod
-    def constant(c) -> SymSeq:
-        return SymSeq((SymTerm(_to_number(c), Fraction(1), Fraction(0)),))
-
-    @staticmethod
-    def geometric(c, r) -> SymSeq:
-        return SymSeq((SymTerm(_to_number(c), _to_number(r), Fraction(0)),))
-
-    @staticmethod
-    def harmonic(c) -> SymSeq:
-        return SymSeq((SymTerm(_to_number(c), Fraction(1), Fraction(1)),))
 
     @staticmethod
     def term(c, r, s) -> SymSeq:
@@ -233,6 +236,20 @@ class SymSeq:
     def value_at(self, n: int) -> float:
         return sum((t.value_at(n) for t in self.terms), 0.0)
 
+    def coordinate(self, n: int) -> float:
+        """The value at index n of a canonical form (:func:`point_form`):
+        its atoms' c, c * r**n or c / n, summed left to right.
+
+        Coordinates and per-index coefficients read this way: value_at's
+        exp(n log|r|) * n**-s differs in the last bits at most geometric
+        and many harmonic indices.  Tail sums and sign tests keep value_at.
+        """
+        value = None
+        for kind, c, r in self.atoms:
+            v = c if kind == "const" else c / n if kind == "harmonic" else c * r**n
+            value = v if value is None else value + v
+        return 0.0 if value is None else value
+
     @property
     def is_zero(self) -> bool:
         """Identically zero for all n; trustworthy only with ``exact``."""
@@ -300,6 +317,41 @@ class SymSeq:
             for t in self.terms
         ]
         return "SymSeq(" + " + ".join(bits) + (")" if self.exact else ", inexact)")
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+#: (ratio, npow) of the atoms whose shape does not depend on r.
+_SHAPES = {"const": (_ONE, _ZERO), "harmonic": (_ONE, _ONE)}
+
+
+def point_form(atoms: Iterable[tuple[str, float, float]]) -> SymSeq:
+    """The canonical sum of checked atoms ("const", c, 0.0), ("geometric",
+    c, r) and ("harmonic", c, 0.0), in finite floats: the form of every
+    point's tail and per-index coefficient.
+
+    Same-shape atoms merge left to right in float arithmetic, and those
+    with c == 0 or r == 0 drop out.  The constant comes first, then the
+    geometric atoms by ascending r, then the harmonic one.  The terms hold
+    the merged doubles exactly, and the atoms stay for ``coordinate``.
+    """
+    const_c = harm_c = 0.0
+    geo: dict[float, float] = {}
+    for kind, c, r in atoms:
+        if kind == "const":
+            const_c += c
+        elif kind == "harmonic":
+            harm_c += c
+        else:
+            geo[r] = geo.get(r, 0.0) + c
+    kept = [("const", const_c, 0.0)] if const_c != 0.0 else []
+    kept += [("geometric", geo[r], r) for r in sorted(geo) if geo[r] != 0.0 and r != 0.0]
+    if harm_c != 0.0:
+        kept.append(("harmonic", harm_c, 0.0))
+    seq = SymSeq(
+        SymTerm(Fraction(c), *(_SHAPES.get(kind) or (Fraction(r), _ZERO))) for kind, c, r in kept
+    )
+    seq.atoms = tuple(kept)
+    return seq
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from seqcert.seqspace import (
     Point,
     SeriesValue,
     SpaceDescriptor,
-    TailKind,
     TailRule,
     basis_vector,
     certified_series,
@@ -149,13 +148,13 @@ def _piece_line(u: ScalarConvex, n: int, t0: float):
     if kind is ScalarKind.SQUARE:
         return lambda dt: 0.0 if dt == 0.0 else dt * (two_t0 + dt)
     if kind is ScalarKind.AFFINE_QUAD:
-        a = u.a.value_at(n)
-        b = u.b.value_at(n)
+        a = u.a.coordinate(n)
+        b = u.b.coordinate(n)
         return lambda dt: 0.0 if dt == 0.0 else a * dt * (two_t0 + dt) + b * dt
     if kind is ScalarKind.LINEAR:
-        b = u.b.value_at(n)
+        b = u.b.coordinate(n)
         return lambda dt: 0.0 if dt == 0.0 else b * dt
-    c = u.c.value_at(n)
+    c = u.c.coordinate(n)
     # a negative t0 raises below before its root would be used
     root0 = 0.0 if t0 < 0.0 else math.sqrt(t0)
 
@@ -189,7 +188,7 @@ def _delta_finite(f: FunctionExpr, x: Point, h: Point, support: list[int], t: fl
         return t * sum(f.p.coordinate(n) * h.coordinate(n) for n in support)
     if isinstance(f, SeparableSeries):
         return sum(
-            f.weight.value_at(n) * _piece_line(f.inner, n, x.coordinate(n))(t * h.coordinate(n))
+            f.weight.coordinate(n) * _piece_line(f.inner, n, x.coordinate(n))(t * h.coordinate(n))
             for n in support
         )
     if isinstance(f, Scale):
@@ -524,12 +523,12 @@ def _scalar_one_sided(u: ScalarConvex, n: int, t: float) -> tuple[Optional[float
     if u.kind is ScalarKind.SQUARE:
         return 2.0 * t, 2.0 * t
     if u.kind is ScalarKind.AFFINE_QUAD:
-        d = 2.0 * u.a.value_at(n) * t + u.b.value_at(n)
+        d = 2.0 * u.a.coordinate(n) * t + u.b.coordinate(n)
         return d, d
     if u.kind is ScalarKind.LINEAR:
-        d = u.b.value_at(n)
+        d = u.b.coordinate(n)
         return d, d
-    c = u.c.value_at(n)
+    c = u.c.coordinate(n)
     if t < 0.0:
         raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
     if c == 0.0:
@@ -554,7 +553,7 @@ def _one_sided_basis(
         v = f.p.coordinate(n)
         return v, v
     if isinstance(f, SeparableSeries):
-        w = f.weight.value_at(n)
+        w = f.weight.coordinate(n)
         left, right = _scalar_one_sided(f.inner, n, x.coordinate(n))
         # Nonnegative weights preserve the side order; zero kills both sides.
         if w == 0.0:
@@ -603,20 +602,16 @@ class _SymProfile:
     kink_at: Optional[int] = None
 
 
-def _form_is_zero(form: TailRule) -> bool:
+def _form_is_zero(form: SymSeq) -> bool:
     """Is the form 0 at every n >= 1?  (geometric(c, 0) is: c * 0**n.)"""
-    return (
-        form.kind is TailKind.ZERO
-        or form.c == 0.0
-        or (form.kind is TailKind.GEOMETRIC and form.r == 0.0)
-    )
+    return not form
 
 
 def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
     if isinstance(f, (Constant, LimsupSeminorm)):
         return _SymProfile("ok", 1, SymSeq.zero())
     if isinstance(f, LinearFunctional):
-        return _SymProfile("ok", f.p.tail_start, f.p.tail_symseq())
+        return _SymProfile("ok", f.p.tail_start, f.p.tail)
     if isinstance(f, Scale):
         if not f.lam:
             # A zero factor flattens every kink of the inner expression.
@@ -640,17 +635,17 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
         return _SymProfile("numeric")
 
     start = x.tail_start
-    w = f.weight.to_symseq()
-    xx = x.tail_symseq()
+    w = f.weight
+    xx = x.tail
     kind = f.inner.kind
     if kind is ScalarKind.SQUARE:
         return _SymProfile("ok", start, w * xx.scaled(2))
     if kind is ScalarKind.AFFINE_QUAD:
-        aa = f.inner.a.to_symseq()
-        bb = f.inner.b.to_symseq()
+        aa = f.inner.a
+        bb = f.inner.b
         return _SymProfile("ok", start, w * (aa * xx.scaled(2) + bb))
     if kind is ScalarKind.LINEAR:
-        return _SymProfile("ok", start, w * f.inner.b.to_symseq())
+        return _SymProfile("ok", start, w * f.inner.b)
     if kind is ScalarKind.ABS:
         if _form_is_zero(f.weight):
             return _SymProfile("ok", start, SymSeq.zero())
@@ -663,7 +658,7 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
         if sgn == 0:
             return _SymProfile("kink", kink_at=start)
         for n in range(start, rank):
-            if xx.value_at(n) == 0.0 and f.weight.value_at(n) != 0.0:
+            if xx.value_at(n) == 0.0 and f.weight.coordinate(n) != 0.0:
                 return _SymProfile("kink", kink_at=n)
         return _SymProfile("ok", rank, w.scaled(sgn))
     # NEG_SQRT: at a zero tail only a leaf whose weight and c are both
@@ -674,7 +669,7 @@ def _deriv_symbolic(f: FunctionExpr, x: Point) -> _SymProfile:
         return _SymProfile("kink", kink_at=start)
     if len(xx.terms) == 1 and xx.terms[0].coef > 0 and xx.terms[0].ratio > 0:
         inv_root = xx.sqrt().reciprocal()
-        return _SymProfile("ok", start, (w * f.inner.c.to_symseq() * inv_root).scaled(-0.5))
+        return _SymProfile("ok", start, (w * f.inner.c * inv_root).scaled(-0.5))
     return _SymProfile("numeric")
 
 
@@ -733,11 +728,11 @@ def _interval_slope(f: FunctionExpr, x: Point, n: int, a: float) -> tuple[Option
         return next((why for why, _ in parts if why), None), any(unb for _, unb in parts)
     if isinstance(f, SeparableSeries):
         u, v = f.inner, x.coordinate(n)
-        if f.weight.value_at(n) == 0.0:
+        if f.weight.coordinate(n) == 0.0:
             return None, False
         if u.kind is ScalarKind.ABS:
             return (None if abs(v) >= a else f"kink of |.| inside the interval at n={n}"), False
-        if u.kind is not ScalarKind.NEG_SQRT or u.c.value_at(n) == 0.0:
+        if u.kind is not ScalarKind.NEG_SQRT or u.c.coordinate(n) == 0.0:
             return None, False
         lo = v - a
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
@@ -1022,19 +1017,19 @@ def _reference_majorant_series(term_at, tail_start: int, tol: float, majorant: S
 
 
 MAJORANTS = {
-    "geometric +r": SymSeq.geometric(0.75, 0.5),
-    "geometric -r": SymSeq.geometric(1.5, -0.9),
+    "geometric +r": SymSeq.term(0.75, 0.5, 0),
+    "geometric -r": SymSeq.term(1.5, -0.9, 0),
     "ratio 1, npow 2": SymSeq.term(2.0, 1.0, 2),
     "ratio -1, npow 2": SymSeq.term(0.5, -1.0, 2),
-    "mixed": SymSeq.geometric(Fraction(1, 3), Fraction(9, 10))
+    "mixed": SymSeq.term(Fraction(1, 3), Fraction(9, 10), 0)
     + SymSeq.term(1.0, 1.0, 3)
     + SymSeq.term(-0.25, -1.0, 2)
-    + SymSeq.geometric(2.0, -0.25),
+    + SymSeq.term(2.0, -0.25, 0),
     # a float zero coefficient survives canonical form; the sums skip it
     "zero coefficient": SymSeq((SymTerm(0.0, 0.5, Fraction(0)), SymTerm(1.0, 0.25, Fraction(0)))),
     "empty": SymSeq.zero(),
     "head budget": SymSeq.term(1.0, 1.0, Fraction(101, 100)),
-    "divergent": SymSeq.harmonic(1.0),
+    "divergent": SymSeq.term(1.0, 1, 1),
 }
 TAIL_STARTS = (1, 3, 17, 40, 130)
 SERIES_TOLS = (1e-12, 1e-16, 1e-20, 1e-24, 1e-28)
@@ -1166,9 +1161,9 @@ def _reference_separable_delta_line(
 ) -> Callable[[float, float], SeriesValue]:
     weight, inner = f.weight, f.inner
     kind = inner.kind
-    w_abs = weight.to_symseq().abs_terms()
-    h_unit = h.tail_symseq().abs_terms()
-    x_abs = x.tail_symseq().abs_terms()
+    w_abs = weight.abs_terms()
+    h_unit = h.tail.abs_terms()
+    x_abs = x.tail.abs_terms()
     # The majorant of the step's difference terms, given |h tail| * |t|;
     # t-free factors and products are formed once, the rest keeps the
     # per-step grouping.
@@ -1176,7 +1171,7 @@ def _reference_separable_delta_line(
         def majorant(h_abs: SymSeq) -> SymSeq:
             return w_abs * h_abs
     elif kind is ScalarKind.LINEAR:
-        wb = w_abs * inner.b.to_symseq().abs_terms()
+        wb = w_abs * inner.b.abs_terms()
 
         def majorant(h_abs: SymSeq) -> SymSeq:
             return wb * h_abs
@@ -1187,14 +1182,14 @@ def _reference_separable_delta_line(
             return w_abs * h_abs * (x2 + h_abs)
     elif kind is ScalarKind.AFFINE_QUAD:
         x2 = x_abs.scaled(2)
-        a_abs = inner.a.to_symseq().abs_terms()
-        b_abs = inner.b.to_symseq().abs_terms()
+        a_abs = inner.a.abs_terms()
+        b_abs = inner.b.abs_terms()
 
         def majorant(h_abs: SymSeq) -> SymSeq:
             return w_abs * (a_abs * h_abs * (x2 + h_abs) + b_abs * h_abs)
     else:
         # |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the nonnegative domain
-        wc = w_abs * inner.c.to_symseq().abs_terms()
+        wc = w_abs * inner.c.abs_terms()
 
         def majorant(h_abs: SymSeq) -> SymSeq:
             return wc * funcs._sqrt_majorant(h_abs)
@@ -1235,7 +1230,7 @@ def _reference_separable_delta_line(
         def term_at(n: int) -> float:
             if n < len(table):
                 return table[n](t)
-            term = inner.line(n, x.coordinate(n), weight.value_at(n), h.coordinate(n))
+            term = inner.line(n, x.coordinate(n), weight.coordinate(n), h.coordinate(n))
             if n == len(table) and n <= funcs._TABLE_LIMIT:
                 table.append(term)
             return term(t)

@@ -192,6 +192,28 @@ def test_wrong_type_diagnostic_names_the_location(tmp_path):
     assert "space" in proc.stdout
 
 
+@pytest.mark.parametrize("missing", ["r", "c"])
+@pytest.mark.parametrize("where", ["point", "weight"])
+def test_a_geometric_atom_missing_a_field_is_a_scenario_error(where, missing, tmp_path, capsys):
+    raw = BUILTINS["example3"][1](0.5)
+    atom = {"kind": "geometric", "c": 1.0, "r": 0.5}
+    del atom[missing]
+    if where == "point":
+        raw["x_star"]["tail"] = atom
+    else:
+        raw["function"]["terms"][1]["weight"] = atom
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(raw))
+    assert main([str(f)]) == 2
+    reason = "geometric tail takes exactly fields ['c', 'kind', 'r']"
+    assert capsys.readouterr().out == f"error: scenario 'example3': {reason}\n"
+
+
+def test_the_ci_scenario_without_a_ratio_is_a_scenario_error(capsys):
+    assert main([str(PKG_ROOT / "tests" / "data" / "geometric_tail_without_ratio.json")]) == 2
+    assert capsys.readouterr().out.startswith("error: ")
+
+
 @pytest.mark.parametrize("task", ["qualification", "gateaux"])
 def test_missing_anchor_is_named_for_every_task(task):
     raw = {"name": "a", "task": task, "space": {"kind": "rn"}, "function": {"kind": "limsup"}}

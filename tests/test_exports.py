@@ -3,7 +3,7 @@ removed from the public API stay removed."""
 
 import seqcert
 
-REMOVED = ("OracleOptions", "in_ellinf", "sup_abs")
+REMOVED = ("OracleOptions", "TailKind", "in_ellinf", "sup_abs")
 
 
 def test_every_exported_name_resolves():

@@ -121,7 +121,9 @@ def test_negated_dual_flips_every_sign_exactly():
     # -v, signed zeros included
     assert [math.copysign(1.0, v) for v in neg.prefix] == [-1.0, -1.0, 1.0]
     assert neg.prefix[0] == -1.5
-    assert [(a.kind, a.c, a.r) for a in neg.tail] == [(a.kind, -a.c, a.r) for a in p.tail]
+    assert [(t.coef, t.ratio, t.npow) for t in neg.tail.terms] == [
+        (-t.coef, t.ratio, t.npow) for t in p.tail.terms
+    ]
     x = Point([2.0, 1.0], (TailRule.geometric(1.0, 0.25),))
     g = Sum((Constant(1.0), LinearFunctional(neg)))
     assert evaluate(g, x).value == pytest.approx(1.0 - evaluate(LinearFunctional(p), x).value)

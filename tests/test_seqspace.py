@@ -1,12 +1,19 @@
 """Points, anchored projections, pairings, and their JSON forms."""
 
+import json
 import math
 
 import mpmath
 import pytest
 
 from seqcert.errors import NoMajorant
-from seqcert.funcs import ScalarConvex, SeparableSeries, delta_along
+from seqcert.funcs import (
+    ScalarConvex,
+    SeparableSeries,
+    delta_along,
+    function_from_json,
+    function_to_json,
+)
 from seqcert.seqspace import (
     _HEAD_BUDGET,
     DualPoint,
@@ -180,7 +187,7 @@ def test_a_nan_tolerance_is_rejected():
     for t in (0.0, 1e-3):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             delta_along(f, x, h, t, math.nan)
-    majorant = SymSeq.geometric(1.0, 0.5)
+    majorant = SymSeq.term(1.0, 0.5, 0)
     for bad in (math.nan, 0.0, -1e-12):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             certified_series(lambda n: 0.5**n, 1, bad, majorant=majorant)
@@ -305,14 +312,48 @@ def test_coordinate_signs_name_the_rule_that_decided():
     assert coordinate_signs(Point([1.0]), strict=True)[:2] == (False, 2)
 
 
-def test_closed_forms_are_built_once_per_object_and_stay_out_of_equality():
-    rule = TailRule.geometric(0.5, 0.25)
-    x = Point([1.0, -2.0], (TailRule.const(1.0), TailRule.harmonic(2.0)))
-    assert rule.to_symseq() is rule.to_symseq()
-    assert x.tail_symseq() is x.tail_symseq()
-    # the filled caches change neither equality, hashing nor repr
-    fresh_rule = TailRule.geometric(0.5, 0.25)
-    fresh_x = Point([1.0, -2.0], (TailRule.const(1.0), TailRule.harmonic(2.0)))
-    assert rule == fresh_rule and hash(rule) == hash(fresh_rule)
-    assert x == fresh_x and hash(x) == hash(fresh_x) and repr(x) == repr(fresh_x)
-    assert fresh_x.tail_symseq().terms == x.tail_symseq().terms
+def test_a_tail_is_one_canonical_closed_form():
+    atoms = (
+        TailRule.harmonic(2.0),
+        TailRule.geometric(0.5, 0.25),
+        TailRule.const(1.0),
+        TailRule.geometric(-1.0, -0.5),
+    )
+    x = Point([1.0, -2.0], atoms)
+    assert isinstance(x.tail, SymSeq) and x.tail.exact
+    # const, geometric by ascending r, harmonic: the order of every tail sum
+    assert [(t.ratio, t.npow) for t in x.tail.terms] == [(1, 0), (-0.5, 0), (0.25, 0), (1, 1)]
+    # the same point from its atoms in another order, or from point arithmetic
+    for y in (
+        Point([1.0, -2.0], atoms[::-1]),
+        point_add(Point([1.0, 0.0], atoms[:2]), Point([0.0, -2.0], atoms[2:])),
+        point_scale(0.5, point_scale(2.0, x)),
+    ):
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+    # a tail passed on to another point is kept as it is
+    assert Point([3.0], x.tail).tail is x.tail
+    # coefficients stay doubles: merging rounds as float arithmetic does,
+    # where exact sums of the scaled coefficients would drift from it
+    tenth = point_scale(0.1, Point([], TailRule.const(1.0)))
+    thrice = point_add(point_add(tenth, tenth), tenth)
+    assert thrice == Point([], TailRule.const(0.1 + 0.1 + 0.1))
+    assert thrice.tail != TailRule.const(1.0).scaled(0.1) + TailRule.const(0.2)
+
+
+def test_a_zero_tail_is_falsy():
+    assert not TailRule.zero() and not Point([1.0]).tail
+    assert not Point([], (TailRule.geometric(0.0, 0.5), TailRule.geometric(1.0, 0.0))).tail
+    x = Point([1.0], TailRule.harmonic(-1.0))
+    assert x.tail and not point_sub(x, x).tail and point_sub(x, x).is_finitely_supported()
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0])
+def test_degenerate_forms_round_trip_to_zero(c):
+    atom = {"kind": "geometric", "c": c, "r": 0.5}
+    x = point_from_json({"prefix": [], "tail": atom})
+    assert json.dumps(point_to_json(x)) == '{"prefix": [], "tail": {"kind": "zero"}}'
+    inner = {"kind": "linear", "b": atom}
+    f = function_from_json({"kind": "separable", "weight": atom, "inner": inner})
+    assert json.dumps(function_to_json(f)) == (
+        '{"kind": "separable", "weight": 0.0, "inner": {"kind": "linear", "b": 0.0}}'
+    )

@@ -66,7 +66,7 @@ def check_tail_sum(seq, start, reference):
 
 
 def test_geometric_tail_sum():
-    seq = SymSeq.geometric(Fraction(3, 4), Fraction(1, 2))
+    seq = SymSeq.term(Fraction(3, 4), Fraction(1, 2), 0)
     check_tail_sum(seq, 1, mp_tail(lambda n: 0.75 * mpmath.mpf(0.5) ** n, 1))
     check_tail_sum(seq, 6, mp_tail(lambda n: 0.75 * mpmath.mpf(0.5) ** n, 6))
 
@@ -83,7 +83,7 @@ def test_geometric_over_n_squared_is_dilog():
 
 
 def test_mixed_sum_of_terms():
-    seq = SymSeq.geometric(Fraction(1), Fraction(1, 3)) + SymSeq.term(
+    seq = SymSeq.term(Fraction(1), Fraction(1, 3), 0) + SymSeq.term(
         Fraction(-2), Fraction(1, 4), Fraction(1)
     )
     ref = mp_tail(lambda n: mpmath.mpf(1) / 3**n - 2 * mpmath.mpf(0.25) ** n / n, 2)
@@ -92,12 +92,12 @@ def test_mixed_sum_of_terms():
 
 def test_harmonic_tail_diverges():
     with pytest.raises(ValueError):
-        tail_sum(SymSeq.harmonic(Fraction(1)), 1, 1e-10)
+        tail_sum(SymSeq.term(Fraction(1), 1, 1), 1, 1e-10)
 
 
 def test_constant_tail_diverges():
     with pytest.raises(ValueError):
-        tail_sum(SymSeq.constant(Fraction(1)), 1, 1e-10)
+        tail_sum(SymSeq.term(Fraction(1), 1, 0), 1, 1e-10)
 
 
 def test_alternating_harmonic_not_absolutely_summable():
@@ -111,21 +111,21 @@ def test_alternating_harmonic_not_absolutely_summable():
 
 
 def test_add_cancels_exactly():
-    a = SymSeq.geometric(Fraction(1, 2), Fraction(1, 2))
-    b = SymSeq.geometric(Fraction(-1, 2), Fraction(1, 2))
+    a = SymSeq.term(Fraction(1, 2), Fraction(1, 2), 0)
+    b = SymSeq.term(Fraction(-1, 2), Fraction(1, 2), 0)
     assert (a + b).is_zero
 
 
 def test_product_multiplies_ratios():
-    a = SymSeq.geometric(Fraction(2), Fraction(1, 2))
-    b = SymSeq.geometric(Fraction(3), Fraction(1, 3))
+    a = SymSeq.term(Fraction(2), Fraction(1, 2), 0)
+    b = SymSeq.term(Fraction(3), Fraction(1, 3), 0)
     prod = a * b
     for n in (1, 2, 5):
         assert prod.value_at(n) == pytest.approx(6 * (1 / 6) ** n, rel=1e-12)
 
 
 def test_sqrt_of_even_geometric_is_exact():
-    seq = SymSeq.geometric(Fraction(1), Fraction(1, 4))
+    seq = SymSeq.term(Fraction(1), Fraction(1, 4), 0)
     root = seq.sqrt()
     assert root.exact
     for n in (1, 3, 8):
@@ -133,15 +133,15 @@ def test_sqrt_of_even_geometric_is_exact():
 
 
 def test_reciprocal_inverts_pointwise():
-    seq = SymSeq.geometric(Fraction(1), Fraction(1, 2))
+    seq = SymSeq.term(Fraction(1), Fraction(1, 2), 0)
     inv = seq.reciprocal()
     for n in (1, 2, 6):
         assert inv.value_at(n) == pytest.approx(2.0**n, rel=1e-12)
 
 
 def test_eventual_sign_dominant_term():
-    seq = SymSeq.geometric(Fraction(1), Fraction(1, 2)) + SymSeq.geometric(
-        Fraction(-1), Fraction(1, 4)
+    seq = SymSeq.term(Fraction(1), Fraction(1, 2), 0) + SymSeq.term(
+        Fraction(-1), Fraction(1, 4), 0
     )
     sign, rank = seq.eventual_sign()
     assert sign == 1
@@ -151,7 +151,7 @@ def test_eventual_sign_dominant_term():
 
 
 def test_eventual_sign_negative():
-    seq = SymSeq.harmonic(Fraction(-3)) + SymSeq.geometric(Fraction(1), Fraction(1, 2))
+    seq = SymSeq.term(Fraction(-3), 1, 1) + SymSeq.term(Fraction(1), Fraction(1, 2), 0)
     sign, rank = seq.eventual_sign()
     assert sign == -1
     for n in range(rank, rank + 20):
@@ -164,7 +164,7 @@ def test_eventual_sign_of_zero_sequence():
 
 
 def test_inexact_sqrt_clears_the_exact_flag():
-    seq = SymSeq.geometric(Fraction(1), Fraction(1, 2))  # ratio not a square
+    seq = SymSeq.term(Fraction(1), Fraction(1, 2), 0)  # ratio not a square
     root = seq.sqrt()
     assert not root.exact
     assert not (root + SymSeq.zero()).exact
@@ -206,8 +206,8 @@ def test_ratios_that_round_to_one_double_do_not_merge():
     r3 = r1 * r2
     assert Fraction(r1) * Fraction(r2) != Fraction(r3)
     assert float(Fraction(r1) * Fraction(r2)) == r3
-    diff = SymSeq.geometric(1.0, r1) * SymSeq.geometric(1.0, r2) - SymSeq.geometric(1.0, r3)
+    diff = SymSeq.term(1.0, r1, 0) * SymSeq.term(1.0, r2, 0) - SymSeq.term(1.0, r3, 0)
     assert diff.exact and len(diff.terms) == 2 and not diff.is_zero
     # equal values merge whether a ratio is a float or a Fraction
-    same = SymSeq((SymTerm(Fraction(1), 0.5, Fraction(0)),)) + SymSeq.geometric(2.0, 0.5)
+    same = SymSeq((SymTerm(Fraction(1), 0.5, Fraction(0)),)) + SymSeq.term(2.0, 0.5, 0)
     assert len(same.terms) == 1 and same.terms[0].coef == 3
