@@ -491,7 +491,7 @@ def _basis_profile(
 ) -> _BasisProfile:
     """The one place that reads the basis partials, of a weighted sum of parts.
 
-    Builds one funcs.basis_partials walk per part (c_j, f_j) and profiles
+    Reads one funcs.basis_partials walk per part (c_j, f_j) and profiles
     n -> sum_j c_j f_j'(x*; e_n).  A part with c_j == 0 adds nothing, so
     it gets no walk and its kinks and forms do not count; ``part`` still
     indexes ``parts``.  ``values`` holds the profile for n <= coords,

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -649,8 +650,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name}: {desc}")
         return 0
     if not args.target:
-        parser.print_usage()
-        print("error: give a builtin name or a scenario file (or --list)")
+        parser.print_usage(sys.stderr)
+        print("error: give a builtin name or a scenario file (or --list)", file=sys.stderr)
         return 2
 
     try:
@@ -680,11 +681,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 oracle_for_this = oracle_k
             opts = _opts_from_args(args, params)
             reports.append(run_scenario(scn, opts, oracle_for_this))
-    except SeqcertError as exc:
-        print(f"error: {exc}")
-        return 2
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}")
+    except (SeqcertError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     for report in reports:
@@ -703,7 +701,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}")
+            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
             return 2
 
     return 0 if all(r.passed for r in reports) else 1

@@ -16,9 +16,9 @@ and harmonic atoms in the index (seqspace.TailRule), read per index with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Optional, Sequence
 
 from .errors import (
@@ -496,30 +496,79 @@ class BasisPartials:
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
+    ``form`` is kept once built, ``value(tol)`` per tol and ``at(n)`` per
+    index, so the certifiers that ask about the same anchor share one
+    certified f(x) and one pass over its partials.  An answer that raises
+    is not kept: every call raises it afresh.
     """
 
     sides: Callable = lambda n: (0.0, 0.0)
     _form: Callable = lambda: PartialsForm("ok", 1, SymSeq.zero())
     line: Callable = lambda steps: _zero_line
     interval: Callable = lambda n, a: (None, False)
-    value: Callable = lambda tol: _ZERO
+    _value: Callable = lambda tol: _ZERO
     series_line: Callable = lambda h: _zero_step
     limsup_weight: Callable = lambda: 0.0
     affine: Callable = lambda: True
     direction: Callable = lambda h: (0.0, 0.0)
     budget: Callable = lambda h: _zero_step
+    _values: dict = field(default_factory=dict, init=False, repr=False)
+    _ats: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def form(self) -> PartialsForm:
         return self._form()
 
+    def value(self, tol: float) -> SeriesValue:
+        sv = self._values.get(tol)
+        if sv is None:
+            sv = self._values[tol] = self._value(tol)
+        return sv
+
     def at(self, n: int) -> DirValue:
-        left, right = self.sides(n)
-        if left is None or right is None or math.isinf(left) or math.isinf(right):
-            return DirValue.kink(left, right)
-        return DirValue.exists(right) if left == right else DirValue.kink(left, right)
+        dv = self._ats.get(n)
+        if dv is None:
+            left, right = self.sides(n)
+            if left is None or right is None or math.isinf(left) or math.isinf(right):
+                dv = DirValue.kink(left, right)
+            elif left == right:
+                dv = DirValue.exists(right)
+            else:
+                dv = DirValue.kink(left, right)
+            self._ats[n] = dv
+        return dv
 
 
+#: The last top-level walk, as (f, x, walk): one tuple, read once and
+#: replaced whole, so no reader pairs one anchor's f with another's walk.
+_last_walk: tuple = (None, None, None)
+
+
+def _shares_last_walk(build: Callable) -> Callable:
+    """Answer a call with the last walk built when f and x are the very
+    objects it was built for, else build and keep the new one.
+
+    Identity is the key, never equality: Point((0.0,)) == Point((-0.0,)),
+    yet their answers differ in signed zeros.  One slot keeps only the walk
+    a run of questions about one anchor shares; a repeated pass over the
+    same objects rebuilds, as the walk before the last is gone.
+    """
+
+    @wraps(build)
+    def shared(f: FunctionExpr, x: Point) -> BasisPartials:
+        global _last_walk
+        held_f, held_x, walk = _last_walk
+        if held_f is f and held_x is x:
+            return walk
+        walk = build(f, x)
+        # sub-walks built above went through here too; this write is last
+        _last_walk = (f, x, walk)
+        return walk
+
+    return shared
+
+
+@_shares_last_walk
 def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     """The one walk behind every question about f at x.
 
@@ -542,11 +591,16 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     summed by ``tail_sum``.  The answer is None for a sqrt piece, a line
     majorant that is not summable, an eventual sign that cannot be
     certified and a tail or pairing without a certified sum.
+
+    The last walk built is kept (:func:`_shares_last_walk`): asked again
+    about the same f and x objects, basis_partials returns it, with the
+    answers it has kept, so the certifiers asking in turn about one anchor
+    walk it once.
     """
     if isinstance(f, Constant):
         # A finite change of coordinates never moves a constant.
         c = f.c
-        return BasisPartials(value=lambda tol: SeriesValue(c, 0.0, 0))
+        return BasisPartials(_value=lambda tol: SeriesValue(c, 0.0, 0))
     if isinstance(f, LimsupSeminorm):
         # Nor a limsup; only the tails' limits reach it.
         def limsup_line(h: Point) -> Callable[[float, float], SeriesValue]:
@@ -563,7 +617,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             return slope, slope
 
         return BasisPartials(
-            value=lambda tol: SeriesValue(limsup_abs(x), 0.0, 0),
+            _value=lambda tol: SeriesValue(limsup_abs(x), 0.0, 0),
             series_line=limsup_line,
             limsup_weight=lambda: 1.0,
             affine=lambda: False,
@@ -606,7 +660,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             linear,
             lambda: PartialsForm("ok", p.tail_start, p.tail),
             linear_line,
-            value=lambda tol: pair(p, x, tol),
+            _value=lambda tol: pair(p, x, tol),
             series_line=paired_line,
             direction=paired_slope,
             # the pairing's sum is all a step of the line does
@@ -744,13 +798,16 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
     weight, u = f.weight, f.inner
     kind = u.kind
     # the last direction asked about and its line majorant, which the
-    # direction's closed form, budget check and series line share
-    last: list = [None, None]
+    # direction's closed form, budget check and series line share; one
+    # tuple, replaced whole, as the walk itself may be shared
+    last: tuple = (None, None)
 
     def majorant(h: Point) -> Optional[PolyMajorant]:
-        if last[0] is not h:
-            last[:] = h, _line_majorant(f, x, h)
-        return last[1]
+        nonlocal last
+        held = last
+        if held[0] is not h:
+            held = last = (h, _line_majorant(f, x, h))
+        return held[1]
 
     def sides(n: int) -> tuple:
         w = weight.coordinate(n)

@@ -474,13 +474,38 @@ def tail_sums(seq: SymSeq, tol: float) -> Callable[[int], tuple[float, float, in
     live = []
     for t in seq.terms:
         if t.coef != 0:
-            c, r, _, neg_s = t._floats
-
-            def values(a: int, b: int, t=t) -> list[float]:
-                return [t.value_at(n) for n in range(a, b + 1)]
-
-            live.append((c, r, neg_s, _value_runs(values)))
+            c, r, _, neg_s = floats = t._floats
+            live.append((c, r, neg_s, _value_runs(_term_values(floats))))
     return _tail_sums(live, tol)
+
+
+def _term_values(floats: tuple[float, float, float, float]) -> Callable[[int, int], list[float]]:
+    """(a, b) -> [value_at(n) for n in a..b] of the term with these
+    ``_floats``, by value_at's operations in its order, in one loop whose
+    branch on the ratio's sign is taken once."""
+    coef, r, log_r, neg_s = floats
+    exp = math.exp
+    if r == 0.0:
+        return lambda a, b: [
+            coef * (1.0 if n == 0 else 0.0) * float(n) ** neg_s for n in range(a, b + 1)
+        ]
+    if r > 0.0:
+        return lambda a, b: [
+            coef * (0.0 if (m := n * log_r) < -745.0 else exp(m)) * float(n) ** neg_s
+            for n in range(a, b + 1)
+        ]
+
+    def alternating(a: int, b: int) -> list[float]:
+        out = []
+        for n in range(a, b + 1):
+            logmag = n * log_r
+            power = 0.0 if logmag < -745.0 else exp(logmag)
+            if n % 2 == 1:
+                power = -power
+            out.append(coef * power * float(n) ** neg_s)
+        return out
+
+    return alternating
 
 
 def _tail_sums(live: list, tol: float) -> Callable[[int], tuple[float, float, int]]:

@@ -67,6 +67,7 @@ from seqcert.symseq import (
     SymTerm,
     _geometric_tail_start,
     _power_tail,
+    _term_values,
     classify,
     tail_sum,
     tail_sums,
@@ -1069,6 +1070,30 @@ def test_tail_sums_match_a_fresh_tail_sum_at_each_start():
                 want = outcome(lambda: _reference_tail_sum(seq, start, tol))
                 assert outcome(lambda: at(start)) == want, (name, tol, start)
                 assert outcome(lambda: tail_sum(seq, start, tol)) == want, (name, tol, start)
+
+
+# (term, first index): value_at's branches, the -745 underflow cut (reached
+# at n = 324 for |r| = 0.1), the sign of odd powers of a negative ratio,
+# r == 0 (1.0 at n = 0 only) and fractional powers of n
+TERM_VALUE_CASES = {
+    "r = 0": (SymTerm(Fraction(3), Fraction(0), Fraction(0)), 0),
+    "r = 0, npow 2": (SymTerm(2.5, 0.0, Fraction(2)), 1),
+    "r = 0.1, underflow cut": (SymTerm(Fraction(1, 3), 0.1, Fraction(0)), 0),
+    "r = 0.8, npow 1/2": (SymTerm(Fraction(1, 3), 0.8, Fraction(1, 2)), 1),
+    "r = -0.1, underflow cut": (SymTerm(-1.25, -0.1, Fraction(0)), 0),
+    "r = -0.9, npow 3/2": (SymTerm(-0.7, -0.9, Fraction(3, 2)), 1),
+    "r = 1, npow 2": (SymTerm(2.0, 1.0, Fraction(2)), 1),
+    "r = -1, npow 101/100": (SymTerm(Fraction(1, 7), -1.0, Fraction(101, 100)), 1),
+    "r = 1 - 2^-40": (SymTerm(1e300, 1.0 - 2.0 ** -40, Fraction(0)), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TERM_VALUE_CASES))
+def test_term_values_match_value_at(name):
+    term, first = TERM_VALUE_CASES[name]
+    values = _term_values(term._floats)
+    for a, b in ((first, 400), (5, 9), (323, 326), (7, 6)):
+        assert bits(values(a, b)) == bits([term.value_at(n) for n in range(a, b + 1)]), (a, b)
 
 
 def test_series_line_steps_do_not_depend_on_their_order():

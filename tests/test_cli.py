@@ -74,13 +74,16 @@ def test_list_names_every_builtin():
 def test_no_target_is_a_usage_error():
     proc = run_cli()
     assert proc.returncode == 2
-    assert "usage" in (proc.stdout + proc.stderr).lower()
+    assert "usage" in proc.stderr.lower()
+    assert "error: give a builtin name" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_missing_file_is_an_error():
     proc = run_cli("/nonexistent/scenario.json")
     assert proc.returncode == 2
-    assert "error:" in proc.stdout
+    assert "error:" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED_VERDICTS))
@@ -130,8 +133,9 @@ def test_bad_json_reports_line_and_column(tmp_path):
     f.write_text('{"name": "x", ')
     proc = run_cli(str(f))
     assert proc.returncode == 2
-    assert "error:" in proc.stdout
-    assert "line" in proc.stdout or ":1:" in proc.stdout
+    assert "error:" in proc.stderr
+    assert "line" in proc.stderr or ":1:" in proc.stderr
+    assert proc.stdout == ""
 
 
 def nan_dual_scenario() -> dict:
@@ -160,15 +164,19 @@ def test_non_finite_numbers_are_malformed_json(where, tmp_path, capsys):
     f = tmp_path / "scn.json"
     f.write_text(json.dumps(raw))
     assert main([str(f)]) == 2
-    out = capsys.readouterr().out
-    assert out.startswith("error:")
-    assert ("NaN" if where == "dual" else "-Infinity") in out
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert ("NaN" if where == "dual" else "-Infinity") in err
+    assert out == ""
 
 
 def test_unwritable_json_path_is_an_error_not_a_traceback(tmp_path, capsys):
     target = tmp_path / "missing" / "out.json"
     assert main(["example3", "--json", str(target)]) == 2
-    assert f"error: cannot write {target}" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: cannot write {target}")
+    # the human report went out before the write failed; the error did not
+    assert "error:" not in out
     assert not target.exists()
 
 
@@ -179,7 +187,8 @@ def test_unknown_field_is_rejected_with_a_path(tmp_path):
     f.write_text(json.dumps(raw))
     proc = run_cli(str(f))
     assert proc.returncode == 2
-    assert "surprise" in proc.stdout
+    assert "surprise" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_wrong_type_diagnostic_names_the_location(tmp_path):
@@ -189,7 +198,8 @@ def test_wrong_type_diagnostic_names_the_location(tmp_path):
     f.write_text(json.dumps(raw))
     proc = run_cli(str(f))
     assert proc.returncode == 2
-    assert "space" in proc.stdout
+    assert "space" in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("missing", ["r", "c"])
@@ -206,12 +216,14 @@ def test_a_geometric_atom_missing_a_field_is_a_scenario_error(where, missing, tm
     f.write_text(json.dumps(raw))
     assert main([str(f)]) == 2
     reason = "geometric tail takes exactly fields ['c', 'kind', 'r']"
-    assert capsys.readouterr().out == f"error: scenario 'example3': {reason}\n"
+    assert capsys.readouterr() == ("", f"error: scenario 'example3': {reason}\n")
 
 
 def test_the_ci_scenario_without_a_ratio_is_a_scenario_error(capsys):
     assert main([str(PKG_ROOT / "tests" / "data" / "geometric_tail_without_ratio.json")]) == 2
-    assert capsys.readouterr().out.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("task", ["qualification", "gateaux"])
@@ -268,7 +280,8 @@ def test_batch_rejects_unknown_top_level_fields(tmp_path):
     f.write_text(json.dumps({"scenarios": [], "mode": "fast"}))
     proc = run_cli(str(f))
     assert proc.returncode == 2
-    assert "mode" in proc.stdout
+    assert "mode" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_oracle_rows_track_requested_ranks(tmp_path):
