@@ -640,7 +640,6 @@ def certify_min(
     qual = check_qualification(s, x_star, opts.coords)
     all_probes = list(probes) if probes is not None else []
     all_probes.extend(default_psc_probes(x_star, opts))
-    psc = check_psc(f, x_star, depth=opts.psc_depth)
     prof, stat, stat_n, stat_r, stat_grade = _basis_residual(
         [(1.0, f)], x_star, Point.zero(), opts
     )
@@ -650,6 +649,9 @@ def certify_min(
     }
 
     f_star = evaluate(f, x_star)
+    # after the questions about x*: a failing check evaluates f elsewhere,
+    # which replaces x*'s kept walk
+    psc = check_psc(f, x_star, depth=opts.psc_depth)
     if not math.isfinite(f_star.value):
         # every probe is compared against f(x*), so it must be finite
         raise DomainViolation("f(x*) is not finite; probe values have nothing to compare against")

@@ -202,13 +202,8 @@ def dir_deriv(
     (method "analytic", no quotients, noise floor 0): along a basis
     vector the per-index sides, without evaluating f; along any other
     direction, once f(x) is certified finite, the walk's
-    ``direction(h)``, the sum of the terms' one-sided derivatives.  Along
-    a direction with a tail the walk's ``budget(h)`` then checks the
-    scan's first series step, f(x + t0 h) - f(x), without taking it: it
-    runs only the step's majorant region searches and pairings, so where
-    a majorant needs more terms than the head budget it raises
-    NoMajorant, as the scan would.  Where the
-    walk has no closed form, difference quotients are scanned on both
+    ``direction(h)``, the sum of the terms' one-sided derivatives.  Where
+    the walk has no closed form, difference quotients are scanned on both
     sides.  A side whose every probe leaves the domain is reported at its
     extended-real limit (+inf on the right would mean the right side is
     infeasible; in this grammar only -inf arises, from sqrt boundaries);
@@ -227,6 +222,10 @@ def dir_deriv(
     if not math.isfinite(fx.value):
         raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
     fx_mag = abs(fx.value)
+    sides = walk.direction(h) if opts.prefer_analytic else None
+    if sides is not None:
+        left, right = sides
+        return _closed_form(left, right, left + 0.5 * (right - left), opts)
 
     support = _support(h)
     if opts.t0 is not None:
@@ -236,14 +235,6 @@ def dir_deriv(
     else:
         t0 = 1e-2
     exact = support is not None
-    sides = walk.direction(h) if opts.prefer_analytic else None
-    if sides is not None:
-        if not exact:
-            # what the scan's first step would raise: NoMajorant where its
-            # majorant needs more terms than the head budget
-            walk.budget(h)(t0, t0 * 1e-13)
-        left, right = sides
-        return _closed_form(left, right, left + 0.5 * (right - left), opts)
     if exact:
         delta = walk.line(tuple((n, h.coordinate(n)) for n in support))
     else:

@@ -48,7 +48,7 @@ from .seqspace import (
     point_axpy,
     tail_limit,
 )
-from .symseq import DIVERGENT, SUMMABLE, PolyMajorant, SymSeq, classify, tail_sum
+from .symseq import DIVERGENT, SUMMABLE, SymSeq, classify, tail_sum
 
 
 def _as_form(v) -> SymSeq:
@@ -489,10 +489,7 @@ class BasisPartials:
     ``affine()`` says whether f is built from constants, linear functionals
     and linear-piece series only.  ``direction(h)`` is the one-sided pair
     (left, right) of t -> f(x + t h) at 0 in closed form, or None where
-    there is none (see :func:`basis_partials`).  ``budget(h)`` is
-    ``series_line(h)`` without its head sums: each step raises what the
-    line's step would raise, but a separable leaf's step runs only its
-    majorant's region search, so a step's value is no difference.
+    there is none (see :func:`basis_partials`).
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
@@ -511,7 +508,6 @@ class BasisPartials:
     limsup_weight: Callable = lambda: 0.0
     affine: Callable = lambda: True
     direction: Callable = lambda h: (0.0, 0.0)
-    budget: Callable = lambda h: _zero_step
     _values: dict = field(default_factory=dict, init=False, repr=False)
     _ats: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -663,8 +659,6 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             _value=lambda tol: pair(p, x, tol),
             series_line=paired_line,
             direction=paired_slope,
-            # the pairing's sum is all a step of the line does
-            budget=paired_line,
         )
     if isinstance(f, SeparableSeries):
         return _separable_partials(f, x)
@@ -706,7 +700,6 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             scaled, scaled_form, scaled_line, inner.interval, scaled_value,
             lambda h: _scaled_step(lam, inner.series_line(h)),
             lambda: lam * inner.limsup_weight(), inner.affine, scaled_direction,
-            lambda h: _scaled_step(lam, inner.budget(h)),
         )
     if isinstance(f, Sum):
         parts = [basis_partials(g, x) for g in f.terms]
@@ -789,7 +782,6 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             lambda: sum(part.limsup_weight() for part in parts),
             lambda: all(part.affine() for part in parts),
             summed_direction,
-            lambda h: _summed_step([part.budget(h) for part in parts]),
         )
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
@@ -797,17 +789,6 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
     weight, u = f.weight, f.inner
     kind = u.kind
-    # the last direction asked about and its line majorant, which the
-    # direction's closed form, budget check and series line share; one
-    # tuple, replaced whole, as the walk itself may be shared
-    last: tuple = (None, None)
-
-    def majorant(h: Point) -> Optional[PolyMajorant]:
-        nonlocal last
-        held = last
-        if held[0] is not h:
-            held = last = (h, _line_majorant(f, x, h))
-        return held[1]
 
     def sides(n: int) -> tuple:
         w = weight.coordinate(n)
@@ -890,7 +871,9 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
 
     def direction(h: Point) -> Optional[tuple]:
-        if kind is ScalarKind.NEG_SQRT or majorant(h).label != SUMMABLE:
+        # the majorant's terms never cancel, so its label is the same at
+        # every step size > 0
+        if kind is ScalarKind.NEG_SQRT or classify(_line_majorant(f, x, h, 1.0)) != SUMMABLE:
             return None
         # from here on x and h are both closed forms
         start = max(x.tail_start, h.tail_start)
@@ -927,27 +910,12 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
             right += hi * hn
         return (left - tail, right + tail) if kink else (left + tail, right + tail)
 
-    def budget(h: Point) -> Callable[[float, float], SeriesValue]:
-        poly = majorant(h)
-        if poly is None:
-            # a sqrt piece's first index moves with each step's domain, so
-            # its check is the step itself
-            return _separable_delta_line(f, x, h, poly)
-        start = max(x.tail_start, h.tail_start)
-
-        def step(t: float, tol: float) -> SeriesValue:
-            k, bound = _line_region(poly, abs(t), start, tol)
-            return SeriesValue(0.0, bound, k)
-
-        return step
-
     return BasisPartials(
         sides, form, line, interval,
         lambda tol: _evaluate_separable(f, x, tol),
-        lambda h: _separable_delta_line(f, x, h, majorant(h)),
+        lambda h: _separable_delta_line(f, x, h),
         affine=lambda: kind is ScalarKind.LINEAR,
         direction=direction,
-        budget=budget,
     )
 
 
@@ -992,68 +960,39 @@ def delta_along(
 _TABLE_LIMIT = 4096
 
 
-def _line_majorant(f: SeparableSeries, x: Point, h: Point) -> Optional[PolyMajorant]:
+def _line_majorant(f: SeparableSeries, x: Point, h: Point, tau: float) -> SymSeq:
     """The majorant of a series line's difference terms beyond its tail
-    start, as a polynomial in |t|; None for sqrt pieces.
+    start, at the step size tau = |t|.
 
-    With h_abs = |h tail| * |t| it is w h_abs for |.|, w |b| h_abs for
-    linear pieces, w h_abs (2|x| + h_abs) for squares and
-    w (|a| h_abs (2|x| + h_abs) + |b| h_abs) for affine quadratics, each
-    factor term by term in absolute value: the product at |t| = 1 and its
-    part in |t|^2 fix it for every step size.
+    With h_abs = |h tail| * tau it is w h_abs for |.|, w |b| h_abs for
+    linear pieces, w h_abs (2|x| + h_abs) for squares,
+    w (|a| h_abs (2|x| + h_abs) + |b| h_abs) for affine quadratics and
+    w |c| sqrt(h_abs) for sqrt pieces, as |sqrt(u+d) - sqrt(u)| <= sqrt(|d|)
+    on the nonnegative domain; each factor is taken term by term in
+    absolute value, so no coefficient cancels.
     """
     inner = f.inner
     kind = inner.kind
-    if kind is ScalarKind.NEG_SQRT:
-        return None
     w_abs = f.weight.abs_terms()
-    h_unit = h.tail.abs_terms()
+    h_abs = h.tail.abs_terms().scaled(tau)
     if kind is ScalarKind.ABS:
-        return PolyMajorant(w_abs * h_unit, SymSeq.zero())
+        return w_abs * h_abs
     if kind is ScalarKind.LINEAR:
-        return PolyMajorant(w_abs * inner.b.abs_terms() * h_unit, SymSeq.zero())
+        return w_abs * inner.b.abs_terms() * h_abs
+    if kind is ScalarKind.NEG_SQRT:
+        return w_abs * inner.c.abs_terms() * _sqrt_majorant(h_abs)
     x2 = x.tail.abs_terms().scaled(2)
     if kind is ScalarKind.SQUARE:
-        wh = w_abs * h_unit
-        return PolyMajorant(wh * (x2 + h_unit), wh * h_unit)
-    ah = inner.a.abs_terms() * h_unit
-    b_abs = inner.b.abs_terms()
-    return PolyMajorant(w_abs * (ah * (x2 + h_unit) + b_abs * h_unit), w_abs * (ah * h_unit))
-
-
-def _line_region(poly: PolyMajorant, tau: float, first: int, tol: float) -> tuple[int, float]:
-    """The certified region (k, bound) of a series line's step of size
-    tau from index first: the majorant's doubling search at tau, or no
-    terms at tau = 0."""
-    if tau:
-        if poly.label != SUMMABLE:
-            raise NoMajorant("difference terms have no summable majorant")
-        return majorant_region(poly, first, tol, tau)
-    return majorant_region(poly.at(tau), first, tol)
+        return w_abs * h_abs * (x2 + h_abs)
+    return w_abs * (inner.a.abs_terms() * h_abs * (x2 + h_abs) + inner.b.abs_terms() * h_abs)
 
 
 def _separable_delta_line(
-    f: SeparableSeries, x: Point, h: Point, poly: Optional[PolyMajorant]
+    f: SeparableSeries, x: Point, h: Point
 ) -> Callable[[float, float], SeriesValue]:
-    """The series line of a separable leaf along h, whose line majorant
-    ``poly`` is _line_majorant(f, x, h), formed once per direction."""
+    """The series line of a separable leaf along h."""
     weight, inner = f.weight, f.inner
     kind = inner.kind
-    # A step only evaluates the majorant's coefficients at |t|.  Sqrt pieces
-    # are the exception: |sqrt(u+d) - sqrt(u)| <= sqrt(|d|) on the
-    # nonnegative domain, and the roots are inexact floats, so theirs is
-    # formed per step size.
-    if poly is None:
-        wc = weight.abs_terms() * inner.c.abs_terms()
-        h_unit = h.tail.abs_terms()
-
-    def region(tau: float, first: int, tol: float) -> tuple[int, float]:
-        if poly is not None:
-            return _line_region(poly, tau, first, tol)
-        major = wc * _sqrt_majorant(h_unit.scaled(tau))
-        if classify(major) != SUMMABLE:
-            raise NoMajorant("difference terms have no summable majorant")
-        return majorant_region(major, first, tol)
 
     def term(n: int) -> Callable[[float], float]:
         return inner.line(n, x.coordinate(n), weight.coordinate(n), h.coordinate(n))
@@ -1086,7 +1025,10 @@ def _separable_delta_line(
         key = (abs(t), tol, first)
         k_bound = regions.get(key)
         if k_bound is None:
-            k_bound = regions[key] = region(abs(t), first, tol)
+            major = _line_majorant(f, x, h, abs(t))
+            if classify(major) != SUMMABLE:
+                raise NoMajorant("difference terms have no summable majorant")
+            k_bound = regions[key] = majorant_region(major, first, tol)
         k = k_bound[0]
         while len(table) <= min(k, _TABLE_LIMIT):
             table.append(term(len(table)))

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DomainViolation, NoMajorant, NonConvergentPairing
-from .symseq import _ULP, SUMMABLE, PolyMajorant, SymSeq, classify, point_form, tail_sum, tail_sums
+from .symseq import _ULP, SUMMABLE, SymSeq, classify, point_form, tail_sum, tail_sums
 
 DEFAULT_SERIES_TOL = 1e-12
 
@@ -434,9 +434,7 @@ def certified_series(
     return head_sum(map(term_at, range(1, region[0] + 1)), region)
 
 
-def majorant_region(
-    majorant: SymSeq | PolyMajorant, tail_start: int, tol: float, tau: float | None = None
-) -> tuple[int, float]:
+def majorant_region(majorant: SymSeq, tail_start: int, tol: float) -> tuple[int, float]:
     """The region step of :func:`certified_series`: its doubling search.
 
     Returns ``(k, bound)``: the terms n <= k are summed explicitly, and
@@ -445,15 +443,10 @@ def majorant_region(
     the remainder fits; past _HEAD_BUDGET terms it raises NoMajorant.  The
     majorant must classify SUMMABLE.  Each restart re-sums the majorant's
     terms from one :func:`tail_sums`, which computes them once per search.
-    A :class:`PolyMajorant` is searched at the step size tau > 0, with the
-    result of its ``at(tau)`` bit for bit.
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if tau is None:
-        remainder = tail_sums(majorant, tol / 4)
-    else:
-        remainder = majorant.tail_sums(tau, tol / 4)
+    remainder = tail_sums(majorant, tol / 4)
     k = tail_start - 1
     while True:
         mval, merr, _ = remainder(k + 1)

@@ -112,11 +112,6 @@ class SymTerm:
         return isinstance(self.coef, Fraction) and isinstance(self.ratio, Fraction)
 
 
-def _key(t: SymTerm) -> tuple:
-    """The term's shape (ratio, npow) as exact integer ratios, its merge key."""
-    return t.ratio.as_integer_ratio(), t.npow.as_integer_ratio()
-
-
 class SymSeq:
     """A finite sum of :class:`SymTerm`, canonicalized by (ratio, npow) key.
 
@@ -138,7 +133,7 @@ class SymSeq:
             # Exact values as integer ratios: equal ratios and powers merge
             # whether held as Fractions or floats, unequal ones never do,
             # however close their doubles (and the key hashes cheaply).
-            key = _key(t)
+            key = (t.ratio.as_integer_ratio(), t.npow.as_integer_ratio())
             if key in merged:
                 old = merged[key]
                 coef = old.coef + t.coef
@@ -471,52 +466,14 @@ def tail_sums(seq: SymSeq, tol: float) -> Callable[[int], tuple[float, float, in
     label = classify(seq)
     if label != SUMMABLE:
         raise ValueError(label)
-    live = []
-    for t in seq.terms:
-        if t.coef != 0:
-            c, r, _, neg_s = floats = t._floats
-            live.append((c, r, neg_s, _value_runs(_term_values(floats))))
-    return _tail_sums(live, tol)
-
-
-def _term_values(floats: tuple[float, float, float, float]) -> Callable[[int, int], list[float]]:
-    """(a, b) -> [value_at(n) for n in a..b] of the term with these
-    ``_floats``, by value_at's operations in its order, in one loop whose
-    branch on the ratio's sign is taken once."""
-    coef, r, log_r, neg_s = floats
-    exp = math.exp
-    if r == 0.0:
-        return lambda a, b: [
-            coef * (1.0 if n == 0 else 0.0) * float(n) ** neg_s for n in range(a, b + 1)
-        ]
-    if r > 0.0:
-        return lambda a, b: [
-            coef * (0.0 if (m := n * log_r) < -745.0 else exp(m)) * float(n) ** neg_s
-            for n in range(a, b + 1)
-        ]
-
-    def alternating(a: int, b: int) -> list[float]:
-        out = []
-        for n in range(a, b + 1):
-            logmag = n * log_r
-            power = 0.0 if logmag < -745.0 else exp(logmag)
-            if n % 2 == 1:
-                power = -power
-            out.append(coef * power * float(n) ** neg_s)
-        return out
-
-    return alternating
-
-
-def _tail_sums(live: list, tol: float) -> Callable[[int], tuple[float, float, int]]:
-    """:func:`tail_sums` over its live terms, each given as (coef, ratio,
-    -npow, value runs) in floats."""
+    live = [t._floats for t in seq.terms if t.coef != 0]
     budget = tol / (2 * max(len(live), 1))
     plans = []
-    for c, r, neg_s, values in live:
+    for floats in live:
+        c, r, _, neg_s = floats
         s = -neg_s
         cut = _geometric_tail_start(c, r, -s, budget) if abs(r) < 1.0 else None
-        plans.append((c, r, s, cut, values))
+        plans.append((c, r, s, cut, _value_runs(_term_values(floats))))
 
     def at(start: int) -> tuple[float, float, int]:
         value = 0.0
@@ -559,97 +516,30 @@ def _tail_sums(live: list, tol: float) -> Callable[[int], tuple[float, float, in
     return at
 
 
-def _shape_runs(t: SymTerm) -> Callable[[int, int], tuple[list[float], list[float]]]:
-    """(a, b) -> the factors ratio**n and n**(-npow) of ``t.value_at(n)``
-    for n in a..b (1 <= a, b >= a - 1), by the same arithmetic, each
-    computed once; the ratio is >= 0, as ``abs_terms`` leaves it.
+def _term_values(floats: tuple[float, float, float, float]) -> Callable[[int, int], list[float]]:
+    """(a, b) -> [value_at(n) for n in a..b] of the term with these
+    ``_floats``, by value_at's operations in its order, in one loop whose
+    branch on the ratio's sign is taken once."""
+    coef, r, log_r, neg_s = floats
+    exp = math.exp
+    if r == 0.0:
+        return lambda a, b: [
+            coef * (1.0 if n == 0 else 0.0) * float(n) ** neg_s for n in range(a, b + 1)
+        ]
+    if r > 0.0:
+        return lambda a, b: [
+            coef * (0.0 if (m := n * log_r) < -745.0 else exp(m)) * float(n) ** neg_s
+            for n in range(a, b + 1)
+        ]
 
-    Runs that do not join are kept side by side: a doubling search's
-    windows on a ratio-1 term jump ahead, and the next search starts low.
-    """
-    _, r, log_r, neg_s = t._floats
-    runs: list[tuple[int, list[float], list[float]]] = []
-
-    def run(a: int, b: int) -> tuple[list[float], list[float]]:
-        for lo, powers, scales in runs:
-            if lo <= a <= lo + len(powers):
-                break
-        else:
-            lo, powers, scales = a, [], []
-            runs.append((lo, powers, scales))
-        for n in range(lo + len(powers), b + 1):
+    def alternating(a: int, b: int) -> list[float]:
+        out = []
+        for n in range(a, b + 1):
             logmag = n * log_r
-            if r == 0.0 or logmag < -745.0:
-                powers.append(0.0)
-            else:
-                powers.append(math.exp(logmag))
-            scales.append(float(n) ** neg_s)
-        return powers[a - lo : b - lo + 1], scales[a - lo : b - lo + 1]
+            power = 0.0 if logmag < -745.0 else exp(logmag)
+            if n % 2 == 1:
+                power = -power
+            out.append(coef * power * float(n) ** neg_s)
+        return out
 
-    return run
-
-
-class PolyMajorant:
-    """A majorant sum_j (a_j*tau + b_j*tau**2) * rho_j**n * n**(-s_j) in a
-    step size tau > 0, with exact Fraction coefficients a_j, b_j.
-
-    ``whole`` is the majorant at tau = 1 and ``square`` its part of degree
-    two in tau, both products of ``abs_terms`` factors with Fraction data,
-    in which tau scales one factor.  No coefficient can then cancel, so at
-    every tau > 0 the product has the terms of ``whole`` (kept as
-    ``terms``), in its order and with its ``exact`` flag, and each
-    coefficient is exactly the Fraction a_j*tau + b_j*tau**2.  The
-    classification is taken once, and each term's powers once per index,
-    shared by every step size.
-    """
-
-    __slots__ = ("terms", "exact", "label", "_coefs", "_shapes")
-
-    def __init__(self, whole: SymSeq, square: SymSeq):
-        quad = {_key(t): t.coef for t in square.terms}
-        self.terms = whole.terms
-        self.exact = whole.exact
-        self.label = classify(whole)
-        # a*tau + b*tau**2 = n * (A*d + B*n) / (D*d*d) for tau = n/d, with
-        # a = A/D and b = B/D in integers: no gcd per step, and the float
-        # of the integer quotient is the correctly rounded float(Fraction)
-        self._coefs = []
-        for t in whole.terms:
-            b = quad.get(_key(t), Fraction(0))
-            a = t.coef - b
-            self._coefs.append((
-                a.numerator * b.denominator,
-                b.numerator * a.denominator,
-                a.denominator * b.denominator,
-            ))
-        self._shapes = [_shape_runs(t) for t in whole.terms]
-
-    def _coefficients(self, tau: float) -> list[tuple[int, int]]:
-        n, d = tau.as_integer_ratio()
-        return [(n * (a * d + b * n), den * d * d) for a, b, den in self._coefs]
-
-    def at(self, tau: float) -> SymSeq:
-        """The majorant at step size tau >= 0 (no terms at 0)."""
-        return SymSeq(
-            tuple(
-                SymTerm(Fraction(num, den), t.ratio, t.npow)
-                for t, (num, den) in zip(self.terms, self._coefficients(tau))
-            ),
-            exact=self.exact,
-        )
-
-    def tail_sums(self, tau: float, tol: float) -> Callable[[int], tuple[float, float, int]]:
-        """``tail_sums(self.at(tau), tol)``, bit for bit, for tau > 0."""
-        if self.label != SUMMABLE:
-            raise ValueError(self.label)
-        live = []
-        for t, (num, den), shape in zip(self.terms, self._coefficients(tau), self._shapes):
-            c = num / den
-            _, r, _, neg_s = t._floats
-
-            def values(lo: int, hi: int, c=c, shape=shape) -> list[float]:
-                powers, scales = shape(lo, hi)
-                return [c * p * s for p, s in zip(powers, scales)]
-
-            live.append((c, r, neg_s, _value_runs(values)))
-        return _tail_sums(live, tol)
+    return alternating

@@ -33,7 +33,7 @@ from seqcert.certify import (
     set_to_json,
     subgradient_test,
 )
-from seqcert.derivative import dir_deriv
+from seqcert.derivative import DerivOptions, dir_deriv
 from seqcert.errors import DomainViolation, InfeasiblePoint, NoMajorant, NonConvergentPairing
 from seqcert.funcs import (
     Constant,
@@ -1005,17 +1005,57 @@ def test_kkt_ignores_the_kinks_of_a_zero_multiplier_part():
     assert (best.verdict, best.grade.render()) == (Verdict.HOLDS, "analytic_all_n")
 
 
+def secant_bracket(f, x, h, t):
+    """Certified bounds on the secant slopes (f(x) - f(x - t h)) / t from
+    below and (f(x + t h) - f(x)) / t from above, with evaluate's error
+    bounds; by convexity they bracket the one-sided derivatives along h."""
+    fx = evaluate(f, x)
+    fp, fm = evaluate(f, point_axpy(x, t, h)), evaluate(f, point_axpy(x, -t, h))
+    low = (fx.value - fx.error_bound - (fm.value + fm.error_bound)) / t
+    high = (fp.value + fp.error_bound - (fx.value - fx.error_bound)) / t
+    return low, high
+
+
 def test_a_slowly_decaying_majorant_ends_in_no_majorant():
     # seed 10 along a harmonic-tailed direction: the quotient steps need a
     # majorant-bounded head sum of millions of terms, which would run for
-    # minutes; the head budget ends it at once
+    # minutes; the head budget ends the scan at once
     _, f, x_star, _ = fuzz_instance(10)
     h = random_direction(random.Random(3), summable=False)
     assert [t.npow for t in h.tail.terms] == [1]
     start = time.perf_counter()
     with pytest.raises(NoMajorant, match="decays too slowly"):
-        dir_deriv(f, x_star, h)
+        dir_deriv(f, x_star, h, DerivOptions(prefer_analytic=False))
     assert time.perf_counter() - start < 5.0
+    # the closed form needs no majorant region: the sum of the terms'
+    # one-sided derivatives, inside the certified secant slopes
+    res = dir_deriv(f, x_star, h)
+    assert res.method == "analytic" and res.exists
+    low, high = secant_bracket(f, x_star, h, 1e-4)
+    assert low <= res.left <= res.right <= high
+
+
+def test_closed_form_directions_lie_inside_their_secant_slopes():
+    # one direction with a non-summable tail per fuzz instance; where the
+    # closed form answers, both secant evaluations bound it
+    checked = set()
+    for seed in range(300):
+        _, f, x_star, _ = fuzz_instance(seed)
+        h = random_direction(random.Random(10_000 + 7 * seed + 2), summable=False)
+        try:
+            res = dir_deriv(f, x_star, h)
+        except (DomainViolation, NoMajorant):
+            continue
+        if res.method != "analytic":
+            continue
+        for t in (1e-2, 1e-4):
+            try:
+                low, high = secant_bracket(f, x_star, h, t)
+            except (DomainViolation, NoMajorant):
+                continue
+            assert low <= res.left <= res.right <= high, (seed, t)
+            checked.add(seed)
+    assert len(checked) > 200
 
 
 # evidence-only numeric passes ------------------------------------------------------

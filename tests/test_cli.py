@@ -11,7 +11,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from seqcert.certify import CertifyOptions
+from seqcert.certify import CertifyOptions, family_from_json, family_to_json
 from seqcert.cli import (
     BUILTINS,
     _build_parser,
@@ -33,6 +33,9 @@ CLI_ENV = {
 }
 REPORT_SCHEMA = json.loads(
     (PKG_ROOT / "src" / "seqcert" / "schemas" / "report.schema.json").read_text()
+)
+SCENARIO_SCHEMA = json.loads(
+    (PKG_ROOT / "src" / "seqcert" / "schemas" / "scenario.schema.json").read_text()
 )
 
 EXPECTED_VERDICTS = {
@@ -327,6 +330,29 @@ def test_an_unbounded_oracle_rank_keeps_the_rest_of_the_batch(tmp_path):
     assert second["oracle"] == [UNBOUNDED_ROW]
     for r in payload["reports"]:
         jsonschema.validate(r, REPORT_SCHEMA)
+
+
+LIST_FAMILY = PKG_ROOT / "tests" / "data" / "list_family.json"
+
+
+def test_a_list_family_reaches_series_diff_through_the_cli(tmp_path):
+    # the schema takes a list family in the form family_to_json writes:
+    # {"kind": "list", "terms": [...]}; d/dx_1 of sum x_n^2 at 0.5 is 1
+    scenario = json.loads(LIST_FAMILY.read_text())
+    encoded = family_to_json(family_from_json(scenario["family"]))
+    assert encoded["kind"] == "list"
+    jsonschema.validate({**scenario, "family": encoded}, SCENARIO_SCHEMA)
+    proc, report = run_json(tmp_path, str(LIST_FAMILY))
+    assert proc.returncode == 0, proc.stderr
+    assert (report["verdict"], report["grade"]) == ("holds", "analytic_all_n")
+    assert report["table"][0] == {"n": 1, "value": 1.0, "method": "analytic_all_n"}
+    jsonschema.validate(report, REPORT_SCHEMA)
+    # the bare array the schema used to take is refused by the decoder
+    scenario["family"] = scenario["family"]["terms"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(scenario))
+    proc = run_cli(str(bare))
+    assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr
 
 
 ORACLE_INFEASIBLE_BATCH = PKG_ROOT / "tests" / "data" / "oracle_infeasible_batch.json"

@@ -93,6 +93,24 @@ def test_the_three_certifiers_certify_an_anchors_leaves_once(monkeypatch):
     assert sum(y is x for y in evaluated) == 2
 
 
+def test_a_failing_psc_check_leaves_the_anchors_walk_alone(monkeypatch):
+    # instance 19's psc check FAILS and evaluates f at the zero point and
+    # at anchored truncations; run after every question about x*, it
+    # cannot make certify_min walk x*'s separable leaf a second time
+    _, f, x, _ = fuzz_case(19)
+    anchored = []
+    partials = funcs._separable_partials
+
+    def counted(g, y):
+        anchored.append(y is x)
+        return partials(g, y)
+
+    monkeypatch.setattr(funcs, "_separable_partials", counted)
+    cert = certify_min(f, SetDescriptor.whole_space(), x, CertifyOptions())
+    assert cert.evidence["psc"]["verdict"] == "fails"
+    assert anchored.count(True) == 1
+
+
 def test_a_pass_in_another_order_does_the_work_of_the_first(monkeypatch):
     # one slot cannot carry a walk from one instance to the next, so a
     # pass over the same objects, in any order, repeats the first's work
