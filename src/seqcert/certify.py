@@ -37,6 +37,7 @@ from .funcs import (
     _as_form,
     _expect_fields,
     basis_partials,
+    drop_kept_walk,
     evaluate,
     function_from_json,
     function_to_json,
@@ -628,18 +629,25 @@ def certify_min(
 ) -> Certificate:
     """Is x* a global minimizer of f over the set?
 
-    Pipeline: qualification, pseudo-semicontinuity, stationarity of all
-    basis directional derivatives, plus a probe sweep for counterexamples.
-    Stationarity is the subgradient test at p = 0 (_basis_residual): the
-    closed form decides every n where there is one, the sampled head where
-    there is none.  HOLDS needs all three hypotheses; a probe that beats
-    the anchor, or a nonzero derivative under established qualification,
-    gives FAILS with a witness; anything else that blocks the decision
-    gives INCONCLUSIVE.
+    Theorem first, probes second.  Stationarity is the subgradient test at
+    p = 0 (_basis_residual): the closed form decides every n where there is
+    one, the sampled head where there is none.  Under established
+    qualification a nonzero basis derivative refutes x* at once: Fermat's
+    rule says a minimizer over a qualified set has f'(x*; +-e_n) >= 0 for
+    every n (Rockafellar, Convex Analysis, Sec. 23), and only the
+    sufficiency direction needs pseudo-semicontinuity.  That FAILS carries
+    the coordinate witness {n, derivative}, which suffices: x* - t sign(r_n)
+    e_n descends for small t > 0.  Its evidence has no psc check and no
+    probe log, since neither ran, and no probe, the caller's included, is
+    evaluated.
+
+    Where the theorem is silent (a kink, no violation found, qualification
+    not established) and on the way to HOLDS, pseudo-semicontinuity is
+    checked and the probes are swept: a probe that beats the anchor gives
+    FAILS with the probe as witness.  HOLDS needs all three hypotheses;
+    anything else that blocks the decision gives INCONCLUSIVE.
     """
     qual = check_qualification(s, x_star, opts.coords)
-    all_probes = list(probes) if probes is not None else []
-    all_probes.extend(default_psc_probes(x_star, opts))
     prof, stat, stat_n, stat_r, stat_grade = _basis_residual(
         [(1.0, f)], x_star, Point.zero(), opts
     )
@@ -649,12 +657,30 @@ def certify_min(
     }
 
     f_star = evaluate(f, x_star)
+    if math.isfinite(f_star.value) and stat in ("head", "tail") and qual.verdict is Verdict.HOLDS:
+        # the sweep that follows on every other path replaces x*'s kept
+        # walk; returning before it, drop that walk, or the next operation
+        # on these objects (a repeated pass) would get it for free
+        drop_kept_walk()
+        return Certificate(
+            Verdict.FAILS,
+            stat_grade,
+            reason="a basis directional derivative is nonzero",
+            witness={"n": stat_n, "derivative": stat_r},
+            evidence={
+                "qualification": qual.to_json(),
+                "stationarity": stat_evidence,
+                "f_at_anchor": f_star.value,
+            },
+        )
     # after the questions about x*: a failing check evaluates f elsewhere,
     # which replaces x*'s kept walk
     psc = check_psc(f, x_star, depth=opts.psc_depth)
     if not math.isfinite(f_star.value):
         # every probe is compared against f(x*), so it must be finite
         raise DomainViolation("f(x*) is not finite; probe values have nothing to compare against")
+    all_probes = list(probes) if probes is not None else []
+    all_probes.extend(default_psc_probes(x_star, opts))
     probe_log = []
     found_probe = None
     for x in all_probes:
@@ -693,14 +719,6 @@ def certify_min(
             Grade.numeric(opts.coords),
             reason="a feasible probe point has a smaller value",
             witness=found_probe,
-            evidence=evidence,
-        )
-    if stat in ("head", "tail") and qual.verdict is Verdict.HOLDS:
-        return Certificate(
-            Verdict.FAILS,
-            stat_grade,
-            reason="a basis directional derivative is nonzero",
-            witness={"n": stat_n, "derivative": stat_r},
             evidence=evidence,
         )
     if stat == "kink":

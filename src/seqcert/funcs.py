@@ -564,6 +564,13 @@ def _shares_last_walk(build: Callable) -> Callable:
     return shared
 
 
+def drop_kept_walk() -> None:
+    """Forget the kept walk, so the next question about any f and x
+    builds its own."""
+    global _last_walk
+    _last_walk = (None, None, None)
+
+
 @_shares_last_walk
 def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     """The one walk behind every question about f at x.

@@ -37,6 +37,14 @@ evidence lost the "probes_checked" key, which no certifier's call could
 set to anything but 0.  The new digest is the old code's with only that
 key removed.
 
+It was re-recorded when certify_min began returning the stationarity
+FAILS before its psc check and probe sweep, wherever qualification holds,
+f(x*) is finite and a basis derivative is nonzero.  Only certify_min's
+reason, witness and evidence moved, on 55 of its 60 records: the 54 where
+a probe used to win now give the coordinate witness {n, derivative} and
+the stationarity reason, and all 55 lost the "psc" and "probe_log"
+evidence keys.  No verdict or grade moved, nor any subgradient record.
+
 The instances are the grammar_fuzz benchmark's (space, f, x*, p) for seeds
 0-59; seed 54's closed-form derivative profile is valid only from n = 192,
 past the 64 sampled coordinates, so the head extension is pinned too.  Each
@@ -71,7 +79,7 @@ pytestmark = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11), reason="digest recorded under CPython 3.11"
 )
 
-CERTIFICATE_DIGEST = "34d1c5940a2488bc6564d479ab2bf039eeba0e152bcd517f0d8536a6ee847757"
+CERTIFICATE_DIGEST = "813f00679fa7093adecc3673e7e79006758b1b24cd6d81e0943883e4cac5ed78"
 
 SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
 FUZZ_SEEDS = range(60)

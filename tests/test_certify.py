@@ -2,8 +2,10 @@
 truncations, minimality, subgradients, differentiability detection,
 term-wise series differentiation, and KKT."""
 
+import hashlib
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -816,7 +818,49 @@ def test_fuzz_instance_with_a_late_closed_form():
     assert sub.witness["n"] == 1
     best = certify_min(f, SetDescriptor.whole_space(), x_star, OPTS)
     assert best.verdict is Verdict.FAILS
-    assert best.reason == "a feasible probe point has a smaller value"
+    assert best.reason == "a basis directional derivative is nonzero"
+    assert best.witness["n"] == 1
+
+
+#: sha256 of certify_min's (verdict, grade) on fuzz seeds 0-299, one line
+#: per seed; recorded when the sweep still ran before every stationarity
+#: FAILS, so returning that FAILS first moved none of them (CPython 3.11).
+VERDICT_GRADE_DIGEST = "de709dd167402a1493daddcd1fb27b93c80a0f5a8b7b323b90d487ff4812bcda"
+
+
+def descends(f, x_star, n, r_n):
+    """Does x* - t sign(r_n) e_n beat x* for some t = 2^-k, k <= 60, by
+    more than both error bounds?"""
+    fx = evaluate(f, x_star)
+    for k in range(61):
+        probe = point_axpy(x_star, -math.copysign(2.0**-k, r_n), basis_vector(n))
+        fp = evaluate(f, probe)
+        if fx.value - fp.value > fx.error_bound + fp.error_bound:
+            return True
+    return False
+
+
+def test_every_stationarity_fails_is_a_descent_direction():
+    # a stationarity FAILS returns before the probe sweep, so no probe
+    # cross-checks it there; the coordinate witness's descent probe does
+    h = hashlib.sha256()
+    refuted = 0
+    for seed in range(300):
+        _, f, x_star, _ = fuzz_instance(seed)
+        try:
+            cert = certify_min(f, SetDescriptor.whole_space(), x_star, OPTS)
+        except Exception as exc:  # the exception is part of the record
+            h.update(repr((type(exc).__name__,)).encode() + b"\n")
+            continue
+        h.update(repr((cert.verdict.value, cert.grade.render())).encode() + b"\n")
+        if cert.reason == "a basis directional derivative is nonzero":
+            assert "probe_log" not in cert.evidence and "psc" not in cert.evidence
+            assert descends(f, x_star, cert.witness["n"], cert.witness["derivative"]), seed
+            refuted += 1
+    assert refuted == 259
+    # float sums, and so grades at the margin, may differ on other interpreters
+    if sys.version_info[:2] == (3, 11):
+        assert h.hexdigest() == VERDICT_GRADE_DIGEST
 
 
 def test_the_gateaux_derivative_is_a_subgradient():
@@ -1137,9 +1181,10 @@ def test_options_outside_the_scenario_bounds_are_rejected():
 
 def test_certify_min_evaluates_the_anchor_once(monkeypatch):
     # the anchor probe of the sweep is x* itself, whose value f(x*) the
-    # sweep already holds; its log entry reads that value
+    # sweep already holds; its log entry reads that value.  x* is the
+    # minimizer, where stationarity refutes nothing, so the sweep runs
     f = SeparableSeries(TailRule.geometric(1.0, BETA), ScalarConvex.square())
-    x = Point([0.5], (TailRule.geometric(1.0, 0.5),))
+    x = Point([0.0])
     at = []
 
     def counted(g, z, *args):
@@ -1148,6 +1193,7 @@ def test_certify_min_evaluates_the_anchor_once(monkeypatch):
 
     monkeypatch.setattr("seqcert.certify.evaluate", counted)
     cert = certify_min(f, SetDescriptor.whole_space(), x, OPTS)
+    assert cert.verdict is Verdict.HOLDS
     assert sum(z is x for z in at) == 1
     anchor = cert.evidence["probe_log"][1]
     assert anchor["f"] == cert.evidence["f_at_anchor"] == evaluate(f, x).value

@@ -355,6 +355,21 @@ def test_a_list_family_reaches_series_diff_through_the_cli(tmp_path):
     assert proc.returncode == 2 and proc.stderr.startswith("error: "), proc.stderr
 
 
+STATIONARITY_REFUTED = PKG_ROOT / "tests" / "data" / "stationarity_refuted.json"
+
+
+def test_a_stationarity_fails_reports_its_coordinate_and_no_probes(tmp_path):
+    # d/dx_1 of sum 0.5^n x_n^2 at (1, 0, ...) is 1: x* is refuted before
+    # the psc check and the probe sweep, neither of which runs
+    proc, report = run_json(tmp_path, str(STATIONARITY_REFUTED))
+    assert proc.returncode == 0, proc.stderr
+    assert (report["verdict"], report["passed"]) == ("fails", True)
+    assert report["certificate"]["witness"] == {"n": 1, "derivative": 1.0}
+    assert report["probe_log"] == []
+    assert "psc" not in report["certificate"]["evidence"]
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+
 ORACLE_INFEASIBLE_BATCH = PKG_ROOT / "tests" / "data" / "oracle_infeasible_batch.json"
 
 

@@ -21,8 +21,10 @@ from seqcert.certify import (
     subgradient_test,
 )
 from seqcert.funcs import (
+    LimsupSeminorm,
     ScalarConvex,
     SeparableSeries,
+    Sum,
     basis_partials,
     function_from_json,
     function_to_json,
@@ -94,10 +96,21 @@ def test_the_three_certifiers_certify_an_anchors_leaves_once(monkeypatch):
 
 
 def test_a_failing_psc_check_leaves_the_anchors_walk_alone(monkeypatch):
-    # instance 19's psc check FAILS and evaluates f at the zero point and
-    # at anchored truncations; run after every question about x*, it
-    # cannot make certify_min walk x*'s separable leaf a second time
-    _, f, x, _ = fuzz_case(19)
+    # f = limsup |x_n| + sum 0.5^n (x_n^2 - 2 x_n) is stationary at
+    # x* = (1, 1, ...), so no basis derivative refutes x* first, and its
+    # psc check FAILS and evaluates f at the zero point and at anchored
+    # truncations; run after every question about x*, it cannot make
+    # certify_min walk x*'s separable leaf a second time
+    f = Sum(
+        [
+            LimsupSeminorm(),
+            SeparableSeries(
+                TailRule.geometric(1.0, 0.5),
+                ScalarConvex.affine_quad(TailRule.const(1.0), TailRule.const(-2.0)),
+            ),
+        ]
+    )
+    x = Point((), (TailRule.const(1.0),))
     anchored = []
     partials = funcs._separable_partials
 
@@ -107,6 +120,7 @@ def test_a_failing_psc_check_leaves_the_anchors_walk_alone(monkeypatch):
 
     monkeypatch.setattr(funcs, "_separable_partials", counted)
     cert = certify_min(f, SetDescriptor.whole_space(), x, CertifyOptions())
+    assert cert.evidence["stationarity"]["symbolic"] == "ok"
     assert cert.evidence["psc"]["verdict"] == "fails"
     assert anchored.count(True) == 1
 
