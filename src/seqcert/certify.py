@@ -10,6 +10,11 @@ convert stationarity into claims in either direction.
 
 Positive verdicts never rest on extrapolation; negative verdicts always
 carry a machine-checkable witness.
+
+Each hypothesis is one shared stage, looked up by name when a certifier
+runs: check_qualification (membership and qualification), check_psc,
+_basis_profile (the basis partials exist) and _basis_residual
+(stationarity).  An unmet one is INCONCLUSIVE through _inconclusive.
 """
 
 from __future__ import annotations
@@ -276,6 +281,16 @@ class Certificate:
             "witness": self.witness,
             "evidence": self.evidence,
         }
+
+
+def _inconclusive(grade: Grade, reason: str, evidence=None, witness=None) -> Certificate:
+    """The one refusal: a hypothesis the reduction needs is not established."""
+    return Certificate(Verdict.INCONCLUSIVE, grade, reason, witness, evidence or {})
+
+
+def _first_unmet(checks: Sequence[tuple], evidence: dict) -> Optional[Certificate]:
+    """_inconclusive for the first unmet of ``checks``, ordered (unmet, grade, reason)."""
+    return next((_inconclusive(g, why, evidence) for unmet, g, why in checks if unmet), None)
 
 
 @dataclass(frozen=True)
@@ -651,12 +666,15 @@ def certify_min(
     prof, stat, stat_n, stat_r, stat_grade = _basis_residual(
         [(1.0, f)], x_star, Point.zero(), opts
     )
-    stat_evidence = {
-        "derivatives": [{"n": i, "analytic": v} for i, v in enumerate(prof.values, start=1)],
-        "symbolic": prof.rule,
-    }
-
     f_star = evaluate(f, x_star)
+    evidence = {
+        "qualification": qual.to_json(),
+        "stationarity": {
+            "derivatives": [{"n": i, "analytic": v} for i, v in enumerate(prof.values, start=1)],
+            "symbolic": prof.rule,
+        },
+        "f_at_anchor": f_star.value,
+    }
     if math.isfinite(f_star.value) and stat in ("head", "tail") and qual.verdict is Verdict.HOLDS:
         # the sweep that follows on every other path replaces x*'s kept
         # walk; returning before it, drop that walk, or the next operation
@@ -667,11 +685,7 @@ def certify_min(
             stat_grade,
             reason="a basis directional derivative is nonzero",
             witness={"n": stat_n, "derivative": stat_r},
-            evidence={
-                "qualification": qual.to_json(),
-                "stationarity": stat_evidence,
-                "f_at_anchor": f_star.value,
-            },
+            evidence=evidence,
         )
     # after the questions about x*: a failing check evaluates f elsewhere,
     # which replaces x*'s kept walk
@@ -679,39 +693,28 @@ def certify_min(
     if not math.isfinite(f_star.value):
         # every probe is compared against f(x*), so it must be finite
         raise DomainViolation("f(x*) is not finite; probe values have nothing to compare against")
-    all_probes = list(probes) if probes is not None else []
-    all_probes.extend(default_psc_probes(x_star, opts))
-    probe_log = []
+    evidence.update(psc=psc.to_json(), probe_log=[])
     found_probe = None
-    for x in all_probes:
-        ok_member, _ = set_membership(s, x)
-        if ok_member is not True:
-            probe_log.append({"probe": point_to_json(x), "skipped": "not a certified member"})
+    for x in [*(probes or ()), *default_psc_probes(x_star, opts)]:
+        entry = {"probe": point_to_json(x)}
+        evidence["probe_log"].append(entry)
+        if set_membership(s, x)[0] is not True:
+            entry["skipped"] = "not a certified member"
             continue
         try:
             # the anchor probe is x* itself, whose value is already certified
             fx = f_star if x is x_star else evaluate(f, x)
         except _NO_CERTIFIED_VALUE as exc:
-            probe_log.append({"probe": point_to_json(x), "skipped": type(exc).__name__})
+            entry["skipped"] = type(exc).__name__
             continue
-        probe_log.append({"probe": point_to_json(x), "f": fx.value})
-        if math.isinf(fx.value):
-            continue
+        entry["f"] = fx.value
         margin = f_star.value - f_star.error_bound - (fx.value + fx.error_bound)
-        if margin > opts.tol and found_probe is None:
+        if found_probe is None and math.isfinite(fx.value) and margin > opts.tol:
             found_probe = {
                 "probe": point_to_json(x),
                 "f_at_probe": fx.value,
                 "f_at_anchor": f_star.value,
             }
-
-    evidence = {
-        "qualification": qual.to_json(),
-        "psc": psc.to_json(),
-        "stationarity": stat_evidence,
-        "f_at_anchor": f_star.value,
-        "probe_log": probe_log,
-    }
 
     if found_probe is not None:
         return Certificate(
@@ -721,30 +724,18 @@ def certify_min(
             witness=found_probe,
             evidence=evidence,
         )
-    if stat == "kink":
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            stat_grade,
-            reason=f"directional derivative does not exist at n={stat_n}",
-            evidence=evidence,
-        )
-    if qual.verdict is not Verdict.HOLDS:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            qual.grade,
-            reason="qualification not established",
-            evidence=evidence,
-        )
-    if psc.verdict is not Verdict.HOLDS:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            psc.grade,
-            reason="pseudo-semicontinuity not established and no better probe found",
-            evidence=evidence,
-        )
+    no_psc = "pseudo-semicontinuity not established and no better probe found"
+    unmet = _first_unmet(
+        [
+            (stat == "kink", stat_grade, f"directional derivative does not exist at n={stat_n}"),
+            (qual.verdict is not Verdict.HOLDS, qual.grade, "qualification not established"),
+            (psc.verdict is not Verdict.HOLDS, psc.grade, no_psc),
+        ],
+        evidence,
+    )
     # qualification and psc only ever hold graded analytic, so the
     # stationarity grade is the whole claim's
-    return Certificate(Verdict.HOLDS, stat_grade, evidence=evidence)
+    return unmet or Certificate(Verdict.HOLDS, stat_grade, evidence=evidence)
 
 
 def subgradient_test(
@@ -760,19 +751,11 @@ def subgradient_test(
     """
     psc = check_psc(f, x_star, depth=opts.psc_depth)
     if psc.verdict is not Verdict.HOLDS:
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            psc.grade,
-            reason="pseudo-semicontinuity not established",
-            evidence={"psc": psc.to_json()},
-        )
+        why = "pseudo-semicontinuity not established"
+        return _inconclusive(psc.grade, why, {"psc": psc.to_json()})
     prof, where, n, _, grade = _basis_residual([(1.0, f)], x_star, p, opts)
     if where == "kink":
-        return Certificate(
-            Verdict.INCONCLUSIVE,
-            grade,
-            reason=f"directional derivative does not exist at n={n}",
-        )
+        return _inconclusive(grade, f"directional derivative does not exist at n={n}")
     table = [
         {"n": i, "derivative": v, "dual": p.coordinate(i)}
         for i, v in enumerate(prof.values, start=1)
@@ -854,20 +837,15 @@ def gateaux_detect(
     """
     if not in_space(x_star, space):
         raise InfeasiblePoint(f"anchor is not in the space {space.kind.value}")
-
-    def no_derivative(
-        verdict: Verdict, grade: Grade, reason: str, witness=None, evidence=None
-    ) -> tuple[Certificate, None]:
-        return Certificate(verdict, grade, reason, witness, evidence or {}), None
-
+    sampled = Grade.numeric(opts.coords)
     prof = _basis_profile([(1.0, f)], x_star, opts.coords)
     if prof.missing is not None:
-        return no_derivative(
+        return Certificate(
             Verdict.FAILS,
             Grade.analytic(),
             "directional derivative missing along a basis direction",
             {"n": prof.missing, "left": prof.kink.left, "right": prof.kink.right},
-        )
+        ), None
     for h in witness_directions:
         if not in_space(h, space):
             continue
@@ -876,32 +854,29 @@ def gateaux_detect(
         except (*_NO_CERTIFIED_VALUE, DomainLimited):
             continue
         if not res.exists:
-            return no_derivative(
+            return Certificate(
                 Verdict.FAILS,
-                Grade.numeric(opts.coords),
+                sampled,
                 "a direction with unequal one-sided derivatives",
                 {"direction": point_to_json(h), "left": res.left, "right": res.right},
                 {"basis_kink": None},  # every basis partial exists here
-            )
+            ), None
     if not space.basis_is_topological:
-        return no_derivative(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
+        return _inconclusive(
+            sampled,
             "basis is not topological; existence along basis directions is not sufficient",
-            evidence={"basis_derivatives_exist": True},
-        )
+            {"basis_derivatives_exist": True},
+        ), None
     if basis_partials(f, x_star).limsup_weight() != 0.0:
-        return no_derivative(
-            Verdict.INCONCLUSIVE,
-            Grade.numeric(opts.coords),
-            "expression has a limsup part, which is not continuous on this space",
-        )
+        return _inconclusive(
+            sampled, "expression has a limsup part, which is not continuous on this space"
+        ), None
     if prof.tail is not None:
         deriv = GateauxDerivative(known=tuple(prof.head[: prof.valid_from - 1]), tail=prof.tail)
         grade = Grade.analytic()
     else:
         deriv = GateauxDerivative(known=tuple(prof.values), tail=None)
-        grade = Grade.numeric(opts.coords)
+        grade = sampled
 
     # Validate the assembly against direct directional derivatives.
     rng = rng_from_seed(opts.seed)
@@ -916,23 +891,21 @@ def gateaux_detect(
         except _NO_CERTIFIED_VALUE:
             continue
         except DomainLimited:
-            return no_derivative(
-                Verdict.INCONCLUSIVE,
+            return _inconclusive(
                 grade,
                 "a validation direction has no feasible step on either side of x*",
-                {"direction": point_to_json(h)},
-            )
+                witness={"direction": point_to_json(h)},
+            ), None
         if not direct.exists:
             continue
         gap = abs(applied.value - direct.value)
         samples.append({"gap": gap})
         if gap > max(opts.tol, 1e-6):
-            return no_derivative(
-                Verdict.INCONCLUSIVE,
+            return _inconclusive(
                 grade,
                 "assembled derivative disagrees with a direct directional derivative",
-                evidence={"validation_gap": gap},
-            )
+                {"validation_gap": gap},
+            ), None
     # without a closed form only the sampled coefficients are known
     head_len = 8 if deriv.tail is not None else min(8, len(deriv.known))
     cert = Certificate(
@@ -1031,36 +1004,14 @@ def series_differentiate(
     radii_vals = [radii.coordinate(n) for n in range(1, n_max + 1)]
     if any(a <= 0.0 for a in radii_vals):
         raise ValueError("interval radii must be positive")
-
-    def fails(reason: str, witness: dict) -> tuple[Certificate, tuple[float, ...]]:
-        return Certificate(Verdict.FAILS, Grade.numeric(n_max), reason, witness), ()
-
-    if isinstance(family, DiagonalFamily):
-        # Term k moves only coordinate k: along e_n just one term is live,
-        # so pointwise and uniform convergence of the derivative series are
-        # immediate and only condition (i) needs work.
-        f_equiv = SeparableSeries(family.weight, family.inner)
-        walk = basis_partials(f_equiv, x_star)
-        for n, a in enumerate(radii_vals, start=1):
-            why, _ = walk.interval(n, a)
-            if why is not None:
-                return fails(why, {"n": n})
-        prof = _basis_profile([(1.0, f_equiv)], x_star, n_max)
-        if prof.missing is not None:
-            return fails("term derivative missing at the anchor", {"n": prof.missing})
-        cert = Certificate(
-            Verdict.HOLDS,
-            Grade.analytic(),
-            evidence={
-                "rule": "one live term per direction; tail of the derivative series is identically zero",
-            },
-        )
-        return cert, tuple(prof.values)
+    sampled = Grade.numeric(n_max)
 
     if isinstance(family, ScaledFamily):
         base = _basis_profile([(1.0, family.base)], x_star, n_max)
         if base.missing is not None:
-            return fails("base derivative missing at the anchor", {"n": base.missing})
+            return Certificate(
+                Verdict.FAILS, sampled, "base derivative missing at the anchor", {"n": base.missing}
+            ), ()
         base_values = base.values
         coeff_seq = family.coeffs
         if classify(coeff_seq) != SUMMABLE:
@@ -1071,7 +1022,7 @@ def series_differentiate(
             return (
                 Certificate(
                     Verdict.HOLDS,
-                    Grade.numeric(n_max),
+                    sampled,
                     evidence={"rule": "base derivative vanishes at every sampled n"},
                 ),
                 tuple(0.0 for _ in base_values),
@@ -1080,7 +1031,7 @@ def series_differentiate(
         for n, a in enumerate(radii_vals, start=1):
             why, unbounded = walk.interval(n, a)
             if why is not None:
-                return fails(why, {"n": n})
+                return Certificate(Verdict.FAILS, sampled, why, {"n": n}), ()
             if unbounded:
                 raise NoMajorant(
                     f"no finite derivative envelope on the interval at n={n}"
@@ -1097,24 +1048,31 @@ def series_differentiate(
         )
         return cert, values
 
-    # Finite explicit list of terms.
-    terms = list(family)
+    # A finite list of terms, or a diagonal family as the one-term list of
+    # its sum: term k moves only coordinate k, so along e_n just one term is
+    # live, pointwise and uniform convergence of the derivative series are
+    # immediate and only condition (i) needs work.  Its witness names no term.
+    diagonal = isinstance(family, DiagonalFamily)
+    terms = [SeparableSeries(family.weight, family.inner)] if diagonal else list(family)
     walks = [basis_partials(g, x_star) for g in terms]
     for n, a in enumerate(radii_vals, start=1):
         for idx, walk in enumerate(walks):
             why, _ = walk.interval(n, a)
             if why is not None:
-                return fails(why, {"term": idx, "n": n})
+                witness = {"n": n} if diagonal else {"term": idx, "n": n}
+                return Certificate(Verdict.FAILS, sampled, why, witness), ()
     prof = _basis_profile([(1.0, g) for g in terms], x_star, n_max)
     if prof.missing is not None:
-        witness = {"term": prof.part, "n": prof.missing}
-        return fails("term derivative missing at the anchor", witness)
-    cert = Certificate(
-        Verdict.HOLDS,
-        Grade.analytic(),
-        evidence={"rule": "finite family; conditions (ii) and (iii) are finite sums"},
+        witness = {"n": prof.missing} if diagonal else {"term": prof.part, "n": prof.missing}
+        return Certificate(
+            Verdict.FAILS, sampled, "term derivative missing at the anchor", witness
+        ), ()
+    rule = (
+        "one live term per direction; tail of the derivative series is identically zero"
+        if diagonal
+        else "finite family; conditions (ii) and (iii) are finite sums"
     )
-    return cert, tuple(prof.values)
+    return Certificate(Verdict.HOLDS, Grade.analytic(), evidence={"rule": rule}), tuple(prof.values)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,10 +1092,12 @@ def kkt_certify(
 ) -> Certificate:
     """Do the supplied multipliers certify x* as a constrained minimizer?
 
-    Checks feasibility, qualification, pseudo-semicontinuity of every
-    function, complementary slackness, and per-coordinate stationarity of
-    f' + sum(lam_j g_j') + sum(nu_k h_k').  The implication runs one way:
-    any hypothesis failure is INCONCLUSIVE, never a non-optimality claim.
+    Checks, in order: membership of x* in the base set, feasibility, the
+    multiplier signs (nu_k < 0 only on an affine h_k), qualification,
+    pseudo-semicontinuity of every function, complementary slackness, and
+    per-coordinate stationarity of f' + sum(lam_j g_j') + sum(nu_k h_k').
+    The implication runs one way: any hypothesis failure is INCONCLUSIVE,
+    never a non-optimality claim.
 
     Raises ValueError when the multiplier counts differ from the constraint
     counts or a multiplier is not finite, and InfeasiblePoint when x* is
@@ -1149,17 +1109,14 @@ def kkt_certify(
         for j, v in enumerate(values):
             if not math.isfinite(v):
                 raise ValueError(f"multiplier {name}_{j} is not finite: {v}")
+    # one decision for membership and, read further down, qualification
+    qual = check_qualification(s, x_star, opts.coords)
+    if qual.verdict is Verdict.INCONCLUSIVE:
+        return qual  # membership could not be certified from the tail forms
+    if qual.witness is not None and qual.witness["condition"] == "membership":
+        raise InfeasiblePoint(f"anchor outside the base set (coordinate {qual.witness['k']})")
+    sampled = Grade.numeric(opts.coords)
     evidence: dict = {}
-
-    def inconclusive(reason: str, grade: Optional[Grade] = None, witness=None) -> Certificate:
-        grade = grade or Grade.numeric(opts.coords)
-        return Certificate(Verdict.INCONCLUSIVE, grade, reason, witness, evidence)
-
-    ok_member, wit = set_membership(s, x_star)
-    if ok_member is None:
-        return inconclusive("anchor membership could not be certified from the tail forms")
-    if not ok_member:
-        raise InfeasiblePoint(f"anchor outside the base set (coordinate {wit})")
     g_vals = []
     for j, g in enumerate(inequalities):
         gv = evaluate(g, x_star)
@@ -1176,45 +1133,43 @@ def kkt_certify(
 
     for j, l in enumerate(lam):
         if l < 0.0:
-            return inconclusive(f"multiplier {j} is negative; hypothesis not satisfied")
+            why = f"multiplier {j} is negative; hypothesis not satisfied"
+            return _inconclusive(sampled, why, evidence)
     # sufficiency needs every part nu_k h_k convex: nu_k < 0 only on affine h_k
     for k, (v, h) in enumerate(zip(nu, equalities)):
         if v < 0.0 and not basis_partials(h, x_star).affine():
-            return inconclusive(f"multiplier {k} is negative on a non-affine equality")
+            why = f"multiplier {k} is negative on a non-affine equality"
+            return _inconclusive(sampled, why, evidence)
 
-    qual = check_qualification(s, x_star, opts.coords)
     evidence["qualification"] = qual.to_json()
     if qual.verdict is not Verdict.HOLDS:
-        return inconclusive("qualification not established", qual.grade)
+        return _inconclusive(qual.grade, "qualification not established", evidence)
     for name, fn in [("objective", f)] + [
         (f"inequality_{j}", g) for j, g in enumerate(inequalities)
     ] + [(f"equality_{j}", h) for j, h in enumerate(equalities)]:
         psc = check_psc(fn, x_star, depth=opts.psc_depth)
         if psc.verdict is not Verdict.HOLDS:
             evidence["psc_failure"] = {name: psc.to_json()}
-            return inconclusive(f"pseudo-semicontinuity not established for {name}", psc.grade)
+            why = f"pseudo-semicontinuity not established for {name}"
+            return _inconclusive(psc.grade, why, evidence)
 
     slack = [l * gv for l, gv in zip(lam, g_vals)]
     evidence["complementary_slackness"] = slack
     for j, sv in enumerate(slack):
         if abs(sv) > opts.tol:
-            return inconclusive(
-                f"complementary slackness fails for inequality {j}",
-                witness={"j": j, "lambda_times_g": sv},
-            )
+            why = f"complementary slackness fails for inequality {j}"
+            return _inconclusive(sampled, why, evidence, {"j": j, "lambda_times_g": sv})
 
     # Stationarity of the Lagrangian derivative, coordinate by coordinate.
     parts = [(1.0, f), *zip(lam, inequalities), *zip(nu, equalities)]
     prof, where, n, r, grade = _basis_residual(parts, x_star, Point.zero(), opts)
     if where == "kink":
-        return inconclusive(f"directional derivative missing at n={n}")
+        return _inconclusive(sampled, f"directional derivative missing at n={n}", evidence)
     evidence["stationarity"] = [
         {"n": i, "lagrangian_derivative": v}
         for i, v in enumerate(prof.head[: min(opts.coords, 16)], start=1)
     ]
     if where in ("exact", "none"):
         return Certificate(Verdict.HOLDS, grade, evidence=evidence)
-    return inconclusive(
-        f"stationarity fails at n={n}; sufficiency cannot conclude",
-        witness={"n": n, "lagrangian_derivative": r},
-    )
+    why = f"stationarity fails at n={n}; sufficiency cannot conclude"
+    return _inconclusive(sampled, why, evidence, {"n": n, "lagrangian_derivative": r})
