@@ -828,7 +828,7 @@ def gateaux_detect(
 
     One pipeline for every space: a missing basis partial, then a supplied
     direction with left != right, gives FAILS (directions outside the space
-    or without certified quotients are skipped).  Otherwise a space without
+    or without a certified directional derivative are skipped).  Otherwise a space without
     a topological basis, or a limsup part of f, gives INCONCLUSIVE; else the
     derivative is assembled from the basis partials and validated against
     direct directional derivatives on sample directions (one with no

@@ -611,8 +611,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated reduction dimensions to cross-check, e.g. 1,2,4,8",
     )
-    p.add_argument("--deriv-t0", type=positive, default=None, help="initial quotient step")
-    p.add_argument("--deriv-steps", type=nonneg, default=None, help="quotient halvings per side")
     p.add_argument("--deriv-tol", type=positive, default=None, help="one-sided match tolerance")
     return p
 
@@ -626,12 +624,8 @@ def _opts_from_args(args, parameters: dict) -> CertifyOptions:
             return parameters[key]
         return fallback
 
-    lib, lib_deriv = CertifyOptions(), DerivOptions()
-    deriv = DerivOptions(
-        t0=args.deriv_t0,
-        steps=lib_deriv.steps if args.deriv_steps is None else args.deriv_steps,
-        tol_match=lib_deriv.tol_match if args.deriv_tol is None else args.deriv_tol,
-    )
+    lib = CertifyOptions()
+    deriv = lib.deriv if args.deriv_tol is None else DerivOptions(tol_match=args.deriv_tol)
     return CertifyOptions(
         coords=int(pick(args.coords, "coords", lib.coords)),
         tol=float(pick(args.tol, "tol", lib.tol)),

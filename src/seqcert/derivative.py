@@ -1,193 +1,63 @@
-"""Numeric directional derivatives of convex functions, with sound bounds.
+"""Directional derivatives of convex functions, from the grammar's closed forms.
 
 For a convex function the difference quotient (f(x + t h) - f(x)) / t is
-nonincreasing as t decreases to 0 and nondecreasing as t increases to 0, so
-each one-sided derivative is bracketed by a monotone sequence of quotients.
-Verdicts (does the two-sided derivative exist?) use those monotone bounds
-only; Richardson extrapolation sharpens the reported value but never feeds
-a decision.  Differences along finitely supported directions are computed
-exactly (no series, no cancellation), so quotients stay trustworthy down to
-machine scale.  Along a direction the function grammar answers in closed
-form, that answer comes first and no quotient is scanned.
+monotone in t (Rockafellar, Convex Analysis, Thm 23.1), so each one-sided
+derivative of a separable series is the sum of its terms' (Thm 24.1 and
+monotone convergence).  The walk over the function grammar
+(funcs.basis_partials) answers them in closed form: along a basis vector
+with its per-index sides, along any other direction with ``direction(h)``.
+Where the walk has no closed form there is no certified value, and
+dir_deriv says so by raising NoMajorant; no quotient is scanned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from .errors import (
-    DomainLimited,
-    DomainViolation,
-    NonConvexBehavior,
-)
+from .errors import DomainLimited, DomainViolation, NoMajorant
 from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials
 from .seqspace import DEFAULT_SERIES_TOL, Point, basis_vector
-
-_EPS = 2.220446049250313e-16
-#: Quotient movement below _NOISE_SCALE * eps * (|f(x)| + 1) / t counts as
-#: numeric noise.
-_NOISE_SCALE = 16.0
 
 
 @dataclass(frozen=True)
 class DerivOptions:
-    """Step schedule and matching tolerance for quotient evaluation.
+    """tol_match decides left-right agreement of the one-sided derivatives."""
 
-    t0 = None picks 1e-2 * max(1, |x_n|) for single-coordinate directions
-    and 1e-2 otherwise; steps is the number of halvings; tol_match decides
-    left-right agreement.  Setting prefer_analytic False forces the
-    quotient scan along every direction, basis or not, where the closed
-    forms would otherwise answer; no certifier does, and it stays as the
-    tests' independent numeric reference for the closed forms.
-    """
-
-    t0: Optional[float] = None
-    steps: int = 40
     tol_match: float = 1e-7
-    prefer_analytic: bool = True
 
     def __post_init__(self):
-        if self.t0 is not None and not (math.isfinite(self.t0) and self.t0 > 0.0):
-            raise ValueError(f"t0 must be None or finite and > 0, got {self.t0}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
         if not (math.isfinite(self.tol_match) and self.tol_match > 0.0):
             raise ValueError(f"tol_match must be finite and > 0, got {self.tol_match}")
 
 
 @dataclass(frozen=True)
 class DirDerivResult:
-    """One-sided derivative estimates along a direction.
+    """One-sided derivatives along a direction.
 
-    ``right`` and ``left`` are certified monotone bounds (min of right
-    quotients, max of left quotients); ``exists`` holds when both are finite
-    and within tol_match of each other, in which case ``value`` carries the
-    extrapolated estimate.  ``quotients_log`` records every (t, quotient)
-    pair evaluated, negative t on the left side.
+    ``left`` and ``right`` are the closed-form one-sided derivatives, a
+    side outside the domain at its extended-real limit (-inf on the left,
+    +inf on the right); ``exists`` holds when both are finite and within
+    tol_match of each other, and ``value`` is then their midpoint.
+    ``quotients_log`` is always empty and ``method`` always "analytic":
+    no answer comes from difference quotients.
     """
 
     right: float
     left: float
     exists: bool
     value: Optional[float]
-    noise_floor: float
-    quotients_log: tuple[tuple[float, float], ...]
-    method: str = "numeric"
-
-
-def _support(h: Point) -> Optional[list[int]]:
-    """Indices of nonzero coordinates when h is finitely supported."""
-    if not h.is_finitely_supported():
-        return None
-    return [i + 1 for i, v in enumerate(h.prefix) if v != 0.0]
+    quotients_log: tuple[tuple[float, float], ...] = ()
+    method: str = "analytic"
 
 
 def _is_basis(h: Point) -> Optional[int]:
-    sup = _support(h)
-    if sup is not None and len(sup) == 1 and h.prefix[sup[0] - 1] == 1.0:
-        return sup[0]
+    if h.is_finitely_supported():
+        support = [i + 1 for i, v in enumerate(h.prefix) if v != 0.0]
+        if len(support) == 1 and h.prefix[support[0] - 1] == 1.0:
+            return support[0]
     return None
-
-
-class _Side:
-    """Monotone quotient scan on one side of 0."""
-
-    __slots__ = ("bound", "report", "log", "alive")
-
-    def __init__(self):
-        self.bound: Optional[float] = None
-        self.report: Optional[float] = None
-        self.log: list[tuple[float, float]] = []
-        self.alive = False
-
-
-def _scan_side(
-    delta: Callable[[float], float],
-    exact: bool,
-    t0: float,
-    sign: int,
-    opts: DerivOptions,
-    fx_mag: float,
-) -> _Side:
-    """Evaluate quotients delta(t) / t at t = sign * t0 * 2^-j with early stopping.
-
-    Right side (sign=+1): quotients must be nonincreasing up to noise;
-    left side (sign=-1): nondecreasing.  Violations beyond 10x the noise
-    floor mean the input was not convex (or the evaluator is broken).
-    Early stopping applies only to series-backed quotients, whose error
-    grows like 1/t; exact finite differences stay trustworthy at every
-    step, so those scans run the full ladder.
-    """
-    side = _Side()
-    qs: list[float] = []
-    prev: Optional[float] = None
-    start = sign * t0
-    noise = _NOISE_SCALE * _EPS * (fx_mag + 1.0)
-    for j in range(opts.steps + 1):
-        t = start * 2.0**-j
-        nf = noise / abs(t)
-        try:
-            q = delta(t) / t
-        except DomainViolation:
-            # Convex domains are intervals along a line: larger |t| failing
-            # says nothing about smaller |t|, so keep shrinking.
-            continue
-        side.log.append((t, q))
-        if prev is not None:
-            drift = (q - prev) if sign > 0 else (prev - q)
-            if drift > 10.0 * nf:
-                raise NonConvexBehavior(
-                    f"difference quotients moved the wrong way at t={t:.3e} "
-                    f"(drift {drift:.3e} vs noise floor {nf:.3e})"
-                )
-            if not exact and abs(q - prev) <= nf:
-                qs.append(q)
-                prev = q
-                break
-        qs.append(q)
-        prev = q
-    if not qs:
-        return side
-    side.alive = True
-    side.bound = min(qs) if sign > 0 else max(qs)
-    side.report = _extrapolate(qs, sign)
-    return side
-
-
-def _extrapolate(qs: list[float], sign: int) -> float:
-    """Richardson-style limit estimate from the last geometric-looking gaps."""
-    if len(qs) < 3:
-        return qs[-1]
-    g1 = qs[-2] - qs[-1]
-    g0 = qs[-3] - qs[-2]
-    if g0 == 0.0 or g1 == 0.0:
-        return qs[-1]
-    rho = g1 / g0
-    if not (0.0 < rho < 0.9):
-        return qs[-1]
-    return qs[-1] - g1 * rho / (1.0 - rho)
-
-
-def _closed_form(
-    left: float, right: float, value: Optional[float], opts: DerivOptions
-) -> DirDerivResult:
-    """A closed-form one-sided pair as a result: no quotients, no noise."""
-    exists = (
-        math.isfinite(left)
-        and math.isfinite(right)
-        and abs(right - left) <= opts.tol_match
-    )
-    return DirDerivResult(
-        right=right,
-        left=left,
-        exists=exists,
-        value=value if exists else None,
-        noise_floor=0.0,
-        quotients_log=(),
-        method="analytic",
-    )
 
 
 def dir_deriv(
@@ -198,97 +68,44 @@ def dir_deriv(
 ) -> DirDerivResult:
     """Directional derivative of f at x along h, with an existence verdict.
 
-    With prefer_analytic (the default) the closed forms answer first
-    (method "analytic", no quotients, noise floor 0): along a basis
-    vector the per-index sides, without evaluating f; along any other
-    direction, once f(x) is certified finite, the walk's
-    ``direction(h)``, the sum of the terms' one-sided derivatives.  Where
-    the walk has no closed form, difference quotients are scanned on both
-    sides.  A side whose every probe leaves the domain is reported at its
-    extended-real limit (+inf on the right would mean the right side is
-    infeasible; in this grammar only -inf arises, from sqrt boundaries);
-    the verdict is then "does not exist".
+    Along a basis vector the per-index sides answer, without evaluating f;
+    along any other direction, once f(x) is certified finite, the walk's
+    ``direction(h)``, the sum of the terms' one-sided derivatives.  Raises
+    DomainViolation when f(x) is not finite, NoMajorant where the walk has
+    no closed form along h, and DomainLimited where neither side of 0 stays
+    in the domain.
     """
     n = _is_basis(h)
-    if n is not None and opts.prefer_analytic:
+    if n is not None:
         dv = analytic_dir_deriv(f, x, n)
-        left = -math.inf if dv.left is None else dv.left
-        right = math.inf if dv.right is None else dv.right
-        return _closed_form(left, right, dv.value, opts)
-
-    walk = basis_partials(f, x)
-    # |f(x)| scales the quotient noise floor
-    fx = walk.value(DEFAULT_SERIES_TOL)
-    if not math.isfinite(fx.value):
-        raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
-    fx_mag = abs(fx.value)
-    sides = walk.direction(h) if opts.prefer_analytic else None
-    if sides is not None:
+        left, right, value = dv.left, dv.right, dv.value
+    else:
+        walk = basis_partials(f, x)
+        if not math.isfinite(walk.value(DEFAULT_SERIES_TOL).value):
+            raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
+        sides = walk.direction(h)
+        if sides is None:
+            raise NoMajorant("no closed-form one-sided derivatives along this direction")
         left, right = sides
-        return _closed_form(left, right, left + 0.5 * (right - left), opts)
-
-    support = _support(h)
-    if opts.t0 is not None:
-        t0 = opts.t0
-    elif support is not None and len(support) == 1:
-        t0 = 1e-2 * max(1.0, abs(x.coordinate(support[0])))
-    else:
-        t0 = 1e-2
-    exact = support is not None
-    if exact:
-        delta = walk.line(tuple((n, h.coordinate(n)) for n in support))
-    else:
-        line = walk.series_line(h)
-
-        def delta(t: float) -> float:
-            return line(t, abs(t) * 1e-13).value
-    right = _scan_side(delta, exact, t0, +1, opts, fx_mag)
-    left = _scan_side(delta, exact, t0, -1, opts, fx_mag)
-    if not right.alive and not left.alive:
-        raise DomainLimited("no feasible step on either side of 0")
-
-    r_bound = right.bound if right.alive else math.inf
-    l_bound = left.bound if left.alive else -math.inf
-    exists = (
-        math.isfinite(r_bound)
-        and math.isfinite(l_bound)
-        and abs(r_bound - l_bound) <= opts.tol_match
-    )
-    value = None
-    if exists:
-        value = 0.5 * (right.report + left.report)
-    if exact:
-        # Exact finite differences: only rounding of the quotient itself.
-        worst = max(abs(r_bound) if right.alive else 0.0,
-                    abs(l_bound) if left.alive else 0.0)
-        nf = _NOISE_SCALE * _EPS * (1.0 + worst)
-    else:
-        # Series-backed quotients: error scales like 1/t at the smallest
-        # step actually accepted.
-        ts = [abs(t) for side in (right, left) for (t, _) in side.log]
-        smallest_t = min(ts) if ts else t0 * 2.0 ** -(opts.steps)
-        nf = _NOISE_SCALE * _EPS * (fx_mag + 1.0) / smallest_t
-    return DirDerivResult(
-        right=r_bound,
-        left=l_bound,
-        exists=exists,
-        value=value,
-        noise_floor=nf,
-        quotients_log=tuple(left.log[::-1] + right.log),
-        method="numeric",
-    )
+        if left is None and right is None:
+            raise DomainLimited("no feasible step on either side of 0")
+        value = None if left is None or right is None else left + 0.5 * (right - left)
+    left = -math.inf if left is None else left
+    right = math.inf if right is None else right
+    exists = math.isfinite(left) and math.isfinite(right) and abs(right - left) <= opts.tol_match
+    return DirDerivResult(right=right, left=left, exists=exists, value=value if exists else None)
 
 
 def dir_deriv_profile(
     f: FunctionExpr, x: Point, direction_count: int, opts: DerivOptions = DerivOptions()
 ) -> list[DirDerivResult]:
-    """dir_deriv along e_1 .. e_N; errors are re-raised tagged by index."""
+    """dir_deriv along e_1 .. e_N; a domain error is re-raised tagged by index."""
     if direction_count < 1:
         raise ValueError("direction count must be >= 1")
     out = []
     for n in range(1, direction_count + 1):
         try:
             out.append(dir_deriv(f, x, basis_vector(n), opts))
-        except (DomainViolation, DomainLimited, NonConvexBehavior) as exc:
+        except DomainViolation as exc:
             raise type(exc)(f"direction {n}: {exc}") from exc
     return out

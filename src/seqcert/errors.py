@@ -26,12 +26,13 @@ class NegativeScale(SeqcertError):
 
 class NonConvexBehavior(SeqcertError):
     """Difference quotients violated convex monotonicity beyond the noise
-    floor; the input is either non-convex or buggy."""
+    floor; the input is either non-convex or buggy.  No package road scans
+    quotients any more: only the tests' reference quotient scan raises it."""
 
 
 class DomainLimited(SeqcertError):
-    """Only one side of a directional derivative is evaluable because the
-    base point sits on the boundary of the domain."""
+    """No side of a directional derivative is evaluable: every step to
+    either side of the base point leaves the domain."""
 
 
 class PartialNotDifferentiable(SeqcertError):

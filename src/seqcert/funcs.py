@@ -479,17 +479,17 @@ class BasisPartials:
     (why, unbounded) for t -> f(x + t e_n) on |t| < a: why names the first
     term's kink or sqrt boundary inside it (None when there is none), and
     unbounded says some term's derivative has no finite supremum there.
-    ``value(tol)`` is evaluate(f, x, tol), and ``series_line(h)`` is
-    (t, tol) -> delta_along(f, x, h, t, tol) for any direction h: its
+    ``value(tol)`` is evaluate(f, x, tol), and ``series_line(h)`` is the
+    line behind delta_along(f, x, h, t, tol) for any direction h: its
     constants are resolved once, what depends on |t| only (a pairing's
     certified sum, a separable leaf's majorant region) is kept per step
-    size so t and -t share it, and domain errors stay per step, so a
-    quotient scan can skip the steps that leave the domain.
+    size so t and -t share it, and domain errors stay per step.
     ``limsup_weight()`` is the total coefficient of the limsup parts, and
     ``affine()`` says whether f is built from constants, linear functionals
     and linear-piece series only.  ``direction(h)`` is the one-sided pair
-    (left, right) of t -> f(x + t h) at 0 in closed form, or None where
-    there is none (see :func:`basis_partials`).
+    (left, right) of t -> f(x + t h) at 0 in closed form, None marking a
+    side outside the domain, or None where there is no closed form (see
+    :func:`basis_partials`).
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
@@ -591,9 +591,17 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     derivative and, by monotone convergence, the leaf's one-sided
     derivative along h is the sum of its terms' (``direction(h)``): the
     per-index sides scaled by h_n over the head, plus a closed-form tail
-    summed by ``tail_sum``.  The answer is None for a sqrt piece, a line
-    majorant that is not summable, an eventual sign that cannot be
-    certified and a tail or pairing without a certified sum.
+    summed by ``tail_sum``.  A finitely supported h has no tail, so the
+    head alone answers.  A side outside the domain is None, in a sum as
+    soon as one part's is, and a part with neither side wins over a part
+    without an answer.  A sqrt piece finds its feasible sides at a quotient
+    scan's step sizes, and its tail slopes against the slowest atom of x's
+    tail: a slope sum that diverges with a certified sign is that infinity
+    on each feasible side, and a zero tail puts every term on its boundary.
+    The answer is None for a line majorant that is not summable, an
+    eventual sign of |.|'s tail that is neither constant nor alternating, a
+    sqrt anchor tail with a negative atom and a tail or pairing without a
+    certified sum.
 
     The last walk built is kept (:func:`_shares_last_walk`): asked again
     about the same f and x objects, basis_partials returns it, with the
@@ -701,7 +709,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
 
         def scaled_direction(h: Point) -> Optional[tuple]:
             sub = inner.direction(h)
-            return None if sub is None else (lam * sub[0], lam * sub[1])
+            return None if sub is None else tuple(None if s is None else lam * s for s in sub)
 
         return BasisPartials(
             scaled, scaled_form, scaled_line, inner.interval, scaled_value,
@@ -774,14 +782,19 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             return SeriesValue(total, err, used)
 
         def summed_direction(h: Point) -> Optional[tuple]:
-            lsum, rsum = 0.0, 0.0
+            lsum, rsum, declined = 0.0, 0.0, False
             for part in parts:
                 sub = part.direction(h)
                 if sub is None:
-                    return None
-                lsum += sub[0]
-                rsum += sub[1]
-            return lsum, rsum
+                    declined = True
+                    continue
+                left, right = sub
+                lsum = None if lsum is None or left is None else lsum + left
+                rsum = None if rsum is None or right is None else rsum + right
+            # no side of 0 is feasible, whatever the declining parts are
+            if lsum is None and rsum is None:
+                return None, None
+            return None if declined else (lsum, rsum)
 
         return BasisPartials(
             summed, summed_form, summed_line, summed_interval, summed_value,
@@ -791,6 +804,20 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             summed_direction,
         )
     raise TypeError(f"unknown function expression {type(f).__name__}")
+
+
+#: (-1)^n, the sign pattern of an alternating tail
+_ALTERNATING = SymSeq.term(1, -1, 0)
+
+
+def _eventual_sign(seq: SymSeq, start: int) -> tuple[int, int, bool]:
+    """(sign, rank, alternating): seq(n) has the sign of sign, times
+    (-1)^n when alternating, at every n >= rank; ValueError where neither
+    pattern is certified."""
+    try:
+        return (*seq.eventual_sign(start), False)
+    except ValueError:
+        return (*(seq * _ALTERNATING).eventual_sign(start), True)
 
 
 def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
@@ -877,35 +904,9 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         lo = v - a
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
 
-    def direction(h: Point) -> Optional[tuple]:
-        # the majorant's terms never cancel, so its label is the same at
-        # every step size > 0
-        if kind is ScalarKind.NEG_SQRT or classify(_line_majorant(f, x, h, 1.0)) != SUMMABLE:
-            return None
-        # from here on x and h are both closed forms
-        start = max(x.tail_start, h.tail_start)
-        kink = False
-        if kind is not ScalarKind.ABS:
-            # the partial's closed form, valid from x's tail start
-            slope = form().tail
-        else:
-            try:
-                sgn, rank = x.tail.eventual_sign(start)
-                if sgn == 0:
-                    # x's tail is zero: every tail term has its kink at 0,
-                    # with one-sided slopes -+w|h_n|, and |h_n| = sgn h_n
-                    kink = True
-                    sgn, rank = h.tail.eventual_sign(start)
-            except ValueError:
-                return None
-            start = max(start, rank)
-            slope = weight.scaled(sgn)
-        try:
-            tail, _, _ = tail_sum(slope * h.tail, start, DEFAULT_SERIES_TOL)
-        except ValueError:
-            return None
+    def head(h: Point, stop: int) -> tuple:
         left, right = 0.0, 0.0
-        for n in range(1, start):
+        for n in range(1, stop):
             hn = h.coordinate(n)
             if hn == 0.0:
                 continue
@@ -913,8 +914,97 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
             # a negative step swaps the sides
             if hn < 0.0:
                 lo, hi = hi, lo
-            left += lo * hn
-            right += hi * hn
+            left = None if left is None or lo is None else left + lo * hn
+            right = None if right is None or hi is None else right + hi * hn
+        return left, right
+
+    def feasible(h: Point, sign: float) -> bool:
+        # a side is feasible where x + t h is in the domain at one of the
+        # step sizes t = 1e-2 * 2^-j, j = 0..40, taken toward 0
+        for j in range(41):
+            try:
+                _separable_domain_rank(f, point_axpy(x, sign * 1e-2 * 2.0**-j, h))
+            except DomainViolation:
+                continue
+            return True
+        return False
+
+    def sqrt_direction(h: Point, start: int) -> Optional[tuple]:
+        atoms = x.tail.terms
+        if not weight or not u.c:
+            return 0.0, 0.0
+        if not atoms:
+            # every tail term sits on its sqrt boundary, where the right
+            # slope is -inf and the left slope +inf
+            return math.inf, -math.inf
+        if not _nonneg(x.tail):
+            return None
+        # x_n is at least its slowest atom a(n) > 0, so each tail slope is
+        # at most w c / (2 sqrt a(n)) in size, of the same order and sign,
+        # and equal to it where x's tail is that one atom
+        slowest = SymSeq((max(atoms, key=lambda t: (t.ratio, -t.npow)),), exact=x.tail.exact)
+        bound = (weight * u.c * slowest.sqrt().reciprocal()).scaled(-0.5) * h.tail
+        label = classify(bound)
+        if label == DIVERGENT:
+            try:
+                sgn, _ = bound.eventual_sign(start)
+            except ValueError:
+                return None
+            return sgn * math.inf, sgn * math.inf
+        if label != SUMMABLE:
+            return None
+        if len(atoms) == 1:
+            tail, _, _ = tail_sum(bound, start, DEFAULT_SERIES_TOL)
+        else:
+            def slope(n: int) -> float:
+                return 0.0 if n < start else sides(n)[1] * h.coordinate(n)
+            try:
+                tail = certified_series(slope, start, majorant=bound.abs_terms()).value
+            except NoMajorant:
+                return None
+        left, right = head(h, start)
+        return (None if left is None else left + tail, None if right is None else right + tail)
+
+    def direction(h: Point) -> Optional[tuple]:
+        if not h.tail:
+            return head(h, h.tail_start)
+        if kind is ScalarKind.NEG_SQRT:
+            ok = (feasible(h, -1.0), feasible(h, 1.0))
+            if ok == (False, False):
+                return None, None
+        # the majorant's terms never cancel, so its label is the same at
+        # every step size > 0
+        if classify(_line_majorant(f, x, h, 1.0)) != SUMMABLE:
+            return None
+        # from here on x and h are both closed forms
+        start = max(x.tail_start, h.tail_start)
+        if kind is ScalarKind.NEG_SQRT:
+            found = sqrt_direction(h, start)
+            if found is None:
+                return None
+            return tuple(side if side_ok else None for side, side_ok in zip(found, ok))
+        kink = False
+        if kind is not ScalarKind.ABS:
+            # the partial's closed form, valid from x's tail start
+            slope = form().tail
+        else:
+            try:
+                sgn, rank, alternating = _eventual_sign(x.tail, start)
+                if sgn == 0:
+                    # x's tail is zero: every tail term has its kink at 0,
+                    # with one-sided slopes -+w|h_n|, and |h_n| = sgn h_n,
+                    # times (-1)^n where h's tail alternates
+                    kink = True
+                    sgn, rank, alternating = _eventual_sign(h.tail, start)
+            except ValueError:
+                return None
+            start = max(start, rank)
+            slope = weight.scaled(sgn) * _ALTERNATING if alternating else weight.scaled(sgn)
+        try:
+            tail, _, _ = tail_sum(slope * h.tail, start, DEFAULT_SERIES_TOL)
+        except ValueError:
+            return None
+        left, right = head(h, start)
         return (left - tail, right + tail) if kink else (left + tail, right + tail)
 
     return BasisPartials(

@@ -25,7 +25,7 @@ import pytest
 
 from seqcert import certify, reduce
 from seqcert.certify import CertifyOptions, SetDescriptor, coordinate_interval, gateaux_detect
-from seqcert.derivative import DerivOptions, dir_deriv, dir_deriv_profile
+from seqcert.derivative import dir_deriv, dir_deriv_profile
 from seqcert import funcs
 from seqcert.errors import DomainViolation, MaxSweeps, NoMajorant, Unbounded
 from seqcert.funcs import (
@@ -74,8 +74,9 @@ from seqcert.symseq import (
 )
 from test_certify import closed_form_cases
 from test_series_digest import fuzz_instance, ladder, ladder_cases, step_record
+from quotient_scan import ScanOptions, quotient_scan
 
-NUMERIC = DerivOptions(prefer_analytic=False)
+NUMERIC = ScanOptions()
 SPACES = (SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf)
 
 
@@ -209,8 +210,8 @@ def reference_line(f, x, steps):
 
 
 def quotient_ladder(x, steps, opts=NUMERIC):
-    """dir_deriv's steps along the direction: t0 scales with |x_n| for a
-    single coordinate n."""
+    """The reference quotient scan's steps along the direction: t0 scales
+    with |x_n| for a single coordinate n."""
     t0 = 1e-2 * max(1.0, abs(x.coordinate(steps[0][0]))) if len(steps) == 1 else 1e-2
     return [sign * t0 * 2.0**-j for sign in (1, -1) for j in range(opts.steps + 1)]
 
@@ -267,13 +268,13 @@ def test_profile_matches_direction_by_direction_scans():
     raised = 0
     for f, x in instances():
         try:
-            profile = dir_deriv_profile(f, x, 8, NUMERIC)
+            profile = dir_deriv_profile(f, x, 8)
         except Exception as exc:
             # The profile must fail where the first failing direction does,
             # with that direction's message tagged by its index.
             raised += 1
             for n in range(1, 9):
-                single = outcome(lambda: dir_deriv(f, x, basis_vector(n), NUMERIC))
+                single = outcome(lambda: dir_deriv(f, x, basis_vector(n)))
                 if single[0] == "raise":
                     assert (type(exc).__name__, str(exc)) == (
                         single[1], f"direction {n}: {single[2]}"
@@ -283,7 +284,7 @@ def test_profile_matches_direction_by_direction_scans():
                 pytest.fail(f"profile raised {exc!r} but no direction does")
             continue
         for n, res in enumerate(profile, start=1):
-            single = dir_deriv(f, x, basis_vector(n), NUMERIC)
+            single = dir_deriv(f, x, basis_vector(n))
             assert bits(res) == bits(single)
     assert raised > 0  # the infeasible sqrt points exercise the error path
 
@@ -1169,7 +1170,7 @@ def test_one_majorant_region_and_pairing_sum_per_step_size(monkeypatch):
     ))
     x = Point([0.5, -1.0], (TailRule.geometric(1.0, 0.5),))
     h = Point([1.0, 0.25], (TailRule.geometric(0.8, 0.6),))
-    res = dir_deriv(f, x, h, NUMERIC)
+    res = quotient_scan(f, x, h)
     sizes = len({abs(t) for t, _ in res.quotients_log})
     assert res.method == "numeric" and sizes > 1
     assert {t > 0 for t, _ in res.quotients_log} == {True, False}
@@ -1424,10 +1425,10 @@ def test_series_line_steps_match_the_reference_line(monkeypatch):
         for t in ladder():
             step_record(line, t)
     on_ladders = len(compared)
-    # every step of the scans along gateaux_detect's validation directions,
-    # which its directional derivatives now answer in closed form
+    # every step of the reference scans along gateaux_detect's validation
+    # directions, which its directional derivatives answer in closed form
     def scanned(f, x, h, opts):
-        return dir_deriv(f, x, h, dataclasses.replace(opts, prefer_analytic=False))
+        return quotient_scan(f, x, h, ScanOptions(tol_match=opts.tol_match))
 
     monkeypatch.setattr(certify, "dir_deriv", scanned)
     for seed in range(300):

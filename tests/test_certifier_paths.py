@@ -9,7 +9,11 @@ included), followed for gateaux_detect and series_differentiate by the
 repr of the derivative or the values returned beside it, or the (type,
 message) of the exception raised.  The digests were recorded before the
 certifiers' shared hypothesis checks were gathered into one stage each, and
-that change reproduced them unchanged.
+that change reproduced them unchanged.  gateaux/holds_numeric was
+re-recorded when dir_deriv stopped scanning quotients: its validation
+directions are now answered in closed form, so its three validation gaps
+moved from (1.4e-17, 0, 1.4e-17) to (0, 0, 0); every other byte of its
+record stayed the same.
 
 One site has no input here: gateaux_detect's INCONCLUSIVE "assembled
 derivative disagrees with a direct directional derivative".  Both sides of
@@ -187,7 +191,7 @@ PATH_DIGESTS = {
     "certify_min/qualification": "722d1ce922eb3910f1a4964c2cbcbc6ca994a53464767acde943285c80a12d29",
     "certify_min/stationarity_fails": "b0bc9810b1782710d038002097c91a474ba0684a589a8db0c2640eadc3c2750d",
     "gateaux/holds_analytic": "d91cbe0225a334aac643c33d706209865c5fec81d1d0b7dc79a4d4d0efb00c25",
-    "gateaux/holds_numeric": "3f7451cdaaf165b2e16c247fd4b0c5c16cb26e28514ab83dd3294d1c7e201389",
+    "gateaux/holds_numeric": "d73571efd3bd1da532842c771c071113c215f6772389524f4662d9d010876045",
     "gateaux/limsup_part": "6dade574b9dcec286c2a126720925e2ee0b3bd34677b5ce3758865cd791e5a03",
     "gateaux/missing_partial": "8169019fc616cd381b87ae8fde5f201d8be0687ecd7ed2027315a54e505db78a",
     "gateaux/no_feasible_step": "2ef25efcfa205662946d834a333504e2aad98b22f420ba589dcf50bfb5c855be",

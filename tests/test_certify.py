@@ -35,7 +35,7 @@ from seqcert.certify import (
     set_to_json,
     subgradient_test,
 )
-from seqcert.derivative import DerivOptions, dir_deriv
+from seqcert.derivative import dir_deriv
 from seqcert.errors import DomainViolation, InfeasiblePoint, NoMajorant, NonConvergentPairing
 from seqcert.funcs import (
     Constant,
@@ -59,6 +59,8 @@ from seqcert.seqspace import (
     basis_vector,
     point_axpy,
 )
+
+from quotient_scan import quotient_scan
 
 BETA = 0.5
 OPTS = CertifyOptions()
@@ -1061,15 +1063,15 @@ def secant_bracket(f, x, h, t):
 
 
 def test_a_slowly_decaying_majorant_ends_in_no_majorant():
-    # seed 10 along a harmonic-tailed direction: the quotient steps need a
-    # majorant-bounded head sum of millions of terms, which would run for
-    # minutes; the head budget ends the scan at once
+    # seed 10 along a harmonic-tailed direction: the reference scan's
+    # quotient steps need a majorant-bounded head sum of millions of terms,
+    # which would run for minutes; the head budget ends the scan at once
     _, f, x_star, _ = fuzz_instance(10)
     h = random_direction(random.Random(3), summable=False)
     assert [t.npow for t in h.tail.terms] == [1]
     start = time.perf_counter()
     with pytest.raises(NoMajorant, match="decays too slowly"):
-        dir_deriv(f, x_star, h, DerivOptions(prefer_analytic=False))
+        quotient_scan(f, x_star, h)
     assert time.perf_counter() - start < 5.0
     # the closed form needs no majorant region: the sum of the terms'
     # one-sided derivatives, inside the certified secant slopes
@@ -1090,8 +1092,7 @@ def test_closed_form_directions_lie_inside_their_secant_slopes():
             res = dir_deriv(f, x_star, h)
         except (DomainViolation, NoMajorant):
             continue
-        if res.method != "analytic":
-            continue
+        assert res.method == "analytic"
         for t in (1e-2, 1e-4):
             try:
                 low, high = secant_bracket(f, x_star, h, t)

@@ -250,9 +250,7 @@ def test_unset_flags_fall_back_to_the_library_defaults():
         ("--coords", "0"),
         ("--psc-depth", "0"),
         ("--seed", "-1"),
-        ("--deriv-t0", "0"),
         ("--deriv-tol", "-0.5"),
-        ("--deriv-steps", "-1"),
     ],
 )
 def test_out_of_range_flag_is_a_usage_error(flag, value, capsys):
@@ -367,6 +365,21 @@ def test_a_stationarity_fails_reports_its_coordinate_and_no_probes(tmp_path):
     assert report["certificate"]["witness"] == {"n": 1, "derivative": 1.0}
     assert report["probe_log"] == []
     assert "psc" not in report["certificate"]["evidence"]
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+
+GATEAUX_ALTERNATING_TAIL = PKG_ROOT / "tests" / "data" / "gateaux_alternating_tail.json"
+
+
+def test_an_alternating_anchor_tail_is_differentiable_in_closed_form(tmp_path):
+    # grammar_fuzz seed 43: an |.| leaf whose anchor tail has ratio -0.413,
+    # so sign(x_n) alternates; its validation directions are answered in
+    # closed form, each within 1e-12 of the assembled derivative
+    proc, report = run_json(tmp_path, str(GATEAUX_ALTERNATING_TAIL))
+    assert proc.returncode == 0, proc.stderr
+    assert (report["verdict"], report["passed"]) == ("holds", True)
+    samples = report["certificate"]["evidence"]["validation_samples"]
+    assert len(samples) == 3 and all(s["gap"] <= 1e-12 for s in samples)
     jsonschema.validate(report, REPORT_SCHEMA)
 
 

@@ -14,7 +14,6 @@ from seqcert.certify import (
     gateaux_detect,
     subgradient_test,
 )
-from seqcert.derivative import DerivOptions, dir_deriv
 from seqcert.funcs import (
     DirStatus,
     ScalarConvex,
@@ -46,10 +45,11 @@ from seqcert.seqspace import (
     project,
 )
 
+from quotient_scan import quotient_scan
+
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
 SLOW = settings(max_examples=25, deadline=None, derandomize=True)
 
-NUMERIC = DerivOptions(prefer_analytic=False)
 
 
 def finite_value(f, x):
@@ -115,7 +115,7 @@ def test_difference_quotients_are_monotone(seed):
     h = random_direction(rng, summable=True)
     if finite_value(f, x) is None:
         return  # no base value, nothing to difference
-    res = dir_deriv(f, x, h, NUMERIC)
+    res = quotient_scan(f, x, h)
     slack = 10 * res.noise_floor + 1e-12
     rights = [q for t, q in sorted(res.quotients_log, reverse=True) if t > 0]
     lefts = [q for t, q in sorted(res.quotients_log) if t < 0]
@@ -144,7 +144,7 @@ def test_analytic_matches_numeric_along_basis(seed, n):
         return
     if finite_value(f, x) is None:
         return
-    num = dir_deriv(f, x, basis_vector(n), NUMERIC)
+    num = quotient_scan(f, x, basis_vector(n))
     assert num.exists
     tol = max(1e-8, 50 * num.noise_floor) + 1e-8 * abs(dv.value)
     assert abs(num.value - dv.value) <= tol
