@@ -40,7 +40,6 @@ from .funcs import (
     ScalarConvex,
     SeparableSeries,
     _as_form,
-    _expect_fields,
     basis_partials,
     drop_kept_walk,
     evaluate,
@@ -63,6 +62,10 @@ from .seqspace import (
     coordinate_signs,
     in_ell1,
     in_space,
+    json_field,
+    json_integer,
+    json_kind,
+    json_list,
     limsup_abs,
     point_from_json,
     point_sub,
@@ -202,25 +205,26 @@ def set_to_json(s: SetDescriptor) -> dict:
     return {"kind": s.kind.value}
 
 
+#: The fields of each set's JSON object; a box's bounds are optional.
+_SET_FIELDS = {
+    "whole_space": frozenset({"kind"}),
+    "positive_cone_ell1": frozenset({"kind"}),
+    "box": frozenset({"kind", "lower", "upper", "bound_count"}),
+}
+_BOX_BOUNDS = frozenset({"lower", "upper", "bound_count"})
+
+
 def set_from_json(obj: dict) -> SetDescriptor:
-    if not isinstance(obj, dict):
-        raise ValueError("set must be a JSON object")
-    unknown = set(obj) - {"kind", "lower", "upper", "bound_count"}
-    if unknown:
-        raise ValueError(f"unknown set fields: {sorted(unknown)}")
-    kind = obj.get("kind")
+    kind = json_kind(obj, "set", _SET_FIELDS, _BOX_BOUNDS)
     if kind == "whole_space":
         return SetDescriptor.whole_space()
     if kind == "positive_cone_ell1":
         return SetDescriptor.positive_cone_ell1()
-    if kind == "box":
-        lower = point_from_json(obj["lower"]) if "lower" in obj else None
-        upper = point_from_json(obj["upper"]) if "upper" in obj else None
-        bc = obj.get("bound_count")
-        if bc is not None and (not isinstance(bc, int) or bc < 1):
-            raise ValueError("bound_count must be a positive integer")
-        return SetDescriptor.box(lower, upper, bc)
-    raise ValueError(f"unknown set kind {kind!r}")
+    return SetDescriptor.box(
+        json_field(obj, "lower", point_from_json) if "lower" in obj else None,
+        json_field(obj, "upper", point_from_json) if "upper" in obj else None,
+        json_field(obj, "bound_count", json_integer, 1) if "bound_count" in obj else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -965,22 +969,25 @@ def family_to_json(family: SeriesFamily) -> dict:
     return {"kind": "list", "terms": [function_to_json(g) for g in family]}
 
 
+#: The fields of each family's JSON object.
+_FAMILY_FIELDS = {
+    "diagonal": frozenset({"kind", "weight", "inner"}),
+    "scaled": frozenset({"kind", "coeffs", "base"}),
+    "list": frozenset({"kind", "terms"}),
+}
+
+
 def family_from_json(obj: dict) -> SeriesFamily:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("family must be an object with a 'kind'")
-    kind = obj["kind"]
+    kind = json_kind(obj, "family", _FAMILY_FIELDS)
     if kind == "diagonal":
-        _expect_fields(obj, "diagonal family", {"kind", "weight", "inner"})
-        return DiagonalFamily(coef_from_json(obj["weight"]), scalar_from_json(obj["inner"]))
+        return DiagonalFamily(
+            json_field(obj, "weight", coef_from_json), json_field(obj, "inner", scalar_from_json)
+        )
     if kind == "scaled":
-        _expect_fields(obj, "scaled family", {"kind", "coeffs", "base"})
-        return ScaledFamily(coef_from_json(obj["coeffs"]), function_from_json(obj["base"]))
-    if kind == "list":
-        _expect_fields(obj, "family list", {"kind", "terms"})
-        if not isinstance(obj["terms"], list):
-            raise ValueError("family terms must be a list")
-        return [function_from_json(t) for t in obj["terms"]]
-    raise ValueError(f"unknown family kind {kind!r}")
+        return ScaledFamily(
+            json_field(obj, "coeffs", coef_from_json), json_field(obj, "base", function_from_json)
+        )
+    return json_field(obj, "terms", json_list, function_from_json, True)
 
 
 def series_differentiate(

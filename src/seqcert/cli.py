@@ -4,8 +4,11 @@ A scenario names a task (minimality certification, differentiability
 detection, subgradient membership, KKT, or one of the lower-level checks),
 a function from the expression grammar, an anchor point, and optionally a
 feasible set, probes, witness directions, constraints, and parameters.
-Scenario files are validated against the shipped JSON schema before
-anything runs; unknown fields are rejected.
+Scenario files are read by the strict decoders, which are their run-time
+check: a field off the shape that the shipped scenario.schema.json
+describes, an unknown field included, is refused with its JSON path
+before anything runs.  Every report is checked against the shipped
+report.schema.json before --json writes it.
 
 Reports go to stdout in human-readable form; --json writes a
 machine-readable report whose bytes are deterministic for a fixed
@@ -52,6 +55,7 @@ from .errors import (
     MaxSweeps,
     ScenarioError,
     SeqcertError,
+    ShapeError,
     Unbounded,
 )
 from .funcs import FunctionExpr, evaluate, function_from_json
@@ -60,7 +64,14 @@ from .seqspace import (
     DualPoint,
     Point,
     SpaceDescriptor,
+    _describe,
     dual_from_json,
+    json_enum,
+    json_field,
+    json_fields,
+    json_integer,
+    json_list,
+    json_number,
     point_from_json,
     space_from_json,
 )
@@ -120,61 +131,101 @@ def _validator(name: str):
 
 def _validate(obj, name: str) -> None:
     """jsonschema.validate against a shipped schema, with its validator
-    built once per process; raises the same best-match error."""
+    built once per process; raises the same best-match error.  The CLI
+    checks each report with it before writing --json."""
     error = jsonschema.exceptions.best_match(_validator(name).iter_errors(obj))
     if error is not None:
         raise error
 
 
-def scenario_from_json(obj: dict) -> Scenario:
-    """Validate against the shipped schema, then build through the strict
-    constructors (which re-reject anything structurally off)."""
-    try:
-        _validate(obj, "scenario.schema.json")
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(f"scenario invalid at {where}: {exc.message}") from exc
+_VERDICTS = ("holds", "fails", "inconclusive")
+_NEEDS_FUNCTION = ("certify_min", "gateaux", "subgradient", "kkt", "psc", "dir_profile")
+_REQUIRED = frozenset({"name", "task", "space"})
+_OPTIONAL = frozenset({
+    "function", "x_star", "set", "dual", "probes", "directions", "inequalities",
+    "equalities", "multipliers", "family", "parameters", "expected",
+})
+# the bounds the CLI flags of the same names enforce (_build_parser)
+_PARAMETERS = {
+    "beta": json_number,
+    "tol": lambda v: json_number(v, 0.0, strict=True),
+    "coords": lambda v: json_integer(v, 1),
+    "psc_depth": lambda v: json_integer(v, 1),
+    "seed": lambda v: json_integer(v, 0),
+    "oracle_k": lambda v: json_list(v, lambda k: json_integer(k, 1)),
+}
 
-    task = obj["task"]
-    needs_function = task in (
-        "certify_min", "gateaux", "subgradient", "kkt", "psc",
-        "dir_profile",
+
+def _name(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ShapeError(f"expected a nonempty string, got {_describe(value)}")
+    return value
+
+
+def _multipliers(obj) -> dict:
+    json_fields(obj, "the multipliers", frozenset(), frozenset({"lambda", "nu"}))
+    return {key: tuple(json_field(obj, key, json_list, json_number)) for key in obj}
+
+
+def _parameters(obj) -> dict:
+    json_fields(obj, "the parameters", frozenset(), frozenset(_PARAMETERS))
+    return {key: json_field(obj, key, _PARAMETERS[key]) for key in obj}
+
+
+def _decode(obj) -> Scenario:
+    """The scenario obj holds, through the strict decoders."""
+    json_fields(obj, "a scenario", _REQUIRED, _OPTIONAL)
+
+    def optional(key, decode, *args, default=None):
+        return json_field(obj, key, decode, *args) if key in obj else default
+
+    mult = optional("multipliers", _multipliers, default={})
+    return Scenario(
+        name=json_field(obj, "name", _name),
+        task=json_field(obj, "task", json_enum, TASKS),
+        space=json_field(obj, "space", space_from_json),
+        function=optional("function", function_from_json),
+        x_star=optional("x_star", point_from_json),
+        feasible_set=optional("set", set_from_json, default=SetDescriptor.whole_space()),
+        dual=optional("dual", dual_from_json),
+        probes=tuple(optional("probes", json_list, point_from_json, default=())),
+        directions=tuple(optional("directions", json_list, point_from_json, default=())),
+        inequalities=tuple(optional("inequalities", json_list, function_from_json, default=())),
+        equalities=tuple(optional("equalities", json_list, function_from_json, default=())),
+        lam=mult.get("lambda", ()),
+        nu=mult.get("nu", ()),
+        family=optional("family", family_from_json),
+        parameters=optional("parameters", _parameters, default={}),
+        expected=optional("expected", json_enum, _VERDICTS),
     )
-    if needs_function and "function" not in obj:
+
+
+def scenario_from_json(obj: dict) -> Scenario:
+    """Decode a scenario through the strict decoders, which are its run-time
+    check.  A document off the shape scenario.schema.json describes is
+    refused with the path of the offending field, a value the mathematics
+    refuses (a non-finite coefficient, a geometric ratio outside (-1, 1))
+    with the scenario's name, and a task without a field it needs by that
+    field."""
+    try:
+        scn = _decode(obj)
+    except ShapeError as exc:
+        raise ScenarioError(f"scenario invalid at {exc.where}: {exc.reason}") from exc
+    except (ValueError, SeqcertError) as exc:
+        raise ScenarioError(f"scenario {obj.get('name', '?')!r}: {exc}") from exc
+
+    task = scn.task
+    if task in _NEEDS_FUNCTION and scn.function is None:
         raise ScenarioError(f"task {task} requires a function")
-    if "x_star" not in obj:
+    if scn.x_star is None:
         raise ScenarioError(f"task {task} requires x_star")
-    if task == "subgradient" and "dual" not in obj:
+    if task == "subgradient" and scn.dual is None:
         raise ScenarioError("task subgradient requires a dual point")
-    if task == "series_diff" and "family" not in obj:
+    if task == "series_diff" and scn.family is None:
         raise ScenarioError("task series_diff requires a family")
     if task == "kkt" and "multipliers" not in obj:
         raise ScenarioError("task kkt requires multipliers")
-
-    mult = obj.get("multipliers", {})
-    try:
-        return Scenario(
-            name=obj["name"],
-            task=task,
-            space=space_from_json(obj["space"]),
-            function=function_from_json(obj["function"]) if "function" in obj else None,
-            x_star=point_from_json(obj["x_star"]),
-            feasible_set=(
-                set_from_json(obj["set"]) if "set" in obj else SetDescriptor.whole_space()
-            ),
-            dual=dual_from_json(obj["dual"]) if "dual" in obj else None,
-            probes=tuple(point_from_json(p) for p in obj.get("probes", [])),
-            directions=tuple(point_from_json(p) for p in obj.get("directions", [])),
-            inequalities=tuple(function_from_json(g) for g in obj.get("inequalities", [])),
-            equalities=tuple(function_from_json(h) for h in obj.get("equalities", [])),
-            lam=tuple(float(v) for v in mult.get("lambda", [])),
-            nu=tuple(float(v) for v in mult.get("nu", [])),
-            family=family_from_json(obj["family"]) if "family" in obj else None,
-            parameters=dict(obj.get("parameters", {})),
-            expected=obj.get("expected"),
-        )
-    except (ValueError, SeqcertError) as exc:
-        raise ScenarioError(f"scenario {obj.get('name', '?')!r}: {exc}") from exc
+    return scn
 
 
 def _reject_constant(token: str):

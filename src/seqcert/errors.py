@@ -57,3 +57,23 @@ class InfeasiblePoint(SeqcertError):
 
 class ScenarioError(SeqcertError):
     """A scenario file failed to parse or validate."""
+
+
+class ShapeError(ValueError):
+    """A JSON document off the shape its decoder reads.
+
+    ``path`` lists the keys and indices from the document's root down to
+    the offending value: each decoder the error leaves through puts its own
+    key in front."""
+
+    def __init__(self, reason: str, *path):
+        super().__init__(reason)
+        self.reason = reason
+        self.path = list(path)
+
+    @property
+    def where(self) -> str:
+        return "/".join(map(str, self.path)) or "<root>"
+
+    def __str__(self) -> str:
+        return f"at {self.where}: {self.reason}"

@@ -41,6 +41,10 @@ from .seqspace import (
     dual_from_json,
     dual_to_json,
     head_sum,
+    json_field,
+    json_kind,
+    json_list,
+    json_number,
     limsup_abs,
     majorant_region,
     pair,
@@ -1153,37 +1157,29 @@ def scalar_to_json(u: ScalarConvex) -> dict:
     return {"kind": "linear", "b": coef_to_json(u.b)}
 
 
-def _expect_fields(obj: dict, what: str, required: set, optional: set = frozenset()):
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    missing = required - set(obj)
-    if missing:
-        raise ValueError(f"{what} is missing fields: {sorted(missing)}")
-    unknown = set(obj) - required - optional
-    if unknown:
-        raise ValueError(f"{what} has unknown fields: {sorted(unknown)}")
+#: The fields of each scalar piece's JSON object.
+_SCALAR_FIELDS = {
+    "abs": frozenset({"kind"}),
+    "square": frozenset({"kind"}),
+    "affine_quad": frozenset({"kind", "a", "b"}),
+    "neg_sqrt": frozenset({"kind", "c"}),
+    "linear": frozenset({"kind", "b"}),
+}
 
 
 def scalar_from_json(obj: dict) -> ScalarConvex:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("scalar piece must be an object with a 'kind'")
-    kind = obj["kind"]
+    kind = json_kind(obj, "scalar piece", _SCALAR_FIELDS)
     if kind == "abs":
-        _expect_fields(obj, "abs piece", {"kind"})
         return ScalarConvex.abs_()
     if kind == "square":
-        _expect_fields(obj, "square piece", {"kind"})
         return ScalarConvex.square()
     if kind == "affine_quad":
-        _expect_fields(obj, "affine_quad piece", {"kind", "a", "b"})
-        return ScalarConvex.affine_quad(coef_from_json(obj["a"]), coef_from_json(obj["b"]))
+        return ScalarConvex.affine_quad(
+            json_field(obj, "a", coef_from_json), json_field(obj, "b", coef_from_json)
+        )
     if kind == "neg_sqrt":
-        _expect_fields(obj, "neg_sqrt piece", {"kind", "c"})
-        return ScalarConvex.neg_sqrt(coef_from_json(obj["c"]))
-    if kind == "linear":
-        _expect_fields(obj, "linear piece", {"kind", "b"})
-        return ScalarConvex.linear(coef_from_json(obj["b"]))
-    raise ValueError(f"unknown scalar piece kind {kind!r}")
+        return ScalarConvex.neg_sqrt(json_field(obj, "c", coef_from_json))
+    return ScalarConvex.linear(json_field(obj, "b", coef_from_json))
 
 
 def function_to_json(f: FunctionExpr) -> dict:
@@ -1206,28 +1202,29 @@ def function_to_json(f: FunctionExpr) -> dict:
     raise TypeError(f"unknown function expression {type(f).__name__}")
 
 
+#: The fields of each function's JSON object.
+_FUNCTION_FIELDS = {
+    "constant": frozenset({"kind", "c"}),
+    "limsup": frozenset({"kind"}),
+    "linear_functional": frozenset({"kind", "p"}),
+    "separable": frozenset({"kind", "weight", "inner"}),
+    "scale": frozenset({"kind", "lam", "inner"}),
+    "sum": frozenset({"kind", "terms"}),
+}
+
+
 def function_from_json(obj: dict) -> FunctionExpr:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("function must be an object with a 'kind'")
-    kind = obj["kind"]
+    kind = json_kind(obj, "function", _FUNCTION_FIELDS)
     if kind == "constant":
-        _expect_fields(obj, "constant", {"kind", "c"})
-        return Constant(float(obj["c"]))
+        return Constant(json_field(obj, "c", json_number))
     if kind == "limsup":
-        _expect_fields(obj, "limsup", {"kind"})
         return LimsupSeminorm()
     if kind == "linear_functional":
-        _expect_fields(obj, "linear_functional", {"kind", "p"})
-        return LinearFunctional(dual_from_json(obj["p"]))
+        return LinearFunctional(json_field(obj, "p", dual_from_json))
     if kind == "separable":
-        _expect_fields(obj, "separable", {"kind", "weight", "inner"})
-        return SeparableSeries(coef_from_json(obj["weight"]), scalar_from_json(obj["inner"]))
+        return SeparableSeries(
+            json_field(obj, "weight", coef_from_json), json_field(obj, "inner", scalar_from_json)
+        )
     if kind == "scale":
-        _expect_fields(obj, "scale", {"kind", "lam", "inner"})
-        return Scale(float(obj["lam"]), function_from_json(obj["inner"]))
-    if kind == "sum":
-        _expect_fields(obj, "sum", {"kind", "terms"})
-        if not isinstance(obj["terms"], list):
-            raise ValueError("sum terms must be a list")
-        return Sum([function_from_json(t) for t in obj["terms"]])
-    raise ValueError(f"unknown function kind {kind!r}")
+        return Scale(json_field(obj, "lam", json_number, 0.0), json_field(obj, "inner", function_from_json))
+    return Sum(json_field(obj, "terms", json_list, function_from_json, True))

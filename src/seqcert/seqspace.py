@@ -10,12 +10,13 @@ are immutable values and all operations are pure.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import DomainViolation, NoMajorant, NonConvergentPairing
+from .errors import DomainViolation, NoMajorant, NonConvergentPairing, ShapeError
 from .symseq import _ULP, SUMMABLE, SymSeq, classify, point_form, tail_sum, tail_sums
 
 DEFAULT_SERIES_TOL = 1e-12
@@ -471,13 +472,117 @@ def head_sum(terms: Iterable[float], region: tuple[int, float]) -> SeriesValue:
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
+# The decoders are the formats' run-time check.  A document off the shape
+# that schemas/scenario.schema.json describes raises ShapeError, naming the
+# path of the offending field; a value the shape admits but the mathematics
+# does not (a non-finite coefficient, |r| >= 1) raises the plain ValueError
+# of the constructor it reaches.
+
+
+def _describe(value) -> str:
+    """A JSON value as a refusal names it: a scalar as JSON, a container by kind."""
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "a list"
+    return json.dumps(value, default=repr)
+
+
+def json_field(obj: dict, key, decode: Callable, *args):
+    """decode(obj[key], *args), with key put in front of the path of any
+    ShapeError it raises."""
+    try:
+        return decode(obj[key], *args)
+    except ShapeError as exc:
+        exc.path.insert(0, key)
+        raise
+
+
+def json_fields(obj, what: str, required: frozenset, optional: frozenset = frozenset()) -> None:
+    """obj is an object with every required field and no field outside
+    required | optional."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"{what} must be an object, got {_describe(obj)}")
+    missing = required - obj.keys()
+    if missing:
+        raise ShapeError(f"{what} requires this field", min(missing))
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise ShapeError(f"not a field of {what}", min(unknown, key=str))
+
+
+def json_enum(value, choices) -> str:
+    """value, one of the strings in choices."""
+    if not isinstance(value, str) or value not in choices:
+        raise ShapeError(f"expected one of {', '.join(choices)}, got {_describe(value)}")
+    return value
+
+
+def json_kind(obj, noun: str, fields: dict, optional: frozenset = frozenset()) -> str:
+    """The kind of obj, an object with a kind in fields and exactly the
+    fields of its kind there, those in optional only where present."""
+    if not isinstance(obj, dict):
+        raise ShapeError(f"a {noun} must be an object, got {_describe(obj)}")
+    if "kind" not in obj:
+        raise ShapeError(f"a {noun} requires this field", "kind")
+    kind = json_field(obj, "kind", json_enum, fields)
+    allowed = fields[kind]
+    json_fields(obj, f"the {kind} {noun}", allowed - optional, allowed & optional)
+    return kind
+
+
+def json_number(value, low: Optional[float] = None, strict: bool = False) -> float:
+    """value as a float: a JSON number, so neither a boolean nor a numeric
+    string, and at least low (above it when strict) where low is given,
+    compared as JSON Schema's minimum and exclusiveMinimum compare."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ShapeError(f"expected a number, got {_describe(value)}")
+    if low is not None and (value <= low if strict else value < low):
+        raise ShapeError(f"expected a number {'>' if strict else '>='} {low:g}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} does not fit in a double") from None
+
+
+def json_integer(value, low: int) -> int:
+    """value as an int: a JSON integer, which as in JSON Schema includes an
+    integer-valued float such as 2.0, and at least low."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ShapeError(f"expected an integer, got {_describe(value)}")
+    if value < low:
+        raise ShapeError(f"expected an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def json_list(value, decode: Callable, nonempty: bool = False) -> list:
+    """value as a list, nonempty where asked, with each item decoded and its
+    index put in front of the path of a ShapeError."""
+    if not isinstance(value, list):
+        raise ShapeError(f"expected a list, got {_describe(value)}")
+    if nonempty and not value:
+        raise ShapeError("expected a nonempty list")
+    out = []
+    for i, item in enumerate(value):
+        try:
+            out.append(decode(item))
+        except ShapeError as exc:
+            exc.path.insert(0, i)
+            raise
+    return out
+
+
 #: The fields of each atom's JSON object.
 _ATOM_FIELDS = {
-    "zero": {"kind"},
-    "const": {"kind", "c"},
-    "geometric": {"kind", "c", "r"},
-    "harmonic": {"kind", "c"},
+    "zero": frozenset({"kind"}),
+    "const": frozenset({"kind", "c"}),
+    "geometric": frozenset({"kind", "c", "r"}),
+    "harmonic": frozenset({"kind", "c"}),
 }
+_POINT_FIELDS = frozenset({"prefix", "tail"})
+_SPACE_FIELDS = {kind.value: frozenset({"kind"}) for kind in SpaceKind}
 
 
 def _tail_to_json(tail: SymSeq):
@@ -492,24 +597,19 @@ def _tail_to_json(tail: SymSeq):
 
 
 def _tail_from_json(obj) -> SymSeq:
-    return point_form(map(_atom_from_json, obj if isinstance(obj, list) else (obj,)))
+    """A tail: one atom object, or a nonempty list of them."""
+    if isinstance(obj, list):
+        return point_form(json_list(obj, _atom_from_json, nonempty=True))
+    return point_form((_atom_from_json(obj),))
 
 
 def _atom_from_json(obj) -> tuple[str, float, float]:
     """The one term decoder: an atom object, with exactly its kind's fields."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"tail must be an object, got {type(obj).__name__}")
-    unknown = set(obj) - {"kind", "c", "r"}
-    if unknown:
-        raise ValueError(f"unknown tail fields: {sorted(unknown)}")
-    kind = obj.get("kind")
-    if kind not in _ATOM_FIELDS:
-        raise ValueError(f"unknown tail kind {kind!r}")
-    if set(obj) != _ATOM_FIELDS[kind]:
-        raise ValueError(f"{kind} tail takes exactly fields {sorted(_ATOM_FIELDS[kind])}")
+    kind = json_kind(obj, "tail atom", _ATOM_FIELDS)
     if kind == "zero":
         return _atom("const", 0.0)
-    return _atom(kind, obj["c"], obj.get("r", 0.0))
+    c = json_field(obj, "c", json_number)
+    return _atom(kind, c, json_field(obj, "r", json_number) if kind == "geometric" else 0.0)
 
 
 def coef_to_json(form: SymSeq):
@@ -524,10 +624,13 @@ def coef_to_json(form: SymSeq):
 
 
 def coef_from_json(obj) -> SymSeq:
-    """The inverse of :func:`coef_to_json`."""
+    """The inverse of :func:`coef_to_json` where the scenario format has
+    one: a number, or a single tail atom."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return TailRule.const(obj)
-    return _tail_from_json(obj)
+        return TailRule.const(json_number(obj))
+    if not isinstance(obj, dict):
+        raise ShapeError(f"expected a number or a tail atom, got {_describe(obj)}")
+    return point_form((_atom_from_json(obj),))
 
 
 def point_to_json(x: Point) -> dict:
@@ -535,15 +638,10 @@ def point_to_json(x: Point) -> dict:
 
 
 def point_from_json(obj: dict) -> Point:
-    if not isinstance(obj, dict):
-        raise ValueError("point must be a JSON object")
-    unknown = set(obj) - {"prefix", "tail"}
-    if unknown:
-        raise ValueError(f"unknown point fields: {sorted(unknown)}")
-    prefix = obj.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise ValueError("point prefix must be a list")
-    return Point([float(v) for v in prefix], _tail_from_json(obj.get("tail", {"kind": "zero"})))
+    json_fields(obj, "a point", frozenset(), _POINT_FIELDS)
+    prefix = json_field(obj, "prefix", json_list, json_number) if "prefix" in obj else []
+    tail = json_field(obj, "tail", _tail_from_json) if "tail" in obj else TailRule.zero()
+    return Point(prefix, tail)
 
 
 dual_to_json = point_to_json
@@ -555,16 +653,4 @@ def space_to_json(s: SpaceDescriptor) -> dict:
 
 
 def space_from_json(obj: dict) -> SpaceDescriptor:
-    if not isinstance(obj, dict):
-        raise ValueError("space must be a JSON object")
-    unknown = set(obj) - {"kind"}
-    if unknown:
-        raise ValueError(f"unknown space fields: {sorted(unknown)}")
-    kind = obj.get("kind")
-    if kind == "rn":
-        return SpaceDescriptor.rn()
-    if kind == "ell1":
-        return SpaceDescriptor.ell1()
-    if kind == "ellinf":
-        return SpaceDescriptor.ellinf()
-    raise ValueError(f"unknown space kind {kind!r}")
+    return SpaceDescriptor(SpaceKind(json_kind(obj, "space", _SPACE_FIELDS)))

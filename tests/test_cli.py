@@ -213,13 +213,15 @@ def test_a_geometric_atom_missing_a_field_is_a_scenario_error(where, missing, tm
     del atom[missing]
     if where == "point":
         raw["x_star"]["tail"] = atom
+        path = "x_star/tail"
     else:
         raw["function"]["terms"][1]["weight"] = atom
+        path = "function/terms/1/weight"
     f = tmp_path / "scn.json"
     f.write_text(json.dumps(raw))
     assert main([str(f)]) == 2
-    reason = "geometric tail takes exactly fields ['c', 'kind', 'r']"
-    assert capsys.readouterr() == ("", f"error: scenario 'example3': {reason}\n")
+    reason = "the geometric tail atom requires this field"
+    assert capsys.readouterr() == ("", f"error: scenario invalid at {path}/{missing}: {reason}\n")
 
 
 def test_the_ci_scenario_without_a_ratio_is_a_scenario_error(capsys):
@@ -227,6 +229,84 @@ def test_the_ci_scenario_without_a_ratio_is_a_scenario_error(capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert out == ""
+
+
+BOOLEAN_WEIGHT = PKG_ROOT / "tests" / "data" / "boolean_weight.json"
+
+
+def test_a_boolean_weight_is_refused_at_its_own_path():
+    # example3 with function.terms[1].weight.c = true: the path is the
+    # boolean's, not that of a valid neighbour such as terms/1/inner
+    proc = run_cli(str(BOOLEAN_WEIGHT))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: scenario invalid at function/terms/1/weight/c: expected a number, got true\n"
+    )
+    assert proc.stdout == ""
+
+
+def _prefix_as_string(raw):
+    raw["x_star"]["prefix"] = ["0.5"]
+
+
+def _surprise(raw):
+    raw["surprise"] = 1
+
+
+def _fractional_rank(raw):
+    raw["parameters"]["oracle_k"] = [2.5]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_prefix_as_string, 'x_star/prefix/0: expected a number, got "0.5"'),
+        (_surprise, "surprise: not a field of a scenario"),
+        (_fractional_rank, "parameters/oracle_k/0: expected an integer, got 2.5"),
+    ],
+)
+def test_a_refusal_by_shape_names_the_exact_path(change, message, tmp_path, capsys):
+    raw = BUILTINS["example3"][1](0.5)
+    change(raw)
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(raw))
+    assert main([str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: scenario invalid at {message}\n")
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"scenarios": [1]}, "scenario invalid at <root>: a scenario must be an object, got 1"),
+        ([BUILTINS["example3"][1](0.5)], "scenario file must hold an object or a batch"),
+    ],
+)
+def test_a_document_that_is_no_scenario_is_a_scenario_error(document, message, tmp_path, capsys):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(document))
+    assert main([str(f)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_an_integer_valued_float_is_an_integer_where_the_schema_says_integer(tmp_path):
+    # JSON Schema reads 2.0 as an integer, and so do the decoders: an oracle
+    # rank of 2.0 runs as rank 2, and a box's bound_count of 2.0 bounds
+    # coordinates 1 and 2
+    raw = BUILTINS["example3"][1](0.5)
+    raw["parameters"]["oracle_k"] = [2]
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps(raw))
+    raw["parameters"]["oracle_k"] = [2.0]
+    fractional = tmp_path / "float.json"
+    fractional.write_text(json.dumps(raw))
+    _, want = run_json(tmp_path, str(whole), name="whole.out.json")
+    proc, got = run_json(tmp_path, str(fractional), name="float.out.json")
+    assert proc.returncode == 0, proc.stderr
+    assert [row["k"] for row in got["oracle"]] == [2]
+    assert got == want
+    box = {"kind": "box", "lower": {"prefix": [0.0, 0.0]}, "bound_count": 2.0}
+    scn = scenario_from_json({**BUILTINS["example4"][1](0.5), "set": box})
+    assert scn.feasible_set.bound_count == 2
 
 
 @pytest.mark.parametrize("task", ["qualification", "gateaux"])
