@@ -25,7 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-from .derivative import DerivOptions, dir_deriv
+from .derivative import dir_deriv
 from .errors import (
     DomainLimited,
     DomainViolation,
@@ -305,7 +305,6 @@ class CertifyOptions:
     tol: float = 1e-7
     psc_depth: int = 32
     seed: int = 42
-    deriv: DerivOptions = DerivOptions()
 
     def __post_init__(self):
         # the bounds of the scenario schema's "parameters"
@@ -854,7 +853,7 @@ def gateaux_detect(
         if not in_space(h, space):
             continue
         try:
-            res = dir_deriv(f, x_star, h, opts.deriv)
+            res = dir_deriv(f, x_star, h)
         except (*_NO_CERTIFIED_VALUE, DomainLimited):
             continue
         if not res.exists:
@@ -891,7 +890,7 @@ def gateaux_detect(
         h = random_direction(rng, summable=True)
         try:
             applied = deriv.apply(h)
-            direct = dir_deriv(f, x_star, h, opts.deriv)
+            direct = dir_deriv(f, x_star, h)
         except _NO_CERTIFIED_VALUE:
             continue
         except DomainLimited:

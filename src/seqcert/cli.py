@@ -7,8 +7,9 @@ feasible set, probes, witness directions, constraints, and parameters.
 Scenario files are read by the strict decoders, which are their run-time
 check: a field off the shape that the shipped scenario.schema.json
 describes, an unknown field included, is refused with its JSON path
-before anything runs.  Every report is checked against the shipped
-report.schema.json before --json writes it.
+before anything runs.  Reports take their shape from Report.to_json,
+Certificate.to_json and _sanitize; the tests check that shape against
+the shipped report.schema.json, so no run depends on jsonschema.
 
 Reports go to stdout in human-readable form; --json writes a
 machine-readable report whose bytes are deterministic for a fixed
@@ -19,7 +20,6 @@ that reason).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -27,8 +27,6 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
-
-import jsonschema
 
 from .certify import (
     Certificate,
@@ -48,7 +46,7 @@ from .certify import (
     set_from_json,
     subgradient_test,
 )
-from .derivative import DerivOptions, dir_deriv_profile
+from .derivative import dir_deriv_profile
 from .errors import (
     DomainViolation,
     InfeasiblePoint,
@@ -116,26 +114,10 @@ class Scenario:
 
 
 def load_schema(name: str) -> dict:
-    """A JSON schema shipped in the package's schemas/ directory."""
+    """A JSON schema shipped in the package's schemas/ directory.  No run
+    reads one; the benchmark harness and the tests validate reports and
+    scenarios against them."""
     return json.loads((resources.files("seqcert") / "schemas" / name).read_text(encoding="utf-8"))
-
-
-@functools.lru_cache(maxsize=None)
-def _validator(name: str):
-    """The checked validator for a shipped schema, built on first use."""
-    schema = load_schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validate(obj, name: str) -> None:
-    """jsonschema.validate against a shipped schema, with its validator
-    built once per process; raises the same best-match error.  The CLI
-    checks each report with it before writing --json."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(obj))
-    if error is not None:
-        raise error
 
 
 _VERDICTS = ("holds", "fails", "inconclusive")
@@ -537,7 +519,7 @@ def run_scenario(
             for n, v in enumerate(values, start=1)
         ][:16]
     elif scn.task == "dir_profile":
-        results = dir_deriv_profile(scn.function, scn.x_star, opts.coords, opts.deriv)
+        results = dir_deriv_profile(scn.function, scn.x_star, opts.coords)
         table = [
             {
                 "n": n,
@@ -662,7 +644,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated reduction dimensions to cross-check, e.g. 1,2,4,8",
     )
-    p.add_argument("--deriv-tol", type=positive, default=None, help="one-sided match tolerance")
     return p
 
 
@@ -676,13 +657,11 @@ def _opts_from_args(args, parameters: dict) -> CertifyOptions:
         return fallback
 
     lib = CertifyOptions()
-    deriv = lib.deriv if args.deriv_tol is None else DerivOptions(tol_match=args.deriv_tol)
     return CertifyOptions(
         coords=int(pick(args.coords, "coords", lib.coords)),
         tol=float(pick(args.tol, "tol", lib.tol)),
         psc_depth=int(pick(args.psc_depth, "psc_depth", lib.psc_depth)),
         seed=int(pick(args.seed, "seed", lib.seed)),
-        deriv=deriv,
     )
 
 
@@ -738,9 +717,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = _sanitize(reports[0].to_json())
         else:
             payload = {"reports": [_sanitize(r.to_json()) for r in reports]}
-        to_check = payload["reports"] if isinstance(payload, dict) and "reports" in payload else [payload]
-        for item in to_check:
-            _validate(item, "report.schema.json")
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         try:
             with open(args.json, "w", encoding="utf-8") as fh:

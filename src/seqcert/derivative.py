@@ -20,16 +20,8 @@ from .errors import DomainLimited, DomainViolation, NoMajorant
 from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials
 from .seqspace import DEFAULT_SERIES_TOL, Point, basis_vector
 
-
-@dataclass(frozen=True)
-class DerivOptions:
-    """tol_match decides left-right agreement of the one-sided derivatives."""
-
-    tol_match: float = 1e-7
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol_match) and self.tol_match > 0.0):
-            raise ValueError(f"tol_match must be finite and > 0, got {self.tol_match}")
+#: How far apart the one-sided derivatives may lie for a derivative to exist.
+_TOL_MATCH = 1e-7
 
 
 @dataclass(frozen=True)
@@ -39,7 +31,7 @@ class DirDerivResult:
     ``left`` and ``right`` are the closed-form one-sided derivatives, a
     side outside the domain at its extended-real limit (-inf on the left,
     +inf on the right); ``exists`` holds when both are finite and within
-    tol_match of each other, and ``value`` is then their midpoint.
+    _TOL_MATCH of each other, and ``value`` is then their midpoint.
     ``quotients_log`` is always empty and ``method`` always "analytic":
     no answer comes from difference quotients.
     """
@@ -60,12 +52,7 @@ def _is_basis(h: Point) -> Optional[int]:
     return None
 
 
-def dir_deriv(
-    f: FunctionExpr,
-    x: Point,
-    h: Point,
-    opts: DerivOptions = DerivOptions(),
-) -> DirDerivResult:
+def dir_deriv(f: FunctionExpr, x: Point, h: Point) -> DirDerivResult:
     """Directional derivative of f at x along h, with an existence verdict.
 
     Along a basis vector the per-index sides answer, without evaluating f;
@@ -92,20 +79,18 @@ def dir_deriv(
         value = None if left is None or right is None else left + 0.5 * (right - left)
     left = -math.inf if left is None else left
     right = math.inf if right is None else right
-    exists = math.isfinite(left) and math.isfinite(right) and abs(right - left) <= opts.tol_match
+    exists = math.isfinite(left) and math.isfinite(right) and abs(right - left) <= _TOL_MATCH
     return DirDerivResult(right=right, left=left, exists=exists, value=value if exists else None)
 
 
-def dir_deriv_profile(
-    f: FunctionExpr, x: Point, direction_count: int, opts: DerivOptions = DerivOptions()
-) -> list[DirDerivResult]:
+def dir_deriv_profile(f: FunctionExpr, x: Point, direction_count: int) -> list[DirDerivResult]:
     """dir_deriv along e_1 .. e_N; a domain error is re-raised tagged by index."""
     if direction_count < 1:
         raise ValueError("direction count must be >= 1")
     out = []
     for n in range(1, direction_count + 1):
         try:
-            out.append(dir_deriv(f, x, basis_vector(n), opts))
+            out.append(dir_deriv(f, x, basis_vector(n)))
         except DomainViolation as exc:
             raise type(exc)(f"direction {n}: {exc}") from exc
     return out

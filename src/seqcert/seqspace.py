@@ -613,19 +613,21 @@ def _atom_from_json(obj) -> tuple[str, float, float]:
 
 
 def coef_to_json(form: SymSeq):
-    """A per-index coefficient: a constant (or zero) as a bare number,
-    anything else as a tail."""
+    """A per-index coefficient: a constant (or zero) as a bare number, any
+    other atom as its tail atom.  The scenario format has no form for a
+    coefficient of several atoms, so one raises ValueError."""
     atoms = form.atoms
     if not atoms:
         return 0.0
-    if len(atoms) == 1 and atoms[0][0] == "const":
+    if len(atoms) > 1:
+        raise ValueError(f"coefficient {form!r} has several atoms; the format takes one")
+    if atoms[0][0] == "const":
         return atoms[0][1]
     return _tail_to_json(form)
 
 
 def coef_from_json(obj) -> SymSeq:
-    """The inverse of :func:`coef_to_json` where the scenario format has
-    one: a number, or a single tail atom."""
+    """The inverse of :func:`coef_to_json`: a number, or a single tail atom."""
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return TailRule.const(json_number(obj))
     if not isinstance(obj, dict):

@@ -478,7 +478,7 @@ def test_witness_direction_without_certified_quotients_is_skipped():
     f = SeparableSeries(TailRule.harmonic(1.0), ScalarConvex.square())
     ones = Point([], (TailRule.const(1.0),))
     with pytest.raises(NoMajorant):
-        dir_deriv(f, Point.zero(), ones, OPTS.deriv)
+        dir_deriv(f, Point.zero(), ones)
     for space, verdict in (
         (SpaceDescriptor.rn(), Verdict.HOLDS),
         (SpaceDescriptor.ellinf(), Verdict.INCONCLUSIVE),

@@ -330,7 +330,6 @@ def test_unset_flags_fall_back_to_the_library_defaults():
         ("--coords", "0"),
         ("--psc-depth", "0"),
         ("--seed", "-1"),
-        ("--deriv-tol", "-0.5"),
     ],
 )
 def test_out_of_range_flag_is_a_usage_error(flag, value, capsys):
@@ -575,6 +574,34 @@ def test_cli_runs_from_a_copy_of_the_package_alone(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "verdict: holds" in proc.stdout
+
+
+def test_the_cli_writes_the_same_reports_without_jsonschema(tmp_path):
+    # a run needs the standard library only: with jsonschema unimportable,
+    # every builtin and a batch file write the bytes of a normal run
+    targets = sorted(BUILTINS) + [str(PKG_ROOT / "tests" / "data" / "oracle_unbounded_batch.json")]
+    for i, target in enumerate(targets):
+        assert main([target, "--json", str(tmp_path / f"normal{i}.json")]) == 0
+    code = (
+        "import contextlib, io, os, sys\n"
+        "sys.modules['jsonschema'] = None\n"
+        "from seqcert.cli import main\n"
+        "for i, target in enumerate(sys.argv[2:]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([target, '--json', os.path.join(sys.argv[1], f'bare{i}.json')]) == 0\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *targets],
+        capture_output=True, text=True, timeout=90, env=CLI_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for i in range(len(targets)):
+        assert (tmp_path / f"bare{i}.json").read_bytes() == (tmp_path / f"normal{i}.json").read_bytes()
+    code = "import sys, seqcert.cli; print(sorted(m for m in sys.modules if m.startswith('jsonschema')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=90, env=CLI_ENV
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_psc_report_keeps_the_probe_evidence():

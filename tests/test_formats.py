@@ -11,6 +11,10 @@ choices between JSON types with ``oneOf``.
   type list, an ``anyOf`` of disjoint branches).  On every report below
   and on every single-field mutation of one, it decides as the reference
   does.
+* Every report shape the CLI writes is valid under the shipped report
+  schema: a report of each task, both kinds of oracle row, and each
+  certificate of the certifier census in its report.  The CLI does not
+  check its reports when it runs, so this is where their shape is proven.
 * Whatever the reference scenario schema rejects, ``scenario_from_json``
   refuses.  It refuses by shape ("scenario invalid at <path>: ...")
   exactly where the shipped scenario schema rejects; every other refusal
@@ -29,13 +33,16 @@ from hypothesis import given, settings, strategies as st
 
 from seqcert.cli import (
     BUILTINS,
+    TASKS,
+    Report,
     _build_parser,
     _opts_from_args,
     _sanitize,
     run_scenario,
     scenario_from_json,
 )
-from seqcert.errors import ScenarioError
+from seqcert.errors import ScenarioError, SeqcertError
+from test_certifier_paths import CASES
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 DATA = PKG_ROOT / "tests" / "data"
@@ -117,17 +124,42 @@ def valid_fixture_scenarios() -> list[dict]:
     return [raw for name, raw in fixture_scenarios() if name.split("[")[0] not in INVALID_FIXTURES]
 
 
+def report_of(raw: dict) -> dict:
+    """The --json payload the CLI writes for one scenario without flags."""
+    scn = scenario_from_json(raw)
+    opts = _opts_from_args(_build_parser().parse_args(["report"]), scn.parameters)
+    rep = run_scenario(scn, opts, tuple(scn.parameters.get("oracle_k", ())))
+    return _sanitize(rep.to_json())
+
+
 @functools.lru_cache(maxsize=None)
 def reports() -> tuple:
     """The --json payload of every paper scenario and valid fixture."""
-    args = _build_parser().parse_args(["report"])
+    return tuple(report_of(raw) for raw in paper_scenarios() + valid_fixture_scenarios())
+
+
+def census_reports() -> list[dict]:
+    """Each certificate of tests/test_certifier_paths.py's census in the
+    report run_scenario writes around it; a case that raises has none."""
     out = []
-    for raw in paper_scenarios() + valid_fixture_scenarios():
-        scn = scenario_from_json(raw)
-        opts = _opts_from_args(args, scn.parameters)
-        rep = run_scenario(scn, opts, tuple(scn.parameters.get("oracle_k", ())))
+    for name, call in sorted(CASES.items()):
+        try:
+            result = call()
+        except (SeqcertError, ValueError):
+            continue
+        cert = result[0] if isinstance(result, tuple) else result
+        family = name.split("/")[0]
+        rep = Report(
+            name=name,
+            task="series_diff" if family == "series" else family,
+            verdict=cert.verdict.value,
+            grade=cert.grade.render(),
+            expected=None,
+            passed=True,
+            certificate=cert.to_json(),
+        )
         out.append(_sanitize(rep.to_json()))
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +246,28 @@ def test_every_report_is_valid_under_both_report_schemas():
     assert len(reps) == len(PAPER_BETAS) * (len(BUILTINS) * len(ORACLE_RANKS) + 1) + 7
     for rep in reps:
         assert OLD_REPORT.is_valid(rep) and NEW_REPORT.is_valid(rep), rep["name"]
+
+
+def test_every_report_shape_the_cli_writes_is_valid_under_the_shipped_schema():
+    # one report of each task: the grammar tour's, whose inequalities the
+    # tour's anchor violates, so the KKT scenario's for kkt
+    per_task = [
+        report_of(kkt_scenario(0.5) if task == "kkt" else {**GRAMMAR_TOUR, "task": task})
+        for task in TASKS
+    ]
+    census = census_reports()
+    reps = list(reports()) + per_task + census
+    assert [rep["task"] for rep in per_task] == list(TASKS)
+    names = {rep["name"] for rep in reps}
+    assert {"stationarity_refuted", "kkt_slackness"} <= names
+    rows = [row for rep in reps for row in rep["oracle"]]
+    errors = {row["error"].split(":")[0] for row in rows if "error" in row}
+    assert {"Unbounded", "InfeasiblePoint"} <= errors
+    assert any("sweeps" in row for row in rows)
+    assert len(census) == len(CASES) - 10  # ten census cases raise
+    for rep in reps:
+        error = jsonschema.exceptions.best_match(NEW_REPORT.iter_errors(rep))
+        assert error is None, (rep["name"], error and error.message)
 
 
 REPORT_SWAPS = (None, True, False, 0, 1, -1, 1.5, math.nan, "inf", "x", "holds", [], {})

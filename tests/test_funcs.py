@@ -28,6 +28,7 @@ from seqcert.funcs import (
     scale,
 )
 from seqcert.seqspace import DualPoint, Point, TailRule, basis_vector, point_axpy, point_scale
+from seqcert.symseq import point_form
 
 mpmath.mp.dps = 40
 
@@ -315,6 +316,21 @@ def test_function_json_rejects_unknown_kind_and_fields():
         )
     with pytest.raises(ValueError):
         function_from_json({"kind": "sum", "terms": "not-a-list"})
+
+
+def test_a_coefficient_of_several_atoms_has_no_json_form():
+    # the format writes a coefficient as a number or one tail atom, so the
+    # encoder refuses what the decoder could not read back
+    two = point_form([("const", 1.0, 0.0), ("harmonic", 1.0, 0.0)])
+    for f in (
+        SeparableSeries(two, ScalarConvex.square()),
+        SeparableSeries(TailRule.const(1.0), ScalarConvex.linear(two)),
+    ):
+        with pytest.raises(ValueError, match="has several atoms"):
+            function_to_json(f)
+    for one in (TailRule.const(2.0), TailRule.harmonic(1.0), TailRule.geometric(1.0, 0.5)):
+        obj = function_to_json(SeparableSeries(one, ScalarConvex.linear(one)))
+        assert function_to_json(function_from_json(obj)) == obj
 
 
 def test_constant_weight_encodes_as_bare_number():
