@@ -354,7 +354,7 @@ def pair(p: DualPoint, x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue
 
     Raises NonConvergentPairing when the closed forms do not guarantee an
     absolutely convergent series (for example two constant tails over the
-    space of all sequences).
+    space of all sequences), or when its tail decays too slowly to certify.
     """
     return pairing(p, x)(tol)
 
@@ -385,7 +385,7 @@ def coefficient_pairing(
     def at_tol(tol: float) -> SeriesValue:
         try:
             return _head_plus_tail(head, prod, k0 + 1, tol)
-        except ValueError as exc:
+        except (ValueError, NoMajorant) as exc:
             raise NonConvergentPairing(
                 f"pairing series not certified absolutely convergent ({exc})"
             ) from exc
@@ -397,7 +397,8 @@ def _head_plus_tail(head: float, tail: SymSeq, start: int, tol: float) -> Series
     """The one head-plus-tail sum: ``head``, the explicit sum of the terms
     below ``start``, plus tail's certified sum from ``start`` on within
     tol / 2, with both parts' rounding in the error.  Raises ValueError
-    (from tail_sum) when the tail is not absolutely summable."""
+    (from tail_sum) when the tail is not absolutely summable, and NoMajorant
+    when it decays too slowly to certify."""
     tval, terr, used = tail_sum(tail, start, tol / 2)
     err = terr + (abs(head) + abs(tval)) * (start + 1) * _ULP
     return SeriesValue(head + tval, err, start - 1 + used)

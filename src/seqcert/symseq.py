@@ -2,48 +2,238 @@
 
 Every coordinate tail, series weight, and basis-direction derivative that the
 function grammar produces is, beyond a finite prefix, a sequence of this
-shape.  The algebra supports exact arithmetic (Fraction coefficients where
-the inputs allow it), an identically-zero test valid for *all* indices, an
-eventual-sign decision procedure, and rigorously bounded tail sums.  These
-three capabilities are what turn "for all n" claims into finite checks.
+shape.  The algebra supports exact arithmetic, an identically-zero test valid
+for *all* indices, an eventual-sign decision procedure, and rigorously
+bounded tail sums.  These three capabilities are what turn "for all n"
+claims into finite checks.
+
+Exact coefficients, ratios and powers are :class:`Dyadic` numbers m * 2**e.
+Every double is one, and sums and products of dyadics are dyadics, so the
+algebra's exact arithmetic runs on integer pairs without a gcd.  A value
+that is not dyadic (the reciprocal of 3, say, or a caller's own
+``Fraction(1, 3)``) is held as a Fraction, and arithmetic that mixes the
+two returns a Fraction.  Both are exact; a float coefficient is not.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
-Number = Union[Fraction, float]
+from .errors import NoMajorant
 
 #: Relative slop applied per explicitly summed term to cover accumulated
 #: floating-point rounding in otherwise-certified sums.
 _ULP = 2.2e-16
 
-#: Terms whose exact coefficient cancellation we trust for all-n claims carry
-#: Fraction data end to end; any float contamination drops exactness.
+#: The numeric hash modulus is the Mersenne prime 2**_HASH_BITS - 1, so
+#: 2**e is 2**(e mod _HASH_BITS) modulo it, for negative e too.
+_HASH_BITS = sys.hash_info.modulus.bit_length()
+
+
+def _binary(dyadic_op, fallback):
+    """The forward and reverse methods of one Dyadic operator: ``dyadic_op``
+    on two Dyadics (an int operand is made one), ``fallback`` on both
+    operands as floats or as Fractions where the other operand is one."""
+
+    def forward(a, b):
+        if type(b) is not Dyadic:
+            if isinstance(b, int):
+                b = Dyadic.of(b)
+            elif isinstance(b, float):
+                return fallback(float(a), b)
+            elif isinstance(b, Fraction):
+                return fallback(Fraction(a), b)
+            else:
+                return NotImplemented
+        return dyadic_op(a, b)
+
+    def reverse(b, a):
+        if isinstance(a, int):
+            return dyadic_op(Dyadic.of(a), b)
+        if isinstance(a, float):
+            return fallback(a, float(b))
+        if isinstance(a, Fraction):
+            return fallback(a, Fraction(b))
+        return NotImplemented
+
+    return forward, reverse
+
+
+class Dyadic:
+    """The exact number m * 2**e, with m odd (or m == 0 and e == 0).
+
+    The form is canonical, so equal values have equal fields.  A product
+    needs no normalisation (odd times odd is odd) and a sum only strips
+    trailing zero bits.  It compares, hashes and converts like the
+    Fraction of its value: ``float()`` is correctly rounded and
+    ``Fraction(d)`` works.  Arithmetic with an int or a Dyadic stays
+    Dyadic, except a quotient that is not dyadic, which is a Fraction; with
+    a Fraction it is a Fraction, and with a float a float.  Only the
+    operations the algebra uses are defined: no powers, floor division or
+    rounding.
+    """
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, m: int, e: int):
+        # m odd or (0, 0); Dyadic.of brings any other pair to that form
+        self.m = m
+        self.e = e
+
+    @staticmethod
+    def of(m: int, e: int = 0) -> Dyadic:
+        """m * 2**e in canonical form, for any int m."""
+        if not m:
+            return _ZERO
+        zeros = (m & -m).bit_length() - 1
+        return Dyadic(m >> zeros, e + zeros)
+
+    @staticmethod
+    def from_float(x: float) -> Dyadic:
+        n, d = x.as_integer_ratio()
+        return Dyadic.of(n, 1 - d.bit_length())
+
+    # -- views ---------------------------------------------------------------
+
+    def as_integer_ratio(self) -> tuple[int, int]:
+        m, e = self.m, self.e
+        return (m, 1 << -e) if e < 0 else (m << e, 1)
+
+    @property
+    def numerator(self) -> int:
+        return self.as_integer_ratio()[0]
+
+    @property
+    def denominator(self) -> int:
+        return self.as_integer_ratio()[1]
+
+    def __float__(self) -> float:
+        m, e = self.m, self.e
+        if e >= -1074 and m.bit_length() <= 53:
+            return math.ldexp(m, e)  # exact: m * 2**e is a double
+        return m / (1 << -e) if e < 0 else float(m << e)  # correctly rounded
+
+    def __bool__(self) -> bool:
+        return self.m != 0
+
+    def __hash__(self) -> int:
+        h = hash(hash(abs(self.m)) << self.e % _HASH_BITS)
+        h = h if self.m >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __repr__(self) -> str:
+        return f"Dyadic({self.m}, {self.e})"
+
+    # -- comparison ----------------------------------------------------------
+
+    def _compare(self, other, op):
+        if type(other) is int:
+            m, e = self.m, self.e
+            return op(m << e, other) if e >= 0 else op(m, other << -e)
+        if type(other) is not Dyadic and not isinstance(other, (int, Fraction)):
+            if not isinstance(other, float):
+                return NotImplemented
+            if not math.isfinite(other):
+                return op(0.0, other)
+        n, d = self.as_integer_ratio()
+        on, od = other.as_integer_ratio()
+        return op(n * od, on * d)
+
+    def __eq__(self, other):
+        if type(other) is Dyadic:
+            return self.m == other.m and self.e == other.e
+        return self._compare(other, operator.eq)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __le__(self, other):
+        return self._compare(other, operator.le)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._compare(other, operator.ge)
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def __neg__(self) -> Dyadic:
+        return Dyadic(-self.m, self.e)
+
+    def __abs__(self) -> Dyadic:
+        return self if self.m >= 0 else Dyadic(-self.m, self.e)
+
+    def _add(a: Dyadic, b: Dyadic) -> Dyadic:
+        shift = a.e - b.e
+        if shift >= 0:
+            return Dyadic.of((a.m << shift) + b.m, b.e)
+        return Dyadic.of(a.m + (b.m << -shift), a.e)
+
+    def _sub(a: Dyadic, b: Dyadic) -> Dyadic:
+        return a._add(-b)
+
+    def _mul(a: Dyadic, b: Dyadic) -> Dyadic:
+        m = a.m * b.m
+        return Dyadic(m, a.e + b.e) if m else _ZERO
+
+    def _truediv(a: Dyadic, b: Dyadic) -> Union[Dyadic, Fraction]:
+        if b.m in (1, -1):
+            return Dyadic(a.m * b.m, a.e - b.e)
+        return Fraction(a) / Fraction(b)
+
+    __add__, __radd__ = _binary(_add, operator.add)
+    __sub__, __rsub__ = _binary(_sub, operator.sub)
+    __mul__, __rmul__ = _binary(_mul, operator.mul)
+    __truediv__, __rtruediv__ = _binary(_truediv, operator.truediv)
+
+
+_ZERO, _ONE = Dyadic(0, 0), Dyadic(1, 0)
+numbers.Rational.register(Dyadic)
+
+Number = Union[Dyadic, Fraction, float]
+#: The types of an exact coefficient or ratio, read by ``type(x) in``: an
+#: isinstance check on Fraction goes through its ABC and costs far more.
+_EXACT = frozenset((Dyadic, Fraction))
 
 
 def _to_number(x) -> Number:
-    """Floats convert to exact Fractions (every float is a rational)."""
-    if isinstance(x, Fraction):
+    """An exact number: a Dyadic for every float, int and dyadic Fraction,
+    the caller's Fraction itself for any other."""
+    if type(x) is Dyadic:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"non-finite coefficient {x!r}")
-        return Fraction(x)
+        return Dyadic.from_float(x)
+    if isinstance(x, int):
+        return Dyadic.of(x)
+    if isinstance(x, Fraction):
+        d = x.denominator
+        return x if d & (d - 1) else Dyadic.of(x.numerator, 1 - d.bit_length())
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
 
 
 def exact_sqrt(q: Number) -> tuple[Number, bool]:
     """Square root, exact when the operand is a perfect rational square.
 
-    Returns (root, exact).  Inexact roots come back as floats.
+    Returns (root, exact).  Inexact roots come back as floats.  A Dyadic
+    m * 2**e is a square exactly when m is one and e is even.
     """
+    if type(q) is Dyadic:
+        if q.m < 0:
+            raise ValueError("sqrt of negative value")
+        root = math.isqrt(q.m)
+        if root * root == q.m and not q.e % 2:
+            return Dyadic(root, q.e // 2), True
+        return math.sqrt(float(q)), False
     if isinstance(q, Fraction):
         if q < 0:
             raise ValueError("sqrt of negative value")
@@ -63,14 +253,14 @@ class SymTerm:
 
     coef: Number
     ratio: Number
-    npow: Fraction
+    npow: Number
 
     @cached_property
     def _floats(self) -> Optional[tuple[float, float, float, float]]:
         """(coef, ratio, log|ratio|, -npow) as floats; None when coef is 0.
 
-        Taken once per term on first use, not at construction, so a
-        Fraction beyond the float range still raises only where a value is
+        Taken once per term on first use, not at construction, so an exact
+        number beyond the float range still raises only where a value is
         needed.
         """
         if self.coef == 0:
@@ -109,13 +299,13 @@ class SymTerm:
 
     @property
     def is_exact(self) -> bool:
-        return isinstance(self.coef, Fraction) and isinstance(self.ratio, Fraction)
+        return type(self.coef) in _EXACT and type(self.ratio) in _EXACT
 
 
 class SymSeq:
     """A finite sum of :class:`SymTerm`, canonicalized by (ratio, npow) key.
 
-    ``exact`` is True when every coefficient survived in rational arithmetic,
+    ``exact`` is True when every coefficient survived in exact arithmetic,
     which is what entitles a zero test to the ANALYTIC grade.  Sequences
     compare and hash by their terms and ``exact``; the zero one is falsy.
     ``atoms`` holds a canonical form's atoms (:func:`point_form`) and is
@@ -131,8 +321,9 @@ class SymSeq:
             if not t.is_exact:
                 all_exact = False
             # Exact values as integer ratios: equal ratios and powers merge
-            # whether held as Fractions or floats, unequal ones never do,
-            # however close their doubles (and the key hashes cheaply).
+            # whether held as Dyadics, Fractions or floats, unequal ones
+            # never do, however close their doubles (and the key hashes
+            # cheaply).
             key = (t.ratio.as_integer_ratio(), t.npow.as_integer_ratio())
             if key in merged:
                 old = merged[key]
@@ -140,9 +331,7 @@ class SymSeq:
                 merged[key] = SymTerm(coef, old.ratio, old.npow)
             else:
                 merged[key] = t
-        self.terms = tuple(
-            t for t in merged.values() if not (t.is_exact and t.coef == 0)
-        )
+        self.terms = tuple(t for t in merged.values() if t.coef or not t.is_exact)
         self.exact = all_exact
         self.atoms: Optional[tuple[tuple[str, float, float], ...]] = None
 
@@ -165,7 +354,7 @@ class SymSeq:
 
     @staticmethod
     def term(c, r, s) -> SymSeq:
-        return SymSeq((SymTerm(_to_number(c), _to_number(r), Fraction(s)),))
+        return SymSeq((SymTerm(_to_number(c), _to_number(r), _to_number(s)),))
 
     # -- algebra -----------------------------------------------------------
 
@@ -222,9 +411,7 @@ class SymSeq:
         t = self.terms[0]
         if t.coef == 0 or t.ratio == 0:
             raise ValueError("reciprocal of a vanishing term")
-        coef = Fraction(1) / t.coef if isinstance(t.coef, Fraction) else 1.0 / t.coef
-        ratio = Fraction(1) / t.ratio if isinstance(t.ratio, Fraction) else 1.0 / t.ratio
-        return SymSeq((SymTerm(coef, ratio, -t.npow),), exact=self.exact)
+        return SymSeq((SymTerm(1 / t.coef, 1 / t.ratio, -t.npow),), exact=self.exact)
 
     # -- queries -----------------------------------------------------------
 
@@ -314,7 +501,6 @@ class SymSeq:
         return "SymSeq(" + " + ".join(bits) + (")" if self.exact else ", inexact)")
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
 #: (ratio, npow) of the atoms whose shape does not depend on r.
 _SHAPES = {"const": (_ONE, _ZERO), "harmonic": (_ONE, _ONE)}
 
@@ -343,7 +529,8 @@ def point_form(atoms: Iterable[tuple[str, float, float]]) -> SymSeq:
     if harm_c != 0.0:
         kept.append(("harmonic", harm_c, 0.0))
     seq = SymSeq(
-        SymTerm(Fraction(c), *(_SHAPES.get(kind) or (Fraction(r), _ZERO))) for kind, c, r in kept
+        SymTerm(Dyadic.from_float(c), *(_SHAPES.get(kind) or (Dyadic.from_float(r), _ZERO)))
+        for kind, c, r in kept
     )
     seq.atoms = tuple(kept)
     return seq
@@ -406,7 +593,8 @@ def _geometric_tail_start(coef: float, r: float, p: float, budget: float) -> int
     """Smallest k so that |sum_{n>k} coef * r**n * n**p| <= budget.
 
     Uses the ratio test: once |r|(1+1/n)**p <= q < 1 for all n >= k, the
-    remainder is bounded by |term(k+1)| / (1-q).
+    remainder is bounded by |term(k+1)| / (1-q).  A k beyond 2**40 raises
+    NoMajorant: the sum exists, but no certificate of it is within reach.
     """
     a = abs(coef)
     if a == 0.0:
@@ -417,14 +605,14 @@ def _geometric_tail_start(coef: float, r: float, p: float, budget: float) -> int
     while r * (1.0 + 1.0 / k) ** p > q:
         k *= 2
         if k > 1 << 40:
-            raise ArithmeticError("ratio test failed to stabilize")
+            raise NoMajorant("geometric tail decays too slowly to certify")
     while True:
         t = a * r ** (k + 1) * float(k + 1) ** p
         if t / (1.0 - q) <= budget or t == 0.0:
             return k
         k = int(k * 1.5) + 1
         if k > 1 << 40:
-            raise ArithmeticError("geometric tail did not reach budget")
+            raise NoMajorant("geometric tail decays too slowly to certify")
 
 
 def tail_sum(seq: SymSeq, start: int, tol: float) -> tuple[float, float, int]:
@@ -432,7 +620,8 @@ def tail_sum(seq: SymSeq, start: int, tol: float) -> tuple[float, float, int]:
 
     Returns (value, error_bound, terms_used).  Raises ValueError labelled
     with the classification when the sum is divergent or only conditionally
-    convergent (callers translate to their domain-specific errors).
+    convergent (callers translate to their domain-specific errors), and
+    NoMajorant when a geometric term decays too slowly to certify.
     """
     return tail_sums(seq, tol)(start)
 

@@ -1210,3 +1210,23 @@ def test_default_probes_draw_their_random_points_once_per_seed():
     assert first[3:] == [random_point(rng) for _ in range(10)]
     first.clear()
     assert len(default_psc_probes(x, OPTS)) == 13
+
+
+def test_a_tail_too_slow_to_certify_is_no_certified_value_not_an_arithmetic_error():
+    # x_n = (1 - 1e-13)**n lies in ell1, but its certified tail sum needs a
+    # cut-off past 2**40 terms: every public road says "no certified value"
+    slow = Point((), TailRule.geometric(1.0, 1 - 1e-13))
+    f = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
+    with pytest.raises(NoMajorant):
+        evaluate(f, slow)
+    with pytest.raises(NonConvergentPairing):
+        evaluate(LinearFunctional(DualPoint((), TailRule.const(1.0))), slow)
+    # sum x_n**2 is continuous on ell1, so its partials make the derivative
+    cert, _ = gateaux_detect(f, SpaceDescriptor.ell1(), slow, OPTS)
+    assert cert.verdict is Verdict.HOLDS
+    # certify_min evaluates f(x*) before any guard (a known gap of its own)
+    with pytest.raises(NoMajorant):
+        certify_min(f, SetDescriptor.whole_space(), slow, OPTS)
+    harmonic = SeparableSeries(TailRule.harmonic(1.0), ScalarConvex.linear(1.0))
+    with pytest.raises(NoMajorant):
+        dir_deriv(harmonic, Point((), TailRule.geometric(1.0, 0.5)), slow)

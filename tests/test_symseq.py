@@ -4,14 +4,20 @@ mpmath plays the oracle for every closed-form sum; the module under test
 must agree within its own certified error bound.
 """
 
+import math
+import operator
+import struct
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from seqcert.errors import NoMajorant
 from seqcert.symseq import (
     DIVERGENT,
     SUMMABLE,
+    Dyadic,
     SymSeq,
     SymTerm,
     classify,
@@ -211,3 +217,150 @@ def test_ratios_that_round_to_one_double_do_not_merge():
     # equal values merge whether a ratio is a float or a Fraction
     same = SymSeq((SymTerm(Fraction(1), 0.5, Fraction(0)),)) + SymSeq.term(2.0, 0.5, 0)
     assert len(same.terms) == 1 and same.terms[0].coef == 3
+
+
+def test_a_geometric_tail_too_slow_to_certify_raises_no_majorant():
+    # r = 1 - 1e-13 needs a cut-off past 2**40 terms
+    slow = SymSeq.term(1.0, 1 - 1e-13, 0)
+    assert classify(slow) == SUMMABLE
+    with pytest.raises(NoMajorant):
+        tail_sum(slow, 1, 1e-12)
+
+
+# Dyadic numbers -------------------------------------------------------------
+
+DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=-1e301, max_value=-1e299),
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.floats(min_value=1 - 1e-7, max_value=1 + 1e-7),
+    st.floats(min_value=-1 - 1e-7, max_value=-1 + 1e-7),
+)
+
+
+def bits(x: float) -> str:
+    return struct.pack("<d", x).hex()
+
+
+def canonical(d: Dyadic) -> bool:
+    """An odd mantissa, or the one zero."""
+    return d.m % 2 == 1 or (d.m, d.e) == (0, 0)
+
+
+def image(value) -> str:
+    """The float image of an exact value, bit for bit, or the exception."""
+    try:
+        return bits(float(value))
+    except OverflowError:
+        return "OverflowError"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(DOUBLES, DOUBLES)
+def test_dyadics_agree_with_fractions_on_doubles(x, y):
+    dx, dy = Dyadic.from_float(x), Dyadic.from_float(y)
+    fx, fy = Fraction(x), Fraction(y)
+    assert canonical(dx)
+    assert bits(float(dx)) == bits(float(fx))
+    assert dx == fx and fx == dx and dx == x and x == dx
+    assert hash(dx) == hash(fx) == hash(x)
+    assert dx.as_integer_ratio() == fx.as_integer_ratio()
+    assert Fraction(dx) == fx and type(Fraction(dx)) is Fraction
+    for op in (operator.eq, operator.lt, operator.le, operator.gt, operator.ge):
+        want = op(fx, fy)
+        assert op(dx, dy) == op(dx, fy) == op(fx, dy) == op(dx, y) == op(x, dy) == want
+    for op in (operator.mul, operator.add, operator.sub):
+        exact = op(dx, dy)
+        assert type(exact) is Dyadic and canonical(exact) and exact == op(fx, fy)
+        assert hash(exact) == hash(op(fx, fy))
+        assert image(exact) == image(op(fx, fy))
+        # mixed with a Fraction the result is one, with a float a float
+        assert type(op(dx, fy)) is Fraction and op(dx, fy) == op(fx, fy)
+        assert type(op(fx, dy)) is Fraction and op(fx, dy) == op(fx, fy)
+        assert bits(op(dx, y)) == bits(op(float(fx), y))
+        assert bits(op(x, dy)) == bits(op(x, float(fy)))
+
+
+def test_dyadics_compare_and_hash_with_ints_and_infinities():
+    assert Dyadic.from_float(4.0) == 4 and hash(Dyadic.from_float(4.0)) == hash(4)
+    assert Dyadic.from_float(-0.5) < 0 < Dyadic.from_float(0.5) <= 1
+    assert Dyadic.from_float(-2.0 ** 70) == -(2**70)
+    huge = Dyadic(1, 5000)
+    assert hash(huge) == hash(Fraction(2**5000)) and huge > 1e308
+    assert Dyadic(3, -5000) < math.inf and Dyadic(3, -5000) > -math.inf
+    assert not Dyadic(3, -5000) == math.nan and Dyadic(1, 0) != math.nan
+
+
+def test_a_reciprocal_that_is_not_dyadic_falls_back_to_fraction():
+    for k in (-3, 0, 5):
+        seq = SymSeq.term(3 * 2.0**k, 0.5, 0)
+        inv = seq.reciprocal()
+        (t,) = inv.terms
+        assert type(t.coef) is Fraction and t.coef == Fraction(1, 3) / Fraction(2) ** k
+        assert type(t.ratio) is Dyadic and t.ratio == 2
+        assert inv.exact
+        for n in (1, 4, 9):
+            assert inv.value_at(n) == pytest.approx(2.0**n / (3 * 2.0**k), rel=1e-14)
+    # a mantissa of +-1 keeps the reciprocal dyadic
+    (t,) = SymSeq.term(-0.25, 0.5, 0).reciprocal().terms
+    assert type(t.coef) is Dyadic and t.coef == -4
+
+
+def test_an_inexact_dyadic_sqrt_matches_the_fraction_path():
+    for x in (2.0, 0.5, 8.0, 3.0 * 2.0**-10):
+        root, exact = exact_sqrt(Dyadic.from_float(x))
+        assert (root, exact) == exact_sqrt(Fraction(x))
+        assert not exact and type(root) is float and root == math.sqrt(x)
+    for x in (0.0, 0.25, 9.0, 9.0 * 2.0**-40):
+        root, exact = exact_sqrt(Dyadic.from_float(x))
+        assert exact and type(root) is Dyadic and root == exact_sqrt(Fraction(x))[0]
+    with pytest.raises(ValueError):
+        exact_sqrt(Dyadic.from_float(-0.25))
+
+
+def test_a_fraction_term_and_an_equal_dyadic_term_merge_into_one():
+    fraction_held = SymTerm(Fraction(1, 3), Fraction(1, 2), Fraction(1))
+    dyadic_held = SymSeq.term(0.75, 0.5, 1).terms[0]
+    assert type(dyadic_held.ratio) is Dyadic and type(dyadic_held.npow) is Dyadic
+    merged = SymSeq((fraction_held, dyadic_held))
+    (t,) = merged.terms
+    assert merged.exact and t.coef == Fraction(13, 12) and type(t.coef) is Fraction
+    cancelled = SymSeq((SymTerm(Fraction(-3, 4), Fraction(1, 2), Fraction(1)), dyadic_held))
+    assert cancelled.exact and cancelled.is_zero and not cancelled.terms
+
+
+def test_sequences_compare_and_hash_across_the_two_representations():
+    as_fractions = SymSeq(
+        (
+            SymTerm(Fraction(3, 4), Fraction(1, 2), Fraction(0)),
+            SymTerm(Fraction(-5), Fraction(1, 8), Fraction(2)),
+        )
+    )
+    as_dyadics = SymSeq.term(0.75, 0.5, 0) + SymSeq.term(-5, 0.125, 2)
+    assert {type(t.coef) for t in as_dyadics.terms} == {Dyadic}
+    assert as_fractions == as_dyadics and hash(as_fractions) == hash(as_dyadics)
+    assert as_fractions != SymSeq.term(0.75, 0.5, 0)
+
+
+def test_an_image_beyond_the_float_range_raises_overflow_error():
+    # (2**54 - 1) * 2**970 lies halfway between the largest double and
+    # 2**1024, and rounds to even: up, out of the range
+    for value in (
+        Dyadic(1, 1024),
+        Dyadic(-(2**60 + 1), 1000),
+        Dyadic(3**700, -1),
+        Dyadic(2**54 - 1, 970),
+    ):
+        with pytest.raises(OverflowError):
+            float(value)
+        with pytest.raises(OverflowError):
+            float(Fraction(value))
+        with pytest.raises(OverflowError):
+            SymTerm(value, Dyadic(1, -1), Dyadic(0, 0)).value_at(3)
+    # nearer the largest double than 2**1024, it rounds down, as the Fraction does
+    top = Dyadic(2**55 - 5, 969)
+    assert float(top) == float(Fraction(top)) == 1.7976931348623157e308
+    assert float(-top) == float(-Fraction(top)) == -1.7976931348623157e308
