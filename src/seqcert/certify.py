@@ -34,7 +34,6 @@ from .errors import (
     NonConvergentPairing,
 )
 from .funcs import (
-    DirStatus,
     DirValue,
     FunctionExpr,
     ScalarConvex,
@@ -505,6 +504,14 @@ class _BasisProfile:
     kink: Optional[DirValue]
 
 
+def _first_none(col: tuple, start: int) -> Optional[int]:
+    """The first n >= start at which col[n - 1] is None, else None."""
+    try:
+        return col.index(None, start - 1) + 1
+    except ValueError:
+        return None
+
+
 def _basis_profile(
     parts: Sequence[tuple[float, FunctionExpr]], x_star: Point, coords: int, tail_from: int = 1
 ) -> _BasisProfile:
@@ -524,10 +531,15 @@ def _basis_profile(
 
     ``missing`` is the smallest n at which some part's partial does not
     exist, ``part`` that part's index and ``kink`` its one-sided
-    derivatives there: per part, the first per-index failure, else the
-    form's kink.  ``head`` stops before it.  None means every partial
-    exists at every n the head covers, and at every n from valid_from on
-    when ``tail`` is set.
+    derivatives there: per part, the first None of its walk's head
+    column, else the form's kink.  ``head`` stops before it.  None means
+    every partial exists at every n the head covers, and at every n from
+    valid_from on when ``tail`` is set.
+
+    The values come from each walk's kept head column, and ``kink`` is
+    the one DirValue built.  Each index n <= coords is read, so the
+    smallest that raises does; past coords the column is read only up to
+    the first missing partial, so an index beyond it never raises.
     """
     walks = [(j, c, basis_partials(f, x_star)) for j, (c, f) in enumerate(parts) if c != 0.0]
     forms = [bp.form for _, _, bp in walks]
@@ -536,32 +548,34 @@ def _basis_profile(
     missing = part = kink = None
     for (j, _, bp), form in zip(walks, forms):
         stop = valid_from if form.status == "ok" else (form.kink_at or 1)
-        dvs = [bp.at(n) for n in range(1, coords + 1)]
-        miss = next(
-            (n for n, dv in enumerate(dvs, start=1) if dv.status is not DirStatus.EXISTS), None
-        )
-        while miss is None and len(dvs) + 1 < stop:
-            dvs.append(bp.at(len(dvs) + 1))
-            if dvs[-1].status is not DirStatus.EXISTS:
-                miss = len(dvs)
+        col = bp.column(coords)
+        if len(col) < coords:
+            # every head index is read, so the first that raises does
+            bp.at(len(col) + 1)
+        miss = _first_none(col, 1)
+        if miss is None and stop - 1 > coords:
+            # past coords the reads stop at the first missing partial, so
+            # an index that raises beyond it is never read
+            col = bp.column(stop - 1)
+            miss = _first_none(col, coords + 1)
+            if miss is None and len(col) < stop - 1:
+                bp.at(len(col) + 1)
+        at_kink = None
         if miss is None and form.status == "kink":
             miss = form.kink_at
-            dvs.append(bp.at(miss))
+            at_kink = bp.at(miss)
         if miss is not None and (missing is None or miss < missing):
-            missing, part, kink = miss, j, dvs[miss - 1]
-        columns.append(dvs)
-        cuts.append(miss - 1 if miss else len(dvs))
-
-    def weighted(n: int) -> Optional[float]:
-        total = 0.0
-        for (_, c, _), dvs in zip(walks, columns):
-            if dvs[n - 1].value is None:
-                return None
-            total += c * dvs[n - 1].value
-        return total
+            missing, part = miss, j
+            kink = bp.at(miss) if at_kink is None else at_kink
+        columns.append(col)
+        cuts.append(miss - 1 if miss else len(col))
 
     cut = min(cuts, default=coords)
-    row = [weighted(n) for n in range(1, max(coords, cut) + 1)]
+    # one list pass per part: each index's sum starts at 0.0 and adds
+    # c_j f_j'(x*; e_n) in order, None once one of them is missing
+    row = [0.0] * max(coords, cut)
+    for (_, c, _), col in zip(walks, columns):
+        row = [None if t is None or v is None else t + c * v for t, v in zip(row, col)]
     tail: Optional[SymSeq] = SymSeq.zero()
     for (_, c, _), form in zip(walks, forms):
         tail = None if tail is None or form.tail is None else tail + form.tail.scaled(c)
@@ -613,7 +627,7 @@ def _basis_residual(
     sampled = Grade.numeric(opts.coords)
     if prof.missing is not None:
         return prof, "kink", prof.missing, None, sampled
-    head = [v - p.coordinate(n) for n, v in enumerate(prof.head, start=1)]
+    head = [v - pn for v, pn in zip(prof.head, p.column(1, len(prof.head)))]
     tail = None if prof.tail is None else prof.tail - p.tail
     if (
         tail is not None
@@ -759,9 +773,10 @@ def subgradient_test(
     prof, where, n, _, grade = _basis_residual([(1.0, f)], x_star, p, opts)
     if where == "kink":
         return _inconclusive(grade, f"directional derivative does not exist at n={n}")
+    duals = p.column(1, len(prof.values))
     table = [
-        {"n": i, "derivative": v, "dual": p.coordinate(i)}
-        for i, v in enumerate(prof.values, start=1)
+        {"n": i, "derivative": v, "dual": pn}
+        for i, (v, pn) in enumerate(zip(prof.values, duals), start=1)
     ]
     evidence = {"matches": table, "psc": psc.to_json()}
     if where in ("exact", "none"):

@@ -5,9 +5,10 @@ monotone in t (Rockafellar, Convex Analysis, Thm 23.1), so each one-sided
 derivative of a separable series is the sum of its terms' (Thm 24.1 and
 monotone convergence).  The walk over the function grammar
 (funcs.basis_partials) answers them in closed form: along a basis vector
-with its per-index sides, along any other direction with ``direction(h)``.
-Where the walk has no closed form there is no certified value, and
-dir_deriv says so by raising NoMajorant; no quotient is scanned.
+with its sides at that index, ``at(n)``, along any other direction with
+``direction(h)``.  Where the walk has no closed form there is no
+certified value, and dir_deriv says so by raising NoMajorant; no quotient
+is scanned.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ def _is_basis(h: Point) -> Optional[int]:
 def dir_deriv(f: FunctionExpr, x: Point, h: Point) -> DirDerivResult:
     """Directional derivative of f at x along h, with an existence verdict.
 
-    Along a basis vector the per-index sides answer, without evaluating f;
-    along any other direction, once f(x) is certified finite, the walk's
-    ``direction(h)``, the sum of the terms' one-sided derivatives.  Raises
-    DomainViolation when f(x) is not finite, NoMajorant where the walk has
-    no closed form along h, and DomainLimited where neither side of 0 stays
-    in the domain.
+    Along a basis vector the walk's sides at that index answer, without
+    evaluating f; along any other direction, once f(x) is certified
+    finite, the walk's ``direction(h)``, the sum of the terms' one-sided
+    derivatives.  Raises DomainViolation when f(x) is not finite,
+    NoMajorant where the walk has no closed form along h, and
+    DomainLimited where neither side of 0 stays in the domain.
     """
     n = _is_basis(h)
     if n is not None:

@@ -10,7 +10,8 @@ certificates are built from.
 Per-index coefficients (series weights, scalar parameters) use the same
 closed forms as point tails: canonical SymSeqs summing constant, geometric
 and harmonic atoms in the index (seqspace.TailRule), read per index with
-``coordinate`` and used as they are in every closed-form product.
+``coordinate`` or over a range of indices with ``column``, and used as
+they are in every closed-form product.
 """
 
 from __future__ import annotations
@@ -470,40 +471,60 @@ def _summed_step(subs: list) -> Callable[[float, float], SeriesValue]:
     return step
 
 
+def _zero_sides(a: int, b: int) -> tuple:
+    zeros = [0.0] * (b - a + 1)
+    return zeros, zeros, None
+
+
+def _partial_values(lefts: list, rights: list) -> tuple:
+    """Each index's partial where both of its sides exist, are finite and
+    agree, else None."""
+    inf = math.inf
+    return tuple([
+        r if r is not None and l == r and -inf < r < inf else None for l, r in zip(lefts, rights)
+    ])
+
+
 @dataclass(eq=False)
 class BasisPartials:
     """What f is and does at x, from one walk over the grammar.
 
-    ``sides(n)`` is the closed-form (left, right) derivative pair of
-    t -> f(x + t e_n) at 0, None marking a side outside the domain, and
-    ``at(n)`` classifies it.  ``form`` is built on first use, so per-index
-    callers never pay for the closed form.  ``line(steps)`` is the exact
-    difference t -> f(x + t h) - f(x) for the finitely supported h whose
-    nonzero coordinates are the (n, h_n) of steps.  ``interval(n, a)`` is
-    (why, unbounded) for t -> f(x + t e_n) on |t| < a: why names the first
-    term's kink or sqrt boundary inside it (None when there is none), and
-    unbounded says some term's derivative has no finite supremum there.
-    ``value(tol)`` is evaluate(f, x, tol), and ``series_line(h)`` is the
-    line behind delta_along(f, x, h, t, tol) for any direction h: its
-    constants are resolved once, what depends on |t| only (a pairing's
-    certified sum, a separable leaf's majorant region) is kept per step
-    size so t and -t share it, and domain errors stay per step.
-    ``limsup_weight()`` is the total coefficient of the limsup parts, and
-    ``affine()`` says whether f is built from constants, linear functionals
-    and linear-piece series only.  ``direction(h)`` is the one-sided pair
-    (left, right) of t -> f(x + t h) at 0 in closed form, None marking a
-    side outside the domain, or None where there is no closed form (see
-    :func:`basis_partials`).
+    ``sides(a, b)`` is the range answer (lefts, rights, err): the
+    closed-form one-sided derivatives of t -> f(x + t e_n) at 0 for
+    n = a, a+1, ..., in one list each, None marking a side outside the
+    domain.  The lists stop short only where an index raises: err is then
+    the exception index a + len(lefts) raises, and None otherwise.
+    ``column(b)`` is the head column, the partial f'(x; e_n) for
+    n = 1..b where both sides exist, are finite and agree, and None
+    elsewhere; ``at(n)`` classifies one index.  ``form`` is built on first
+    use, so per-index callers never pay for the closed form.
+    ``line(steps)`` is the exact difference t -> f(x + t h) - f(x) for the
+    finitely supported h whose nonzero coordinates are the (n, h_n) of
+    steps.  ``interval(n, a)`` is (why, unbounded) for t -> f(x + t e_n)
+    on |t| < a: why names the first term's kink or sqrt boundary inside it
+    (None when there is none), and unbounded says some term's derivative
+    has no finite supremum there.  ``value(tol)`` is evaluate(f, x, tol),
+    and ``series_line(h)`` is the line behind delta_along(f, x, h, t, tol)
+    for any direction h: its constants are resolved once, what depends on
+    |t| only (a pairing's certified sum, a separable leaf's majorant
+    region) is kept per step size so t and -t share it, and domain errors
+    stay per step.  ``limsup_weight()`` is the total coefficient of the
+    limsup parts, and ``affine()`` says whether f is built from constants,
+    linear functionals and linear-piece series only.  ``direction(h)`` is
+    the one-sided pair (left, right) of t -> f(x + t h) at 0 in closed
+    form, None marking a side outside the domain, or None where there is
+    no closed form (see :func:`basis_partials`).
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
-    ``form`` is kept once built, ``value(tol)`` per tol and ``at(n)`` per
-    index, so the certifiers that ask about the same anchor share one
-    certified f(x) and one pass over its partials.  An answer that raises
-    is not kept: every call raises it afresh.
+    ``form`` is kept once built, ``value(tol)`` per tol and the head
+    column as far as it was asked for, so the certifiers that ask about
+    the same anchor share one certified f(x) and one pass over its
+    partials.  An extended column replaces the kept one whole.  An answer
+    that raises is not kept: every call raises it afresh.
     """
 
-    sides: Callable = lambda n: (0.0, 0.0)
+    sides: Callable = _zero_sides
     _form: Callable = lambda: PartialsForm("ok", 1, SymSeq.zero())
     line: Callable = lambda steps: _zero_line
     interval: Callable = lambda n, a: (None, False)
@@ -513,7 +534,8 @@ class BasisPartials:
     affine: Callable = lambda: True
     direction: Callable = lambda h: (0.0, 0.0)
     _values: dict = field(default_factory=dict, init=False, repr=False)
-    _ats: dict = field(default_factory=dict, init=False, repr=False)
+    #: (values for n = 1..len, cut): cut when index len + 1 raises
+    _column: tuple = field(default=((), False), init=False, repr=False)
 
     @cached_property
     def form(self) -> PartialsForm:
@@ -525,18 +547,25 @@ class BasisPartials:
             sv = self._values[tol] = self._value(tol)
         return sv
 
+    def column(self, b: int) -> tuple:
+        """The head column for n = 1..b, cut short before the first index
+        that raises (``at`` of that index raises it)."""
+        values, cut = self._column
+        if len(values) < b and not cut:
+            lefts, rights, err = self.sides(len(values) + 1, b)
+            values += _partial_values(lefts, rights)
+            self._column = (values, err is not None)
+        return values if len(values) <= b else values[:b]
+
     def at(self, n: int) -> DirValue:
-        dv = self._ats.get(n)
-        if dv is None:
-            left, right = self.sides(n)
-            if left is None or right is None or math.isinf(left) or math.isinf(right):
-                dv = DirValue.kink(left, right)
-            elif left == right:
-                dv = DirValue.exists(right)
-            else:
-                dv = DirValue.kink(left, right)
-            self._ats[n] = dv
-        return dv
+        values, _ = self._column
+        if 0 < n <= len(values) and values[n - 1] is not None:
+            return DirValue.exists(values[n - 1])
+        lefts, rights, err = self.sides(n, n)
+        if err is not None:
+            raise err
+        (v,) = _partial_values(lefts, rights)
+        return DirValue.kink(lefts[0], rights[0]) if v is None else DirValue.exists(v)
 
 
 #: The last top-level walk, as (f, x, walk): one tuple, read once and
@@ -579,9 +608,12 @@ def drop_kept_walk() -> None:
 def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     """The one walk behind every question about f at x.
 
-    Each node's sides combine its children's at the same index; one-sided
-    derivatives of the whole expression are kept apart, so a kink in one
-    summand is reported only when the sum genuinely has one.  Lines resolve
+    Each node's range answer combines its children's over the same indices,
+    in one loop per node; one-sided derivatives of the whole expression are
+    kept apart, so a kink in one summand is reported only when the sum
+    genuinely has one.  Within a range the smallest index that raises wins,
+    and at it the first part in order, as reading index by index would
+    raise; an index past it is answered only by a later range.  Lines resolve
     their per-index constants and scale factors once, and each call runs
     the per-step sum's float operations in the same order, including the
     0.0 that starts every sum, so signed zeros come out the same whatever
@@ -594,7 +626,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     summable each term's quotient falls monotonically to its one-sided
     derivative and, by monotone convergence, the leaf's one-sided
     derivative along h is the sum of its terms' (``direction(h)``): the
-    per-index sides scaled by h_n over the head, plus a closed-form tail
+    range answer's sides scaled by h_n over the head, plus a closed-form tail
     summed by ``tail_sum``.  A finitely supported h has no tail, so the
     head alone answers.  A side outside the domain is None, in a sum as
     soon as one part's is, and a part with neither side wins over a part
@@ -641,9 +673,9 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     if isinstance(f, LinearFunctional):
         p = f.p
 
-        def linear(n: int) -> tuple:
-            v = p.coordinate(n)
-            return v, v
+        def linear(a: int, b: int) -> tuple:
+            vs = p.column(a, b)
+            return vs, vs, None
 
         def linear_line(steps: tuple) -> Callable[[float], float]:
             slope = sum(p.coordinate(n) * hn for n, hn in steps)
@@ -687,11 +719,12 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             return BasisPartials()
         lam, inner = f.lam, basis_partials(f.inner, x)
 
-        def scaled(n: int) -> tuple:
-            left, right = inner.sides(n)
+        def scaled(a: int, b: int) -> tuple:
+            lefts, rights, err = inner.sides(a, b)
             return (
-                None if left is None else lam * left,
-                None if right is None else lam * right,
+                [None if v is None else lam * v for v in lefts],
+                [None if v is None else lam * v for v in rights],
+                err,
             )
 
         def scaled_form() -> PartialsForm:
@@ -723,19 +756,21 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     if isinstance(f, Sum):
         parts = [basis_partials(g, x) for g in f.terms]
 
-        def summed(n: int) -> tuple:
-            lsum, rsum = 0.0, 0.0
+        def summed(a: int, b: int) -> tuple:
+            columns, err = [], None
             for part in parts:
-                left, right = part.sides(n)
-                if left is None:
-                    lsum = None
-                elif lsum is not None:
-                    lsum += left
-                if right is None:
-                    rsum = None
-                elif rsum is not None:
-                    rsum += right
-            return lsum, rsum
+                lefts, rights, part_err = part.sides(a, b)
+                if part_err is not None:
+                    # the smallest raising index wins, and at it the first
+                    # part: the parts after this one stop before it
+                    b, err = a + len(lefts) - 1, part_err
+                columns.append((lefts, rights))
+            # each index's sums start at 0.0 and add the parts in order
+            lsums = rsums = [0.0] * (b - a + 1)
+            for lefts, rights in columns:
+                lsums = [None if s is None or v is None else s + v for s, v in zip(lsums, lefts)]
+                rsums = [None if s is None or v is None else s + v for s, v in zip(rsums, rights)]
+            return lsums, rsums, err
 
         def summed_form() -> PartialsForm:
             forms = [part.form for part in parts]
@@ -828,34 +863,54 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
     weight, u = f.weight, f.inner
     kind = u.kind
 
-    def sides(n: int) -> tuple:
-        w = weight.coordinate(n)
-        t = x.coordinate(n)
+    def sides(a: int, b: int) -> tuple:
+        # the columns are read as one index reads its coefficients: weight,
+        # x, then the piece's parameters
+        ws = weight.column(a, b)
+        ts = x.column(a, b)
+        # A nonzero weight scales both sides; zero kills both.
+        if kind is ScalarKind.SQUARE:
+            vs = [0.0 if w == 0.0 else w * (2.0 * t) for w, t in zip(ws, ts)]
+            return vs, vs, None
+        if kind is ScalarKind.AFFINE_QUAD:
+            coefs = zip(ws, ts, u.a.column(a, b), u.b.column(a, b))
+            vs = [0.0 if w == 0.0 else w * (2.0 * ca * t + cb) for w, t, ca, cb in coefs]
+            return vs, vs, None
+        if kind is ScalarKind.LINEAR:
+            vs = [0.0 if w == 0.0 else w * cb for w, cb in zip(ws, u.b.column(a, b))]
+            return vs, vs, None
+        err = None
         if kind is ScalarKind.ABS:
-            left, right = (1.0, 1.0) if t > 0.0 else (-1.0, -1.0) if t < 0.0 else (-1.0, 1.0)
-        elif kind is ScalarKind.SQUARE:
-            left = right = 2.0 * t
-        elif kind is ScalarKind.AFFINE_QUAD:
-            left = right = 2.0 * u.a.coordinate(n) * t + u.b.coordinate(n)
-        elif kind is ScalarKind.LINEAR:
-            left = right = u.b.coordinate(n)
+            lefts = [1.0 if t > 0.0 else -1.0 for t in ts]
+            rights = [-1.0 if t < 0.0 else 1.0 for t in ts]
         else:
-            c = u.c.coordinate(n)
-            if t < 0.0:
-                raise DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
-            if c == 0.0:
+            lefts, rights = [], []
+            for n, t, c in zip(range(a, b + 1), ts, u.c.column(a, b)):
+                if t < 0.0:
+                    err = DomainViolation(f"sqrt piece needs t >= 0, got {t} at index {n}")
+                    break
+                if c == 0.0:
+                    left = right = 0.0
+                elif t == 0.0:
+                    # right derivative of -c*sqrt at the boundary is -infinity
+                    left, right = None, -math.inf
+                else:
+                    left = right = -c / (2.0 * math.sqrt(t))
+                lefts.append(left)
+                rights.append(right)
+        # Nonnegative weights preserve the side order.
+        out_l, out_r = [], []
+        for w, left, right in zip(ws, lefts, rights):
+            if w == 0.0:
                 left = right = 0.0
-            elif t == 0.0:
-                # right derivative of -c*sqrt at the boundary is -infinity
-                left, right = None, -math.inf
             else:
-                left = right = -c / (2.0 * math.sqrt(t))
-        # Nonnegative weights preserve the side order; zero kills both sides.
-        if w == 0.0:
-            return 0.0, 0.0
-        lw = None if left is None else w * left
-        rw = None if right is None else w * right
-        return (rw, lw) if w < 0.0 else (lw, rw)
+                left = None if left is None else w * left
+                right = None if right is None else w * right
+                if w < 0.0:
+                    left, right = right, left
+            out_l.append(left)
+            out_r.append(right)
+        return out_l, out_r, err
 
     def form() -> PartialsForm:
         start = x.tail_start
@@ -909,17 +964,26 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         return (None if lo >= 0.0 else f"sqrt boundary inside the interval at n={n}"), lo <= 0.0
 
     def head(h: Point, stop: int) -> tuple:
+        # the sum of h_n times the sides over n < stop, read from the range
+        # answer; an index raises only where h_n != 0
         left, right = 0.0, 0.0
-        for n in range(1, stop):
-            hn = h.coordinate(n)
-            if hn == 0.0:
-                continue
-            lo, hi = sides(n)
-            # a negative step swaps the sides
-            if hn < 0.0:
-                lo, hi = hi, lo
-            left = None if left is None or lo is None else left + lo * hn
-            right = None if right is None or hi is None else right + hi * hn
+        hs = h.column(1, stop - 1)
+        n = 1
+        while n < stop:
+            lefts, rights, err = sides(n, stop - 1)
+            for hn, lo, hi in zip(hs[n - 1 :], lefts, rights):
+                if hn == 0.0:
+                    continue
+                # a negative step swaps the sides
+                if hn < 0.0:
+                    lo, hi = hi, lo
+                left = None if left is None or lo is None else left + lo * hn
+                right = None if right is None or hi is None else right + hi * hn
+            n += len(lefts)
+            if err is not None:
+                if hs[n - 1] != 0.0:
+                    raise err
+                n += 1
         return left, right
 
     def feasible(h: Point, sign: float) -> bool:
@@ -960,12 +1024,19 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         if len(atoms) == 1:
             tail, _, _ = tail_sum(bound, start, DEFAULT_SERIES_TOL)
         else:
-            def slope(n: int) -> float:
-                return 0.0 if n < start else sides(n)[1] * h.coordinate(n)
+            # certified_series's head of the right slopes, n = 1..k, read
+            # from one range answer; x's tail is >= 0, so no index raises
+            majorant = bound.abs_terms()
+            if classify(majorant) != SUMMABLE:
+                return None
             try:
-                tail = certified_series(slope, start, majorant=bound.abs_terms()).value
+                region = majorant_region(majorant, start, DEFAULT_SERIES_TOL)
             except NoMajorant:
                 return None
+            k = region[0]
+            _, rights, _ = sides(start, k)
+            slopes = [right * hn for right, hn in zip(rights, h.column(start, k))]
+            tail = head_sum([0.0] * (start - 1) + slopes, region).value
         left, right = head(h, start)
         return (None if left is None else left + tail, None if right is None else right + tail)
 
@@ -990,7 +1061,7 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         kink = False
         if kind is not ScalarKind.ABS:
             # the partial's closed form, valid from x's tail start
-            slope = form().tail
+            slope = walk.form.tail
         else:
             try:
                 sgn, rank, alternating = _eventual_sign(x.tail, start)
@@ -1011,13 +1082,14 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         left, right = head(h, start)
         return (left - tail, right + tail) if kink else (left + tail, right + tail)
 
-    return BasisPartials(
+    walk = BasisPartials(
         sides, form, line, interval,
         lambda tol: _evaluate_separable(f, x, tol),
         lambda h: _separable_delta_line(f, x, h),
         affine=lambda: kind is ScalarKind.LINEAR,
         direction=direction,
     )
+    return walk
 
 
 def analytic_dir_deriv(f: FunctionExpr, x: Point, n: int) -> DirValue:

@@ -35,7 +35,7 @@ from .errors import (
     PartialNotDifferentiable,
     Unbounded,
 )
-from .funcs import DirStatus, FunctionExpr, basis_partials, evaluate
+from .funcs import FunctionExpr, basis_partials, evaluate
 from .seqspace import Point, SeriesValue
 
 
@@ -87,13 +87,13 @@ def grad_reduced(prob: ReducedProblem, y) -> list[float]:
     """Gradient of the reduced objective, from closed-form per-coordinate
     derivatives; raises PartialNotDifferentiable at a kink coordinate."""
     partials = basis_partials(prob.f, prob.embed(y))
-    out = []
-    for i in range(1, prob.k + 1):
-        dv = partials.at(i)
-        if dv.status is not DirStatus.EXISTS:
-            raise PartialNotDifferentiable(i)
-        out.append(dv.value)
-    return out
+    col = partials.column(prob.k)
+    if None in col:
+        raise PartialNotDifferentiable(col.index(None) + 1)
+    if len(col) < prob.k:
+        # the column stops before the first coordinate that raises
+        partials.at(len(col) + 1)
+    return list(col)
 
 
 def _line_minimize(

@@ -131,6 +131,17 @@ class Point:
         # the sum over the tail starts at 0.0, so a -0.0 reads as 0.0
         return 0.0 + self.tail.coordinate(n)
 
+    def column(self, a: int, b: int) -> list[float]:
+        """[coordinate(n) for n in a..b]: a slice of the prefix, then the
+        tail's column."""
+        if a < 1:
+            raise ValueError(f"coordinate index must be >= 1, got {a}")
+        cut = len(self.prefix)
+        out = list(self.prefix[a - 1 : min(b, cut)])
+        if b > cut:
+            out += [0.0 + v for v in self.tail.column(max(a, cut + 1), b)]
+        return out
+
     def is_finitely_supported(self) -> bool:
         return not self.tail
 

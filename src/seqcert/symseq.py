@@ -432,6 +432,21 @@ class SymSeq:
             value = v if value is None else value + v
         return 0.0 if value is None else value
 
+    def column(self, a: int, b: int) -> list[float]:
+        """[coordinate(n) for n in a..b], one list per atom, the atoms'
+        lists summed left to right as coordinate sums them."""
+        ns = range(a, b + 1)
+        out = None
+        for kind, c, r in self.atoms:
+            if kind == "const":
+                vs = [c] * len(ns)
+            elif kind == "harmonic":
+                vs = [c / n for n in ns]
+            else:
+                vs = [c * r**n for n in ns]
+            out = vs if out is None else [p + v for p, v in zip(out, vs)]
+        return [0.0] * len(ns) if out is None else out
+
     @property
     def is_zero(self) -> bool:
         """Identically zero for all n; trustworthy only with ``exact``."""

@@ -17,6 +17,7 @@ import dataclasses
 import math
 import random
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -27,9 +28,17 @@ from seqcert import certify, reduce
 from seqcert.certify import CertifyOptions, SetDescriptor, coordinate_interval, gateaux_detect
 from seqcert.derivative import dir_deriv, dir_deriv_profile
 from seqcert import funcs
-from seqcert.errors import DomainViolation, MaxSweeps, NoMajorant, Unbounded
+from seqcert.errors import (
+    DomainViolation,
+    MaxSweeps,
+    NoMajorant,
+    PartialNotDifferentiable,
+    Unbounded,
+)
 from seqcert.funcs import (
     Constant,
+    DirStatus,
+    DirValue,
     FunctionExpr,
     LimsupSeminorm,
     LinearFunctional,
@@ -72,8 +81,11 @@ from seqcert.symseq import (
     tail_sum,
     tail_sums,
 )
+from test_certifier_paths import CASES as CENSUS
 from test_certify import closed_form_cases
+from test_derivative import sqrt_corpus
 from test_series_digest import fuzz_instance, ladder, ladder_cases, step_record
+from test_shared_walk import fuzz_case
 from quotient_scan import ScanOptions, quotient_scan
 
 NUMERIC = ScanOptions()
@@ -691,6 +703,21 @@ def sides_record(fn):
         return repr((type(exc).__name__, str(exc)))
 
 
+def range_records(partials, a, b):
+    """The range answer's outcome at each n in a..b, as sides_record
+    gives it: the pair, or the exception the index raises, the range
+    being asked again past each index that raises."""
+    out = []
+    while a <= b:
+        lefts, rights, err = partials.sides(a, b)
+        out += [repr(pair) for pair in zip(lefts, rights)]
+        a += len(lefts)
+        if err is not None:
+            out.append(repr((type(err).__name__, str(err))))
+            a += 1
+    return out
+
+
 def test_basis_partials_match_the_two_walks_they_replaced():
     compared = one_sided = 0
     statuses = set()
@@ -699,13 +726,232 @@ def test_basis_partials_match_the_two_walks_they_replaced():
         want = _deriv_symbolic(f, x)
         assert form_record(partials.form) == form_record(want), (f, x)
         statuses.add(want.status)
-        for n in range(1, want.valid_from + 65):
-            got = sides_record(lambda: partials.sides(n))
-            assert got == sides_record(lambda: _one_sided_basis(f, x, n)), (f, x, n)
+        got = range_records(partials, 1, want.valid_from + 64)
+        for n, record in enumerate(got, start=1):
+            assert record == sides_record(lambda: _one_sided_basis(f, x, n)), (f, x, n)
             compared += 1
-            one_sided += "None" in got or "inf" in got
+            one_sided += "None" in record or "inf" in record
     assert statuses == {"ok", "kink", "numeric"}
     assert compared > 20_000 and one_sided > 0
+
+
+# The head sum of a separable leaf's direction(h) before the range answer,
+# verbatim apart from the per-index sides it reads, as its reference.
+def _reference_head(f: SeparableSeries, x: Point, h: Point, stop: int) -> tuple:
+    left, right = 0.0, 0.0
+    for n in range(1, stop):
+        hn = h.coordinate(n)
+        if hn == 0.0:
+            continue
+        lo, hi = _one_sided_basis(f, x, n)
+        # a negative step swaps the sides
+        if hn < 0.0:
+            lo, hi = hi, lo
+        left = None if left is None or lo is None else left + lo * hn
+        right = None if right is None or hi is None else right + hi * hn
+    return left, right
+
+
+def test_a_finite_direction_matches_the_per_index_head_sum():
+    # a finitely supported h is answered by the head sum alone, which reads
+    # an index only where h moves: a negative coordinate under a sqrt piece
+    # raises where h_n != 0 and is passed over where h_n == 0
+    rng = random.Random(32)
+    raised = 0
+    for leaf, x, _ in sqrt_corpus(320):
+        if not isinstance(leaf, SeparableSeries):
+            continue
+        prefix = list(x.prefix) + [1.0] * 3
+        prefix[rng.randrange(len(prefix))] = -1.0
+        x = Point(prefix, x.tail)
+        for _ in range(4):
+            h = Point([rng.choice([0.0, 0.0, 1.0, -0.5]) for _ in range(len(prefix) + 2)])
+            funcs.drop_kept_walk()
+            want = outcome(lambda: _reference_head(leaf, x, h, h.tail_start))
+            assert outcome(lambda: basis_partials(leaf, x).direction(h)) == want, (leaf, x, h)
+            raised += want[0] == "raise"
+    assert raised > 0
+
+
+# The per-index profile that certify._basis_profile replaced, kept verbatim
+# as its reference, apart from the walk it reads: _PerIndexWalk answers
+# at(n) from the per-index walk above, as BasisPartials.at classified it
+# before the head column, so the reference shares no code with the column.
+class _PerIndexWalk:
+    def __init__(self, f: FunctionExpr, x: Point):
+        self.f, self.x = f, x
+
+    @property
+    def form(self):
+        return basis_partials(self.f, self.x).form
+
+    def at(self, n: int) -> DirValue:
+        left, right = _one_sided_basis(self.f, self.x, n)
+        if left is None or right is None or math.isinf(left) or math.isinf(right):
+            return DirValue.kink(left, right)
+        if left == right:
+            return DirValue.exists(right)
+        return DirValue.kink(left, right)
+
+
+def _reference_basis_profile(
+    parts, x_star: Point, coords: int, tail_from: int = 1
+) -> certify._BasisProfile:
+    _BasisProfile = certify._BasisProfile
+    walks = [(j, c, _PerIndexWalk(f, x_star)) for j, (c, f) in enumerate(parts) if c != 0.0]
+    forms = [bp.form for _, _, bp in walks]
+    valid_from = max([tail_from, *(form.valid_from for form in forms)])
+    columns, cuts = [], []
+    missing = part = kink = None
+    for (j, _, bp), form in zip(walks, forms):
+        stop = valid_from if form.status == "ok" else (form.kink_at or 1)
+        dvs = [bp.at(n) for n in range(1, coords + 1)]
+        miss = next(
+            (n for n, dv in enumerate(dvs, start=1) if dv.status is not DirStatus.EXISTS), None
+        )
+        while miss is None and len(dvs) + 1 < stop:
+            dvs.append(bp.at(len(dvs) + 1))
+            if dvs[-1].status is not DirStatus.EXISTS:
+                miss = len(dvs)
+        if miss is None and form.status == "kink":
+            miss = form.kink_at
+            dvs.append(bp.at(miss))
+        if miss is not None and (missing is None or miss < missing):
+            missing, part, kink = miss, j, dvs[miss - 1]
+        columns.append(dvs)
+        cuts.append(miss - 1 if miss else len(dvs))
+
+    def weighted(n: int) -> Optional[float]:
+        total = 0.0
+        for (_, c, _), dvs in zip(walks, columns):
+            if dvs[n - 1].value is None:
+                return None
+            total += c * dvs[n - 1].value
+        return total
+
+    cut = min(cuts, default=coords)
+    row = [weighted(n) for n in range(1, max(coords, cut) + 1)]
+    tail: Optional[SymSeq] = SymSeq.zero()
+    for (_, c, _), form in zip(walks, forms):
+        tail = None if tail is None or form.tail is None else tail + form.tail.scaled(c)
+    statuses = {form.status for form in forms}
+    return _BasisProfile(
+        values=row[:coords],
+        head=row[:cut],
+        rule=next((s for s in ("kink", "numeric") if s in statuses), "ok"),
+        tail=tail,
+        valid_from=valid_from,
+        missing=missing,
+        part=part,
+        kink=kink,
+    )
+
+
+def profile_outcome(fn):
+    """(record, profile): every field of the profile by repr, so signed
+    zeros, None and the kink's DirValue count, or the exception's type and
+    message with no profile."""
+    try:
+        prof = fn()
+    except Exception as exc:  # the exception itself is part of the outcome
+        return repr((type(exc).__name__, str(exc))), None
+    return repr([(f.name, getattr(prof, f.name)) for f in dataclasses.fields(prof)]), prof
+
+
+def census_profile_calls(monkeypatch):
+    """(parts, x*, tail_from) of every _basis_profile call the census of
+    tests/test_certifier_paths.py makes."""
+    calls = []
+    profile = certify._basis_profile
+
+    def spy(parts, x_star, coords, tail_from=1):
+        calls.append((list(parts), x_star, tail_from))
+        return profile(parts, x_star, coords, tail_from)
+
+    monkeypatch.setattr(certify, "_basis_profile", spy)
+    for call in CENSUS.values():
+        try:
+            call()
+        except Exception:  # the census pins its outcomes; only the calls matter here
+            pass
+    monkeypatch.undo()
+    return calls
+
+
+def raising_profile_calls():
+    """Profiles whose head or extension reaches a sqrt piece's negative
+    coordinate, in one part or several, some with a kink before it."""
+    sqrt = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.neg_sqrt(1.0))
+    square = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
+    abs_ = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.abs_())
+    ones = (TailRule.const(1.0),)
+    for x in (
+        Point([1.0, 0.0, 1.0, -1.0], ones),
+        Point([1.0] * 69 + [-1.0], ones),
+        Point([1.0] * 20 + [0.0] + [1.0] * 49 + [-1.0], ones),
+    ):
+        yield [(1.0, sqrt)], x, 1
+        yield [(1.0, Sum((square, sqrt)))], x, 1
+        yield [(1.0, Sum((abs_, sqrt, Scale(2.0, sqrt))))], x, 1
+        yield [(1.0, square), (0.0, sqrt), (2.0, abs_)], x, 1
+        yield [(1.0, abs_), (1.0, sqrt)], x, 80
+        yield [(0.5, square), (1.0, Scale(0.0, sqrt)), (1.0, sqrt)], x, 1
+
+
+def test_basis_profile_matches_the_per_index_profile_it_replaced(monkeypatch):
+    calls = census_profile_calls(monkeypatch)
+    for seed in range(600):
+        _, f, x, p = fuzz_case(seed)
+        calls += [([(1.0, f)], x, 1), ([(1.0, f)], x, p.tail_start)]
+    calls += [([(1.0, f)], x, 1) for f, x, _ in sqrt_corpus(320)]
+    calls += raising_profile_calls()
+    seen = Counter()
+    for parts, x, tail_from in calls:
+        for order in ((64, 3), (3, 64)):
+            # a fresh walk, then the same walk with its column kept
+            funcs.drop_kept_walk()
+            for coords in order:
+                want, prof = profile_outcome(
+                    lambda: _reference_basis_profile(parts, x, coords, tail_from)
+                )
+                got, _ = profile_outcome(lambda: certify._basis_profile(parts, x, coords, tail_from))
+                assert got == want, (parts, x, coords, tail_from)
+                if prof is None:
+                    seen["raised"] += 1
+                elif prof.missing is not None:
+                    seen["kink" if prof.rule == "kink" else "missing"] += 1
+                seen["extended"] += prof is not None and len(prof.head) > coords
+    assert len(calls) > 1500 and min(seen[k] for k in ("raised", "kink", "missing", "extended")) > 0
+
+
+
+# reduce.grad_reduced's per-index loop before the head column, verbatim
+# apart from the walk it reads, as its reference.
+def _reference_grad_reduced(prob: reduce.ReducedProblem, y) -> list[float]:
+    partials = _PerIndexWalk(prob.f, prob.embed(y))
+    out = []
+    for i in range(1, prob.k + 1):
+        dv = partials.at(i)
+        if dv.status is not DirStatus.EXISTS:
+            raise PartialNotDifferentiable(i)
+        out.append(dv.value)
+    return out
+
+
+def test_grad_reduced_matches_the_per_index_loop_it_replaced():
+    cases = [(f, x) for f, x, _ in sqrt_corpus(320)]
+    cases += [fuzz_case(seed)[1:3] for seed in range(300)]
+    cases += [(Sum([g for _, g in parts]), x) for parts, x, _ in raising_profile_calls()]
+    raised = Counter()
+    for f, x in cases:
+        for k in (3, 8, 80):
+            prob = reduce.ReducedProblem(k, x, f, SetDescriptor.whole_space())
+            y = prob.start()
+            funcs.drop_kept_walk()
+            want = outcome(lambda: _reference_grad_reduced(prob, y))
+            assert outcome(lambda: reduce.grad_reduced(prob, y)) == want, (f, x, k)
+            raised[want[1] if want[0] == "raise" else "value"] += 1
+    assert set(raised) == {"value", "PartialNotDifferentiable", "DomainViolation"}
 
 
 # The interval walk that funcs.basis_partials replaced, kept verbatim as

@@ -12,6 +12,7 @@ import pytest
 
 from seqcert.certify import (
     CertifyOptions,
+    _basis_profile,
     _basis_residual,
     DiagonalFamily,
     Grade,
@@ -1028,6 +1029,23 @@ def test_closed_form_agrees_with_the_per_index_walk():
                 dv = partials.at(n)
                 assert dv.status is DirStatus.EXISTS, (f, x_star, n)
                 assert math.isclose(form.tail.value_at(n), dv.value, rel_tol=1e-9), (f, x_star, n)
+
+
+def test_the_profile_extension_stops_at_the_first_missing_partial():
+    # x*'s prefix runs to n = 80, so the sqrt leaf's closed form starts at
+    # 81 and the head is extended past coords = 64: the partial is missing
+    # at the zero coordinate n = 70, and the negative one at n = 80, past
+    # it, is never read
+    f = SeparableSeries(TailRule.geometric(1.0, 0.5), ScalarConvex.neg_sqrt(1.0))
+    prefix = [1.0] * 80
+    prefix[69], prefix[79] = 0.0, -1.0
+    x_star = Point(prefix, (TailRule.const(1.0),))
+    prof = _basis_profile([(1.0, f)], x_star, 64)
+    assert (prof.missing, prof.part, prof.valid_from) == (70, 0, 81)
+    assert (prof.kink.left, prof.kink.right) == (None, -math.inf)
+    assert len(prof.head) == 69 and None not in prof.head
+    with pytest.raises(DomainViolation, match="at index 80"):
+        basis_partials(f, x_star).at(80)
 
 
 def test_gateaux_detect_certifies_with_fewer_coords_than_the_evidence_head():

@@ -95,6 +95,38 @@ def test_the_three_certifiers_certify_an_anchors_leaves_once(monkeypatch):
     assert sum(y is x for y in evaluated) == 2
 
 
+def test_the_head_is_one_range_answer_per_leaf_walk(monkeypatch):
+    # each separable leaf answers the 64-index head once, as one range,
+    # for all three certifiers, and no index of it becomes a DirValue
+    space, f, x, p = fuzz_case(13)
+    reads, made = [], []
+    partials, init = funcs._separable_partials, funcs.DirValue.__init__
+
+    def spied(g, y):
+        walk = partials(g, y)
+        sides = walk.sides
+
+        def counted(a, b):
+            reads.append((walk, y is x, a, b))
+            return sides(a, b)
+
+        walk.sides = counted
+        return walk
+
+    def counted_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(funcs, "_separable_partials", spied)
+    monkeypatch.setattr(funcs.DirValue, "__init__", counted_init)
+    outcome = certify_all(space, f, x, p)
+    assert [json.loads(outcome[k][0])["verdict"] for k in "gsc"] == ["holds", "fails", "fails"]
+    leaves = {id(walk) for walk, _, _, _ in reads}
+    assert len(leaves) == 2
+    assert [(at_x, a, b) for _, at_x, a, b in reads] == [(True, 1, 64)] * 2
+    assert made == []
+
+
 def test_a_failing_psc_check_leaves_the_anchors_walk_alone(monkeypatch):
     # f = limsup |x_n| + sum 0.5^n (x_n^2 - 2 x_n) is stationary at
     # x* = (1, 1, ...), so no basis derivative refutes x* first, and its
