@@ -30,6 +30,7 @@ from .errors import (
     DomainLimited,
     DomainViolation,
     InfeasiblePoint,
+    NoCertifiedValue,
     NoMajorant,
     NonConvergentPairing,
 )
@@ -44,6 +45,7 @@ from .funcs import (
     evaluate,
     function_from_json,
     function_to_json,
+    is_finite,
     scalar_from_json,
     scalar_to_json,
 )
@@ -72,9 +74,6 @@ from .seqspace import (
     project,
 )
 from .symseq import SUMMABLE, SymSeq, classify, tail_sum
-
-#: What evaluating or pairing at a point raises when it has no certified value.
-_NO_CERTIFIED_VALUE = (DomainViolation, NonConvergentPairing, NoMajorant)
 
 
 # ---------------------------------------------------------------------------
@@ -381,16 +380,20 @@ def anchored_truncation(x_star: Point, x: Point, k: int) -> Point:
     return project(x, k, x_star)
 
 
-#: Random points default_psc_probes draws after its three fixed probes.
-_RANDOM_PROBES = 10
+@lru_cache(maxsize=4)
+def _random_probes(seed: int) -> tuple[Point, ...]:
+    """The 10 random points default_psc_probes draws after its three fixed
+    probes, drawn once per seed; points are immutable, so calls share them."""
+    rng = rng_from_seed(seed)
+    return tuple(random_point(rng) for _ in range(10))
 
 
 @lru_cache(maxsize=4)
-def _random_probes(seed: int) -> tuple[Point, ...]:
-    """The random points of default_psc_probes, drawn once per seed;
-    points are immutable, so every call shares them."""
+def _random_directions(seed: int) -> tuple[Point, ...]:
+    """gateaux_detect's 40 validation directions, drawn once per seed as
+    _random_probes are; it takes them in order until it has three samples."""
     rng = rng_from_seed(seed)
-    return tuple(random_point(rng) for _ in range(_RANDOM_PROBES))
+    return tuple(random_direction(rng, summable=True) for _ in range(40))
 
 
 def default_psc_probes(x_star: Point, opts: CertifyOptions) -> list[Point]:
@@ -430,7 +433,7 @@ def check_psc(f: FunctionExpr, x_star: Point, depth: int = 32) -> Certificate:
         z = anchored_truncation(x_star, zero, k)
         try:
             values.append({"k": k, "f_at_truncation": evaluate(f, z).value})
-        except _NO_CERTIFIED_VALUE:
+        except NoCertifiedValue:
             continue
     f_zero = evaluate(f, zero).value
     return Certificate(
@@ -466,20 +469,19 @@ def check_psc_numeric(
     checked = 0
     excesses = []
     for x in probes:
-        ok_member, _ = set_membership(s, x)
-        if ok_member is not True:
+        if set_membership(s, x)[0] is not True:
             continue
         try:
             fx = evaluate(f, x)
-        except _NO_CERTIFIED_VALUE:
+        except NoCertifiedValue:
             continue
         checked += 1
-        if math.isinf(fx.value):
+        if not is_finite(fx):
             continue
         for k in range(max(1, depth // 2), depth + 1):
             try:
                 fz = evaluate(f, anchored_truncation(x_star, x, k))
-            except _NO_CERTIFIED_VALUE:
+            except NoCertifiedValue:
                 continue
             excesses.append(fz.value - fx.value)
     return {"probes_checked": checked, "max_truncation_excess": max(excesses, default=None)}
@@ -692,7 +694,7 @@ def certify_min(
         },
         "f_at_anchor": f_star.value,
     }
-    if math.isfinite(f_star.value) and stat in ("head", "tail") and qual.verdict is Verdict.HOLDS:
+    if is_finite(f_star) and stat in ("head", "tail") and qual.verdict is Verdict.HOLDS:
         # the sweep that follows on every other path replaces x*'s kept
         # walk; returning before it, drop that walk, or the next operation
         # on these objects (a repeated pass) would get it for free
@@ -707,7 +709,7 @@ def certify_min(
     # after the questions about x*: a failing check evaluates f elsewhere,
     # which replaces x*'s kept walk
     psc = check_psc(f, x_star, depth=opts.psc_depth)
-    if not math.isfinite(f_star.value):
+    if not is_finite(f_star):
         # every probe is compared against f(x*), so it must be finite
         raise DomainViolation("f(x*) is not finite; probe values have nothing to compare against")
     evidence.update(psc=psc.to_json(), probe_log=[])
@@ -721,12 +723,12 @@ def certify_min(
         try:
             # the anchor probe is x* itself, whose value is already certified
             fx = f_star if x is x_star else evaluate(f, x)
-        except _NO_CERTIFIED_VALUE as exc:
+        except NoCertifiedValue as exc:
             entry["skipped"] = type(exc).__name__
             continue
         entry["f"] = fx.value
         margin = f_star.value - f_star.error_bound - (fx.value + fx.error_bound)
-        if found_probe is None and math.isfinite(fx.value) and margin > opts.tol:
+        if found_probe is None and is_finite(fx) and margin > opts.tol:
             found_probe = {
                 "probe": point_to_json(x),
                 "f_at_probe": fx.value,
@@ -869,7 +871,7 @@ def gateaux_detect(
             continue
         try:
             res = dir_deriv(f, x_star, h)
-        except (*_NO_CERTIFIED_VALUE, DomainLimited):
+        except (NoCertifiedValue, DomainLimited):
             continue
         if not res.exists:
             return Certificate(
@@ -897,16 +899,14 @@ def gateaux_detect(
         grade = sampled
 
     # Validate the assembly against direct directional derivatives.
-    rng = rng_from_seed(opts.seed)
     samples = []
-    attempts = 0
-    while len(samples) < 3 and attempts < 40:
-        attempts += 1
-        h = random_direction(rng, summable=True)
+    for h in _random_directions(opts.seed):
+        if len(samples) == 3:
+            break
         try:
             applied = deriv.apply(h)
             direct = dir_deriv(f, x_star, h)
-        except _NO_CERTIFIED_VALUE:
+        except NoCertifiedValue:
             continue
         except DomainLimited:
             return _inconclusive(
@@ -1137,7 +1137,6 @@ def kkt_certify(
     if qual.witness is not None and qual.witness["condition"] == "membership":
         raise InfeasiblePoint(f"anchor outside the base set (coordinate {qual.witness['k']})")
     sampled = Grade.numeric(opts.coords)
-    evidence: dict = {}
     g_vals = []
     for j, g in enumerate(inequalities):
         gv = evaluate(g, x_star)
@@ -1150,7 +1149,7 @@ def kkt_certify(
         h_vals.append(hv.value)
         if abs(hv.value) - hv.error_bound > opts.tol:
             raise InfeasiblePoint(f"equality {j} is violated: h(x*) = {hv.value:.6g}")
-    evidence.update(g_values=g_vals, h_values=h_vals)
+    evidence: dict = {"g_values": g_vals, "h_values": h_vals}
 
     for j, l in enumerate(lam):
         if l < 0.0:

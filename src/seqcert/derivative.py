@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainLimited, DomainViolation, NoMajorant
-from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials
+from .funcs import FunctionExpr, analytic_dir_deriv, basis_partials, certified, is_finite
 from .seqspace import DEFAULT_SERIES_TOL, Point, basis_vector
 
 #: How far apart the one-sided derivatives may lie for a derivative to exist.
@@ -59,9 +59,9 @@ def dir_deriv(f: FunctionExpr, x: Point, h: Point) -> DirDerivResult:
     Along a basis vector the walk's sides at that index answer, without
     evaluating f; along any other direction, once f(x) is certified
     finite, the walk's ``direction(h)``, the sum of the terms' one-sided
-    derivatives.  Raises DomainViolation when f(x) is not finite,
-    NoMajorant where the walk has no closed form along h, and
-    DomainLimited where neither side of 0 stays in the domain.
+    derivatives.  Raises what evaluate(f, x) raises, DomainViolation when
+    f(x) is not finite, NoMajorant where the walk has no closed form along
+    h, and DomainLimited where neither side of 0 stays in the domain.
     """
     n = _is_basis(h)
     if n is not None:
@@ -69,7 +69,7 @@ def dir_deriv(f: FunctionExpr, x: Point, h: Point) -> DirDerivResult:
         left, right, value = dv.left, dv.right, dv.value
     else:
         walk = basis_partials(f, x)
-        if not math.isfinite(walk.value(DEFAULT_SERIES_TOL).value):
+        if not is_finite(certified(walk.value(DEFAULT_SERIES_TOL))):
             raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
         sides = walk.direction(h)
         if sides is None:

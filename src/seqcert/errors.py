@@ -7,15 +7,21 @@ class SeqcertError(Exception):
     """Base class for all seqcert errors."""
 
 
-class NonConvergentPairing(SeqcertError):
+class NoCertifiedValue(SeqcertError):
+    """Neither a finite value with its bound nor a certified +inf: a proper
+    convex f maps into (-inf, +inf] (Rockafellar, Convex Analysis, Sec. 4).
+    The walk's value answer returns and keeps it; evaluate raises it."""
+
+
+class NonConvergentPairing(NoCertifiedValue):
     """The dual pairing series is not certified absolutely convergent."""
 
 
-class NoMajorant(SeqcertError):
+class NoMajorant(NoCertifiedValue):
     """No summable tail majorant can be derived for a series."""
 
 
-class DomainViolation(SeqcertError):
+class DomainViolation(NoCertifiedValue):
     """A point lies outside the domain of a function (e.g. a negative
     coordinate fed to a square-root term)."""
 

@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, wraps
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     DomainViolation,
     NegativeScale,
+    NoCertifiedValue,
     NoMajorant,
     NonConvergentPairing,
 )
@@ -66,6 +67,11 @@ def _nonneg(form: SymSeq) -> bool:
     """A canonical form is >= 0 at every index n >= 1 when each of its
     atoms is (a negative ratio alternates the sign)."""
     return all(t.coef > 0 and t.ratio > 0 for t in form.terms)
+
+
+def _slowest_atom(seq: SymSeq) -> SymSeq:
+    """The atom of a nonzero canonical form that decays slowest, alone."""
+    return SymSeq((max(seq.terms, key=lambda t: (t.ratio, -t.npow)),), exact=seq.exact)
 
 
 def _sqrt_majorant(seq: SymSeq) -> SymSeq:
@@ -345,6 +351,12 @@ def _evaluate_separable(f: SeparableSeries, x: Point, tol: float) -> SeriesValue
     series diverges to +inf."""
     rank = _separable_domain_rank(f, x)
     exact, valid_from, major = _separable_tail_forms(f, x, rank)
+    if major is not None and f.inner.kind is ScalarKind.NEG_SQRT and _nonneg(x.tail):
+        # x_n is at least its slowest atom a(n) > 0, so each tail term is at
+        # most -w c sqrt(a(n)), as sqrt_direction bounds slopes; w, c and a
+        # have positive atoms only, so a divergent label is a sum of +inf
+        if classify(f.weight * f.inner.c * _slowest_atom(x.tail).sqrt()) == DIVERGENT:
+            raise DomainViolation("series diverges to -infinity; not a proper value")
     if exact is not None:
         label = classify(exact)
         if label == DIVERGENT:
@@ -372,13 +384,28 @@ def _evaluate_separable(f: SeparableSeries, x: Point, tol: float) -> SeriesValue
 def evaluate(f: FunctionExpr, x: Point, tol: float = DEFAULT_SERIES_TOL) -> SeriesValue:
     """Certified value of f at x; value may be +inf in the extended sense.
 
-    Raises DomainViolation when x lies outside the domain of f (negative
-    coordinate under a sqrt piece, or a series with no proper extended
-    value), and NonConvergentPairing for unpairable linear functionals.
+    Where f(x) has no certified value, raises the walk's kept
+    NoCertifiedValue: a DomainViolation outside the domain of f (negative coordinate under a
+    sqrt piece, or no proper extended value), NonConvergentPairing for
+    unpairable linear functionals and NoMajorant with no certified sum.
     """
     # sub-expressions recurse inside the walk's value answers, so a wrapper
     # around evaluate sees only the outer call
-    return basis_partials(f, x).value(tol)
+    return certified(basis_partials(f, x).value(tol))
+
+
+def certified(answer: SeriesValue | NoCertifiedValue) -> SeriesValue:
+    """A value answer as evaluate gives it: the kept error is raised with
+    no traceback, so raising it again does not grow a chain."""
+    if isinstance(answer, NoCertifiedValue):
+        raise answer.with_traceback(None)
+    return answer
+
+
+def is_finite(sv: SeriesValue) -> bool:
+    """Is a certified f(x) finite, not a certified +inf (inf with a zero
+    bound) or an overflow (not finite, with an infinite bound)?"""
+    return math.isfinite(sv.value)
 
 
 # ---------------------------------------------------------------------------
@@ -435,40 +462,23 @@ def _zero_line(t: float) -> float:
     return 0.0
 
 
-def _zero_step(t: float, tol: float) -> SeriesValue:
-    return _ZERO
-
-
-def _scaled_step(lam: float, sub: Callable) -> Callable[[float, float], SeriesValue]:
-    """A series line's step of lam * g from g's step: g's share of tol is
-    tol / max(lam, 1)."""
-    share = max(lam, 1.0)
-
-    def step(t: float, tol: float) -> SeriesValue:
-        sv = sub(t, tol / share)
-        return SeriesValue(lam * sv.value, lam * sv.error_bound, sv.terms_used)
-
-    return step
-
-
-def _summed_step(subs: list) -> Callable[[float, float], SeriesValue]:
-    """A series line's step of a sum from its parts' steps, in order: each
-    part's share of tol is tol / len(subs)."""
-    if not subs:
-        return _zero_step
-    count = len(subs)
-
-    def step(t: float, tol: float) -> SeriesValue:
-        budget = tol / count
-        total, err, used = 0.0, 0.0, 0
-        for sub in subs:
-            sv = sub(t, budget)
-            total += sv.value
-            err += sv.error_bound
-            used += sv.terms_used
-        return SeriesValue(total, err, used)
-
-    return step
+def _linear_value(total: float, answers: Iterable[tuple]) -> SeriesValue | NoCertifiedValue:
+    """total + lam * v over the (lam, answer) pairs, lam > 0, read in
+    order: the first undecided answer is the whole answer, else a
+    certified +inf makes the whole +inf.  Any other sum that is not
+    finite is an overflow, whose bound is infinite.  The Sum and Scale nodes
+    start at 0.0 and -0.0 (-0.0 + v is v)."""
+    err, used, plus_inf = 0.0, 0, False
+    for lam, sv in answers:
+        if isinstance(sv, NoCertifiedValue):
+            return sv
+        plus_inf = plus_inf or (sv.value == math.inf and sv.error_bound == 0.0)
+        total += lam * sv.value
+        err += lam * sv.error_bound
+        used += sv.terms_used
+    if plus_inf:
+        return SeriesValue(math.inf, 0.0, used)
+    return SeriesValue(total, err if math.isfinite(total) else math.inf, used)
 
 
 def _zero_sides(a: int, b: int) -> tuple:
@@ -503,8 +513,10 @@ class BasisPartials:
     steps.  ``interval(n, a)`` is (why, unbounded) for t -> f(x + t e_n)
     on |t| < a: why names the first term's kink or sqrt boundary inside it
     (None when there is none), and unbounded says some term's derivative
-    has no finite supremum there.  ``value(tol)`` is evaluate(f, x, tol),
-    and ``series_line(h)`` is the line behind delta_along(f, x, h, t, tol)
+    has no finite supremum there.  ``value(tol)`` is f(x) certified to
+    tol: a SeriesValue, finite or a certified +inf, or the NoCertifiedValue
+    that evaluate(f, x, tol) raises, returned (see :func:`is_finite`).
+    ``series_line(h)`` is the line behind delta_along(f, x, h, t, tol)
     for any direction h: its constants are resolved once, what depends on
     |t| only (a pairing's certified sum, a separable leaf's majorant
     region) is kept per step size so t and -t share it, and domain errors
@@ -517,11 +529,10 @@ class BasisPartials:
 
     Every answer runs only when it is called.  The defaults are the zero
     function's answers, so a node passes only those where it differs.
-    ``form`` is kept once built, ``value(tol)`` per tol and the head
-    column as far as it was asked for, so the certifiers that ask about
-    the same anchor share one certified f(x) and one pass over its
-    partials.  An extended column replaces the kept one whole.  An answer
-    that raises is not kept: every call raises it afresh.
+    ``form`` is kept once built, ``value(tol)`` per tol, undecided or
+    not, and the head column as far as it was asked for, so the certifiers
+    that ask about the same anchor share one certified f(x) and one pass
+    over its partials.  An extended column replaces the kept one whole.
     """
 
     sides: Callable = _zero_sides
@@ -529,7 +540,7 @@ class BasisPartials:
     line: Callable = lambda steps: _zero_line
     interval: Callable = lambda n, a: (None, False)
     _value: Callable = lambda tol: _ZERO
-    series_line: Callable = lambda h: _zero_step
+    series_line: Callable = lambda h: lambda t, tol: _ZERO
     limsup_weight: Callable = lambda: 0.0
     affine: Callable = lambda: True
     direction: Callable = lambda h: (0.0, 0.0)
@@ -541,11 +552,13 @@ class BasisPartials:
     def form(self) -> PartialsForm:
         return self._form()
 
-    def value(self, tol: float) -> SeriesValue:
-        sv = self._values.get(tol)
-        if sv is None:
-            sv = self._values[tol] = self._value(tol)
-        return sv
+    def value(self, tol: float) -> SeriesValue | NoCertifiedValue:
+        if tol not in self._values:
+            try:
+                self._values[tol] = self._value(tol)
+            except NoCertifiedValue as err:
+                self._values[tol] = err
+        return self._values[tol]
 
     def column(self, b: int) -> tuple:
         """The head column for n = 1..b, cut short before the first index
@@ -738,19 +751,20 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             # lam is finite and positive here, so lam * 0.0 is 0.0
             return _zero_line if sub is _zero_line else lambda t: lam * sub(t)
 
-        def scaled_value(tol: float) -> SeriesValue:
-            sub = inner.value(tol / max(lam, 1.0))
-            if math.isinf(sub.value):
-                return SeriesValue(math.inf, 0.0, sub.terms_used)
-            return SeriesValue(lam * sub.value, lam * sub.error_bound, sub.terms_used)
+        # the inner answer's share of tol is tol / max(lam, 1)
+        def scaled_value(tol: float) -> SeriesValue | NoCertifiedValue:
+            return _linear_value(-0.0, [(lam, inner.value(tol / max(lam, 1.0)))])
+
+        def scaled_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
+            sub = inner.series_line(h)
+            return lambda t, tol: _linear_value(-0.0, [(lam, sub(t, tol / max(lam, 1.0)))])
 
         def scaled_direction(h: Point) -> Optional[tuple]:
             sub = inner.direction(h)
             return None if sub is None else tuple(None if s is None else lam * s for s in sub)
 
         return BasisPartials(
-            scaled, scaled_form, scaled_line, inner.interval, scaled_value,
-            lambda h: _scaled_step(lam, inner.series_line(h)),
+            scaled, scaled_form, scaled_line, inner.interval, scaled_value, scaled_series_line,
             lambda: lam * inner.limsup_weight(), inner.affine, scaled_direction,
         )
     if isinstance(f, Sum):
@@ -802,23 +816,13 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             answers = [part.interval(n, a) for part in parts]
             return next((why for why, _ in answers if why), None), any(unb for _, unb in answers)
 
-        def summed_value(tol: float) -> SeriesValue:
-            if not parts:
-                return _ZERO
-            budget = tol / len(parts)
-            total, err, used = 0.0, 0.0, 0
-            hit_inf = False
-            for part in parts:
-                sv = part.value(budget)
-                used += sv.terms_used
-                if math.isinf(sv.value):
-                    hit_inf = True
-                else:
-                    total += sv.value
-                    err += sv.error_bound
-            if hit_inf:
-                return SeriesValue(math.inf, 0.0, used)
-            return SeriesValue(total, err, used)
+        # each part's share of tol is tol / len(parts), asked for in order
+        def summed_value(tol: float) -> SeriesValue | NoCertifiedValue:
+            return _linear_value(0.0, ((1.0, part.value(tol / len(parts))) for part in parts))
+
+        def summed_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
+            subs = [part.series_line(h) for part in parts]
+            return lambda t, tol: _linear_value(0.0, ((1.0, g(t, tol / len(subs))) for g in subs))
 
         def summed_direction(h: Point) -> Optional[tuple]:
             lsum, rsum, declined = 0.0, 0.0, False
@@ -836,8 +840,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             return None if declined else (lsum, rsum)
 
         return BasisPartials(
-            summed, summed_form, summed_line, summed_interval, summed_value,
-            lambda h: _summed_step([part.series_line(h) for part in parts]),
+            summed, summed_form, summed_line, summed_interval, summed_value, summed_series_line,
             lambda: sum(part.limsup_weight() for part in parts),
             lambda: all(part.affine() for part in parts),
             summed_direction,
@@ -1010,8 +1013,7 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         # x_n is at least its slowest atom a(n) > 0, so each tail slope is
         # at most w c / (2 sqrt a(n)) in size, of the same order and sign,
         # and equal to it where x's tail is that one atom
-        slowest = SymSeq((max(atoms, key=lambda t: (t.ratio, -t.npow)),), exact=x.tail.exact)
-        bound = (weight * u.c * slowest.sqrt().reciprocal()).scaled(-0.5) * h.tail
+        bound = (weight * u.c * _slowest_atom(x.tail).sqrt().reciprocal()).scaled(-0.5) * h.tail
         label = classify(bound)
         if label == DIVERGENT:
             try:

@@ -35,7 +35,7 @@ from .errors import (
     PartialNotDifferentiable,
     Unbounded,
 )
-from .funcs import FunctionExpr, basis_partials, evaluate
+from .funcs import FunctionExpr, basis_partials, evaluate, is_finite
 from .seqspace import Point, SeriesValue
 
 
@@ -162,7 +162,7 @@ def minimize_reduced(prob: ReducedProblem) -> tuple[list[float], SeriesValue, in
     """
     y = prob.start()
     feasible_start = evaluate(prob.f, prob.embed(y))
-    if math.isinf(feasible_start.value):
+    if not is_finite(feasible_start):
         raise DomainViolation("objective is infinite at the starting point")
 
     b = _BOUND

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from seqcert.errors import DomainLimited, DomainViolation, NonConvexBehavior
-from seqcert.funcs import FunctionExpr, basis_partials
+from seqcert.funcs import FunctionExpr, basis_partials, certified
 from seqcert.seqspace import DEFAULT_SERIES_TOL, Point
 
 _EPS = 2.220446049250313e-16
@@ -150,7 +150,7 @@ def quotient_scan(
     """
     walk = basis_partials(f, x)
     # |f(x)| scales the quotient noise floor
-    fx = walk.value(DEFAULT_SERIES_TOL)
+    fx = certified(walk.value(DEFAULT_SERIES_TOL))
     if not math.isfinite(fx.value):
         raise DomainViolation("f(x) is not finite; directional derivatives need a base value")
     fx_mag = abs(fx.value)

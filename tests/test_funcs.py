@@ -6,6 +6,7 @@ in-test, never against a value the code itself produced.
 """
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -27,7 +28,17 @@ from seqcert.funcs import (
     function_to_json,
     scale,
 )
-from seqcert.seqspace import DualPoint, Point, TailRule, basis_vector, point_axpy, point_scale
+from seqcert.sampling import random_function, random_point
+from seqcert.seqspace import (
+    DualPoint,
+    Point,
+    SeriesValue,
+    SpaceDescriptor,
+    TailRule,
+    basis_vector,
+    point_axpy,
+    point_scale,
+)
 from seqcert.symseq import point_form
 
 mpmath.mp.dps = 40
@@ -140,6 +151,47 @@ def test_sqrt_domain_violation():
     f = example4_objective()
     with pytest.raises(DomainViolation):
         evaluate(f, Point([-0.1], (TailRule.geometric(1.0, 0.25),)))
+
+
+def test_an_overflow_is_never_a_certified_plus_infinity():
+    # <p, x> = -1e600 is finite, but its float overflows: the leaf answers
+    # -inf with an infinite bound, and a sum or scale of it must keep that
+    # bound rather than read the -inf as a certified +inf
+    linear = LinearFunctional(DualPoint((-1e300,), ()))
+    x = Point((1e300,), ())
+    for f in (linear, Sum([linear]), Scale(2.0, linear), Sum([Constant(1.0), linear])):
+        got = evaluate(f, x)
+        assert got.value == -math.inf and got.error_bound == math.inf, f
+    # finite parts whose sum or product overflows are no certified +inf either
+    for f in (Sum([Constant(1e308), Constant(1e308)]), Scale(1e10, Constant(1e300))):
+        got = evaluate(f, x)
+        assert got.value == math.inf and got.error_bound == math.inf, f
+    # a series diverging to +inf stays one under a sum or a scale, whatever
+    # the other parts' values: fuzz seed 17's anchor, and a sum with an overflow
+    rng = random.Random(17)
+    space = rng.choice((SpaceDescriptor.rn, SpaceDescriptor.ell1, SpaceDescriptor.ellinf))()
+    f, anchor = random_function(rng, space), random_point(rng, space=space)
+    assert isinstance(f, Scale)
+    assert evaluate(f, anchor) == SeriesValue(math.inf, 0.0, 0)
+    divergent = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
+    ones = Point((1e300,), (TailRule.const(1.0),))
+    assert evaluate(Sum([linear, divergent]), ones) == SeriesValue(math.inf, 0.0, 1)
+
+
+def test_a_sqrt_series_diverging_to_minus_infinity_has_one_name():
+    # sum (1.45/n)(-0.89 sqrt x_n) = -inf at a tail of one atom or several:
+    # x_n >= 0.88 either way, so the terms are at most -1.45*0.89*sqrt(0.88)/n
+    f = SeparableSeries(TailRule.harmonic(1.45), ScalarConvex.neg_sqrt(0.89))
+    for tail in ((TailRule.const(0.88),), (TailRule.const(0.88), TailRule.geometric(0.22, 0.547))):
+        with pytest.raises(DomainViolation, match="series diverges to -infinity"):
+            evaluate(f, Point((), tail))
+    # a convergent tail of several atoms still sums through its majorant
+    decaying = (TailRule.geometric(0.5, 0.25), TailRule.geometric(0.22, 0.5))
+    got = evaluate(f, Point((), decaying)).value
+    want = mpmath.nsum(
+        lambda n: -1.45 / n * 0.89 * mpmath.sqrt(0.5 * 0.25**n + 0.22 * 0.5**n), [1, mpmath.inf]
+    )
+    assert got == pytest.approx(float(want), rel=1e-9)
 
 
 def test_scale_doubles_and_rejects_negative():

@@ -10,7 +10,10 @@ import math
 import random
 import sys
 import threading
+import traceback
 from collections import Counter
+
+import pytest
 
 from seqcert import funcs
 from seqcert.certify import (
@@ -20,12 +23,14 @@ from seqcert.certify import (
     gateaux_detect,
     subgradient_test,
 )
+from seqcert.errors import DomainViolation
 from seqcert.funcs import (
     LimsupSeminorm,
     ScalarConvex,
     SeparableSeries,
     Sum,
     basis_partials,
+    evaluate,
     function_from_json,
     function_to_json,
 )
@@ -155,6 +160,29 @@ def test_a_failing_psc_check_leaves_the_anchors_walk_alone(monkeypatch):
     assert cert.evidence["stationarity"]["symbolic"] == "ok"
     assert cert.evidence["psc"]["verdict"] == "fails"
     assert anchored.count(True) == 1
+
+
+def test_an_undecided_value_is_kept_and_raised_afresh(monkeypatch):
+    # instance 6's f(x*) has no certified value: a harmonic-weight linear
+    # leaf against a constant tail diverges to -inf.  The walk keeps that
+    # answer like any other, so asking again runs no leaf evaluation, and
+    # each raise starts a fresh traceback
+    _, f, x, _ = fuzz_case(6)
+    funcs.drop_kept_walk()
+    evaluated, _ = count_leaf_work(monkeypatch)
+
+    def raised():
+        with pytest.raises(DomainViolation, match="series diverges to -infinity") as info:
+            evaluate(f, x)
+        return info.value, len(traceback.extract_tb(info.value.__traceback__))
+
+    first, depth = raised()
+    leaf_evaluations = len(evaluated)
+    assert leaf_evaluations > 0
+    again, again_depth = raised()
+    assert (type(again), str(again), again_depth) == (type(first), str(first), depth)
+    assert len(evaluated) == leaf_evaluations
+    assert {raised()[1] for _ in range(100)} == {depth}
 
 
 def test_a_pass_in_another_order_does_the_work_of_the_first(monkeypatch):
