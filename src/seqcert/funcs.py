@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, wraps
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -35,6 +35,7 @@ from .seqspace import (
     Point,
     SeriesValue,
     TailRule,
+    bounded_value,
     certified_series,
     to_point_form,
     coef_from_json,
@@ -466,8 +467,8 @@ def _linear_value(total: float, answers: Iterable[tuple]) -> SeriesValue | NoCer
     """total + lam * v over the (lam, answer) pairs, lam > 0, read in
     order: the first undecided answer is the whole answer, else a
     certified +inf makes the whole +inf.  Any other sum that is not
-    finite is an overflow, whose bound is infinite.  The Sum and Scale nodes
-    start at 0.0 and -0.0 (-0.0 + v is v)."""
+    finite is an overflow, whose bound is infinite.  :func:`_combination`
+    answers its value and series steps with it, from its start."""
     err, used, plus_inf = 0.0, 0, False
     for lam, sv in answers:
         if isinstance(sv, NoCertifiedValue):
@@ -478,7 +479,7 @@ def _linear_value(total: float, answers: Iterable[tuple]) -> SeriesValue | NoCer
         used += sv.terms_used
     if plus_inf:
         return SeriesValue(math.inf, 0.0, used)
-    return SeriesValue(total, err if math.isfinite(total) else math.inf, used)
+    return bounded_value(total, err, used)
 
 
 def _zero_sides(a: int, b: int) -> tuple:
@@ -586,30 +587,6 @@ class BasisPartials:
 _last_walk: tuple = (None, None, None)
 
 
-def _shares_last_walk(build: Callable) -> Callable:
-    """Answer a call with the last walk built when f and x are the very
-    objects it was built for, else build and keep the new one.
-
-    Identity is the key, never equality: Point((0.0,)) == Point((-0.0,)),
-    yet their answers differ in signed zeros.  One slot keeps only the walk
-    a run of questions about one anchor shares; a repeated pass over the
-    same objects rebuilds, as the walk before the last is gone.
-    """
-
-    @wraps(build)
-    def shared(f: FunctionExpr, x: Point) -> BasisPartials:
-        global _last_walk
-        held_f, held_x, walk = _last_walk
-        if held_f is f and held_x is x:
-            return walk
-        walk = build(f, x)
-        # sub-walks built above went through here too; this write is last
-        _last_walk = (f, x, walk)
-        return walk
-
-    return shared
-
-
 def drop_kept_walk() -> None:
     """Forget the kept walk, so the next question about any f and x
     builds its own."""
@@ -617,7 +594,6 @@ def drop_kept_walk() -> None:
     _last_walk = (None, None, None)
 
 
-@_shares_last_walk
 def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     """The one walk behind every question about f at x.
 
@@ -633,6 +609,8 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     the support's size.  A convex piece's derivative is monotone
     (Rockafellar, Convex Analysis, Thm 24.1), so on an interval only a sqrt
     boundary touching it leaves the derivative without a finite supremum.
+    Sums and nonzero scalings are one weighted-sum node
+    (:func:`_combination`).
 
     The difference quotient of a convex function is monotone in t
     (Rockafellar, Thm 23.1), so where a separable leaf's line majorant is
@@ -652,21 +630,28 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
     sqrt anchor tail with a negative atom and a tail or pairing without a
     certified sum.
 
-    The last walk built is kept (:func:`_shares_last_walk`): asked again
-    about the same f and x objects, basis_partials returns it, with the
-    answers it has kept, so the certifiers asking in turn about one anchor
-    walk it once.
+    The last walk built is kept: asked again about the same f and x
+    objects, basis_partials returns it, with the answers it has kept, so
+    the certifiers asking in turn about one anchor walk it once.  Identity
+    is the key, never equality: Point((0.0,)) == Point((-0.0,)), yet their
+    answers differ in signed zeros.  One slot keeps only the walk a run of
+    questions about one anchor shares; a repeated pass over the same
+    objects rebuilds, as the walk before the last is gone.
     """
+    global _last_walk
+    held_f, held_x, walk = _last_walk
+    if held_f is f and held_x is x:
+        return walk
     if isinstance(f, Constant):
         # A finite change of coordinates never moves a constant.
         c = f.c
-        return BasisPartials(_value=lambda tol: SeriesValue(c, 0.0, 0))
-    if isinstance(f, LimsupSeminorm):
+        walk = BasisPartials(_value=lambda tol: SeriesValue(c, 0.0, 0))
+    elif isinstance(f, LimsupSeminorm):
         # Nor a limsup; only the tails' limits reach it.
         def limsup_line(h: Point) -> Callable[[float, float], SeriesValue]:
             cx, ch = tail_limit(x), tail_limit(h)
             base = abs(cx)
-            return lambda t, tol: SeriesValue(abs(cx + t * ch) - base, 0.0, 0)
+            return lambda t, tol: bounded_value(abs(cx + t * ch) - base, 0.0, 0)
 
         def limsup_slopes(h: Point) -> tuple:
             # the one-sided slopes of t -> |cx + t ch| at 0
@@ -676,14 +661,14 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             slope = ch if cx > 0.0 else -ch
             return slope, slope
 
-        return BasisPartials(
+        walk = BasisPartials(
             _value=lambda tol: SeriesValue(limsup_abs(x), 0.0, 0),
             series_line=limsup_line,
             limsup_weight=lambda: 1.0,
             affine=lambda: False,
             direction=limsup_slopes,
         )
-    if isinstance(f, LinearFunctional):
+    elif isinstance(f, LinearFunctional):
         p = f.p
 
         def linear(a: int, b: int) -> tuple:
@@ -716,7 +701,7 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
                 return None
             return v, v
 
-        return BasisPartials(
+        walk = BasisPartials(
             linear,
             lambda: PartialsForm("ok", p.tail_start, p.tail),
             linear_line,
@@ -724,128 +709,117 @@ def basis_partials(f: FunctionExpr, x: Point) -> BasisPartials:
             series_line=paired_line,
             direction=paired_slope,
         )
-    if isinstance(f, SeparableSeries):
-        return _separable_partials(f, x)
-    if isinstance(f, Scale):
-        if f.lam == 0.0:
-            # A zero factor flattens the inner expression, whatever it is.
-            return BasisPartials()
-        lam, inner = f.lam, basis_partials(f.inner, x)
+    elif isinstance(f, SeparableSeries):
+        walk = _separable_partials(f, x)
+    elif isinstance(f, Scale):
+        # A zero factor flattens the inner expression, whatever it is.
+        lam = f.lam
+        walk = _combination(-0.0, [(lam, basis_partials(f.inner, x))]) if lam else BasisPartials()
+    elif isinstance(f, Sum):
+        walk = _combination(0.0, [(1.0, basis_partials(g, x)) for g in f.terms])
+    else:
+        raise TypeError(f"unknown function expression {type(f).__name__}")
+    # sub-walks built above went through here too; this write is last
+    _last_walk = (f, x, walk)
+    return walk
 
-        def scaled(a: int, b: int) -> tuple:
-            lefts, rights, err = inner.sides(a, b)
-            return (
-                [None if v is None else lam * v for v in lefts],
-                [None if v is None else lam * v for v in rights],
-                err,
-            )
 
-        def scaled_form() -> PartialsForm:
-            sub = inner.form
-            if sub.status != "ok":
-                return sub
-            return PartialsForm("ok", sub.valid_from, sub.tail.scaled(lam))
+def _combination(start: float, parts: list) -> BasisPartials:
+    """The walk of start + sum of c * g over parts, the (c, walk of g)
+    pairs with c > 0, read in order.
 
-        def scaled_line(steps: tuple) -> Callable[[float], float]:
-            sub = inner.line(steps)
-            # lam is finite and positive here, so lam * 0.0 is 0.0
-            return _zero_line if sub is _zero_line else lambda t: lam * sub(t)
+    One-sided derivatives are additive and positively homogeneous over
+    convex parts (Rockafellar, Convex Analysis, Sec. 23), so every answer
+    is start plus each part's answer times its weight: the sides, with a
+    None side staying None, the closed form, the lines, the value and
+    series steps (through :func:`_linear_value`), the direction and the
+    limsup weight; a part's interval answer and affinity carry over as they
+    are.  A Sum passes weight 1.0 for each part and starts at 0.0, a Scale
+    passes its one part and starts at -0.0, as -0.0 + v is v bit for bit.
+    Each part's share of tol is tol / max(1, every c) / len(parts).
+    """
+    # one of the two factors is 1.0 for a Sum and a Scale, so this divides
+    # by them as two divisions would
+    div = max([1.0] + [c for c, _ in parts]) * len(parts)
 
-        # the inner answer's share of tol is tol / max(lam, 1)
-        def scaled_value(tol: float) -> SeriesValue | NoCertifiedValue:
-            return _linear_value(-0.0, [(lam, inner.value(tol / max(lam, 1.0)))])
+    def sides(a: int, b: int) -> tuple:
+        columns, err = [], None
+        for c, part in parts:
+            lefts, rights, part_err = part.sides(a, b)
+            if part_err is not None:
+                # the smallest raising index wins, and at it the first
+                # part: the parts after this one stop before it
+                b, err = a + len(lefts) - 1, part_err
+            columns.append((c, lefts, rights))
+        # each index's sums start at start and add the parts in order
+        lsums = rsums = [start] * (b - a + 1)
+        for c, lefts, rights in columns:
+            lsums = [None if s is None or v is None else s + c * v for s, v in zip(lsums, lefts)]
+            rsums = [None if s is None or v is None else s + c * v for s, v in zip(rsums, rights)]
+        return lsums, rsums, err
 
-        def scaled_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
-            sub = inner.series_line(h)
-            return lambda t, tol: _linear_value(-0.0, [(lam, sub(t, tol / max(lam, 1.0)))])
+    def form() -> PartialsForm:
+        forms = [(c, part.form) for c, part in parts]
+        kinks = [p.kink_at for _, p in forms if p.status == "kink"]
+        if kinks:
+            return PartialsForm("kink", kink_at=min(kinks))
+        if any(p.status == "numeric" for _, p in forms):
+            return PartialsForm("numeric")
+        total = SymSeq.zero()
+        for c, p in forms:
+            total = total + (p.tail if c == 1.0 else p.tail.scaled(c))
+        return PartialsForm("ok", max((p.valid_from for _, p in forms), default=1), total)
 
-        def scaled_direction(h: Point) -> Optional[tuple]:
-            sub = inner.direction(h)
-            return None if sub is None else tuple(None if s is None else lam * s for s in sub)
+    def line(steps: tuple) -> Callable[[float], float]:
+        # A flat part adds 0.0 to a partial sum that the start keeps from
+        # being -0.0, or is a Scale's whole line, so it is skipped; a
+        # weight-1.0 part, as every part of a Sum is, is not multiplied.
+        lines = [(c, part.line(steps)) for c, part in parts]
+        lines = [(c, g) for c, g in lines if g is not _zero_line]
+        if not lines:
+            return _zero_line
+        if len(lines) == 1:
+            ((c, g),) = lines
+            return (lambda t: start + g(t)) if c == 1.0 else (lambda t: start + c * g(t))
+        gs = [g if c == 1.0 else (lambda t, c=c, g=g: c * g(t)) for c, g in lines]
+        if len(gs) == 2:
+            g, h = gs
+            return lambda t: start + g(t) + h(t)
+        return lambda t: sum([g(t) for g in gs], start)
 
-        return BasisPartials(
-            scaled, scaled_form, scaled_line, inner.interval, scaled_value, scaled_series_line,
-            lambda: lam * inner.limsup_weight(), inner.affine, scaled_direction,
-        )
-    if isinstance(f, Sum):
-        parts = [basis_partials(g, x) for g in f.terms]
+    def interval(n: int, a: float) -> tuple[Optional[str], bool]:
+        answers = [part.interval(n, a) for _, part in parts]
+        return next((why for why, _ in answers if why), None), any(unb for _, unb in answers)
 
-        def summed(a: int, b: int) -> tuple:
-            columns, err = [], None
-            for part in parts:
-                lefts, rights, part_err = part.sides(a, b)
-                if part_err is not None:
-                    # the smallest raising index wins, and at it the first
-                    # part: the parts after this one stop before it
-                    b, err = a + len(lefts) - 1, part_err
-                columns.append((lefts, rights))
-            # each index's sums start at 0.0 and add the parts in order
-            lsums = rsums = [0.0] * (b - a + 1)
-            for lefts, rights in columns:
-                lsums = [None if s is None or v is None else s + v for s, v in zip(lsums, lefts)]
-                rsums = [None if s is None or v is None else s + v for s, v in zip(rsums, rights)]
-            return lsums, rsums, err
+    def value(tol: float) -> SeriesValue | NoCertifiedValue:
+        return _linear_value(start, ((c, part.value(tol / div)) for c, part in parts))
 
-        def summed_form() -> PartialsForm:
-            forms = [part.form for part in parts]
-            kinks = [p.kink_at for p in forms if p.status == "kink"]
-            if kinks:
-                return PartialsForm("kink", kink_at=min(kinks))
-            if any(p.status == "numeric" for p in forms):
-                return PartialsForm("numeric")
-            total = SymSeq.zero()
-            for p in forms:
-                total = total + p.tail
-            return PartialsForm("ok", max((p.valid_from for p in forms), default=1), total)
+    def series_line(h: Point) -> Callable[[float, float], SeriesValue]:
+        subs = [(c, part.series_line(h)) for c, part in parts]
+        return lambda t, tol: _linear_value(start, ((c, g(t, tol / div)) for c, g in subs))
 
-        def summed_line(steps: tuple) -> Callable[[float], float]:
-            # A flat part adds 0.0 to a partial sum that the 0.0 start
-            # keeps from being -0.0, which changes no bit, so it is skipped.
-            lines = [g for g in (part.line(steps) for part in parts) if g is not _zero_line]
-            if not lines:
-                return _zero_line
-            if len(lines) == 1:
-                (g,) = lines
-                return lambda t: 0.0 + g(t)
-            if len(lines) == 2:
-                g, h = lines
-                return lambda t: 0.0 + g(t) + h(t)
-            return lambda t: sum([g(t) for g in lines])
+    def direction(h: Point) -> Optional[tuple]:
+        lsum = rsum = start
+        declined = False
+        for c, part in parts:
+            sub = part.direction(h)
+            if sub is None:
+                declined = True
+                continue
+            left, right = sub
+            lsum = None if lsum is None or left is None else lsum + c * left
+            rsum = None if rsum is None or right is None else rsum + c * right
+        # no side of 0 is feasible, whatever the declining parts are
+        if lsum is None and rsum is None:
+            return None, None
+        return None if declined else (lsum, rsum)
 
-        def summed_interval(n: int, a: float) -> tuple[Optional[str], bool]:
-            answers = [part.interval(n, a) for part in parts]
-            return next((why for why, _ in answers if why), None), any(unb for _, unb in answers)
-
-        # each part's share of tol is tol / len(parts), asked for in order
-        def summed_value(tol: float) -> SeriesValue | NoCertifiedValue:
-            return _linear_value(0.0, ((1.0, part.value(tol / len(parts))) for part in parts))
-
-        def summed_series_line(h: Point) -> Callable[[float, float], SeriesValue]:
-            subs = [part.series_line(h) for part in parts]
-            return lambda t, tol: _linear_value(0.0, ((1.0, g(t, tol / len(subs))) for g in subs))
-
-        def summed_direction(h: Point) -> Optional[tuple]:
-            lsum, rsum, declined = 0.0, 0.0, False
-            for part in parts:
-                sub = part.direction(h)
-                if sub is None:
-                    declined = True
-                    continue
-                left, right = sub
-                lsum = None if lsum is None or left is None else lsum + left
-                rsum = None if rsum is None or right is None else rsum + right
-            # no side of 0 is feasible, whatever the declining parts are
-            if lsum is None and rsum is None:
-                return None, None
-            return None if declined else (lsum, rsum)
-
-        return BasisPartials(
-            summed, summed_form, summed_line, summed_interval, summed_value, summed_series_line,
-            lambda: sum(part.limsup_weight() for part in parts),
-            lambda: all(part.affine() for part in parts),
-            summed_direction,
-        )
-    raise TypeError(f"unknown function expression {type(f).__name__}")
+    return BasisPartials(
+        sides, form, line, interval, value, series_line,
+        lambda: sum(c * part.limsup_weight() for c, part in parts),
+        lambda: all(part.affine() for _, part in parts),
+        direction,
+    )
 
 
 #: (-1)^n, the sign pattern of an alternating tail

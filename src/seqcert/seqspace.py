@@ -204,6 +204,12 @@ class SeriesValue:
             raise ValueError("error bound must be nonnegative")
 
 
+def bounded_value(value: float, err: float, used: int) -> SeriesValue:
+    """SeriesValue(value, err, used), with an infinite bound where the
+    value is not finite: an overflow, never a certified +inf."""
+    return SeriesValue(value, err if math.isfinite(value) else math.inf, used)
+
+
 # ---------------------------------------------------------------------------
 # Basis vectors and projections
 # ---------------------------------------------------------------------------
@@ -407,12 +413,13 @@ def coefficient_pairing(
 def _head_plus_tail(head: float, tail: SymSeq, start: int, tol: float) -> SeriesValue:
     """The one head-plus-tail sum: ``head``, the explicit sum of the terms
     below ``start``, plus tail's certified sum from ``start`` on within
-    tol / 2, with both parts' rounding in the error.  Raises ValueError
-    (from tail_sum) when the tail is not absolutely summable, and NoMajorant
-    when it decays too slowly to certify."""
+    tol / 2, with both parts' rounding in the error (infinite where the sum
+    is not finite).  Raises ValueError (from tail_sum) when the tail is not
+    absolutely summable, and NoMajorant when it decays too slowly to
+    certify."""
     tval, terr, used = tail_sum(tail, start, tol / 2)
     err = terr + (abs(head) + abs(tval)) * (start + 1) * _ULP
-    return SeriesValue(head + tval, err, start - 1 + used)
+    return bounded_value(head + tval, err, start - 1 + used)
 
 
 def certified_series(
@@ -473,11 +480,11 @@ def majorant_region(majorant: SymSeq, tail_start: int, tol: float) -> tuple[int,
 def head_sum(terms: Iterable[float], region: tuple[int, float]) -> SeriesValue:
     """The head step of :func:`certified_series`: the sum of the terms
     n = 1..k of the explicit region (k, bound) of :func:`majorant_region`,
-    with its remainder bound and the head's rounding as the error."""
+    with its remainder bound and the head's rounding as the error, or an
+    infinite error where the head is not finite."""
     k, bound = region
     head = sum(terms)
-    err = bound + abs(head) * (k + 1) * _ULP
-    return SeriesValue(head, err, k)
+    return bounded_value(head, bound + abs(head) * (k + 1) * _ULP, k)
 
 
 # ---------------------------------------------------------------------------

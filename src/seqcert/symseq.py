@@ -528,7 +528,8 @@ def point_form(atoms: Iterable[tuple[str, float, float]]) -> SymSeq:
     Same-shape atoms merge left to right in float arithmetic, and those
     with c == 0 or r == 0 drop out.  The constant comes first, then the
     geometric atoms by ascending r, then the harmonic one.  The terms hold
-    the merged doubles exactly, and the atoms stay for ``coordinate``.
+    the merged doubles exactly, and the atoms stay for ``coordinate``.  A
+    merged coefficient that overflows raises ValueError.
     """
     const_c = harm_c = 0.0
     geo: dict[float, float] = {}
@@ -543,6 +544,9 @@ def point_form(atoms: Iterable[tuple[str, float, float]]) -> SymSeq:
     kept += [("geometric", geo[r], r) for r in sorted(geo) if geo[r] != 0.0 and r != 0.0]
     if harm_c != 0.0:
         kept.append(("harmonic", harm_c, 0.0))
+    for _, c, _ in kept:
+        if not math.isfinite(c):
+            raise ValueError(f"tail coefficients must sum to a finite number, got {c}")
     seq = SymSeq(
         SymTerm(Dyadic.from_float(c), *(_SHAPES.get(kind) or (Dyadic.from_float(r), _ZERO)))
         for kind, c, r in kept
@@ -636,7 +640,8 @@ def tail_sum(seq: SymSeq, start: int, tol: float) -> tuple[float, float, int]:
     Returns (value, error_bound, terms_used).  Raises ValueError labelled
     with the classification when the sum is divergent or only conditionally
     convergent (callers translate to their domain-specific errors), and
-    NoMajorant when a geometric term decays too slowly to certify.
+    NoMajorant when a geometric term decays too slowly to certify or a
+    coefficient is beyond the double range.
     """
     return tail_sums(seq, tol)(start)
 
@@ -670,7 +675,12 @@ def tail_sums(seq: SymSeq, tol: float) -> Callable[[int], tuple[float, float, in
     label = classify(seq)
     if label != SUMMABLE:
         raise ValueError(label)
-    live = [t._floats for t in seq.terms if t.coef != 0]
+    try:
+        live = [t._floats for t in seq.terms if t.coef != 0]
+    except OverflowError:
+        live = None
+    if live is None or not all(math.isfinite(c) for c, _, _, _ in live):
+        raise NoMajorant("a tail coefficient is beyond the double range")
     budget = tol / (2 * max(len(live), 1))
     plans = []
     for floats in live:

@@ -517,6 +517,29 @@ def test_gateaux_anchor_outside_the_space_is_rejected():
     assert cert.verdict is Verdict.HOLDS
 
 
+def test_a_coefficient_beyond_the_double_range_overflows_no_certifier():
+    # f = sum x_n^2 at x*_n = 1e200 * 0.5^n sums the coefficient 1e400,
+    # which no double holds: f(x*) has no certified value
+    f = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
+    big = Point((), TailRule.geometric(1e200, 0.5))
+    # certify_min does not yet decide x* in dom f before its stages, so the
+    # undecided value is raised as the documented error, not an OverflowError
+    with pytest.raises(NoMajorant, match="beyond the double range"):
+        certify_min(f, SetDescriptor.whole_space(), big, OPTS)
+    # the partials 2 x*_n have a closed form; the validation directions,
+    # which need f(x*), are skipped
+    cert, _ = gateaux_detect(f, SpaceDescriptor.ell1(), big, OPTS)
+    assert cert.verdict is Verdict.HOLDS and cert.evidence["validation_samples"] == []
+    # a witness direction whose slope tail overflows is skipped, as one
+    # without a certified directional derivative is
+    x = Point((), TailRule.geometric(1.0, 0.5))
+    h = Point((), TailRule.geometric(1e308, 0.5))
+    with pytest.raises(NoMajorant, match="beyond the double range"):
+        dir_deriv(f, x, h)
+    cert, _ = gateaux_detect(f, SpaceDescriptor.rn(), x, OPTS, witness_directions=(h,))
+    assert cert == gateaux_detect(f, SpaceDescriptor.rn(), x, OPTS)[0]
+
+
 def test_space_descriptor_is_its_kind():
     for space, topological in (
         (SpaceDescriptor.rn(), True),

@@ -231,6 +231,33 @@ def test_the_ci_scenario_without_a_ratio_is_a_scenario_error(capsys):
     assert out == ""
 
 
+#: The two overflowing scenarios of the CI smoke run: f = sum x_n^2 at a
+#: tail whose square's coefficient (1e400) no double holds, and a tail of
+#: two constant atoms whose merged coefficient overflows.
+OVERFLOW_TAILS = {
+    "square_beyond_the_double_range": {"kind": "geometric", "c": 1e200, "r": 0.5},
+    "two_atoms_beyond_the_double_range": [{"kind": "const", "c": 1e308}] * 2,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_TAILS))
+def test_an_overflowing_scenario_is_an_error_line_not_a_traceback(name, tmp_path):
+    raw = {
+        "name": name,
+        "task": "certify_min",
+        "space": {"kind": "ell1"},
+        "function": {"kind": "separable", "weight": 1.0, "inner": {"kind": "square"}},
+        "x_star": {"prefix": [], "tail": OVERFLOW_TAILS[name]},
+        "set": {"kind": "whole_space"},
+    }
+    f = tmp_path / "scn.json"
+    f.write_text(json.dumps(raw))
+    proc = run_cli(str(f))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 BOOLEAN_WEIGHT = PKG_ROOT / "tests" / "data" / "boolean_weight.json"
 
 

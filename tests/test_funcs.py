@@ -11,24 +11,27 @@ import random
 import mpmath
 import pytest
 
-from seqcert.errors import DomainViolation, NegativeScale
+from seqcert.errors import DomainViolation, NegativeScale, NoMajorant, NonConvergentPairing
 from seqcert.funcs import (
     Constant,
     DirStatus,
     LimsupSeminorm,
     LinearFunctional,
+    PartialsForm,
     ScalarConvex,
     Scale,
     SeparableSeries,
     Sum,
     analytic_dir_deriv,
+    basis_partials,
+    delta_along,
     delta_along_basis,
     evaluate,
     function_from_json,
     function_to_json,
     scale,
 )
-from seqcert.sampling import random_function, random_point
+from seqcert.sampling import random_direction, random_function, random_point
 from seqcert.seqspace import (
     DualPoint,
     Point,
@@ -36,10 +39,12 @@ from seqcert.seqspace import (
     SpaceDescriptor,
     TailRule,
     basis_vector,
+    pair,
     point_axpy,
     point_scale,
 )
 from seqcert.symseq import point_form
+from test_series_digest import fuzz_instance
 
 mpmath.mp.dps = 40
 
@@ -176,6 +181,86 @@ def test_an_overflow_is_never_a_certified_plus_infinity():
     divergent = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
     ones = Point((1e300,), (TailRule.const(1.0),))
     assert evaluate(Sum([linear, divergent]), ones) == SeriesValue(math.inf, 0.0, 1)
+
+
+def test_a_coefficient_beyond_the_double_range_is_no_certified_value():
+    # x_n = 1e200 * 0.5^n: the tail of sum x_n^2 has the coefficient 1e400,
+    # which no double holds, so the sum is not certified, nor is a pairing
+    # of two such tails; neither overflows out of the tail sum
+    f = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
+    tail = TailRule.geometric(1e200, 0.5)
+    with pytest.raises(NoMajorant, match="beyond the double range"):
+        evaluate(f, Point((), tail))
+    with pytest.raises(NonConvergentPairing, match="beyond the double range"):
+        pair(DualPoint((), tail), Point((), tail))
+    # two atoms whose merged coefficient overflows are no tail at all
+    with pytest.raises(ValueError, match="must sum to a finite number"):
+        Point((), (TailRule.const(1e308), TailRule.const(1e308)))
+
+
+def test_an_overflowed_difference_or_head_has_an_infinite_bound():
+    # |2e308| - 1e308 is finite, but its float overflows: the limsup leaf's
+    # step, and a sum or scale of it, is no certified +inf
+    big = Point((), (TailRule.const(1e308),))
+    limsup = LimsupSeminorm()
+    for f in (limsup, Sum([limsup, Constant(1.0)]), Scale(2.0, limsup)):
+        got = delta_along(f, big, big, 1.0)
+        assert got.value == math.inf and got.error_bound == math.inf, f
+    # a head whose terms sum +inf and -inf to NaN has an infinite bound
+    x = Point((1e300, -1e300), ())
+    separable = SeparableSeries(TailRule.const(1e300), ScalarConvex.linear(1.0))
+    for got in (evaluate(separable, x), pair(DualPoint((1e300, 1e300), ()), x)):
+        assert math.isnan(got.value) and got.error_bound == math.inf
+
+
+def _scaled_record(lam, answer):
+    """lam times a pair or a list pair of sides, None staying None."""
+    return [None if v is None else lam * v for v in answer]
+
+
+def test_a_scale_answers_lam_times_its_part_bit_for_bit():
+    # the weighted-sum node starts a Scale at -0.0, so -0.0 + lam * v keeps
+    # a -0.0 partial, and a Sum at 0.0, which turns it into 0.0
+    square = SeparableSeries(TailRule.const(1.0), ScalarConvex.square())
+    x = Point((-0.0,), ())
+    assert repr(basis_partials(Scale(2.0, square), x).sides(1, 1)[0]) == "[-0.0]"
+    assert repr(basis_partials(Sum([square]), x).sides(1, 1)[0]) == "[0.0]"
+    # over fuzz seeds 0-299, Scale(lam, f) answers lam times f's own walk
+    # along every answer the node combines, compared by repr
+    for seed in range(300):
+        _, f, x = fuzz_instance(seed)
+        rng = random.Random(seed)
+        lam = rng.choice((0.5, 1.0, 3.0, 1e-3))
+        walk, scaled = basis_partials(f, x), basis_partials(Scale(lam, f), x)
+        lefts, rights, err = walk.sides(1, 64)
+        got = scaled.sides(1, 64)
+        want = (_scaled_record(lam, lefts), _scaled_record(lam, rights))
+        assert repr(got[:2]) == repr(want), seed
+        assert repr(got[2]) == repr(err), seed
+        form = walk.form
+        if form.status == "ok":
+            form = PartialsForm("ok", form.valid_from, form.tail.scaled(lam))
+        assert scaled.form == form, seed
+        for _ in range(3):
+            h = random_direction(rng, summable=True)
+            want, got = _direction_record(walk, h), _direction_record(scaled, h)
+            if isinstance(want, tuple):
+                want = tuple(_scaled_record(lam, want))
+            assert repr(got) == repr(want), (seed, h)
+        part = walk.value(1e-12 / max(lam, 1.0))
+        got = scaled.value(1e-12)
+        if isinstance(part, SeriesValue):
+            assert repr(got.value) == repr(lam * part.value), seed
+            assert got.terms_used == part.terms_used, seed
+        else:
+            assert (type(got), str(got)) == (type(part), str(part)), seed
+
+
+def _direction_record(walk, h):
+    try:
+        return walk.direction(h)
+    except Exception as exc:  # the exception itself is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_a_sqrt_series_diverging_to_minus_infinity_has_one_name():
