@@ -21,9 +21,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 from .errors import NoMajorant
@@ -247,29 +245,35 @@ def exact_sqrt(q: Number) -> tuple[Number, bool]:
     return math.sqrt(q), False
 
 
-@dataclass(frozen=True)
 class SymTerm:
-    """One term ``coef * ratio**n * n**(-npow)`` of a closed-form sequence."""
+    """One term ``coef * ratio**n * n**(-npow)`` of a closed-form sequence.
 
-    coef: Number
-    ratio: Number
-    npow: Number
+    Its merge key (``_key``: ratio and npow as exact integer ratios, so equal
+    values merge whether held as Dyadics, Fractions or floats and unequal
+    ones never do, however close their doubles) and ``is_exact`` are fixed
+    at construction, and no field is ever reassigned.  Terms compare and
+    hash by (coef, ratio, npow).
 
-    @cached_property
-    def _floats(self) -> Optional[tuple[float, float, float, float]]:
-        """(coef, ratio, log|ratio|, -npow) as floats; None when coef is 0.
+    The float images ``_floats`` and ``_shape`` fill their slots on first
+    read, not at construction, so an exact number beyond the float range
+    still raises only where a value is needed.  Two threads reading a fresh
+    term may both compute an image; they compute the same one, so either
+    store is as good as the other and no lock is taken.
+    """
 
-        Taken once per term on first use, not at construction, so an exact
-        number beyond the float range still raises only where a value is
-        needed.
-        """
-        if self.coef == 0:
-            return None
-        r = float(self.ratio)
-        log_r = math.log(abs(r)) if r != 0.0 else 0.0
-        return float(self.coef), r, log_r, -float(self.npow)
+    __slots__ = ("coef", "ratio", "npow", "is_exact", "_key", "_float_image", "_shape_image")
+    __match_args__ = ("coef", "ratio", "npow")
 
-    @cached_property
+    def __init__(self, coef: Number, ratio: Number, npow: Number, _key: Optional[tuple] = None):
+        # a caller passing _key passes the key of this very ratio and npow
+        self.coef = coef
+        self.ratio = ratio
+        self.npow = npow
+        self.is_exact = type(coef) in _EXACT and type(ratio) in _EXACT
+        self._key = _key or (ratio.as_integer_ratio(), npow.as_integer_ratio())
+        self._float_image = self._shape_image = None
+
+    @property
     def _shape(self) -> tuple[float, float]:
         """(ratio, npow) as floats, for classification and dominance order.
 
@@ -277,7 +281,32 @@ class SymTerm:
         float range where the ratio does not.  A ratio beyond it raises
         OverflowError at every read, as the plain conversion did.
         """
-        return float(self.ratio), float(self.npow)
+        shape = self._shape_image
+        if shape is None:
+            self._shape_image = shape = (float(self.ratio), float(self.npow))
+        return shape
+
+    @property
+    def _floats(self) -> Optional[tuple[float, float, float, float]]:
+        """(coef, ratio, log|ratio|, -npow) as floats, the ratio and npow
+        read from ``_shape``; None when coef is 0."""
+        floats = self._float_image
+        if floats is None and self.coef:
+            r, s = self._shape
+            floats = (float(self.coef), r, math.log(abs(r)) if r != 0.0 else 0.0, -s)
+            self._float_image = floats
+        return floats
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coef, self.ratio, self.npow) == (other.coef, other.ratio, other.npow)
+
+    def __hash__(self) -> int:
+        return hash((self.coef, self.ratio, self.npow))
+
+    def __repr__(self) -> str:
+        return f"SymTerm(coef={self.coef!r}, ratio={self.ratio!r}, npow={self.npow!r})"
 
     def value_at(self, n: int) -> float:
         floats = self._floats
@@ -297,9 +326,11 @@ class SymTerm:
                 power = -power
         return coef * power * float(n) ** neg_s
 
-    @property
-    def is_exact(self) -> bool:
-        return type(self.coef) in _EXACT and type(self.ratio) in _EXACT
+
+_NO_ATOMS = (
+    "coordinate and column read the atoms of a canonical form (point_form); "
+    "a sequence built by the algebra has none"
+)
 
 
 class SymSeq:
@@ -310,28 +341,26 @@ class SymSeq:
     compare and hash by their terms and ``exact``; the zero one is falsy.
     ``atoms`` holds a canonical form's atoms (:func:`point_form`) and is
     None on any other sequence.
+
+    Terms merge on the key each :class:`SymTerm` fixed at construction, and
+    a term whose ratio and npow carry over (a merged, scaled or negated
+    one) carries its key over with them.  ``terms`` and ``exact`` are fixed
+    at construction, and only :func:`point_form` sets ``atoms``, once.
     """
 
     __slots__ = ("terms", "exact", "atoms")
 
     def __init__(self, terms: Iterable[SymTerm] = (), exact: bool = True):
         merged: dict[tuple, SymTerm] = {}
+        get = merged.get
         all_exact = exact
         for t in terms:
             if not t.is_exact:
                 all_exact = False
-            # Exact values as integer ratios: equal ratios and powers merge
-            # whether held as Dyadics, Fractions or floats, unequal ones
-            # never do, however close their doubles (and the key hashes
-            # cheaply).
-            key = (t.ratio.as_integer_ratio(), t.npow.as_integer_ratio())
-            if key in merged:
-                old = merged[key]
-                coef = old.coef + t.coef
-                merged[key] = SymTerm(coef, old.ratio, old.npow)
-            else:
-                merged[key] = t
-        self.terms = tuple(t for t in merged.values() if t.coef or not t.is_exact)
+            key = t._key
+            old = get(key)
+            merged[key] = t if old is None else SymTerm(old.coef + t.coef, old.ratio, old.npow, key)
+        self.terms = tuple([t for t in merged.values() if t.coef or not t.is_exact])
         self.exact = all_exact
         self.atoms: Optional[tuple[tuple[str, float, float], ...]] = None
 
@@ -363,7 +392,7 @@ class SymSeq:
 
     def __neg__(self) -> SymSeq:
         return SymSeq(
-            tuple(SymTerm(-t.coef, t.ratio, t.npow) for t in self.terms),
+            tuple(SymTerm(-t.coef, t.ratio, t.npow, t._key) for t in self.terms),
             exact=self.exact,
         )
 
@@ -373,16 +402,30 @@ class SymSeq:
     def scaled(self, c) -> SymSeq:
         c = _to_number(c)
         return SymSeq(
-            tuple(SymTerm(t.coef * c, t.ratio, t.npow) for t in self.terms),
+            tuple(SymTerm(t.coef * c, t.ratio, t.npow, t._key) for t in self.terms),
             exact=self.exact,
         )
 
     def __mul__(self, other: SymSeq) -> SymSeq:
+        # Dyadic products inline, as Dyadic._mul forms them: odd times odd
+        # is odd, so m * 2**e needs no normalisation
         out = []
         for a in self.terms:
+            ac, ar, an = a.coef, a.ratio, a.npow
             for b in other.terms:
-                out.append(SymTerm(a.coef * b.coef, a.ratio * b.ratio, a.npow + b.npow))
-        return SymSeq(tuple(out), exact=self.exact and other.exact)
+                bc, br = b.coef, b.ratio
+                if type(ac) is Dyadic and type(bc) is Dyadic:
+                    m = ac.m * bc.m
+                    coef = Dyadic(m, ac.e + bc.e) if m else _ZERO
+                else:
+                    coef = ac * bc
+                if type(ar) is Dyadic and type(br) is Dyadic:
+                    m = ar.m * br.m
+                    ratio = Dyadic(m, ar.e + br.e) if m else _ZERO
+                else:
+                    ratio = ar * br
+                out.append(SymTerm(coef, ratio, an + b.npow))
+        return SymSeq(out, exact=self.exact and other.exact)
 
     def abs_terms(self) -> SymSeq:
         """Term-wise absolute value, |c| |rho|**n n**(-s): a majorant of |seq(n)|."""
@@ -426,8 +469,11 @@ class SymSeq:
         exp(n log|r|) * n**-s differs in the last bits at most geometric
         and many harmonic indices.  Tail sums and sign tests keep value_at.
         """
+        atoms = self.atoms
+        if atoms is None:
+            raise ValueError(_NO_ATOMS)
         value = None
-        for kind, c, r in self.atoms:
+        for kind, c, r in atoms:
             v = c if kind == "const" else c / n if kind == "harmonic" else c * r**n
             value = v if value is None else value + v
         return 0.0 if value is None else value
@@ -435,9 +481,12 @@ class SymSeq:
     def column(self, a: int, b: int) -> list[float]:
         """[coordinate(n) for n in a..b], one list per atom, the atoms'
         lists summed left to right as coordinate sums them."""
+        atoms = self.atoms
+        if atoms is None:
+            raise ValueError(_NO_ATOMS)
         ns = range(a, b + 1)
         out = None
-        for kind, c, r in self.atoms:
+        for kind, c, r in atoms:
             if kind == "const":
                 vs = [c] * len(ns)
             elif kind == "harmonic":
@@ -565,7 +614,7 @@ NOT_ABSOLUTE = "not_absolute"
 
 
 def classify_term(t: SymTerm) -> str:
-    if t.coef == 0:
+    if not t.coef:
         return SUMMABLE
     ratio, s = t._shape
     r = abs(ratio)
@@ -676,7 +725,7 @@ def tail_sums(seq: SymSeq, tol: float) -> Callable[[int], tuple[float, float, in
     if label != SUMMABLE:
         raise ValueError(label)
     try:
-        live = [t._floats for t in seq.terms if t.coef != 0]
+        live = [t._floats for t in seq.terms if t.coef]
     except OverflowError:
         live = None
     if live is None or not all(math.isfinite(c) for c, _, _, _ in live):
@@ -733,7 +782,8 @@ def tail_sums(seq: SymSeq, tol: float) -> Callable[[int], tuple[float, float, in
 def _term_values(floats: tuple[float, float, float, float]) -> Callable[[int, int], list[float]]:
     """(a, b) -> [value_at(n) for n in a..b] of the term with these
     ``_floats``, by value_at's operations in its order, in one loop whose
-    branch on the ratio's sign is taken once."""
+    branch on the ratio's sign is taken once.  At npow 0 the factor
+    n**-0.0 is 1.0, and x * 1.0 is x bit for bit, so it is left out."""
     coef, r, log_r, neg_s = floats
     exp = math.exp
     if r == 0.0:
@@ -741,6 +791,10 @@ def _term_values(floats: tuple[float, float, float, float]) -> Callable[[int, in
             coef * (1.0 if n == 0 else 0.0) * float(n) ** neg_s for n in range(a, b + 1)
         ]
     if r > 0.0:
+        if not neg_s:
+            return lambda a, b: [
+                coef * (0.0 if (m := n * log_r) < -745.0 else exp(m)) for n in range(a, b + 1)
+            ]
         return lambda a, b: [
             coef * (0.0 if (m := n * log_r) < -745.0 else exp(m)) * float(n) ** neg_s
             for n in range(a, b + 1)
@@ -753,7 +807,8 @@ def _term_values(floats: tuple[float, float, float, float]) -> Callable[[int, in
             power = 0.0 if logmag < -745.0 else exp(logmag)
             if n % 2 == 1:
                 power = -power
-            out.append(coef * power * float(n) ** neg_s)
+            v = coef * power
+            out.append(v * float(n) ** neg_s if neg_s else v)
         return out
 
     return alternating

@@ -20,7 +20,8 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 import pytest
 
@@ -72,12 +73,19 @@ from seqcert.seqspace import (
     tail_limit,
 )
 from seqcert.symseq import (
+    _EXACT,
+    DIVERGENT,
+    NOT_ABSOLUTE,
     SUMMABLE,
+    Dyadic,
+    Number,
     SymSeq,
     SymTerm,
     _geometric_tail_start,
     _power_tail,
     _term_values,
+    _to_number,
+    _value_runs,
     classify,
     tail_sum,
     tail_sums,
@@ -86,7 +94,7 @@ from test_certifier_paths import CASES as CENSUS
 from test_certify import closed_form_cases
 from test_derivative import sqrt_corpus
 from test_series_digest import fuzz_instance, ladder, ladder_cases, step_record
-from test_shared_walk import fuzz_case
+from test_shared_walk import certify_all, fuzz_case
 from quotient_scan import ScanOptions, quotient_scan
 
 NUMERIC = ScanOptions()
@@ -1702,3 +1710,349 @@ def test_a_square_line_forms_one_majorant_per_step_size(monkeypatch):
         line(t, abs(t) * 1e-13)
     # each of the 41 step sizes forms its majorant once, shared by t and -t
     assert sorted(sizes) == sorted({abs(t) for t in ladder()}) and len(sizes) == 41
+
+
+# The exact algebra before SymTerm became a slotted class with its merge
+# key fixed at construction, kept verbatim as the reference for
+# symseq.SymTerm, SymSeq's merge, negation, scaling, products and
+# abs_terms, classify_term, tail_sums and _term_values: a frozen dataclass
+# with cached_property float images, a merge key taken per merge and
+# Dyadic products through the operators.  Only the names differ.
+@dataclass(frozen=True)
+class _RefTerm:
+    """One term ``coef * ratio**n * n**(-npow)`` of a closed-form sequence."""
+
+    coef: Number
+    ratio: Number
+    npow: Number
+
+    @cached_property
+    def _floats(self) -> Optional[tuple[float, float, float, float]]:
+        """(coef, ratio, log|ratio|, -npow) as floats; None when coef is 0.
+
+        Taken once per term on first use, not at construction, so an exact
+        number beyond the float range still raises only where a value is
+        needed.
+        """
+        if self.coef == 0:
+            return None
+        r = float(self.ratio)
+        log_r = math.log(abs(r)) if r != 0.0 else 0.0
+        return float(self.coef), r, log_r, -float(self.npow)
+
+    @cached_property
+    def _shape(self) -> tuple[float, float]:
+        """(ratio, npow) as floats, for classification and dominance order.
+
+        Kept apart from ``_floats``: the coefficient may lie beyond the
+        float range where the ratio does not.  A ratio beyond it raises
+        OverflowError at every read, as the plain conversion did.
+        """
+        return float(self.ratio), float(self.npow)
+
+    def value_at(self, n: int) -> float:
+        floats = self._floats
+        if floats is None:
+            return 0.0
+        coef, r, log_r, neg_s = floats
+        # r**n with r possibly negative and n large: compute via magnitude.
+        if r == 0.0:
+            power = 1.0 if n == 0 else 0.0
+        else:
+            logmag = n * log_r
+            if logmag < -745.0:
+                power = 0.0
+            else:
+                power = math.exp(logmag)
+            if r < 0 and n % 2 == 1:
+                power = -power
+        return coef * power * float(n) ** neg_s
+
+    @property
+    def is_exact(self) -> bool:
+        return type(self.coef) in _EXACT and type(self.ratio) in _EXACT
+
+
+class _RefSeq:
+    __slots__ = ("terms", "exact")
+
+    def __init__(self, terms: Iterable[_RefTerm] = (), exact: bool = True):
+        merged: dict[tuple, _RefTerm] = {}
+        all_exact = exact
+        for t in terms:
+            if not t.is_exact:
+                all_exact = False
+            # Exact values as integer ratios: equal ratios and powers merge
+            # whether held as Dyadics, Fractions or floats, unequal ones
+            # never do, however close their doubles (and the key hashes
+            # cheaply).
+            key = (t.ratio.as_integer_ratio(), t.npow.as_integer_ratio())
+            if key in merged:
+                old = merged[key]
+                coef = old.coef + t.coef
+                merged[key] = _RefTerm(coef, old.ratio, old.npow)
+            else:
+                merged[key] = t
+        self.terms = tuple(t for t in merged.values() if t.coef or not t.is_exact)
+        self.exact = all_exact
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _RefSeq):
+            return NotImplemented
+        return self.terms == other.terms and self.exact == other.exact
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.exact))
+
+    def __neg__(self) -> "_RefSeq":
+        return _RefSeq(
+            tuple(_RefTerm(-t.coef, t.ratio, t.npow) for t in self.terms),
+            exact=self.exact,
+        )
+
+    def scaled(self, c) -> "_RefSeq":
+        c = _to_number(c)
+        return _RefSeq(
+            tuple(_RefTerm(t.coef * c, t.ratio, t.npow) for t in self.terms),
+            exact=self.exact,
+        )
+
+    def __mul__(self, other: "_RefSeq") -> "_RefSeq":
+        out = []
+        for a in self.terms:
+            for b in other.terms:
+                out.append(_RefTerm(a.coef * b.coef, a.ratio * b.ratio, a.npow + b.npow))
+        return _RefSeq(tuple(out), exact=self.exact and other.exact)
+
+    def abs_terms(self) -> "_RefSeq":
+        """Term-wise absolute value, |c| |rho|**n n**(-s): a majorant of |seq(n)|."""
+        return _RefSeq(
+            tuple(_RefTerm(abs(t.coef), abs(t.ratio), t.npow) for t in self.terms),
+            exact=self.exact,
+        )
+
+
+def _ref_classify_term(t: _RefTerm) -> str:
+    if t.coef == 0:
+        return SUMMABLE
+    ratio, s = t._shape
+    r = abs(ratio)
+    if r < 1.0:
+        return SUMMABLE
+    if r > 1.0:
+        return DIVERGENT
+    if ratio > 0:
+        return SUMMABLE if s > 1.0 else DIVERGENT
+    # ratio == -1: alternating
+    if s > 1.0:
+        return SUMMABLE
+    return NOT_ABSOLUTE if s > 0.0 else DIVERGENT
+
+
+def _ref_classify(seq: _RefSeq) -> str:
+    worst = SUMMABLE
+    for t in seq.terms:
+        c = _ref_classify_term(t)
+        if c == DIVERGENT:
+            return DIVERGENT
+        if c == NOT_ABSOLUTE:
+            worst = NOT_ABSOLUTE
+    return worst
+
+
+def _ref_tail_sums(seq: _RefSeq, tol: float) -> Callable[[int], tuple[float, float, int]]:
+    label = _ref_classify(seq)
+    if label != SUMMABLE:
+        raise ValueError(label)
+    try:
+        live = [t._floats for t in seq.terms if t.coef != 0]
+    except OverflowError:
+        live = None
+    if live is None or not all(math.isfinite(c) for c, _, _, _ in live):
+        raise NoMajorant("a tail coefficient is beyond the double range")
+    budget = tol / (2 * max(len(live), 1))
+    plans = []
+    for floats in live:
+        c, r, _, neg_s = floats
+        s = -neg_s
+        cut = _geometric_tail_start(c, r, -s, budget) if abs(r) < 1.0 else None
+        plans.append((c, r, s, cut, _value_runs(_ref_term_values(floats))))
+
+    def at(start: int) -> tuple[float, float, int]:
+        value = 0.0
+        err = 0.0
+        used = 0
+        for c, r, s, cut, values in plans:
+            if cut is not None:
+                k = max(start - 1, cut)
+                part = sum(values(start, k))
+                q = (1.0 + abs(r)) / 2.0
+                rem = abs(c) * abs(r) ** (k + 1) * float(k + 1) ** (-s) / (1.0 - q)
+                value += part
+                err += rem + abs(part) * (k - start + 2) * _ULP
+                used = max(used, k - start + 1)
+            elif r > 0:
+                # ratio == 1, s > 1: explicit head + Euler-Maclaurin tail
+                k = max(start + 15, 64)
+                part = sum(values(start, k))
+                tail, terr = _power_tail(s, 0.0, k)
+                value += part + c * tail
+                err += abs(c) * terr + abs(part) * (k - start + 2) * _ULP
+                used = max(used, k - start + 1)
+            else:
+                # ratio == -1, s > 1: split into even/odd power tails
+                k = max(start + 15, 64)
+                if k % 2 == 1:
+                    k += 1
+                part = sum(values(start, k))
+                # even n = 2m > k  =>  m > k/2 ; odd n = 2m-1 > k  =>  m > k/2
+                half = k // 2
+                ev, e1 = _power_tail(s, 0.0, half)
+                od, e2 = _power_tail(s, -0.5, half)
+                tail = (2.0 ** (-s)) * (ev - od)
+                value += part + c * tail
+                err += abs(c) * (2.0 ** (-s)) * (e1 + e2)
+                err += abs(part) * (k - start + 2) * _ULP
+                used = max(used, k - start + 1)
+        return value, err, used
+
+    return at
+
+
+def _ref_term_values(floats: tuple[float, float, float, float]) -> Callable[[int, int], list[float]]:
+    coef, r, log_r, neg_s = floats
+    exp = math.exp
+    if r == 0.0:
+        return lambda a, b: [
+            coef * (1.0 if n == 0 else 0.0) * float(n) ** neg_s for n in range(a, b + 1)
+        ]
+    if r > 0.0:
+        return lambda a, b: [
+            coef * (0.0 if (m := n * log_r) < -745.0 else exp(m)) * float(n) ** neg_s
+            for n in range(a, b + 1)
+        ]
+
+    def alternating(a: int, b: int) -> list[float]:
+        out = []
+        for n in range(a, b + 1):
+            logmag = n * log_r
+            power = 0.0 if logmag < -745.0 else exp(logmag)
+            if n % 2 == 1:
+                power = -power
+            out.append(coef * power * float(n) ** neg_s)
+        return out
+
+    return alternating
+
+
+def typed(v):
+    return type(v).__name__, repr(v)
+
+
+TAIL_SUM_STARTS = (1, 2, 17, 64)
+SCALES = (-0.5, Fraction(1, 3), 0.0)
+
+
+def algebra_record(seq, classify_seq, sums_of):
+    """One sequence as the algebra gives it: each term's fields with their
+    types and its float images (``_floats`` read on the fresh term, then
+    ``_shape``, then ``_floats`` again, as an image that raises raises at
+    every read), ``exact``, the hash, the classification and the tail sums
+    at each of TAIL_SUM_STARTS."""
+    terms = tuple(
+        (typed(t.coef), typed(t.ratio), typed(t.npow))
+        + tuple(outcome(lambda: getattr(t, name)) for name in ("_floats", "_shape", "_floats"))
+        for t in seq.terms
+    )
+    try:
+        at = sums_of(seq, 1e-12)
+        sums = tuple(outcome(lambda: at(start)) for start in TAIL_SUM_STARTS)
+    except Exception as exc:  # the exception itself is part of the outcome
+        sums = ("raise", type(exc).__name__, str(exc))
+    return seq.exact, hash(seq), terms, outcome(lambda: classify_seq(seq)), sums
+
+
+def algebra_records(seq, other, classify_seq, sums_of):
+    """The records of seq and of what the algebra makes of it (its
+    negation, scalings, products with itself and with other, and term-wise
+    absolute value, or the exception one raises), and ``==`` of seq
+    against each of them and other."""
+    ops = [lambda: seq, lambda: -seq, *(lambda c=c: seq.scaled(c) for c in SCALES)]
+    ops += [lambda: seq * seq, lambda: seq * other, lambda: other * seq, seq.abs_terms]
+    records, equal = [], [seq == other]
+    for op in ops:
+        try:
+            made = op()
+        except Exception as exc:  # the exception itself is part of the outcome
+            records.append(("raise", type(exc).__name__, str(exc)))
+            continue
+        records.append(algebra_record(made, classify_seq, sums_of))
+        equal.append(seq == made)
+    return records, equal
+
+
+def fuzz_built_sequences(monkeypatch, seeds):
+    """The (terms, exact) of every distinct SymSeq that the three
+    certifiers build on these fuzz seeds, the terms as built, with the
+    merge keys they carry."""
+    built = {}
+    init = SymSeq.__init__
+
+    def spied(self, terms=(), exact=True):
+        terms = tuple(terms)
+        key = tuple((typed(t.coef), typed(t.ratio), typed(t.npow), t._key) for t in terms)
+        built.setdefault((key, exact), (terms, exact))
+        init(self, terms, exact)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SymSeq, "__init__", spied)
+        for seed in seeds:
+            certify_all(*fuzz_case(seed))
+    return list(built.values())
+
+
+def hand_built_sequences():
+    big = Fraction(10) ** 400
+    return [
+        # Fraction-held, and mixed with a dyadic of an equal ratio
+        ((SymTerm(Fraction(1, 3), Fraction(1, 2), Fraction(1)),
+          SymTerm(Fraction(-5, 7), Fraction(9, 10), Fraction(0))), True),
+        ((SymTerm(Fraction(1, 3), Fraction(1, 2), Fraction(0)),) + SymSeq.term(0.75, 0.5, 0).terms, True),
+        # a float-held zero coefficient is kept, and makes the sequence inexact
+        ((SymTerm(0.0, 0.5, Fraction(0)), SymTerm(1.0, 0.25, Fraction(0))), True),
+        # r and -r, which merge under abs_terms
+        (SymSeq.term(1.0, 0.5, 0).terms + SymSeq.term(-2.0, -0.5, 0).terms, True),
+        ((SymTerm(Fraction(3), Fraction(0), Fraction(0)), SymTerm(2.5, 0.0, Fraction(2))), True),
+        # r < 0 with npow 0 and with npow != 0
+        (SymSeq.term(1.5, -0.9, 0).terms + SymSeq.term(0.5, -1.0, 2).terms, True),
+        ((SymTerm(-0.7, -0.9, Fraction(3, 2)), SymTerm(Fraction(1, 7), -1.0, Fraction(101, 100))), True),
+        ((SymTerm(1.0, -1.0, Fraction(1, 2)),) + SymSeq.term(0.5, -1.0, 1).terms, True),
+        # coefficients beyond the double range, one beside a live term
+        ((SymTerm(big, Fraction(1, 2), Fraction(0)),), True),
+        ((SymTerm(Dyadic(1, 1024), Dyadic(1, -1), Dyadic(0, 0)),) + SymSeq.term(1.0, 0.25, 1).terms, True),
+        # a ratio beyond it
+        ((SymTerm(Fraction(1), big, Fraction(0)),), True),
+    ]
+
+
+def test_the_slotted_algebra_matches_the_dataclass_algebra(monkeypatch):
+    cases = fuzz_built_sequences(monkeypatch, range(60))
+    assert len(cases) > 1000
+    cases += hand_built_sequences()
+    prev, prev_ref = SymSeq.zero(), _RefSeq()
+    seen = Counter()
+    for terms, exact in cases:
+        seq = SymSeq(terms, exact)
+        ref = _RefSeq(tuple(_RefTerm(t.coef, t.ratio, t.npow) for t in terms), exact)
+        got = algebra_records(seq, prev, classify, tail_sums)
+        assert got == algebra_records(ref, prev_ref, _ref_classify, _ref_tail_sums), (terms, exact)
+        prev, prev_ref = seq, ref
+        for record in got[0]:
+            if record[0] == "raise":
+                seen[record[1]] += 1
+                continue
+            exact, _, _, label, sums = record
+            seen[label[1]] += 1
+            seen[sums[1] if sums[0] == "raise" else "sums"] += 1
+            seen["exact" if exact else "inexact"] += 1
+    assert seen.keys() >= {SUMMABLE, DIVERGENT, NOT_ABSOLUTE, "OverflowError", "NoMajorant", "sums", "inexact"}, seen

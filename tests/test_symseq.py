@@ -7,6 +7,8 @@ must agree within its own certified error bound.
 import math
 import operator
 import struct
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +25,9 @@ from seqcert.symseq import (
     classify,
     classify_term,
     exact_sqrt,
+    point_form,
     tail_sum,
+    tail_sums,
 )
 
 mpmath.mp.dps = 40
@@ -364,3 +368,94 @@ def test_an_image_beyond_the_float_range_raises_overflow_error():
     top = Dyadic(2**55 - 5, 969)
     assert float(top) == float(Fraction(top)) == 1.7976931348623157e308
     assert float(-top) == float(-Fraction(top)) == -1.7976931348623157e308
+
+
+# SymTerm's public contract ---------------------------------------------------
+
+
+def test_a_term_builds_by_position_and_by_keyword():
+    by_position = SymTerm(Dyadic(3, -2), Fraction(1, 3), 0.5)
+    by_keyword = SymTerm(npow=0.5, coef=Dyadic(3, -2), ratio=Fraction(1, 3))
+    assert by_position == by_keyword
+    assert (by_keyword.coef, by_keyword.ratio, by_keyword.npow) == (Dyadic(3, -2), Fraction(1, 3), 0.5)
+    assert by_keyword.is_exact  # the coefficient and the ratio are exact
+    match by_position:
+        case SymTerm(c, r, s):
+            assert (c, r, s) == (Dyadic(3, -2), Fraction(1, 3), 0.5)
+
+
+def test_terms_compare_and_hash_alike_across_the_holders_of_one_value():
+    holders = [
+        SymTerm(Dyadic(3, -2), Dyadic(1, -1), Dyadic(0, 0)),
+        SymTerm(Fraction(3, 4), Fraction(1, 2), Fraction(0)),
+        SymTerm(0.75, 0.5, 0.0),
+    ]
+    for a in holders:
+        for b in holders:
+            assert a == b and hash(a) == hash(b)
+    assert [t.is_exact for t in holders] == [True, True, False]
+    assert holders[0] != SymTerm(Dyadic(3, -2), Dyadic(1, -1), Dyadic(1, 0))
+    assert holders[0] != (Dyadic(3, -2), Dyadic(1, -1), Dyadic(0, 0))
+    # and they merge into one term, inexact for the float among them
+    merged = SymSeq(holders)
+    assert merged.terms == (SymTerm(2.25, 0.5, 0.0),) and not merged.exact
+
+
+def test_a_term_reprs_as_the_dataclass_did():
+    assert repr(SymTerm(Dyadic(3, -2), Fraction(1, 2), 0.0)) == (
+        "SymTerm(coef=Dyadic(3, -2), ratio=Fraction(1, 2), npow=0.0)"
+    )
+    assert repr(SymTerm(coef=-0.0, ratio=Dyadic(-1, 0), npow=Fraction(3, 2))) == (
+        "SymTerm(coef=-0.0, ratio=Dyadic(-1, 0), npow=Fraction(3, 2))"
+    )
+
+
+def test_threads_filling_one_terms_float_images_read_what_one_thread_reads():
+    # the images fill their slots with no lock: threads that race to fill
+    # those of the same fresh terms, and to sum the tails of the same fresh
+    # sequences, get what one thread alone gets
+    def fresh():
+        return [
+            SymSeq.term(Fraction(k, 7) + 1, 0.5 + k / 1000, k % 3) + SymSeq.term(-k, -0.9, 2)
+            for k in range(1, 120)
+        ]
+
+    def read(seqs):
+        return repr([
+            ([t._floats for t in s.terms], [t._shape for t in s.terms], tail_sums(s, 1e-12)(1))
+            for s in seqs
+        ])
+
+    want = read(fresh())
+    workers = 4  # more threads than a CI runner's two cores
+    for _ in range(5):
+        seqs, got = fresh(), [None] * workers
+        barrier = threading.Barrier(workers, timeout=30)
+
+        def work(i):
+            barrier.wait()
+            got[i] = read(seqs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [want] * workers
+
+
+def test_coordinates_are_read_from_a_canonical_form_only():
+    built = SymSeq.term(1, 0.5, 0)
+    with pytest.raises(ValueError, match="point_form"):
+        built.coordinate(3)
+    with pytest.raises(ValueError, match="point_form"):
+        built.column(1, 3)
+    form = point_form([("geometric", 1.0, 0.5)])
+    assert form == built
+    assert form.coordinate(3) == 0.125 and form.column(1, 3) == [0.5, 0.25, 0.125]
