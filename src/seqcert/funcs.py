@@ -55,7 +55,15 @@ from .seqspace import (
     point_axpy,
     tail_limit,
 )
-from .symseq import DIVERGENT, SUMMABLE, SymSeq, classify, tail_sum
+from .symseq import (
+    DIVERGENT,
+    SUMMABLE,
+    SymSeq,
+    classify,
+    product_label,
+    tail_sum,
+    term_shapes,
+)
 
 
 def _as_form(v) -> SymSeq:
@@ -1016,7 +1024,12 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
         left, right = head(h, start)
         return (None if left is None else left + tail, None if right is None else right + tail)
 
+    # the term shapes of the line majorant's factors that no direction
+    # changes, read on the first direction with a tail
+    leaf_shapes: Optional[tuple] = None
+
     def direction(h: Point) -> Optional[tuple]:
+        nonlocal leaf_shapes
         if not h.tail:
             return head(h, h.tail_start)
         if kind is ScalarKind.NEG_SQRT:
@@ -1025,7 +1038,9 @@ def _separable_partials(f: SeparableSeries, x: Point) -> BasisPartials:
                 return None, None
         # the majorant's terms never cancel, so its label is the same at
         # every step size > 0
-        if classify(_line_majorant(f, x, h, 1.0)) != SUMMABLE:
+        if leaf_shapes is None:
+            leaf_shapes = _leaf_shapes(f, x)
+        if _majorant_label(f, x, h, leaf_shapes) != SUMMABLE:
             return None
         # from here on x and h are both closed forms
         start = max(x.tail_start, h.tail_start)
@@ -1134,6 +1149,38 @@ def _line_majorant(f: SeparableSeries, x: Point, h: Point, tau: float) -> SymSeq
     if kind is ScalarKind.SQUARE:
         return w_abs * h_abs * (x2 + h_abs)
     return w_abs * (inner.a.abs_terms() * h_abs * (x2 + h_abs) + inner.b.abs_terms() * h_abs)
+
+
+def _leaf_shapes(f: SeparableSeries, x: Point) -> tuple:
+    """The term shapes (``symseq.term_shapes``) of f's weight, a and b and
+    of x's tail: the factors of f's line majorants at x that no direction
+    changes."""
+    return tuple(term_shapes(seq) for seq in (f.weight, f.inner.a, f.inner.b, x.tail))
+
+
+def _majorant_label(f: SeparableSeries, x: Point, h: Point, leaf: tuple) -> str:
+    """``classify(_line_majorant(f, x, h, 1.0))``, read by
+    ``symseq.product_label`` from the term shapes of the majorant's
+    factors: ``leaf`` holds :func:`_leaf_shapes` of f and x, and h's tail
+    is read here.  The majorant's 2|x| + |h| is taken as two products, one
+    with |x| and one with |h|.  A sqrt piece, whose majorant takes square
+    roots, and a factor that is not exact classify the majorant itself."""
+    w, a, b, xs = leaf
+    hs = term_shapes(h.tail)
+    kind = f.inner.kind
+    if kind is ScalarKind.ABS:
+        groups = [(w, hs)]
+    elif kind is ScalarKind.LINEAR:
+        groups = [(w, b, hs)]
+    elif kind is ScalarKind.SQUARE:
+        groups = [(w, hs, xs), (w, hs, hs)]
+    elif kind is ScalarKind.AFFINE_QUAD:
+        groups = [(w, a, hs, xs), (w, a, hs, hs), (w, b, hs)]
+    else:
+        groups = None
+    if groups is None or any(None in g for g in groups):
+        return classify(_line_majorant(f, x, h, 1.0))
+    return product_label(groups)
 
 
 def _separable_delta_line(

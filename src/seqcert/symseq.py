@@ -613,10 +613,9 @@ DIVERGENT = "divergent"
 NOT_ABSOLUTE = "not_absolute"
 
 
-def classify_term(t: SymTerm) -> str:
-    if not t.coef:
-        return SUMMABLE
-    ratio, s = t._shape
+def shape_label(ratio: float, s: float) -> str:
+    """The label of a nonzero term ``c * ratio**n * n**(-s)``, which
+    depends on its shape (ratio, s) alone."""
     r = abs(ratio)
     if r < 1.0:
         return SUMMABLE
@@ -630,15 +629,70 @@ def classify_term(t: SymTerm) -> str:
     return NOT_ABSOLUTE if s > 0.0 else DIVERGENT
 
 
-def classify(seq: SymSeq) -> str:
+def classify_term(t: SymTerm) -> str:
+    if not t.coef:
+        return SUMMABLE
+    return shape_label(*t._shape)
+
+
+def _worst(labels: Iterable[str]) -> str:
     worst = SUMMABLE
-    for t in seq.terms:
-        c = classify_term(t)
+    for c in labels:
         if c == DIVERGENT:
             return DIVERGENT
         if c == NOT_ABSOLUTE:
             worst = NOT_ABSOLUTE
     return worst
+
+
+def classify(seq: SymSeq) -> str:
+    return _worst(map(classify_term, seq.terms))
+
+
+Shapes = tuple[tuple[Number, Number], ...]
+
+
+def term_shapes(seq: SymSeq) -> Optional[Shapes]:
+    """The exact (|ratio|, npow) of each term of an exact sequence, the
+    shapes of ``seq.abs_terms()`` (a ratio pair r, -r appears twice, as
+    one term there); None when seq is not exact."""
+    if not seq.exact:
+        return None
+    return tuple([(abs(t.ratio), t.npow) for t in seq.terms])
+
+
+def product_label(groups: Iterable[tuple[Shapes, ...]]) -> str:
+    """``classify`` of the sum, over groups, of the product of each group's
+    factors' ``abs_terms()``, read from the factors' :func:`term_shapes`
+    with no coefficient, term or merge formed.
+
+    An exact sequence holds no zero term, so every factor's terms have
+    exact coefficients > 0 and ratios >= 0: no product term and no merge
+    cancels, and the product's terms are the combinations of one term per
+    factor, each with the exact product of their ratios and the sum of
+    their npows.  Those are formed exactly, as the product forms them, so
+    each float shape is its term's, and ``shape_label`` decides each.  A
+    ratio beyond the float range raises OverflowError, as reading its
+    term's shape does (a canonical form's ratios are at most 1 in size,
+    so products of them never are).
+    """
+    shapes = []
+    for first, *rest in groups:
+        combos = first
+        for factor in rest:
+            out = []
+            for r, s in combos:
+                for fr, fs in factor:
+                    # Dyadic products inline, as SymSeq.__mul__ forms them
+                    if type(r) is Dyadic and type(fr) is Dyadic:
+                        m = r.m * fr.m
+                        ratio = Dyadic(m, r.e + fr.e) if m else _ZERO
+                    else:
+                        ratio = r * fr
+                    out.append((ratio, s + fs))
+            combos = out
+        shapes += combos
+    return _worst(shape_label(float(r), float(s)) for r, s in shapes)
 
 
 def _power_tail(s: float, shift: float, k: int) -> tuple[float, float]:

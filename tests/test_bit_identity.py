@@ -1712,6 +1712,113 @@ def test_a_square_line_forms_one_majorant_per_step_size(monkeypatch):
     assert sorted(sizes) == sorted({abs(t) for t in ladder()}) and len(sizes) == 41
 
 
+def majorant_label_cases():
+    """(leaf, x, h, label, materialized) by hand: the label of each line
+    majorant, and whether it is read from the majorant itself.  Canonical
+    forms hold constants (ratio 1), harmonics (ratio 1, npow 1) and
+    geometrics (|ratio| < 1), so a majorant diverges only where a product
+    of ratio-1 atoms has npow <= 1."""
+    const, harmonic, geometric = TailRule.const, TailRule.harmonic, TailRule.geometric
+    abs_, square = ScalarConvex.abs_(), ScalarConvex.square()
+    halves = Point([0.5], (geometric(1.0, 0.5),))
+
+    def tail(*atoms):
+        return Point([-1.0, 0.25], atoms)
+
+    harmonic_b = ScalarConvex.affine_quad(geometric(1.0, 0.5), harmonic(1.0))
+    const_a = ScalarConvex.affine_quad(const(1.0), geometric(1.0, 0.5))
+    cases = [
+        # a harmonic weight times a constant h has s = 1, times a harmonic s = 2
+        (SeparableSeries(harmonic(1.0), abs_), halves, tail(const(1.0)), DIVERGENT),
+        (SeparableSeries(harmonic(1.0), abs_), halves, tail(harmonic(-2.0)), SUMMABLE),
+        (SeparableSeries(const(2.0), abs_), halves, tail(const(-1.0)), DIVERGENT),
+        # r and -r, one term under abs_terms, in h and in x
+        (SeparableSeries(const(1.0), abs_), halves,
+         tail(geometric(1.0, 0.5), geometric(-3.0, -0.5)), SUMMABLE),
+        (SeparableSeries(const(1.0), square), tail(geometric(1.0, 0.5), geometric(1.0, -0.5)),
+         tail(geometric(0.5, 0.9), geometric(0.5, -0.9)), SUMMABLE),
+        # a square diverging through h^2 alone, through x h alone, and not
+        (SeparableSeries(const(1.0), square), halves, tail(const(1.0)), DIVERGENT),
+        (SeparableSeries(const(1.0), square), tail(const(1.0)), tail(harmonic(1.0)), DIVERGENT),
+        (SeparableSeries(const(1.0), square), halves, tail(harmonic(1.0)), SUMMABLE),
+        # affine quadratics diverging through b h alone, a h^2 alone and a x h alone
+        (SeparableSeries(const(1.0), harmonic_b), halves, tail(const(1.0)), DIVERGENT),
+        (SeparableSeries(const(1.0), harmonic_b), halves, tail(harmonic(1.0)), SUMMABLE),
+        (SeparableSeries(const(1.0), const_a), halves, tail(const(1.0)), DIVERGENT),
+        (SeparableSeries(const(1.0), const_a), tail(const(1.0)), tail(harmonic(1.0)), DIVERGENT),
+        (SeparableSeries(const(1.0), ScalarConvex.linear(const(2.0))), halves,
+         tail(harmonic(1.0)), DIVERGENT),
+        (SeparableSeries(harmonic(1.0), ScalarConvex.linear(harmonic(2.0))), halves,
+         tail(const(1.0)), SUMMABLE),
+        # a zero weight leaves no terms
+        (SeparableSeries(const(0.0), square), tail(const(1.0)), tail(const(1.0)), SUMMABLE),
+    ]
+    cases = [case + (False,) for case in cases]
+    # a sqrt piece, and an h whose tail is not exact (no public constructor
+    # makes one), read the majorant itself
+    sqrt_leaf = SeparableSeries(geometric(1.0, 0.5), ScalarConvex.neg_sqrt(2.0))
+    positive = Point([0.001, 0.3], (geometric(1.0, 0.25),))
+    cases.append((sqrt_leaf, positive, tail(geometric(0.5, 0.5)), SUMMABLE, True))
+    for ratio, label in ((0.5, SUMMABLE), (1.0, DIVERGENT)):
+        inexact = Point([0.5])
+        term = SymTerm(1.0, Dyadic.from_float(ratio), Dyadic.of(0))
+        object.__setattr__(inexact, "tail", SymSeq((term,)))
+        assert not inexact.tail.exact
+        cases.append((SeparableSeries(const(1.0), abs_), halves, inexact, label, True))
+    return cases
+
+
+def test_the_majorant_label_matches_the_materialized_majorant(monkeypatch):
+    # every (leaf, x, h) a walk's direction labels on the fuzz seeds, with
+    # the shapes of the factors the walk kept for the leaf and x
+    seen = []
+    label_of = funcs._majorant_label
+
+    def spy(f, x, h, leaf):
+        seen.append((f, x, h, leaf))
+        return label_of(f, x, h, leaf)
+
+    monkeypatch.setattr(funcs, "_majorant_label", spy)
+    for seed in range(600):
+        certify_all(*fuzz_case(seed))
+    monkeypatch.undo()
+    materialized = []
+    make = funcs._line_majorant
+
+    def counted(f, x, h, tau):
+        materialized.append(f)
+        return make(f, x, h, tau)
+
+    monkeypatch.setattr(funcs, "_line_majorant", counted)
+    kinds = Counter()
+    for f, x, h, leaf in seen:
+        assert leaf == funcs._leaf_shapes(f, x)
+        assert label_of(f, x, h, leaf) == classify(make(f, x, h, 1.0)), (f, x, h)
+        kinds[f.inner.kind] += 1
+    # the samplers make no sqrt piece and only exact forms
+    assert not materialized
+    assert len(seen) > 1000 and len(kinds) == 4, kinds
+    for f, x, h, want, from_majorant in majorant_label_cases():
+        materialized.clear()
+        got = label_of(f, x, h, funcs._leaf_shapes(f, x))
+        assert got == want == classify(make(f, x, h, 1.0)), (f, x, h)
+        assert bool(materialized) == from_majorant, (f, x, h)
+
+
+def test_gateaux_detect_forms_no_line_majorant(monkeypatch):
+    formed = []
+    make = funcs._line_majorant
+    monkeypatch.setattr(funcs, "_line_majorant", lambda *args: formed.append(args) or make(*args))
+    space, f, x = fuzz_instance(13)
+    cert, _ = gateaux_detect(f, space, x, CertifyOptions())
+    # its affine quadratic and linear leaves hold along the three validation
+    # directions, each labelled from term shapes
+    assert cert.verdict.value == "holds" and len(cert.evidence["validation_samples"]) == 3
+    kinds = [leaf.inner.kind for leaf in separable_leaves(f)]
+    assert kinds == [ScalarKind.AFFINE_QUAD, ScalarKind.LINEAR]
+    assert not formed
+
+
 # The exact algebra before SymTerm became a slotted class with its merge
 # key fixed at construction, kept verbatim as the reference for
 # symseq.SymTerm, SymSeq's merge, negation, scaling, products and

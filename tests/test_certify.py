@@ -146,9 +146,16 @@ def test_set_json_round_trip():
         SetDescriptor.whole_space(),
         SetDescriptor.positive_cone_ell1(),
         SetDescriptor.box(lower=Point([1.0], ()), upper=None, bound_count=1),
+        SetDescriptor.box(lower=None, upper=Point([2.0], (TailRule.geometric(1.0, 0.5),))),
     ]
     for s in sets:
         assert set_to_json(set_from_json(set_to_json(s))) == set_to_json(s)
+        # the decoded set itself, not its JSON again: a codec that wrote
+        # every set as a bare box would pass the line above
+        back = set_from_json(set_to_json(s))
+        assert (back.kind, back.lower, back.upper, back.bound_count) == (
+            s.kind, s.lower, s.upper, s.bound_count
+        )
     with pytest.raises(ValueError):
         set_from_json({"kind": "ball"})
     with pytest.raises(ValueError):
@@ -647,6 +654,12 @@ def test_scaled_family_with_summable_coefficients():
     assert cert.verdict is Verdict.HOLDS
 
 
+def test_a_zero_interval_radius_is_refused():
+    fam = DiagonalFamily(TailRule.geometric(1.0, BETA), ScalarConvex.square())
+    with pytest.raises(ValueError, match="radii must be positive"):
+        series_differentiate(fam, Point([], (TailRule.const(0.5),)), TailRule.const(0.0), OPTS)
+
+
 def test_list_family_is_finite_sums():
     fam = [quad_series(), SeparableSeries(TailRule.const(1.0), ScalarConvex.linear(1.0))]
     x = Point([0.5], ())
@@ -733,6 +746,14 @@ def test_kkt_negative_multiplier_on_a_nonaffine_equality_is_inconclusive():
     minus_ones = Point([], (TailRule.const(-1.0),))
     cert = kkt_certify(f, [], [h], ws, minus_ones, [], [0.5], OPTS)
     assert (cert.verdict, cert.grade) == (Verdict.HOLDS, Grade.analytic())
+
+
+def test_a_zero_multiplier_on_a_non_affine_equality_is_admissible():
+    # nu = 0 leaves nu h = 0 convex whatever h is: x* = 0 minimizes
+    # sum 0.5^n x_n^2 subject to the same function being 0
+    f = quad_series()
+    cert = kkt_certify(f, [], [f], SetDescriptor.whole_space(), Point.zero(), [], [0.0], OPTS)
+    assert (cert.verdict, cert.grade, cert.reason) == (Verdict.HOLDS, Grade.analytic(), None)
 
 
 def test_kkt_negative_multiplier_on_an_affine_equality_is_admissible():

@@ -396,9 +396,17 @@ def test_closed_form_directions_agree_with_the_quotient_scan(monkeypatch):
     assert basis_partials(summed.terms[1], Point.zero()).direction(h) is None
 
 
-def test_a_closed_form_direction_forms_one_majorant_per_leaf_and_no_term_lines(monkeypatch):
-    counts = {"majorant": 0, "line": 0}
-    line_majorant, term_line = funcs._line_majorant, ScalarConvex.line
+def test_a_closed_form_direction_labels_each_leaf_once_and_forms_no_majorant_or_term_line(
+    monkeypatch,
+):
+    counts = {"label": 0, "majorant": 0, "line": 0}
+    majorant_label, line_majorant, term_line = (
+        funcs._majorant_label, funcs._line_majorant, ScalarConvex.line
+    )
+
+    def label(*args):
+        counts["label"] += 1
+        return majorant_label(*args)
 
     def majorant(*args):
         counts["majorant"] += 1
@@ -408,6 +416,7 @@ def test_a_closed_form_direction_forms_one_majorant_per_leaf_and_no_term_lines(m
         counts["line"] += 1
         return term_line(*args)
 
+    monkeypatch.setattr(funcs, "_majorant_label", label)
     monkeypatch.setattr(funcs, "_line_majorant", majorant)
     monkeypatch.setattr(ScalarConvex, "line", line)
     p = DualPoint([1.0], (TailRule.geometric(1.0, 0.5),))
@@ -420,6 +429,7 @@ def test_a_closed_form_direction_forms_one_majorant_per_leaf_and_no_term_lines(m
     h = Point([-1.0], (TailRule.geometric(1.0, 0.25),))
     res = dir_deriv(f, x, h)
     assert res.method == "analytic" and res.exists
-    # one majorant per separable leaf, which the closed form classifies;
-    # no term of either series is evaluated along the line
-    assert counts == {"majorant": 2, "line": 0}
+    # one majorant label per separable leaf, read from term shapes without
+    # forming the majorant; no term of either series is evaluated along the
+    # line
+    assert counts == {"label": 2, "majorant": 0, "line": 0}
